@@ -1924,14 +1924,3 @@ def sweep_instances(
         out.extend(built)
     return out
 
-
-def expected_p(
-    family: int, sub_case: str, params: dict[str, int], support_key: str
-) -> Fraction | None:
-    return instantiate(family, sub_case, **params).option(support_key).expected_p
-
-
-def expected_theta(
-    family: int, sub_case: str, params: dict[str, int], support_key: str
-) -> tuple[Fraction, ...] | None:
-    return instantiate(family, sub_case, **params).option(support_key).expected_theta

@@ -2,7 +2,8 @@
 enumerate minimal supports and export cases to the skeleton file format.
 
 Exit codes: 0 all reports match, 1 some mismatch, 2 usage or parse error,
-3 skeleton invariant violation.  Reports go to stdout (text table or
+3 skeleton invariant violation; any other exception is an internal error and
+propagates with its traceback.  Reports go to stdout (text table or
 newline-delimited JSON with exact fraction strings); diagnostics to stderr.
 """
 
@@ -14,108 +15,94 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from sphskel import catalog, mukai, skeleton as sk_mod
 from sphskel.catalog import CaseInstance, SupportOption
+from sphskel.mukai import MukaiVerdict
 from sphskel.skeleton import SkeletonInvariantError, SkeletonParseError
 
 SWEEP_ENV = "SPHSKEL_SWEEPS"
 
 
-def _frac_str(x: Fraction | None) -> str:
-    if x is None:
-        return "inf"
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 @dataclass
 class CaseReport:
-    family: int
-    sub_case: str
-    params: dict[str, int]
-    support: str
-    complete: bool
-    p_value: Fraction | None
-    budget: int
-    relation: str | None
-    theta: tuple[Fraction, ...] | None
-    theta_unique: bool | None
-    expected_p: Fraction | None
-    expected_relation: str
-    expected_theta: tuple[Fraction, ...] | None
+    inst: CaseInstance
+    opt: SupportOption
+    verdict: MukaiVerdict
     match: bool
-    typo_fixes: tuple[str, ...]
-    pivots: int
     wall_ms: float
 
     def sort_key(self):
-        return (self.family, self.sub_case, sorted(self.params.items()), self.support)
+        return (self.inst.family, self.inst.sub_case, sorted(self.inst.params), self.opt.key)
 
     def to_json(self) -> dict:
+        inst, opt = self.inst, self.opt
         return {
-            "case": self.family,
-            "sub_case": self.sub_case,
-            "params": self.params,
-            "support": self.support,
-            "complete": self.complete,
-            "p_value": None if self.p_value is None else _frac_str(self.p_value),
-            "budget": self.budget,
-            "relation": self.relation,
-            "theta": None if self.theta is None else [_frac_str(t) for t in self.theta],
-            "theta_unique": self.theta_unique,
-            "expected_p": None if self.expected_p is None else _frac_str(self.expected_p),
-            "expected_relation": self.expected_relation,
-            "expected_theta": None
-            if self.expected_theta is None
-            else [_frac_str(t) for t in self.expected_theta],
+            "case": inst.family,
+            "sub_case": inst.sub_case,
+            "params": dict(inst.params),
+            "support": opt.key,
+            **_verdict_json(self.verdict),
+            "expected_p": _frac_json(opt.expected_p),
+            "expected_relation": opt.expected_relation,
+            "expected_theta": _fracs_json(opt.expected_theta),
             "match": self.match,
-            "typo_fixes": list(self.typo_fixes),
-            "solve_stats": {"pivots": self.pivots, "wall_ms": round(self.wall_ms, 3)},
+            "typo_fixes": list(inst.typo_fixes),
+            "solve_stats": {"pivots": self.verdict.pivots, "wall_ms": round(self.wall_ms, 3)},
         }
 
 
+def _frac_json(x):
+    return None if x is None else sk_mod.frac_str(x)
+
+
+def _fracs_json(xs):
+    return None if xs is None else [sk_mod.frac_str(x) for x in xs]
+
+
+def _verdict_json(verdict: MukaiVerdict) -> dict:
+    """The verdict's report keys, rationals as exact fraction strings."""
+    return {
+        "complete": verdict.complete,
+        "p_value": _frac_json(verdict.p_value),
+        "budget": verdict.budget,
+        "relation": verdict.relation,
+        "theta": _fracs_json(verdict.theta),
+        "theta_unique": verdict.theta_unique,
+    }
+
+
 def evaluate_option(inst: CaseInstance, opt: SupportOption) -> CaseReport:
+    """Evaluate one support option and compare it with everything the catalog
+    states: completeness, relation, P, theta, the budget and, on Equal, a
+    unique maximizer."""
     skel = inst.support_skeleton(opt)
     start = time.perf_counter()
-    verdict, stats = mukai.evaluate_with_stats(skel)
+    verdict = mukai.check_conjecture(skel)
     wall_ms = (time.perf_counter() - start) * 1000.0
     match = (
         verdict.complete
         and verdict.relation == opt.expected_relation
         and (opt.expected_p is None or verdict.p_value == opt.expected_p)
         and (opt.expected_theta is None or verdict.theta == opt.expected_theta)
+        and (inst.expected_budget is None or verdict.budget == inst.expected_budget)
+        and (verdict.relation != mukai.EQUAL or verdict.theta_unique is True)
     )
-    return CaseReport(
-        family=inst.family,
-        sub_case=inst.sub_case,
-        params=dict(inst.params),
-        support=opt.key,
-        complete=verdict.complete,
-        p_value=verdict.p_value,
-        budget=verdict.budget,
-        relation=verdict.relation,
-        theta=verdict.theta,
-        theta_unique=verdict.theta_unique,
-        expected_p=opt.expected_p,
-        expected_relation=opt.expected_relation,
-        expected_theta=opt.expected_theta,
-        match=match,
-        typo_fixes=inst.typo_fixes,
-        pivots=stats["pivots"],
-        wall_ms=wall_ms,
-    )
+    return CaseReport(inst=inst, opt=opt, verdict=verdict, match=match, wall_ms=wall_ms)
 
 
 def _params_text(params: dict[str, int]) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(params.items())) or "-"
 
 
+def _p_text(p) -> str:
+    return "inf" if p is None else sk_mod.frac_str(p)
+
+
 def _theta_text(theta) -> str:
     if theta is None:
         return "-"
-    return "(" + ",".join(_frac_str(t) for t in theta) + ")"
+    return "(" + ",".join(sk_mod.frac_str(t) for t in theta) + ")"
 
 
 def print_reports(reports: list[CaseReport], fmt: str, out=None) -> None:
@@ -133,14 +120,15 @@ def print_reports(reports: list[CaseReport], fmt: str, out=None) -> None:
     out.write("-" * len(header) + "\n")
     notes = {}
     for rep in reports:
-        case = f"{rep.family}" + (f"/{rep.sub_case}" if rep.sub_case else "")
+        inst, v = rep.inst, rep.verdict
+        case = f"{inst.family}" + (f"/{inst.sub_case}" if inst.sub_case else "")
         out.write(
-            f"{case:<14} {_params_text(rep.params):<14} {rep.support:<34} "
-            f"{str(rep.complete).lower():<5} {_frac_str(rep.p_value):>8} "
-            f"{rep.budget:>6} {str(rep.relation):<12} "
-            f"{_theta_text(rep.theta):<28} {'yes' if rep.match else 'NO':<5}\n"
+            f"{case:<14} {_params_text(dict(inst.params)):<14} {rep.opt.key:<34} "
+            f"{str(v.complete).lower():<5} {_p_text(v.p_value):>8} "
+            f"{v.budget:>6} {str(v.relation):<12} "
+            f"{_theta_text(v.theta):<28} {'yes' if rep.match else 'NO':<5}\n"
         )
-        for fix in rep.typo_fixes:
+        for fix in inst.typo_fixes:
             notes.setdefault(case, set()).add(fix)
     for case in sorted(notes):
         for fix in sorted(notes[case]):
@@ -253,23 +241,13 @@ def cmd_verify(args) -> int:
 
 def cmd_compute(args) -> int:
     skel = sk_mod.load(args.file)
-    verdict, stats = mukai.evaluate_with_stats(skel)
+    verdict = mukai.check_conjecture(skel)
     if args.format == "json":
-        payload = {
-            "complete": verdict.complete,
-            "p_value": None if verdict.p_value is None else _frac_str(verdict.p_value),
-            "budget": verdict.budget,
-            "relation": verdict.relation,
-            "theta": None
-            if verdict.theta is None
-            else [_frac_str(t) for t in verdict.theta],
-            "theta_unique": verdict.theta_unique,
-            "solve_stats": {"pivots": stats["pivots"]},
-        }
+        payload = {**_verdict_json(verdict), "solve_stats": {"pivots": verdict.pivots}}
         print(json.dumps(payload))
     else:
         print(
-            f"complete: {str(verdict.complete).lower()}, P={_frac_str(verdict.p_value)}, "
+            f"complete: {str(verdict.complete).lower()}, P={_p_text(verdict.p_value)}, "
             f"budget={verdict.budget}, {verdict.relation or 'Unbounded'}, "
             f"theta={_theta_text(verdict.theta)}"
         )
@@ -277,6 +255,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_supports(args) -> int:
+    if args.max_card < 1:
+        raise UsageError("--max-card must be >= 1")
     instances = _select_instances(args)
     for inst in instances:
         found = mukai.enumerate_minimal_complete_supports(inst.system, args.max_card)
@@ -288,11 +268,11 @@ def cmd_supports(args) -> int:
                 "minimal_supports": [
                     {
                         "support": inst.support_key(indices),
-                        "p_value": None
-                        if verdict.p_value is None
-                        else _frac_str(verdict.p_value),
-                        "budget": verdict.budget,
-                        "relation": verdict.relation,
+                        **{
+                            key: value
+                            for key, value in _verdict_json(verdict).items()
+                            if key in ("p_value", "budget", "relation")
+                        },
                     }
                     for indices, verdict in found
                 ],
@@ -311,7 +291,7 @@ def cmd_supports(args) -> int:
         for indices, verdict in found:
             key = inst.support_key(indices)
             print(
-                f"  {{{key}}}: P={_frac_str(verdict.p_value)}, "
+                f"  {{{key}}}: P={_p_text(verdict.p_value)}, "
                 f"budget={verdict.budget}, {verdict.relation}"
             )
         for cert in inst.certificates:
@@ -333,7 +313,11 @@ def cmd_export(args) -> int:
     inst = instances[0]
     skel = inst.system
     if args.support is not None:
-        skel = inst.support_skeleton(inst.option(args.support))
+        try:
+            opt = inst.option(args.support)
+        except KeyError as exc:
+            raise UsageError(exc.args[0]) from exc
+        skel = inst.support_skeleton(opt)
     sk_mod.save(skel, args.output)
     print(f"wrote {args.output}", file=sys.stderr)
     return 0
@@ -399,9 +383,6 @@ def main(argv=None) -> int:
     except SkeletonInvariantError as exc:
         print(f"invariant violation [{exc.invariant}]: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

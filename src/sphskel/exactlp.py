@@ -70,7 +70,6 @@ class LpSolution:
     value: Fraction | None = None
     dual: tuple[Fraction, ...] | None = None
     ray: tuple[Fraction, ...] | None = None
-    unique_optimum: bool | None = None
     pivots: int = 0
 
 

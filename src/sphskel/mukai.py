@@ -28,7 +28,8 @@ class MukaiVerdict:
     budget: int
     relation: str | None  # None when p_value is infinite
     theta: tuple[Fraction, ...] | None
-    theta_unique: bool | None
+    theta_unique: bool | None  # decided only when relation is Equal
+    pivots: int  # simplex pivots of the main LP
 
 
 def skeleton_lp(sk: SphericalSkeleton) -> tuple[LpProblem, Fraction]:
@@ -41,84 +42,33 @@ def skeleton_lp(sk: SphericalSkeleton) -> tuple[LpProblem, Fraction]:
     return LpProblem.make(a, b, c), Fraction(constant)
 
 
-def mfs_value(
-    sk: SphericalSkeleton, compute_unique: bool = False
-) -> tuple[Fraction | None, tuple[Fraction, ...] | None, bool | None]:
-    """(P(R), maximizer theta in Sigma-coordinates, uniqueness flag).
-
-    P(R) is None when the LP is unbounded; theta and the flag are then None
-    as well.  Uniqueness costs extra solves and is only computed on demand.
-    """
-    value, sol, problem, constant = _solve(sk)
-    if sol.status != "optimal":
-        return None, None, None
-    unique = exactlp.unique_optimum(problem, sol) if compute_unique else None
-    return value, sol.primal, unique
-
-
-def _solve(sk: SphericalSkeleton):
-    problem, constant = skeleton_lp(sk)
-    sol = exactlp.solve_max(problem)
-    value = sol.value + constant if sol.status == "optimal" else None
-    return value, sol, problem, constant
-
-
 def budget(sk: SphericalSkeleton) -> int:
     """|R+| - |R+_{S^p}|, the right-hand side of the inequality."""
     rs = sk.root_system
     return len(rs.positive) - rootsys.positive_count_in_span(rs, sk.sp)
 
 
-def check_conjecture(
-    sk: SphericalSkeleton, compute_unique: str | bool = "auto"
-) -> MukaiVerdict:
+def check_conjecture(sk: SphericalSkeleton) -> MukaiVerdict:
     """Assemble completeness, P(R), budget, relation and the maximizer.
 
-    ``compute_unique="auto"`` runs the uniqueness probe exactly when the
-    relation is Equal (where the theory asserts a unique maximizer).
+    The uniqueness probe runs exactly when the relation is Equal, where the
+    theory asserts a unique maximizer; otherwise ``theta_unique`` is None.
     """
-    verdict, _ = evaluate_with_stats(sk, compute_unique=compute_unique)
-    return verdict
-
-
-def evaluate_with_stats(
-    sk: SphericalSkeleton, compute_unique: str | bool = "auto"
-) -> tuple[MukaiVerdict, dict]:
     complete = sk_mod.is_complete(sk)
-    value, sol, problem, constant = _solve(sk)
-    pivots = sol.pivots
+    problem, constant = skeleton_lp(sk)
+    sol = exactlp.solve_max(problem)
     bud = budget(sk)
-    if value is None:
-        verdict = MukaiVerdict(
-            complete=complete,
-            p_value=None,
-            budget=bud,
-            relation=None,
-            theta=None,
-            theta_unique=None,
-        )
-        return verdict, {"pivots": pivots}
+    if sol.status != "optimal":
+        return MukaiVerdict(complete, None, bud, None, None, None, sol.pivots)
+    value = sol.value + constant
     if value < bud:
         relation = STRICTLY_LESS
     elif value == bud:
         relation = EQUAL
     else:
         relation = VIOLATION
-    want_unique = (
-        relation == EQUAL if compute_unique == "auto" else bool(compute_unique)
-    )
-    unique = None
-    if want_unique:
-        unique = exactlp.unique_optimum(problem, sol)
-    verdict = MukaiVerdict(
-        complete=complete,
-        p_value=value,
-        budget=bud,
-        relation=relation,
-        theta=sol.primal,
-        theta_unique=unique,
-    )
-    return verdict, {"pivots": pivots}
+    unique = exactlp.unique_optimum(problem, sol) if relation == EQUAL else None
+    return MukaiVerdict(complete, value, bud, relation, sol.primal, unique, sol.pivots)
 
 
 def enumerate_minimal_complete_supports(
@@ -156,7 +106,7 @@ def duplicate_shift_check(
     Requires an equality case with a unique maximizer; asserts the exact
     drop P(R') = P(R) + <rho(D), theta> with <rho(D), theta> < 0.
     """
-    verdict = check_conjecture(sk, compute_unique=True)
+    verdict = check_conjecture(sk)
     if verdict.relation != EQUAL or not verdict.theta_unique:
         raise ValueError("duplicate_shift_check needs an equality case with unique theta")
     div = next((d for d in sk.boundary if d.name == boundary_name), None)
@@ -164,7 +114,7 @@ def duplicate_shift_check(
         raise ValueError(f"no boundary divisor named {boundary_name!r}")
     shift = sum(Fraction(v) * t for v, t in zip(div.rho, verdict.theta))
     doubled = sk_mod.duplicate_boundary(sk, boundary_name)
-    after, _, _ = mfs_value(doubled)
+    after = check_conjecture(doubled).p_value
     if after is None or after != verdict.p_value + shift or not after < verdict.p_value:
         raise AssertionError(
             f"duplication shift mismatch: {verdict.p_value} -> {after}, shift {shift}"

@@ -139,10 +139,6 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
     )
 
 
-def positive_roots(rs: RootSystem) -> tuple[RootVector, ...]:
-    return rs.positive
-
-
 def coroot_pairing(rs: RootSystem, i: int, v: Sequence[int | Fraction]):
     """<alpha_i^vee, v> for v in root-lattice coordinates."""
     row = rs.cartan[i]

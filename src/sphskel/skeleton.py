@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -70,17 +71,57 @@ class SphericalSkeleton:
 
 
 def _validate(sk: SphericalSkeleton) -> None:
-    rank = sk.root_system.rank
+    _system_multiplicities(sk.root_system, sk.sp, sk.sigma, sk.colors)
     nsig = len(sk.sigma)
-    for idx in sk.sp:
+    for div in sk.boundary:
+        if len(div.rho) != nsig:
+            raise SkeletonInvariantError(
+                "boundary-rho-length", f"{div.name}: expected {nsig} values"
+            )
+        if any(v > 0 for v in div.rho):
+            raise SkeletonInvariantError(
+                "boundary-nonpositive", f"{div.name}: pairing must be <= 0"
+            )
+        if nsig and all(v == 0 for v in div.rho):
+            raise SkeletonInvariantError(
+                "boundary-rho-nonzero", f"{div.name}: rho vanishes on sigma"
+            )
+    seen = set()
+    for div in sk.divisors:
+        if div.name in seen:
+            raise SkeletonInvariantError(
+                "divisor-names-unique", f"{div.name!r} names two divisors"
+            )
+        seen.add(div.name)
+
+
+# Every skeleton built from one bare system (each support option, each
+# candidate Gamma of a support enumeration) shares these checks, so they run
+# once per system.  Exceptions are not cached: a bad system raises each time.
+@lru_cache(maxsize=1024)
+def _system_multiplicities(
+    rs: RootSystem,
+    sp: frozenset[int],
+    sigma: tuple[tuple[int, ...], ...],
+    colors: tuple[Color, ...],
+) -> tuple[Fraction, ...]:
+    """Check the Gamma-independent invariants; m_D over the colors.
+
+    m_D is 1 when some moving simple root lies in Sigma or (1/2)Sigma,
+    otherwise <alpha^vee, 2rho_S - 2rho_{S^p}> for the moving root alpha
+    (several movers must agree).
+    """
+    rank = rs.rank
+    nsig = len(sigma)
+    for idx in sp:
         if not 0 <= idx < rank:
             raise SkeletonInvariantError("sp-range", f"index {idx} out of range")
-    for g in sk.sigma:
+    for g in sigma:
         if len(g) != rank:
             raise SkeletonInvariantError("sigma-length", f"{g} has wrong length")
-    if nsig and exactlp.matrix_rank(sk.sigma) != nsig:
+    if nsig and exactlp.matrix_rank(sigma) != nsig:
         raise SkeletonInvariantError("sigma-independent", "sigma is linearly dependent")
-    for color in sk.colors:
+    for color in colors:
         if len(color.rho) != nsig:
             raise SkeletonInvariantError(
                 "color-rho-length", f"{color.name}: expected {nsig} values"
@@ -100,33 +141,42 @@ def _validate(sk: SphericalSkeleton) -> None:
             )
         if color.coroot is not None:
             idx, scale = color.coroot
-            expect = tuple(
-                scale * rootsys.coroot_pairing(sk.root_system, idx, g) for g in sk.sigma
-            )
+            if not 0 <= idx < rank:
+                raise SkeletonInvariantError(
+                    "coroot-range", f"{color.name}: coroot index {idx} out of range"
+                )
+            expect = tuple(scale * rootsys.coroot_pairing(rs, idx, g) for g in sigma)
             if tuple(color.rho) != expect:
                 raise SkeletonInvariantError(
                     "color-coroot-consistent",
                     f"{color.name}: stored rho {color.rho} != {scale}*alpha_{idx}^vee {expect}",
                 )
-    for div in sk.boundary:
-        if len(div.rho) != nsig:
+    total = rootsys.two_rho(rs, range(rank))
+    inside = rootsys.two_rho(rs, sp)
+    two_rho_diff = tuple(t - i for t, i in zip(total, inside))
+    sigma_set = set(sigma)
+    ms = []
+    for color in colors:
+        alphas = [tuple(int(j == idx) for j in range(rank)) for idx in color.moved_by]
+        if any(a in sigma_set or tuple(2 * v for v in a) in sigma_set for a in alphas):
+            ms.append(_ONE)
+            continue
+        values = {
+            Fraction(rootsys.coroot_pairing(rs, idx, two_rho_diff))
+            for idx in color.moved_by
+        }
+        if len(values) != 1:
             raise SkeletonInvariantError(
-                "boundary-rho-length", f"{div.name}: expected {nsig} values"
+                "multiplicity-well-defined",
+                f"{color.name}: movers disagree on m_D ({sorted(values)})",
             )
-        if any(v > 0 for v in div.rho):
-            raise SkeletonInvariantError(
-                "boundary-nonpositive", f"{div.name}: pairing must be <= 0"
-            )
-        if nsig and all(v == 0 for v in div.rho):
-            raise SkeletonInvariantError(
-                "boundary-rho-nonzero", f"{div.name}: rho vanishes on sigma"
-            )
-    for color in sk.colors:
-        m = color_multiplicity(sk, color)
+        m = values.pop()
         if m < 1:
             raise SkeletonInvariantError(
                 "multiplicity-positive", f"{color.name}: m_D = {m} < 1"
             )
+        ms.append(m)
+    return tuple(ms)
 
 
 def coroot_color(
@@ -151,46 +201,9 @@ def pairing_matrix(sk: SphericalSkeleton) -> list[list[Fraction]]:
     return rows
 
 
-def _doubled(vector: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(2 * v for v in vector)
-
-
-def color_multiplicity(sk: SphericalSkeleton, color: Color) -> Fraction:
-    """Anticanonical multiplicity m_D of a color.
-
-    1 when some moving simple root lies in Sigma or (1/2)Sigma, otherwise
-    <alpha^vee, 2rho_S - 2rho_{S^p}> for the moving root alpha (several
-    movers must agree, which is asserted).
-    """
-    rs = sk.root_system
-    sigma_set = set(sk.sigma)
-    for idx in color.moved_by:
-        alpha = tuple(1 if j == idx else 0 for j in range(rs.rank))
-        if alpha in sigma_set or _doubled(alpha) in sigma_set:
-            return _ONE
-    full = two_rho_difference(sk)
-    values = {
-        Fraction(rootsys.coroot_pairing(rs, idx, full)) for idx in color.moved_by
-    }
-    if len(values) != 1:
-        raise SkeletonInvariantError(
-            "multiplicity-well-defined",
-            f"{color.name}: movers disagree on m_D ({sorted(values)})",
-        )
-    return values.pop()
-
-
-def two_rho_difference(sk: SphericalSkeleton) -> tuple[int, ...]:
-    """2rho_S - 2rho_{S^p} in root-lattice coordinates."""
-    rs = sk.root_system
-    total = rootsys.two_rho(rs, range(rs.rank))
-    inside = rootsys.two_rho(rs, sk.sp)
-    return tuple(t - i for t, i in zip(total, inside))
-
-
 def multiplicities(sk: SphericalSkeleton) -> tuple[Fraction, ...]:
     """m_D over D = colors then boundary (boundary divisors get 1)."""
-    ms = tuple(color_multiplicity(sk, color) for color in sk.colors)
+    ms = _system_multiplicities(sk.root_system, sk.sp, sk.sigma, sk.colors)
     return ms + (_ONE,) * len(sk.boundary)
 
 
@@ -414,16 +427,54 @@ class SkeletonParseError(ValueError):
     """Malformed skeleton file."""
 
 
-def _frac_to_str(x: Fraction) -> str:
+def frac_str(x: Fraction | int) -> str:
+    """A rational as a reduced fraction string, "n" or "n/d"."""
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _parse_frac(text, where: str) -> Fraction:
+def _object(data, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    if not isinstance(data, dict):
+        raise SkeletonParseError(f"{where}: expected an object")
+    for key in data:
+        if key not in required and key not in optional:
+            raise SkeletonParseError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in data:
+            raise SkeletonParseError(f"{where}: missing key {key!r}")
+    return data
+
+
+def _list(data, where: str) -> list:
+    if not isinstance(data, list):
+        raise SkeletonParseError(f"{where}: expected a list, got {data!r}")
+    return data
+
+
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise SkeletonParseError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _int(value, where: str) -> int:
+    # bool is a subclass of int, and JSON true must not read as 1
+    if type(value) is not int:
+        raise SkeletonParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _ints(values, where: str) -> tuple[int, ...]:
+    return tuple(_int(v, where) for v in _list(values, where))
+
+
+def _frac(value, where: str) -> Fraction:
+    if type(value) is not int and not isinstance(value, str):
+        raise SkeletonParseError(f"{where}: expected a fraction string, got {value!r}")
     try:
-        return Fraction(str(text))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SkeletonParseError(f"{where}: bad rational {text!r}") from exc
+        raise SkeletonParseError(f"{where}: bad rational {value!r}") from exc
 
 
 def to_dict(sk: SphericalSkeleton) -> dict:
@@ -436,10 +487,10 @@ def to_dict(sk: SphericalSkeleton) -> dict:
         "colors": [
             {
                 "name": c.name,
-                "rho": [_frac_to_str(v) for v in c.rho],
+                "rho": [frac_str(v) for v in c.rho],
                 "moved_by": list(c.moved_by),
                 **(
-                    {"coroot": {"index": c.coroot[0], "scale": _frac_to_str(c.coroot[1])}}
+                    {"coroot": {"index": c.coroot[0], "scale": frac_str(c.coroot[1])}}
                     if c.coroot
                     else {}
                 ),
@@ -452,47 +503,46 @@ def to_dict(sk: SphericalSkeleton) -> dict:
 
 
 def from_dict(data: dict) -> SphericalSkeleton:
-    if not isinstance(data, dict):
-        raise SkeletonParseError("top level must be an object")
-    try:
-        spec = [(comp["series"], int(comp["rank"])) for comp in data["root_system"]]
-    except (KeyError, TypeError) as exc:
-        raise SkeletonParseError(f"root_system: {exc}") from exc
+    """Build a skeleton from its file form; every value is type-checked and
+    unknown keys are rejected, so a malformed file never reads as another
+    skeleton."""
+    data = _object(data, "top level", ("root_system",), ("sp", "sigma", "colors", "boundary"))
+    spec = []
+    for comp in _list(data["root_system"], "root_system"):
+        comp = _object(comp, "root_system component", ("series", "rank"))
+        spec.append((_str(comp["series"], "series"), _int(comp["rank"], "rank")))
     try:
         rs = rootsys.build_root_system(spec)
     except rootsys.RootSystemError as exc:
         raise SkeletonParseError(f"root_system: {exc}") from exc
-    try:
-        sigma = tuple(tuple(int(x) for x in g) for g in data.get("sigma", []))
-        sp = frozenset(int(i) for i in data.get("sp", []))
-        colors = []
-        for c in data.get("colors", []):
-            coroot = None
-            if "coroot" in c:
-                coroot = (
-                    int(c["coroot"]["index"]),
-                    _parse_frac(c["coroot"].get("scale", "1"), f"color {c.get('name')}"),
-                )
-            colors.append(
-                Color(
-                    name=str(c["name"]),
-                    rho=tuple(
-                        _parse_frac(v, f"color {c.get('name')}") for v in c["rho"]
-                    ),
-                    moved_by=tuple(int(i) for i in c["moved_by"]),
-                    coroot=coroot,
-                )
+    sigma = tuple(_ints(g, "sigma") for g in _list(data.get("sigma", []), "sigma"))
+    sp = frozenset(_ints(data.get("sp", []), "sp"))
+    colors = []
+    for c in _list(data.get("colors", []), "colors"):
+        c = _object(c, "color", ("name", "rho", "moved_by"), ("coroot",))
+        where = f"color {_str(c['name'], 'color name')}"
+        coroot = None
+        if "coroot" in c:
+            ref = _object(c["coroot"], f"{where} coroot", ("index",), ("scale",))
+            coroot = (
+                _int(ref["index"], f"{where} coroot index"),
+                _frac(ref.get("scale", "1"), f"{where} coroot scale"),
             )
-        boundary = tuple(
-            BoundaryDivisor(name=str(d["name"]), rho=tuple(int(x) for x in d["rho"]))
-            for d in data.get("boundary", [])
+        colors.append(
+            Color(
+                name=c["name"],
+                rho=tuple(_frac(v, f"{where} rho") for v in _list(c["rho"], f"{where} rho")),
+                moved_by=_ints(c["moved_by"], f"{where} moved_by"),
+                coroot=coroot,
+            )
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SkeletonParseError):
-            raise
-        raise SkeletonParseError(str(exc)) from exc
+    boundary = []
+    for d in _list(data.get("boundary", []), "boundary"):
+        d = _object(d, "boundary divisor", ("name", "rho"))
+        where = f"boundary {_str(d['name'], 'boundary name')}"
+        boundary.append(BoundaryDivisor(name=d["name"], rho=_ints(d["rho"], f"{where} rho")))
     return SphericalSkeleton(
-        root_system=rs, sp=sp, sigma=sigma, colors=tuple(colors), boundary=boundary
+        root_system=rs, sp=sp, sigma=sigma, colors=tuple(colors), boundary=tuple(boundary)
     )
 
 

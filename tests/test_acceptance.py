@@ -13,14 +13,17 @@ and by anchored neighbouring computations, and are flagged in the entries'
 
 from __future__ import annotations
 
+import hashlib
+import io
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
 from oracles import oracle_positive_span, oracle_solve
-from sphskel import catalog, exactlp, mukai, skeleton as sk
+from sphskel import catalog, cli, exactlp, mukai, skeleton as sk
 from sphskel.mukai import EQUAL, STRICTLY_LESS
 from sphskel.skeleton import BoundaryDivisor, SphericalSkeleton
 
@@ -28,18 +31,25 @@ F = Fraction
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    """(instance, option, verdict) over the full default sweep, solved once."""
+def sweep_reports():
+    """The CLI's reports over the full default sweep, solved once through
+    ``cli.evaluate_option`` (the path ``sphskel verify`` takes)."""
     start = time.perf_counter()
-    rows = []
-    for inst in catalog.sweep_instances():
-        for opt in inst.options:
-            verdict = mukai.check_conjecture(inst.support_skeleton(opt))
-            rows.append((inst, opt, verdict))
+    reports = [
+        cli.evaluate_option(inst, opt)
+        for inst in catalog.sweep_instances()
+        for opt in inst.options
+    ]
     elapsed = time.perf_counter() - start
-    print(f"\n[sweep] {len(rows)} reports solved in {elapsed:.1f}s")
+    print(f"\n[sweep] {len(reports)} reports solved in {elapsed:.1f}s")
     assert elapsed < 120.0, "full sweep must stay under two minutes"
-    return rows
+    return reports
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_reports):
+    """(instance, option, verdict) over the full default sweep."""
+    return [(rep.inst, rep.opt, rep.verdict) for rep in sweep_reports]
 
 
 def _params_key(inst):
@@ -250,7 +260,7 @@ def test_criterion_4_equality_structure():
             if opt.equality_bullet is None:
                 continue
             skel = inst.support_skeleton(opt)
-            verdict = mukai.check_conjecture(skel, compute_unique=True)
+            verdict = mukai.check_conjecture(skel)
             assert verdict.relation == EQUAL
             assert verdict.theta_unique is True, (inst.label, opt.key)
             assert all(t > 0 for t in verdict.theta), (inst.label, opt.key)
@@ -470,9 +480,9 @@ def test_criterion_8_property_suite(sweep):
         assert sk.is_elementary(elem) and sk.is_reduced(red)
         again = sk.to_reduced(sk.to_elementary(red))
         assert [d.rho for d in again.boundary] == [d.rho for d in red.boundary]
-        p0, _, _ = mukai.mfs_value(skel)
-        p1, _, _ = mukai.mfs_value(elem)
-        p2, _, _ = mukai.mfs_value(red)
+        p0 = mukai.check_conjecture(skel).p_value
+        p1 = mukai.check_conjecture(elem).p_value
+        p2 = mukai.check_conjecture(red).p_value
         assert _le_inf(p0, p1) and _le_inf(p1, p2)
         if sk.is_complete(skel):
             assert sk.is_complete(elem) and sk.is_complete(red)
@@ -504,3 +514,17 @@ def test_criterion_8_property_suite(sweep):
     print(f"ACCEPTANCE 8 (property suite): PASS "
           f"[{nested} nested pairs, {chains} reduction chains, "
           f"{len(pairs)} products]")
+
+
+# sha256 of `sphskel verify --case all --format json` with the timings
+# removed; any change to a report's keys, values or order changes it
+VERIFY_JSON_SHA256 = "509bc5c1f7679c608dca30f29387b36452bfe67b9057146475572c6526e8f7e8"
+
+
+def test_verify_json_output_identity(sweep_reports):
+    """The default sweep's JSON reports are byte-identical to the pinned ones."""
+    buf = io.StringIO()
+    cli.print_reports(sweep_reports, "json", buf)
+    text = re.sub(r', "wall_ms": [0-9.e-]+', "", buf.getvalue())
+    assert text.count("\n") == 577
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_JSON_SHA256

@@ -3,9 +3,13 @@ from fractions import Fraction
 import pytest
 
 from sphskel import catalog, mukai, skeleton as sk
-from sphskel.catalog import EQUALITY_REGISTRY, FAMILIES, expected_p, expected_theta
+from sphskel.catalog import EQUALITY_REGISTRY, FAMILIES
 
 F = Fraction
+
+
+def option(family, sub_case, key, **params):
+    return catalog.instantiate(family, sub_case, **params).option(key)
 
 
 def test_family_registry_shape():
@@ -54,21 +58,21 @@ def test_parameter_validation():
 
 
 def test_expected_p_closed_forms():
-    assert expected_p(31, "", {"p": 3}, "gamma_5") == 21  # 2p^2+p
-    assert expected_p(31, "", {"p": 3}, "gamma_3") == 11
-    assert expected_p(50, "p=2q-1", {"q": 4}, "alpha'_4") == 6  # (p-1)(p-3)/4
-    assert expected_p(42, "p=0", {"q": 3}, "gamma_2") == 13  # 4q+1
-    assert expected_p(49, "", {"p": 5}, "alpha'_3") == 9  # p^2-2(p-k)(k+1)
+    assert option(31, "", "gamma_5", p=3).expected_p == 21  # 2p^2+p
+    assert option(31, "", "gamma_3", p=3).expected_p == 11
+    assert option(50, "p=2q-1", "alpha'_4", q=4).expected_p == 6  # (p-1)(p-3)/4
+    assert option(42, "p=0", "gamma_2", q=3).expected_p == 13  # 4q+1
+    assert option(49, "", "alpha'_3", p=5).expected_p == 9  # p^2-2(p-k)(k+1)
 
 
 def test_expected_theta_closed_forms():
-    assert expected_theta(36, "", {"p": 4}, "gamma_2") == (F(9), F(1))
-    assert expected_theta(38, "", {}, "gamma_1,gamma_2") == (F(1), F(1), F(5))
-    assert expected_theta(43, "p,q!=0,r=0", {"p": 1, "q": 1}, "gamma_3,gamma_5") == (
+    assert option(36, "", "gamma_2", p=4).expected_theta == (F(9), F(1))
+    assert option(38, "", "gamma_1,gamma_2").expected_theta == (F(1), F(1), F(5))
+    assert option(43, "p,q!=0,r=0", "gamma_3,gamma_5", p=1, q=1).expected_theta == (
         F(7), F(3), F(1), F(3), F(1),
     )
     # no printed maximizer for strict cases
-    assert expected_theta(39, "", {}, "gamma_1") is None
+    assert option(39, "", "gamma_1").expected_theta is None
 
 
 def test_equality_registry():

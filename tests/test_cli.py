@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from sphskel import catalog, cli, exactlp, mukai
 from sphskel.cli import UsageError, parse_params, parse_selector
 
 
@@ -211,3 +214,121 @@ def test_verify_reports_sorted_canonically():
         for r in rows
     ]
     assert keys == sorted(keys)
+
+
+
+# ---------------------------------------------------------------------------
+# in-process: strict skeleton files, error mapping, what `match` checks
+
+VALID_DOC = {
+    "root_system": [{"series": "A", "rank": 2}],
+    "sp": [],
+    "sigma": [[1, 1]],
+    "colors": [
+        {"name": "D", "rho": ["1"], "moved_by": [0], "coroot": {"index": 0, "scale": "1"}}
+    ],
+    "boundary": [{"name": "E", "rho": [-1]}],
+}
+
+
+def _color(doc):
+    return doc["colors"][0]
+
+
+@pytest.mark.parametrize(
+    "mutate, code, message",
+    [
+        pytest.param(lambda d: None, 0, "", id="valid"),
+        pytest.param(lambda d: d["boundary"][0].update(rho=[-1.7]), 2, "parse error",
+                     id="boundary-rho-float"),
+        pytest.param(lambda d: d.update(sp=[True]), 2, "parse error", id="sp-bool"),
+        pytest.param(lambda d: d["root_system"][0].update(rank="x"), 2, "parse error",
+                     id="rank-string"),
+        pytest.param(lambda d: d["root_system"][0].update(rank=2.0), 2, "parse error",
+                     id="rank-float"),
+        pytest.param(lambda d: d.update(sigma=[[1.0, 1]]), 2, "parse error", id="sigma-float"),
+        pytest.param(lambda d: _color(d).update(moved_by=["0"]), 2, "parse error",
+                     id="moved-by-string"),
+        pytest.param(lambda d: _color(d)["coroot"].update(index=False), 2, "parse error",
+                     id="coroot-index-bool"),
+        pytest.param(lambda d: _color(d).update(rho=[1.0]), 2, "parse error",
+                     id="color-rho-float"),
+        pytest.param(lambda d: _color(d).update(name=7), 2, "parse error", id="name-number"),
+        pytest.param(lambda d: d.update(boundry=[]), 2, "unknown key 'boundry'",
+                     id="unknown-top-level-key"),
+        pytest.param(lambda d: d["root_system"][0].update(serie="A"), 2, "parse error",
+                     id="unknown-component-key"),
+        pytest.param(lambda d: _color(d).update(moved=[0]), 2, "parse error",
+                     id="unknown-color-key"),
+        pytest.param(lambda d: _color(d)["coroot"].update(scal="1"), 2, "parse error",
+                     id="unknown-coroot-key"),
+        pytest.param(lambda d: d["boundary"][0].update(mult=1), 2, "parse error",
+                     id="unknown-boundary-key"),
+        pytest.param(lambda d: d["boundary"][0].update(name="D"), 3,
+                     "[divisor-names-unique]", id="color-and-boundary-share-a-name"),
+        pytest.param(lambda d: d["boundary"].append({"name": "E", "rho": [-1]}), 3,
+                     "[divisor-names-unique]", id="boundary-divisors-share-a-name"),
+        pytest.param(lambda d: _color(d)["coroot"].update(index=-1), 3, "[coroot-range]",
+                     id="coroot-index-out-of-range"),
+    ],
+)
+def test_compute_rejects_malformed_file(tmp_path, capsys, mutate, code, message):
+    doc = copy.deepcopy(VALID_DOC)
+    mutate(doc)
+    path = tmp_path / "skel.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["compute", str(path)]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_internal_errors_propagate(monkeypatch):
+    def broken(skel):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(mukai, "check_conjecture", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["verify", "--case", "41"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "--case", "41", "--support", "nope"],
+        ["supports", "--case", "41", "--max-card", "0"],
+    ],
+    ids=["export-unknown-support", "supports-max-card-0"],
+)
+def test_user_errors_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    if argv[0] == "export":
+        argv = argv + ["-o", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_match_requires_unique_theta_on_equal(monkeypatch, capsys):
+    inst = catalog.instantiate(41)
+    opt = inst.option("gamma")
+    assert cli.evaluate_option(inst, opt).match is True
+    monkeypatch.setattr(exactlp, "unique_optimum", lambda problem, sol: False)
+    assert cli.evaluate_option(inst, opt).match is False
+    assert cli.main(["verify", "--case", "41"]) == 1
+    assert "1 mismatch" in capsys.readouterr().err
+
+
+def test_match_requires_stated_budget(monkeypatch, capsys):
+    inst = catalog.instantiate(41)
+    wrong = dataclasses.replace(inst, expected_budget=inst.expected_budget + 1)
+    assert cli.evaluate_option(wrong, wrong.option("gamma")).match is False
+    sweep = catalog.sweep_instances
+
+    def wrong_budgets(**kwargs):
+        return [
+            dataclasses.replace(i, expected_budget=i.expected_budget + 1)
+            for i in sweep(**kwargs)
+        ]
+
+    monkeypatch.setattr(catalog, "sweep_instances", wrong_budgets)
+    assert cli.main(["verify", "--case", "41"]) == 1
+    assert "1 mismatch" in capsys.readouterr().err

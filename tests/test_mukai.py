@@ -18,12 +18,11 @@ def support_skel(inst, key):
 
 
 def test_mfs_case_34():
-    value, theta, unique = mukai.mfs_value(
-        support_skel(case(34), "gamma_1"), compute_unique=True
-    )
-    assert value == 13
-    assert theta == (F(1), F(5))
-    assert unique is True
+    v = mukai.check_conjecture(support_skel(case(34), "gamma_1"))
+    assert (v.p_value, v.relation) == (13, EQUAL)
+    assert v.theta == (F(1), F(5))
+    assert v.theta_unique is True
+    assert v.pivots >= 1
 
 
 def test_mfs_empty_sigma():
@@ -31,31 +30,29 @@ def test_mfs_empty_sigma():
     rs = rootsys.build_root_system([("A", 1)])
     color = Color(name="D", rho=(), moved_by=(0,))  # m = <a^vee, 2rho> = 2
     skel = SphericalSkeleton(rs, frozenset(), (), (color,), ())
-    value, theta, _ = mukai.mfs_value(skel)
-    assert value == 1 and theta == ()
+    v = mukai.check_conjecture(skel)
+    assert v.p_value == 1 and v.theta == ()
 
 
 def test_mfs_case_46_p4_alpha2_is_zero():
     inst = case(46, "p=4", p=4)
-    value, _, _ = mukai.mfs_value(support_skel(inst, "alpha_2"))
-    assert value == 0
+    assert mukai.check_conjecture(support_skel(inst, "alpha_2")).p_value == 0
 
 
 def test_mfs_case_31_p2():
     inst = case(31, p=2)
-    value, theta, _ = mukai.mfs_value(support_skel(inst, "gamma_3"))
-    assert value == 10
-    assert theta == (F(6), F(3), F(1))
+    v = mukai.check_conjecture(support_skel(inst, "gamma_3"))
+    assert v.p_value == 10
+    assert v.theta == (F(6), F(3), F(1))
 
 
 def test_mfs_infinite_on_noncomplete():
     inst = case(31, p=2)
     # support inside Sigma' is not complete and its LP is unbounded
     skel = sk.with_boundary_support(inst.system, [1])
-    value, theta, unique = mukai.mfs_value(skel)
-    assert value is None and theta is None and unique is None
     verdict = mukai.check_conjecture(skel)
     assert verdict.p_value is None and verdict.relation is None
+    assert verdict.theta is None and verdict.theta_unique is None
     assert not verdict.complete
 
 
@@ -87,8 +84,7 @@ def test_p_value_at_least_constant():
         for opt in inst.options:
             skel = inst.support_skeleton(opt)
             problem, constant = mukai.skeleton_lp(skel)
-            value, _, _ = mukai.mfs_value(skel)
-            assert value >= constant >= 0
+            assert mukai.check_conjecture(skel).p_value >= constant >= 0
 
 
 def test_enumerate_minimal_supports_case_35():
@@ -141,9 +137,9 @@ def test_reduction_monotonicity_small():
     skel = SphericalSkeleton(
         system.root_system, system.sp, system.sigma, system.colors, gamma
     )
-    p0, _, _ = mukai.mfs_value(skel)
-    p1, _, _ = mukai.mfs_value(sk.to_elementary(skel))
-    p2, _, _ = mukai.mfs_value(sk.to_reduced(sk.to_elementary(skel)))
+    p0 = mukai.check_conjecture(skel).p_value
+    p1 = mukai.check_conjecture(sk.to_elementary(skel)).p_value
+    p2 = mukai.check_conjecture(sk.to_reduced(sk.to_elementary(skel))).p_value
     assert p0 <= p1 <= p2
 
 

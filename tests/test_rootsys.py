@@ -8,7 +8,6 @@ from sphskel.rootsys import (
     build_root_system,
     coroot_pairing,
     positive_count_in_span,
-    positive_roots,
     two_rho,
 )
 
@@ -16,7 +15,7 @@ from sphskel.rootsys import (
 def test_rank_one_cartan():
     rs = build_root_system([("A", 1)])
     assert rs.cartan == ((2,),)
-    assert positive_roots(rs) == ((1,),)
+    assert rs.positive == ((1,),)
 
 
 def test_g2_orientation_alpha1_short():
@@ -24,7 +23,7 @@ def test_g2_orientation_alpha1_short():
     # orientation the catalog's G2 case forces
     rs = build_root_system([("G", 2)])
     assert rs.cartan == ((2, -3), (-1, 2))
-    assert set(positive_roots(rs)) == {
+    assert set(rs.positive) == {
         (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2),
     }
     assert two_rho(rs, [0, 1]) == (10, 6)
@@ -64,7 +63,7 @@ def test_invalid_specs_rejected(spec):
 )
 def test_positive_root_counts(series, rank, count):
     rs = build_root_system([(series, rank)])
-    roots = positive_roots(rs)
+    roots = rs.positive
     assert len(roots) == count
     assert len(set(roots)) == count
     for root in roots:
@@ -73,12 +72,12 @@ def test_positive_root_counts(series, rank, count):
 
 def test_counts_add_over_products():
     rs = build_root_system([("B", 4), ("A", 2), ("G", 2)])
-    assert len(positive_roots(rs)) == 16 + 3 + 6
+    assert len(rs.positive) == 16 + 3 + 6
 
 
 def test_simple_roots_are_positive_roots():
     rs = build_root_system([("D", 5)])
-    roots = set(positive_roots(rs))
+    roots = set(rs.positive)
     for i in range(5):
         assert tuple(1 if j == i else 0 for j in range(5)) in roots
 
@@ -88,7 +87,7 @@ def test_root_strings_have_no_gaps():
     # contiguous in k for beta + k alpha_i
     for spec in ([("B", 4)], [("C", 4)], [("D", 4)], [("G", 2)]):
         rs = build_root_system(spec)
-        roots = set(positive_roots(rs))
+        roots = set(rs.positive)
         for beta in roots:
             for i in range(rs.rank):
                 up = list(beta)
@@ -141,15 +140,15 @@ def test_two_rho_pairing_is_two():
 def test_positive_count_in_span_examples():
     b4 = build_root_system([("B", 4)])
     assert positive_count_in_span(b4, [1, 2]) == 3
-    assert len(positive_roots(b4)) - positive_count_in_span(b4, [1, 2]) == 13
+    assert len(b4.positive) - positive_count_in_span(b4, [1, 2]) == 13
     assert positive_count_in_span(b4, []) == 0
     b3 = build_root_system([("B", 3)])
     assert positive_count_in_span(b3, [0, 1]) == 3
-    assert len(positive_roots(b3)) - positive_count_in_span(b3, [0, 1]) == 6
+    assert len(b3.positive) - positive_count_in_span(b3, [0, 1]) == 6
 
 
 def test_positive_count_monotone_and_full():
     rs = build_root_system([("C", 4)])
     counts = [positive_count_in_span(rs, range(k)) for k in range(5)]
     assert counts == sorted(counts)
-    assert counts[-1] == len(positive_roots(rs)) == 16
+    assert counts[-1] == len(rs.positive) == 16

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,8 +45,7 @@ def test_pairing_matrix_case_39_explicit_row():
 
 def test_color_multiplicities_case_34():
     inst = case(34)
-    ms = [sk.color_multiplicity(inst.system, c) for c in inst.system.colors]
-    assert ms == [4, 6]
+    assert sk.multiplicities(inst.system) == (4, 6)
     skel = inst.support_skeleton(inst.option("gamma_1"))
     b = sk.multiplicities(skel)
     assert b[-1] == 1  # boundary divisors always get 1
@@ -54,10 +54,9 @@ def test_color_multiplicities_case_34():
 
 def test_color_multiplicity_one_for_sigma_movers():
     inst = case(36, p=3)
-    by_name = {c.name: c for c in inst.system.colors}
-    assert sk.color_multiplicity(inst.system, by_name["D1+"]) == 1
-    assert sk.color_multiplicity(inst.system, by_name["D1-"]) == 1
-    assert sk.color_multiplicity(inst.system, by_name["D2"]) == 6
+    ms = dict(zip((c.name for c in inst.system.colors), sk.multiplicities(inst.system)))
+    assert ms["D1+"] == ms["D1-"] == 1
+    assert ms["D2"] == 6
 
 
 def test_is_complete_examples():
@@ -278,3 +277,45 @@ def test_parse_errors(tmp_path):
     )
     with pytest.raises(SkeletonParseError):
         sk.load(str(bad))
+
+
+RS_A2 = rootsys.build_root_system([("A", 2)])
+SIGMA_A2 = ((1, 1),)
+GOOD_A2 = dict(
+    root_system=RS_A2,
+    sp=frozenset(),
+    sigma=SIGMA_A2,
+    colors=(coroot_color(RS_A2, SIGMA_A2, "D", 0),),
+    boundary=(BoundaryDivisor("E", (-1,)),),
+)
+# each replaces part of GOOD_A2 and breaks one Gamma-independent invariant
+BAD_A2_SYSTEMS = {
+    "sigma-independent": {"sigma": ((1, 1), (2, 2)), "colors": (), "boundary": ()},
+    # 2rho_S - 2rho_{S^p} = (2, 0) pairs to -2 with alpha_2^vee
+    "multiplicity-positive": {
+        "sp": frozenset({1}),
+        "colors": (coroot_color(RS_A2, SIGMA_A2, "D", 1),),
+    },
+    "color-coroot-consistent": {
+        "colors": (Color(name="D", rho=(F(5),), moved_by=(0,), coroot=(0, F(1))),),
+    },
+    "sp-range": {"sp": frozenset({5})},
+}
+
+
+@pytest.mark.parametrize("invariant", sorted(BAD_A2_SYSTEMS))
+def test_system_checks_run_on_every_construction(tmp_path, invariant):
+    # a valid skeleton and its derived Gammas on the same root system first
+    good = SphericalSkeleton(**GOOD_A2)
+    assert sk.multiplicities(sk.with_boundary_support(good, (0,))) == (2, 1)
+    bad = {**GOOD_A2, **BAD_A2_SYSTEMS[invariant]}
+    path = tmp_path / "bad.json"
+    # to_dict reads the fields only, so it can write a skeleton that never validated
+    path.write_text(json.dumps(sk.to_dict(SimpleNamespace(**bad))))
+    for _ in range(2):
+        with pytest.raises(SkeletonInvariantError) as err:
+            SphericalSkeleton(**bad)
+        assert err.value.invariant == invariant
+        with pytest.raises(SkeletonInvariantError) as err:
+            sk.load(str(path))
+        assert err.value.invariant == invariant
