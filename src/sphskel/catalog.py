@@ -7,12 +7,18 @@ distinguished-subset data (Delta', Sigma') used to rule out non-complete
 supports.  Data entry follows the printed tables; the few readings that
 had to be corrected are flagged per entry in ``typo_fixes`` and asserted
 by the test suite.
+
+A builder returns only its case data.  The registry ``FAMILIES`` states each
+family's number, sub-case, parameter domain and default sweep ranges, and
+``FamilySpec.build`` puts an instance together; every option's key is read
+off its indices and the sigma labels at that point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable
 
 from sphskel import skeleton as sk_mod
@@ -23,11 +29,15 @@ from sphskel.skeleton import Color, SphericalSkeleton, coroot_color
 F = Fraction
 
 
+class UsageError(ValueError):
+    """Input a user has to correct, such as a selection or sweep profile that
+    names no catalog case or parameter; the command line exits 2 on it."""
+
+
 @dataclass(frozen=True)
 class SupportOption:
     """One boundary-support choice of a case, with its expected outcome."""
 
-    key: str
     indices: tuple[int, ...]
     expected_p: Fraction | None
     expected_relation: str
@@ -35,6 +45,7 @@ class SupportOption:
     combined: bool = False  # one divisor hitting all roots vs one per root
     minimal: bool = True  # belongs to the minimal-support list of the case
     equality_bullet: int | None = None
+    key: str = ""  # set by CaseInstance from the indices and sigma labels
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,14 @@ class CaseInstance:
     certificates: tuple[Certificate, ...]
     expected_budget: int | None = None
     typo_fixes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # the one place an option's key is stated: its support in sigma labels
+        keyed = tuple(
+            replace(opt, key=self.support_key(opt.indices, opt.combined))
+            for opt in self.options
+        )
+        object.__setattr__(self, "options", keyed)
 
     def support_skeleton(self, option: SupportOption) -> SphericalSkeleton:
         return sk_mod.with_boundary_support(
@@ -80,15 +99,17 @@ class CaseInstance:
 class FamilySpec:
     family: int
     sub_case: str
-    param_names: tuple[str, ...]  # free parameters of the builder
     validity: str
     is_valid: Callable[[dict], bool]
-    default_sweep: Callable[[], list[dict]]
-    build: Callable[[dict], CaseInstance]
+    ranges: dict[str, range]  # default sweep; the keys are the free parameters
+    builder: Callable[[dict], dict]  # the CaseInstance fields after sub_case
 
     @property
     def key(self) -> tuple[int, str]:
         return (self.family, self.sub_case)
+
+    def build(self, params: dict) -> CaseInstance:
+        return CaseInstance(self.family, self.sub_case, **self.builder(params))
 
 
 @dataclass(frozen=True)
@@ -164,21 +185,11 @@ def _system(rs, sp, sigma, colors) -> SphericalSkeleton:
     )
 
 
-def _range_sweep(**ranges: Iterable[int]) -> Callable[[], list[dict]]:
-    def sweep() -> list[dict]:
-        out: list[dict] = [{}]
-        for name, values in ranges.items():
-            out = [{**d, name: v} for d in out for v in values]
-        return out
-
-    return sweep
-
-
 # ---------------------------------------------------------------------------
 # family builders
 
 
-def _build_31(params: dict) -> CaseInstance:
+def _build_31(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("A", 2 * p)])
     n = rs.rank
@@ -191,7 +202,6 @@ def _build_31(params: dict) -> CaseInstance:
     options = []
     for k in range(1, p + 1):
         idx = 2 * k - 2
-        key = labels[idx]
         if k in (1, p):
             theta = None
             if k == p:
@@ -200,7 +210,6 @@ def _build_31(params: dict) -> CaseInstance:
                 )
             options.append(
                 SupportOption(
-                    key=key,
                     indices=(idx,),
                     expected_p=top,
                     expected_relation=EQUAL,
@@ -215,13 +224,12 @@ def _build_31(params: dict) -> CaseInstance:
                 exp = top - 2 * (p - k) * (2 * k + 1)
             options.append(
                 SupportOption(
-                    key=key, indices=(idx,), expected_p=exp,
+                    indices=(idx,), expected_p=exp,
                     expected_relation=STRICTLY_LESS,
                 )
             )
     options.append(
         SupportOption(
-            key=f"{labels[0]},{labels[-1]}",
             indices=(0, 2 * p - 2),
             expected_p=F(2 * p),
             expected_relation=STRICTLY_LESS,
@@ -232,9 +240,7 @@ def _build_31(params: dict) -> CaseInstance:
         delta_prime=tuple(f"D{i}" for i in range(2, 2 * p)),
         sigma_prime=tuple(2 * k - 1 for k in range(1, p)),
     )
-    return CaseInstance(
-        family=31,
-        sub_case="",
+    return dict(
         params=inst_params,
         system=system,
         sigma_labels=labels,
@@ -244,7 +250,7 @@ def _build_31(params: dict) -> CaseInstance:
     )
 
 
-def _build_32(params: dict) -> CaseInstance:
+def _build_32(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("B", p)])
     sigma = [_chain(p, i, i + 1) for i in range(p - 1)] + [_unit(p, p - 1)]
@@ -259,7 +265,6 @@ def _build_32(params: dict) -> CaseInstance:
             equal = p == 2
             options.append(
                 SupportOption(
-                    key=labels[0],
                     indices=(0,),
                     expected_p=F(3 * p - 2),
                     expected_relation=EQUAL if equal else STRICTLY_LESS,
@@ -270,7 +275,6 @@ def _build_32(params: dict) -> CaseInstance:
         else:
             options.append(
                 SupportOption(
-                    key=labels[ell - 1],
                     indices=(ell - 1,),
                     expected_p=None,
                     expected_relation=STRICTLY_LESS,
@@ -280,9 +284,7 @@ def _build_32(params: dict) -> CaseInstance:
         delta_prime=tuple(f"D{i}" for i in range(2, p)) + ("Dp+",),
         sigma_prime=tuple(2 * k - 1 for k in range(1, p // 2 + 1)),
     )
-    return CaseInstance(
-        family=32,
-        sub_case="",
+    return dict(
         params=(("p", p),),
         system=system,
         sigma_labels=labels,
@@ -292,7 +294,7 @@ def _build_32(params: dict) -> CaseInstance:
     )
 
 
-def _build_33(params: dict) -> CaseInstance:
+def _build_33(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("B", p)])
     sigma = [_chain(p, i, i + 1) for i in range(p - 1)]
@@ -303,7 +305,6 @@ def _build_33(params: dict) -> CaseInstance:
     system = _system(rs, (), sigma, colors)
     options = [
         SupportOption(
-            key=labels[0],
             indices=(0,),
             expected_p=F(p - 1),
             expected_relation=STRICTLY_LESS,
@@ -312,7 +313,6 @@ def _build_33(params: dict) -> CaseInstance:
     for ell in range(3, p + 1, 2):
         options.append(
             SupportOption(
-                key=labels[ell - 1],
                 indices=(ell - 1,),
                 expected_p=None,
                 expected_relation=STRICTLY_LESS,
@@ -322,9 +322,7 @@ def _build_33(params: dict) -> CaseInstance:
         delta_prime=tuple(f"D{i}" for i in range(2, p + 1)),
         sigma_prime=tuple(2 * k - 1 for k in range(1, p // 2 + 1)),
     )
-    return CaseInstance(
-        family=33,
-        sub_case="",
+    return dict(
         params=(("p", p),),
         system=system,
         sigma_labels=labels,
@@ -334,7 +332,7 @@ def _build_33(params: dict) -> CaseInstance:
     )
 
 
-def _build_34(params: dict) -> CaseInstance:
+def _build_34(params: dict) -> dict:
     rs = build_root_system([("B", 4)])
     sigma = [(1, 1, 1, 1), (0, 1, 2, 3)]
     colors = [
@@ -344,7 +342,6 @@ def _build_34(params: dict) -> CaseInstance:
     system = _system(rs, (1, 2), sigma, colors)
     options = (
         SupportOption(
-            key="gamma_1",
             indices=(0,),
             expected_p=F(13),
             expected_relation=EQUAL,
@@ -352,9 +349,7 @@ def _build_34(params: dict) -> CaseInstance:
             equality_bullet=2,
         ),
     )
-    return CaseInstance(
-        family=34,
-        sub_case="",
+    return dict(
         params=(),
         system=system,
         sigma_labels=("gamma_1", "gamma_2"),
@@ -364,14 +359,13 @@ def _build_34(params: dict) -> CaseInstance:
     )
 
 
-def _build_35(params: dict) -> CaseInstance:
+def _build_35(params: dict) -> dict:
     rs = build_root_system([("B", 3)])
     sigma = [(1, 2, 3)]
     colors = [coroot_color(rs, sigma, "D3", 2)]
     system = _system(rs, (0, 1), sigma, colors)
     options = (
         SupportOption(
-            key="gamma",
             indices=(0,),
             expected_p=F(6),
             expected_relation=EQUAL,
@@ -379,9 +373,7 @@ def _build_35(params: dict) -> CaseInstance:
             equality_bullet=3,
         ),
     )
-    return CaseInstance(
-        family=35,
-        sub_case="",
+    return dict(
         params=(),
         system=system,
         sigma_labels=("gamma",),
@@ -391,7 +383,7 @@ def _build_35(params: dict) -> CaseInstance:
     )
 
 
-def _build_36(params: dict) -> CaseInstance:
+def _build_36(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("C", p + 1)])
     sigma = [_unit(p + 1, 0), _ctype(p + 1, 0, p)]
@@ -404,7 +396,6 @@ def _build_36(params: dict) -> CaseInstance:
     system = _system(rs, range(2, p + 1), sigma, colors)
     options = (
         SupportOption(
-            key="gamma_2",
             indices=(1,),
             expected_p=F(4 * p),
             expected_relation=EQUAL,
@@ -412,9 +403,7 @@ def _build_36(params: dict) -> CaseInstance:
             equality_bullet=4,
         ),
     )
-    return CaseInstance(
-        family=36,
-        sub_case="",
+    return dict(
         params=(("p", p),),
         system=system,
         sigma_labels=labels,
@@ -424,7 +413,7 @@ def _build_36(params: dict) -> CaseInstance:
     )
 
 
-def _build_37(params: dict) -> CaseInstance:
+def _build_37(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("C", p + 1)])
     sigma = [tuple(2 if j == 0 else 0 for j in range(p + 1)), _ctype(p + 1, 0, p)]
@@ -435,15 +424,12 @@ def _build_37(params: dict) -> CaseInstance:
     system = _system(rs, range(2, p + 1), sigma, colors)
     options = (
         SupportOption(
-            key="gamma_2",
             indices=(1,),
             expected_p=F(2 * p - 1),
             expected_relation=STRICTLY_LESS,
         ),
     )
-    return CaseInstance(
-        family=37,
-        sub_case="",
+    return dict(
         params=(("p", p),),
         system=system,
         sigma_labels=("gamma_1", "gamma_2"),
@@ -456,7 +442,7 @@ def _build_37(params: dict) -> CaseInstance:
     )
 
 
-def _build_38(params: dict) -> CaseInstance:
+def _build_38(params: dict) -> dict:
     rs = build_root_system([("D", 4)])
     sigma = [(1, 1, 1, 0), (1, 1, 0, 1), (0, 1, 1, 1)]
     labels = ("gamma_1", "gamma_2", "gamma_3")
@@ -470,7 +456,6 @@ def _build_38(params: dict) -> CaseInstance:
     for pair, bullet_theta in (((0, 1), (F(1), F(1), F(5))), ((0, 2), None), ((1, 2), None)):
         options.append(
             SupportOption(
-                key=",".join(labels[j] for j in pair),
                 indices=pair,
                 expected_p=F(11),
                 expected_relation=EQUAL,
@@ -480,7 +465,6 @@ def _build_38(params: dict) -> CaseInstance:
         )
     options.append(
         SupportOption(
-            key="gamma_1,gamma_2,gamma_3",
             indices=(0, 1, 2),
             expected_p=F(6),
             expected_relation=STRICTLY_LESS,
@@ -489,7 +473,6 @@ def _build_38(params: dict) -> CaseInstance:
     )
     options.append(
         SupportOption(
-            key="combined(gamma_1,gamma_2)",
             indices=(0, 1),
             expected_p=F(10),
             expected_relation=STRICTLY_LESS,
@@ -502,9 +485,7 @@ def _build_38(params: dict) -> CaseInstance:
         Certificate(("D1", "D4"), (1,)),
         Certificate(("D1", "D3"), (0,)),
     )
-    return CaseInstance(
-        family=38,
-        sub_case="",
+    return dict(
         params=(),
         system=system,
         sigma_labels=labels,
@@ -514,7 +495,7 @@ def _build_38(params: dict) -> CaseInstance:
     )
 
 
-def _build_39(params: dict) -> CaseInstance:
+def _build_39(params: dict) -> dict:
     rs = build_root_system([("D", 5)])
     sigma = [
         (1, 0, 0, 0, 0),
@@ -533,16 +514,13 @@ def _build_39(params: dict) -> CaseInstance:
     system = _system(rs, (2,), sigma, colors)
     options = tuple(
         SupportOption(
-            key=labels[j],
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((0, 12), (1, 18), (2, 18))
     )
-    return CaseInstance(
-        family=39,
-        sub_case="",
+    return dict(
         params=(),
         system=system,
         sigma_labels=labels,
@@ -552,14 +530,13 @@ def _build_39(params: dict) -> CaseInstance:
     )
 
 
-def _build_41(params: dict) -> CaseInstance:
+def _build_41(params: dict) -> dict:
     rs = build_root_system([("G", 2)])
     sigma = [(4, 2)]
     colors = [coroot_color(rs, sigma, "D1", 0)]
     system = _system(rs, (1,), sigma, colors)
     options = (
         SupportOption(
-            key="gamma",
             indices=(0,),
             expected_p=F(5),
             expected_relation=EQUAL,
@@ -567,9 +544,7 @@ def _build_41(params: dict) -> CaseInstance:
             equality_bullet=6,
         ),
     )
-    return CaseInstance(
-        family=41,
-        sub_case="",
+    return dict(
         params=(),
         system=system,
         sigma_labels=("gamma",),
@@ -579,7 +554,7 @@ def _build_41(params: dict) -> CaseInstance:
     )
 
 
-def _build_42_p0(params: dict) -> CaseInstance:
+def _build_42_p0(params: dict) -> dict:
     q = params["q"]
     rs = build_root_system([("A", 1), ("C", q + 1)])
     n = rs.rank
@@ -594,7 +569,6 @@ def _build_42_p0(params: dict) -> CaseInstance:
     system = _system(rs, range(3, q + 2), sigma, colors)
     options = (
         SupportOption(
-            key="gamma_2",
             indices=(1,),
             expected_p=F(4 * q + 1),
             expected_relation=EQUAL,
@@ -602,9 +576,7 @@ def _build_42_p0(params: dict) -> CaseInstance:
             equality_bullet=7,
         ),
     )
-    return CaseInstance(
-        family=42,
-        sub_case="p=0",
+    return dict(
         params=(("p", 0), ("q", q)),
         system=system,
         sigma_labels=("gamma_1", "gamma_2"),
@@ -614,7 +586,7 @@ def _build_42_p0(params: dict) -> CaseInstance:
     )
 
 
-def _build_42_p1(params: dict) -> CaseInstance:
+def _build_42_p1(params: dict) -> dict:
     p, q = params["p"], params["q"]
     rs = build_root_system([("C", p + 1), ("C", q + 1)])
     n = rs.rank
@@ -633,7 +605,6 @@ def _build_42_p1(params: dict) -> CaseInstance:
     system = _system(rs, sp, sigma, colors)
     options = (
         SupportOption(
-            key="gamma_2,gamma_3",
             indices=(1, 2),
             expected_p=F(2 * p + 2 * q - 1),
             expected_relation=STRICTLY_LESS,
@@ -643,9 +614,7 @@ def _build_42_p1(params: dict) -> CaseInstance:
         Certificate(("D1", "D2"), (0, 1)),
         Certificate(("D1", "D'2"), (0, 2)),
     )
-    return CaseInstance(
-        family=42,
-        sub_case="p>=1",
+    return dict(
         params=(("p", p), ("q", q)),
         system=system,
         sigma_labels=("gamma_1", "gamma_2", "gamma_3"),
@@ -659,7 +628,7 @@ def _build_42_p1(params: dict) -> CaseInstance:
     )
 
 
-def _build_43_a(params: dict) -> CaseInstance:
+def _build_43_a(params: dict) -> dict:
     rs = build_root_system([("A", 1), ("A", 1), ("A", 1)])
     sigma = [_unit(3, 0), _unit(3, 1), _unit(3, 2)]
     labels = ("alpha_1", "alpha'_1", "alpha''_1")
@@ -673,7 +642,6 @@ def _build_43_a(params: dict) -> CaseInstance:
     for pair, theta in (((0, 1), (F(1), F(1), F(3))), ((0, 2), None), ((1, 2), None)):
         options.append(
             SupportOption(
-                key=",".join(labels[j] for j in pair),
                 indices=pair,
                 expected_p=F(3),
                 expected_relation=EQUAL,
@@ -683,7 +651,6 @@ def _build_43_a(params: dict) -> CaseInstance:
         )
     options.append(
         SupportOption(
-            key=",".join(labels),
             indices=(0, 1, 2),
             expected_p=F(0),
             expected_relation=STRICTLY_LESS,
@@ -692,7 +659,6 @@ def _build_43_a(params: dict) -> CaseInstance:
     )
     options.append(
         SupportOption(
-            key=f"combined({labels[0]},{labels[1]})",
             indices=(0, 1),
             expected_p=F(2),
             expected_relation=STRICTLY_LESS,
@@ -705,9 +671,7 @@ def _build_43_a(params: dict) -> CaseInstance:
         Certificate(("D", "D''"), (1,)),
         Certificate(("D", "D'"), (0,)),
     )
-    return CaseInstance(
-        family=43,
-        sub_case="p=q=r=0",
+    return dict(
         params=(("p", 0), ("q", 0), ("r", 0)),
         system=system,
         sigma_labels=labels,
@@ -717,7 +681,7 @@ def _build_43_a(params: dict) -> CaseInstance:
     )
 
 
-def _build_43_b(params: dict) -> CaseInstance:
+def _build_43_b(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("A", 1), ("A", 1), ("C", p + 1)])
     n = rs.rank
@@ -732,7 +696,6 @@ def _build_43_b(params: dict) -> CaseInstance:
     system = _system(rs, range(4, p + 3), sigma, colors)
     options = [
         SupportOption(
-            key="gamma_1,gamma_4",
             indices=(0, 3),
             expected_p=F(4 * p + 2),
             expected_relation=EQUAL,
@@ -740,21 +703,18 @@ def _build_43_b(params: dict) -> CaseInstance:
             equality_bullet=9,
         ),
         SupportOption(
-            key="gamma_2,gamma_4",
             indices=(1, 3),
             expected_p=F(4 * p + 2),
             expected_relation=EQUAL,
             equality_bullet=9,
         ),
         SupportOption(
-            key="gamma_1,gamma_2,gamma_4",
             indices=(0, 1, 3),
             expected_p=F(2 * p - 1),
             expected_relation=STRICTLY_LESS,
             minimal=False,
         ),
         SupportOption(
-            key="combined(gamma_1,gamma_4)",
             indices=(0, 3),
             expected_p=F(4 * p + 1),
             expected_relation=STRICTLY_LESS,
@@ -766,9 +726,7 @@ def _build_43_b(params: dict) -> CaseInstance:
         Certificate(("D'", "D''", "D''2"), (2, 3)),
         Certificate(("D", "D'", "D''"), (0, 1, 2)),
     )
-    return CaseInstance(
-        family=43,
-        sub_case="p!=0,q=r=0",
+    return dict(
         params=(("p", p), ("q", 0), ("r", 0)),
         system=system,
         sigma_labels=labels,
@@ -778,7 +736,7 @@ def _build_43_b(params: dict) -> CaseInstance:
     )
 
 
-def _build_43_c(params: dict) -> CaseInstance:
+def _build_43_c(params: dict) -> dict:
     p, q = params["p"], params["q"]
     rs = build_root_system([("A", 1), ("C", p + 1), ("C", q + 1)])
     n = rs.rank
@@ -802,7 +760,6 @@ def _build_43_c(params: dict) -> CaseInstance:
     system = _system(rs, sp, sigma, colors)
     options = [
         SupportOption(
-            key="gamma_3,gamma_5",
             indices=(2, 4),
             expected_p=F(4 * p + 4 * q + 1),
             expected_relation=EQUAL,
@@ -816,7 +773,6 @@ def _build_43_c(params: dict) -> CaseInstance:
             equality_bullet=10,
         ),
         SupportOption(
-            key="combined(gamma_3,gamma_5)",
             indices=(2, 4),
             expected_p=F(4 * p + 4 * q),
             expected_relation=STRICTLY_LESS,
@@ -828,9 +784,7 @@ def _build_43_c(params: dict) -> CaseInstance:
         Certificate(("D", "D'", "D''", "D''2"), (0, 1, 3, 4)),
         Certificate(("D", "D'", "D''", "D'2"), (0, 1, 2, 3)),
     )
-    return CaseInstance(
-        family=43,
-        sub_case="p,q!=0,r=0",
+    return dict(
         params=(("p", p), ("q", q), ("r", 0)),
         system=system,
         sigma_labels=labels,
@@ -840,7 +794,7 @@ def _build_43_c(params: dict) -> CaseInstance:
     )
 
 
-def _build_43_d(params: dict) -> CaseInstance:
+def _build_43_d(params: dict) -> dict:
     p, q, r = params["p"], params["q"], params["r"]
     rs = build_root_system([("C", p + 1), ("C", q + 1), ("C", r + 1)])
     n = rs.rank
@@ -870,7 +824,6 @@ def _build_43_d(params: dict) -> CaseInstance:
     system = _system(rs, sp, sigma, colors)
     options = (
         SupportOption(
-            key="gamma_2,gamma_4,gamma_6",
             indices=(1, 3, 5),
             expected_p=F(2 * (p + q + r) - 3),
             expected_relation=STRICTLY_LESS,
@@ -881,9 +834,7 @@ def _build_43_d(params: dict) -> CaseInstance:
         Certificate(("D", "D'", "D''", "D2", "D''2"), (0, 1, 2, 4, 5)),
         Certificate(("D", "D'", "D''", "D2", "D'2"), (0, 1, 2, 3, 4)),
     )
-    return CaseInstance(
-        family=43,
-        sub_case="p,q,r!=0",
+    return dict(
         params=(("p", p), ("q", q), ("r", r)),
         system=system,
         sigma_labels=labels,
@@ -892,7 +843,7 @@ def _build_43_d(params: dict) -> CaseInstance:
     )
 
 
-def _build_44_p2(params: dict) -> CaseInstance:
+def _build_44_p2(params: dict) -> dict:
     rs = build_root_system([("A", 3), ("A", 1)])
     sigma = [_unit(4, j) for j in range(4)]
     labels = ("alpha_1", "alpha_2", "alpha_3", "alpha'_1")
@@ -906,16 +857,13 @@ def _build_44_p2(params: dict) -> CaseInstance:
     system = _system(rs, (), sigma, colors)
     options = tuple(
         SupportOption(
-            key=labels[j],
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((0, 6), (1, 4), (2, 6))
     )
-    return CaseInstance(
-        family=44,
-        sub_case="p=2",
+    return dict(
         params=(("p", 2),),
         system=system,
         sigma_labels=labels,
@@ -925,7 +873,7 @@ def _build_44_p2(params: dict) -> CaseInstance:
     )
 
 
-def _build_44_p3(params: dict) -> CaseInstance:
+def _build_44_p3(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("A", p + 1), ("A", 1)])
     n = rs.rank
@@ -941,16 +889,13 @@ def _build_44_p3(params: dict) -> CaseInstance:
     system = _system(rs, range(2, p - 1), sigma, colors)
     options = tuple(
         SupportOption(
-            key=labels[j],
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((0, 3 * p), (1, 4 * (p - 1)), (2, 3 * p))
     )
-    return CaseInstance(
-        family=44,
-        sub_case="p>=3",
+    return dict(
         params=(("p", p),),
         system=system,
         sigma_labels=labels,
@@ -960,7 +905,7 @@ def _build_44_p3(params: dict) -> CaseInstance:
     )
 
 
-def _build_45_p1(params: dict) -> CaseInstance:
+def _build_45_p1(params: dict) -> dict:
     q = params["q"]
     rs = build_root_system([("A", 2), ("C", q + 1)])
     n = rs.rank
@@ -976,7 +921,6 @@ def _build_45_p1(params: dict) -> CaseInstance:
     system = _system(rs, range(4, q + 3), sigma, colors)
     options = tuple(
         SupportOption(
-            key=f"{labels[j]},gamma_4",
             indices=(j, 3),
             expected_p=F(2 * q + 1),
             expected_relation=STRICTLY_LESS,
@@ -987,9 +931,7 @@ def _build_45_p1(params: dict) -> CaseInstance:
         Certificate(("D1+", "D2-", "D'"), (2, 3)),
         Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1, 2)),
     )
-    return CaseInstance(
-        family=45,
-        sub_case="p=1",
+    return dict(
         params=(("p", 1), ("q", q)),
         system=system,
         sigma_labels=labels,
@@ -998,7 +940,7 @@ def _build_45_p1(params: dict) -> CaseInstance:
     )
 
 
-def _build_45_p2(params: dict) -> CaseInstance:
+def _build_45_p2(params: dict) -> dict:
     q = params["q"]
     rs = build_root_system([("A", 3), ("C", q + 1)])
     n = rs.rank
@@ -1015,7 +957,6 @@ def _build_45_p2(params: dict) -> CaseInstance:
     system = _system(rs, range(5, q + 4), sigma, colors)
     options = tuple(
         SupportOption(
-            key=f"{labels[j]},gamma_5",
             indices=(j, 4),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
@@ -1026,9 +967,7 @@ def _build_45_p2(params: dict) -> CaseInstance:
         Certificate(("D1-", "D3-", "D'"), (3, 4)),
         Certificate(("D1+", "D1-", "D2+", "D2-", "D3-"), (0, 1, 2, 3)),
     )
-    return CaseInstance(
-        family=45,
-        sub_case="p=2",
+    return dict(
         params=(("p", 2), ("q", q)),
         system=system,
         sigma_labels=labels,
@@ -1039,7 +978,7 @@ def _build_45_p2(params: dict) -> CaseInstance:
     )
 
 
-def _build_45_p3(params: dict) -> CaseInstance:
+def _build_45_p3(params: dict) -> dict:
     p, q = params["p"], params["q"]
     rs = build_root_system([("A", p + 1), ("C", q + 1)])
     n = rs.rank
@@ -1064,7 +1003,6 @@ def _build_45_p3(params: dict) -> CaseInstance:
     system = _system(rs, sp, sigma, colors)
     options = tuple(
         SupportOption(
-            key=f"{labels[j]},gamma_5",
             indices=(j, 4),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
@@ -1079,9 +1017,7 @@ def _build_45_p3(params: dict) -> CaseInstance:
         Certificate(("D1-", "Dp1-", "D'"), (3, 4)),
         Certificate(("D1+", "D1-", "D2", "Dp", "Dp1-"), (0, 1, 2, 3)),
     )
-    return CaseInstance(
-        family=45,
-        sub_case="p>=3",
+    return dict(
         params=(("p", p), ("q", q)),
         system=system,
         sigma_labels=labels,
@@ -1094,7 +1030,7 @@ def _build_45_p3(params: dict) -> CaseInstance:
     )
 
 
-def _build_46_p4(params: dict) -> CaseInstance:
+def _build_46_p4(params: dict) -> dict:
     rs = build_root_system([("B", 2), ("A", 1), ("A", 1)])
     sigma = [_unit(4, j) for j in range(4)]
     labels = ("alpha_1", "alpha_2", "alpha'_1", "alpha''_1")
@@ -1107,16 +1043,13 @@ def _build_46_p4(params: dict) -> CaseInstance:
     system = _system(rs, (), sigma, colors)
     options = tuple(
         SupportOption(
-            key=labels[j],
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((0, 3), (1, 0))
     )
-    return CaseInstance(
-        family=46,
-        sub_case="p=4",
+    return dict(
         params=(("p", 4),),
         system=system,
         sigma_labels=labels,
@@ -1126,7 +1059,7 @@ def _build_46_p4(params: dict) -> CaseInstance:
     )
 
 
-def _build_46_p5(params: dict) -> CaseInstance:
+def _build_46_p5(params: dict) -> dict:
     rs = build_root_system([("B", 2), ("A", 3)])
     sigma = [_unit(5, j) for j in range(5)]
     labels = ("alpha_1", "alpha_2", "alpha'_1", "alpha'_2", "alpha'_3")
@@ -1140,7 +1073,6 @@ def _build_46_p5(params: dict) -> CaseInstance:
     system = _system(rs, (), sigma, colors)
     options = (
         SupportOption(
-            key="alpha'_1",
             indices=(2,),
             expected_p=F(10),
             expected_relation=EQUAL,
@@ -1148,29 +1080,24 @@ def _build_46_p5(params: dict) -> CaseInstance:
             equality_bullet=11,
         ),
         SupportOption(
-            key="alpha'_2",
             indices=(3,),
             expected_p=F(4),
             expected_relation=STRICTLY_LESS,
         ),
         SupportOption(
-            key="alpha'_3",
             indices=(4,),
             expected_p=F(10),
             expected_relation=EQUAL,
             equality_bullet=11,
         ),
         SupportOption(
-            key="alpha'_1,alpha'_3",
             indices=(2, 4),
             expected_p=F(1),
             expected_relation=STRICTLY_LESS,
             minimal=False,
         ),
     )
-    return CaseInstance(
-        family=46,
-        sub_case="p=5",
+    return dict(
         params=(("p", 5),),
         system=system,
         sigma_labels=labels,
@@ -1180,7 +1107,7 @@ def _build_46_p5(params: dict) -> CaseInstance:
     )
 
 
-def _build_46_p6(params: dict) -> CaseInstance:
+def _build_46_p6(params: dict) -> dict:
     rs = build_root_system([("B", 3), ("A", 3)])
     sigma = [_unit(6, j) for j in range(6)]
     labels = (
@@ -1202,16 +1129,13 @@ def _build_46_p6(params: dict) -> CaseInstance:
     system = _system(rs, (), sigma, colors)
     options = tuple(
         SupportOption(
-            key=labels[j],
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((0, 5), (1, 2), (2, 3))
     )
-    return CaseInstance(
-        family=46,
-        sub_case="p=6",
+    return dict(
         params=(("p", 6),),
         system=system,
         sigma_labels=labels,
@@ -1226,7 +1150,7 @@ def _build_46_p6(params: dict) -> CaseInstance:
     )
 
 
-def _build_47_p0(params: dict) -> CaseInstance:
+def _build_47_p0(params: dict) -> dict:
     q = params["q"]
     rs = build_root_system([("B", 2), ("A", 1), ("C", q + 1)])
     n = rs.rank
@@ -1242,7 +1166,6 @@ def _build_47_p0(params: dict) -> CaseInstance:
     system = _system(rs, range(5, q + 4), sigma, colors)
     options = tuple(
         SupportOption(
-            key=f"{labels[j]},gamma_5",
             indices=(j, 4),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
@@ -1253,9 +1176,7 @@ def _build_47_p0(params: dict) -> CaseInstance:
         Certificate(("D1+", "D2+", "D2-", "D''"), (2, 3, 4)),
         Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1, 2, 3)),
     )
-    return CaseInstance(
-        family=47,
-        sub_case="p=0",
+    return dict(
         params=(("p", 0), ("q", q)),
         system=system,
         sigma_labels=labels,
@@ -1265,7 +1186,7 @@ def _build_47_p0(params: dict) -> CaseInstance:
     )
 
 
-def _build_47_p1(params: dict) -> CaseInstance:
+def _build_47_p1(params: dict) -> dict:
     p, q = params["p"], params["q"]
     rs = build_root_system([("B", 2), ("C", p + 1), ("C", q + 1)])
     n = rs.rank
@@ -1291,7 +1212,6 @@ def _build_47_p1(params: dict) -> CaseInstance:
     system = _system(rs, sp, sigma, colors)
     options = tuple(
         SupportOption(
-            key=f"{labels[j]},gamma_4,gamma_6",
             indices=(j, 3, 5),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
@@ -1303,9 +1223,7 @@ def _build_47_p1(params: dict) -> CaseInstance:
         Certificate(("D1+", "D1-", "D2+", "D2-", "D''"), (0, 1, 2, 4, 5)),
         Certificate(("D1+", "D1-", "D2+", "D2-", "D'"), (0, 1, 2, 3, 4)),
     )
-    return CaseInstance(
-        family=47,
-        sub_case="p>=1",
+    return dict(
         params=(("p", p), ("q", q)),
         system=system,
         sigma_labels=labels,
@@ -1315,7 +1233,7 @@ def _build_47_p1(params: dict) -> CaseInstance:
     )
 
 
-def _build_48_p1(params: dict) -> CaseInstance:
+def _build_48_p1(params: dict) -> dict:
     rs = build_root_system([("B", 2), ("C", 3)])
     sigma = [_unit(5, j) for j in range(5)]
     labels = ("alpha_1", "alpha_2", "alpha'_1", "alpha'_2", "alpha'_3")
@@ -1329,16 +1247,13 @@ def _build_48_p1(params: dict) -> CaseInstance:
     system = _system(rs, (), sigma, colors)
     options = tuple(
         SupportOption(
-            key=labels[j],
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((2, 1), (3, 4), (4, 8))
     )
-    return CaseInstance(
-        family=48,
-        sub_case="p=1",
+    return dict(
         params=(("p", 1),),
         system=system,
         sigma_labels=labels,
@@ -1348,7 +1263,7 @@ def _build_48_p1(params: dict) -> CaseInstance:
     )
 
 
-def _build_48_pge1(params: dict) -> CaseInstance:
+def _build_48_pge1(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("B", 2), ("C", p + 2)])
     n = rs.rank
@@ -1372,16 +1287,13 @@ def _build_48_pge1(params: dict) -> CaseInstance:
     system = _system(rs, range(6, p + 4), sigma, colors)
     options = tuple(
         SupportOption(
-            key=labels[j],
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((2, 2 * p - 2), (3, 2 * p + 1), (4, 2 * p + 6), (5, 8 * p - 1))
     )
-    return CaseInstance(
-        family=48,
-        sub_case="p>=1",
+    return dict(
         params=(("p", p),),
         system=system,
         sigma_labels=labels,
@@ -1397,7 +1309,7 @@ def _build_48_pge1(params: dict) -> CaseInstance:
     )
 
 
-def _build_49(params: dict) -> CaseInstance:
+def _build_49(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("A", p - 1), ("A", p)])
     n = rs.rank  # 2p - 1
@@ -1446,7 +1358,6 @@ def _build_49(params: dict) -> CaseInstance:
         if k in (1, p):
             options.append(
                 SupportOption(
-                    key=labels[idx],
                     indices=(idx,),
                     expected_p=F(p * p),
                     expected_relation=EQUAL,
@@ -1461,7 +1372,6 @@ def _build_49(params: dict) -> CaseInstance:
                 exp = F(p * p - 2 * (p - k) * (k + 1))
             options.append(
                 SupportOption(
-                    key=labels[idx],
                     indices=(idx,),
                     expected_p=exp,
                     expected_relation=STRICTLY_LESS,
@@ -1469,7 +1379,6 @@ def _build_49(params: dict) -> CaseInstance:
             )
     options.append(
         SupportOption(
-            key=f"alpha'_1,alpha'_{p}",
             indices=(p - 1, 2 * p - 2),
             expected_p=F(0),
             expected_relation=STRICTLY_LESS,
@@ -1482,9 +1391,7 @@ def _build_49(params: dict) -> CaseInstance:
         for name in (f"D{i}+", f"D{i}-")
         if name not in ("D1+", f"D{p}-")
     )
-    return CaseInstance(
-        family=49,
-        sub_case="",
+    return dict(
         params=(("p", p),),
         system=system,
         sigma_labels=labels,
@@ -1498,7 +1405,7 @@ def _build_49(params: dict) -> CaseInstance:
     )
 
 
-def _build_50(params: dict, even: bool) -> CaseInstance:
+def _build_50(params: dict, even: bool) -> dict:
     q = params["q"]
     p = 2 * q if even else 2 * q - 1
     nb = q if even else q - 1  # rank of the B component (the unprimed side)
@@ -1692,7 +1599,6 @@ def _build_50(params: dict, even: bool) -> CaseInstance:
             exp = F(p * (p - 4), 4) if even else F((p - 1) * (p - 3), 4)
         options.append(
             SupportOption(
-                key=labels[pos(k)],
                 indices=(pos(k),),
                 expected_p=exp,
                 expected_relation=STRICTLY_LESS,
@@ -1707,9 +1613,7 @@ def _build_50(params: dict, even: bool) -> CaseInstance:
         delta_prime=tuple(f"D{i}" for i in range(2, p + 1)),
         sigma_prime=sigma_prime,
     )
-    return CaseInstance(
-        family=50,
-        sub_case="p=2q" if even else "p=2q-1",
+    return dict(
         params=(("q", q), ("p", p)),
         system=system,
         sigma_labels=labels,
@@ -1721,10 +1625,6 @@ def _build_50(params: dict, even: bool) -> CaseInstance:
 
 # ---------------------------------------------------------------------------
 # family registry
-
-
-def _fixed(**params: int) -> Callable[[], list[dict]]:
-    return lambda: [dict(params)]
 
 
 def _always(params: dict) -> bool:
@@ -1739,127 +1639,127 @@ def _register(spec: FamilySpec) -> None:
 
 
 _register(
-    FamilySpec(31, "", ("p",), "p >= 2", lambda d: d.get("p", 0) >= 2,
-               _range_sweep(p=range(2, 7)), _build_31)
+    FamilySpec(31, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
+               {"p": range(2, 7)}, _build_31)
 )
 _register(
-    FamilySpec(32, "", ("p",), "p >= 2", lambda d: d.get("p", 0) >= 2,
-               _range_sweep(p=range(2, 7)), _build_32)
+    FamilySpec(32, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
+               {"p": range(2, 7)}, _build_32)
 )
 _register(
-    FamilySpec(33, "", ("p",), "p >= 2", lambda d: d.get("p", 0) >= 2,
-               _range_sweep(p=range(2, 7)), _build_33)
+    FamilySpec(33, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
+               {"p": range(2, 7)}, _build_33)
 )
-_register(FamilySpec(34, "", (), "fixed", _always, _fixed(), _build_34))
-_register(FamilySpec(35, "", (), "fixed", _always, _fixed(), _build_35))
+_register(FamilySpec(34, "", "fixed", _always, {}, _build_34))
+_register(FamilySpec(35, "", "fixed", _always, {}, _build_35))
 _register(
-    FamilySpec(36, "", ("p",), "p >= 2", lambda d: d.get("p", 0) >= 2,
-               _range_sweep(p=range(2, 7)), _build_36)
+    FamilySpec(36, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
+               {"p": range(2, 7)}, _build_36)
 )
 _register(
-    FamilySpec(37, "", ("p",), "p >= 2", lambda d: d.get("p", 0) >= 2,
-               _range_sweep(p=range(2, 7)), _build_37)
+    FamilySpec(37, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
+               {"p": range(2, 7)}, _build_37)
 )
-_register(FamilySpec(38, "", (), "fixed", _always, _fixed(), _build_38))
-_register(FamilySpec(39, "", (), "fixed", _always, _fixed(), _build_39))
-_register(FamilySpec(41, "", (), "fixed", _always, _fixed(), _build_41))
+_register(FamilySpec(38, "", "fixed", _always, {}, _build_38))
+_register(FamilySpec(39, "", "fixed", _always, {}, _build_39))
+_register(FamilySpec(41, "", "fixed", _always, {}, _build_41))
 _register(
-    FamilySpec(42, "p=0", ("q",), "p = 0, q >= 1",
+    FamilySpec(42, "p=0", "p = 0, q >= 1",
                lambda d: d.get("p", 0) == 0 and d.get("q", 0) >= 1,
-               _range_sweep(q=range(1, 6)), _build_42_p0)
+               {"q": range(1, 6)}, _build_42_p0)
 )
 _register(
-    FamilySpec(42, "p>=1", ("p", "q"), "p >= 1, q >= 1",
+    FamilySpec(42, "p>=1", "p >= 1, q >= 1",
                lambda d: d.get("p", 0) >= 1 and d.get("q", 0) >= 1,
-               _range_sweep(p=range(1, 6), q=range(1, 6)), _build_42_p1)
+               {"p": range(1, 6), "q": range(1, 6)}, _build_42_p1)
 )
 _register(
-    FamilySpec(43, "p=q=r=0", (), "p = q = r = 0",
+    FamilySpec(43, "p=q=r=0", "p = q = r = 0",
                lambda d: all(d.get(k, 0) == 0 for k in "pqr"),
-               _fixed(), _build_43_a)
+               {}, _build_43_a)
 )
 _register(
-    FamilySpec(43, "p!=0,q=r=0", ("p",), "p >= 1, q = r = 0",
+    FamilySpec(43, "p!=0,q=r=0", "p >= 1, q = r = 0",
                lambda d: d.get("p", 0) >= 1 and d.get("q", 0) == 0 and d.get("r", 0) == 0,
-               _range_sweep(p=range(1, 6)), _build_43_b)
+               {"p": range(1, 6)}, _build_43_b)
 )
 _register(
-    FamilySpec(43, "p,q!=0,r=0", ("p", "q"), "p, q >= 1, r = 0",
+    FamilySpec(43, "p,q!=0,r=0", "p, q >= 1, r = 0",
                lambda d: d.get("p", 0) >= 1 and d.get("q", 0) >= 1 and d.get("r", 0) == 0,
-               _range_sweep(p=range(1, 6), q=range(1, 6)), _build_43_c)
+               {"p": range(1, 6), "q": range(1, 6)}, _build_43_c)
 )
 _register(
-    FamilySpec(43, "p,q,r!=0", ("p", "q", "r"), "p, q, r >= 1",
+    FamilySpec(43, "p,q,r!=0", "p, q, r >= 1",
                lambda d: all(d.get(k, 0) >= 1 for k in "pqr"),
-               _range_sweep(p=range(1, 6), q=range(1, 6), r=range(1, 6)),
+               {"p": range(1, 6), "q": range(1, 6), "r": range(1, 6)},
                _build_43_d)
 )
 _register(
-    FamilySpec(44, "p=2", (), "p = 2", lambda d: d.get("p", 2) == 2,
-               _fixed(), _build_44_p2)
+    FamilySpec(44, "p=2", "p = 2", lambda d: d.get("p", 2) == 2,
+               {}, _build_44_p2)
 )
 _register(
-    FamilySpec(44, "p>=3", ("p",), "p >= 3", lambda d: d.get("p", 0) >= 3,
-               _range_sweep(p=range(3, 8)), _build_44_p3)
+    FamilySpec(44, "p>=3", "p >= 3", lambda d: d.get("p", 0) >= 3,
+               {"p": range(3, 8)}, _build_44_p3)
 )
 _register(
-    FamilySpec(45, "p=1", ("q",), "p = 1, q >= 1",
+    FamilySpec(45, "p=1", "p = 1, q >= 1",
                lambda d: d.get("p", 1) == 1 and d.get("q", 0) >= 1,
-               _range_sweep(q=range(1, 6)), _build_45_p1)
+               {"q": range(1, 6)}, _build_45_p1)
 )
 _register(
-    FamilySpec(45, "p=2", ("q",), "p = 2, q >= 1",
+    FamilySpec(45, "p=2", "p = 2, q >= 1",
                lambda d: d.get("p", 2) == 2 and d.get("q", 0) >= 1,
-               _range_sweep(q=range(1, 6)), _build_45_p2)
+               {"q": range(1, 6)}, _build_45_p2)
 )
 _register(
-    FamilySpec(45, "p>=3", ("p", "q"), "p >= 3, q >= 1",
+    FamilySpec(45, "p>=3", "p >= 3, q >= 1",
                lambda d: d.get("p", 0) >= 3 and d.get("q", 0) >= 1,
-               _range_sweep(p=range(3, 8), q=range(1, 6)), _build_45_p3)
+               {"p": range(3, 8), "q": range(1, 6)}, _build_45_p3)
 )
-_register(FamilySpec(46, "p=4", (), "p = 4", lambda d: d.get("p", 4) == 4,
-                     _fixed(), _build_46_p4))
-_register(FamilySpec(46, "p=5", (), "p = 5", lambda d: d.get("p", 5) == 5,
-                     _fixed(), _build_46_p5))
-_register(FamilySpec(46, "p=6", (), "p = 6", lambda d: d.get("p", 6) == 6,
-                     _fixed(), _build_46_p6))
+_register(FamilySpec(46, "p=4", "p = 4", lambda d: d.get("p", 4) == 4,
+                     {}, _build_46_p4))
+_register(FamilySpec(46, "p=5", "p = 5", lambda d: d.get("p", 5) == 5,
+                     {}, _build_46_p5))
+_register(FamilySpec(46, "p=6", "p = 6", lambda d: d.get("p", 6) == 6,
+                     {}, _build_46_p6))
 _register(
-    FamilySpec(47, "p=0", ("q",), "p = 0, q >= 1",
+    FamilySpec(47, "p=0", "p = 0, q >= 1",
                lambda d: d.get("p", 0) == 0 and d.get("q", 0) >= 1,
-               _range_sweep(q=range(1, 6)), _build_47_p0)
+               {"q": range(1, 6)}, _build_47_p0)
 )
 _register(
-    FamilySpec(47, "p>=1", ("p", "q"), "p >= 1, q >= 1",
+    FamilySpec(47, "p>=1", "p >= 1, q >= 1",
                lambda d: d.get("p", 0) >= 1 and d.get("q", 0) >= 1,
-               _range_sweep(p=range(1, 6), q=range(1, 6)), _build_47_p1)
+               {"p": range(1, 6), "q": range(1, 6)}, _build_47_p1)
 )
-_register(FamilySpec(48, "p=1", (), "p = 1", lambda d: d.get("p", 1) == 1,
-                     _fixed(), _build_48_p1))
+_register(FamilySpec(48, "p=1", "p = 1", lambda d: d.get("p", 1) == 1,
+                     {}, _build_48_p1))
 _register(
-    FamilySpec(48, "p>=1", ("p",), "printed p >= 1; data degenerates below p = 2",
-               lambda d: d.get("p", 0) >= 2, _range_sweep(p=range(2, 7)),
+    FamilySpec(48, "p>=1", "printed p >= 1; data degenerates below p = 2",
+               lambda d: d.get("p", 0) >= 2, {"p": range(2, 7)},
                _build_48_pge1)
 )
 _register(
-    FamilySpec(49, "", ("p",), "p >= 2", lambda d: d.get("p", 0) >= 2,
-               _range_sweep(p=range(2, 7)), _build_49)
+    FamilySpec(49, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
+               {"p": range(2, 7)}, _build_49)
 )
 _register(
-    FamilySpec(50, "p=2q-1", ("q",), "q >= 4 (p = 2q-1 >= 7)",
+    FamilySpec(50, "p=2q-1", "q >= 4 (p = 2q-1 >= 7)",
                lambda d: d.get("q", 0) >= 4
                and d.get("p", 2 * d.get("q", 0) - 1) == 2 * d.get("q", 0) - 1,
-               _range_sweep(q=range(4, 8)), lambda d: _build_50(d, even=False))
+               {"q": range(4, 8)}, lambda d: _build_50(d, even=False))
 )
 _register(
-    FamilySpec(50, "p=2q", ("q",), "q >= 4 (p = 2q >= 8)",
+    FamilySpec(50, "p=2q", "q >= 4 (p = 2q >= 8)",
                lambda d: d.get("q", 0) >= 4
                and d.get("p", 2 * d.get("q", 0)) == 2 * d.get("q", 0),
-               _range_sweep(q=range(4, 8)), lambda d: _build_50(d, even=True))
+               {"q": range(4, 8)}, lambda d: _build_50(d, even=True))
 )
 
 
 def family_keys() -> list[tuple[int, str]]:
-    return sorted(FAMILIES, key=lambda k: (k[0], k[1]))
+    return sorted(FAMILIES)
 
 
 def instantiate(family: int, sub_case: str = "", **params: int) -> CaseInstance:
@@ -1867,27 +1767,62 @@ def instantiate(family: int, sub_case: str = "", **params: int) -> CaseInstance:
     spec = FAMILIES.get((family, sub_case))
     if spec is None:
         raise KeyError(f"unknown case {family}/{sub_case or '-'}")
-    merged = dict(params)
-    if not spec.is_valid(merged):
+    if not spec.is_valid(params):
         raise ValueError(
             f"case {family}/{sub_case or '-'}: parameters {params} outside {spec.validity}"
         )
-    return spec.build(merged)
+    return spec.build(params)
+
+
+def _check_profile(profile: dict) -> None:
+    """Reject a sweep profile entry that names no catalog case, or a
+    parameter that some case it names does not sweep, or values that are
+    not a non-empty list of integers."""
+    if not isinstance(profile, dict):
+        raise UsageError(f"a sweep profile maps case keys to ranges, got {profile!r}")
+    for name, entry in profile.items():
+        family, slash, sub_case = name.partition("/")
+        specs = [
+            spec for spec in FAMILIES.values()
+            if str(spec.family) == family and (not slash or spec.sub_case == sub_case)
+        ]
+        if not specs:
+            raise UsageError(f"sweep profile: {name!r} names no catalog case")
+        if not isinstance(entry, dict):
+            raise UsageError(f"sweep profile {name!r}: expected {{parameter: [values]}}")
+        for param, values in entry.items():
+            for spec in specs:
+                if param not in spec.ranges:
+                    raise UsageError(
+                        f"sweep profile {name!r}: case {spec.family}/{spec.sub_case or '-'} "
+                        f"sweeps no parameter {param!r} (it sweeps {sorted(spec.ranges)})"
+                    )
+            if not (isinstance(values, list) and values
+                    and all(type(v) is int for v in values)):
+                raise UsageError(
+                    f"sweep profile {name!r}: {param} needs a non-empty list of "
+                    f"integers, got {values!r}"
+                )
 
 
 def sweep_instances(
     family: int | None = None,
     sub_case: str | None = None,
     overrides: dict[str, int] | None = None,
-    ranges: dict | None = None,
+    profile: dict | None = None,
 ) -> list[CaseInstance]:
-    """All catalog instances of the default sweep (optionally filtered).
+    """The catalog instances of a sweep, optionally filtered by case.
 
-    ``overrides`` pins named parameters to single values (when they cover a
-    family's free parameters the instance is built directly, so values
-    outside the default sweep work too); ``ranges`` maps "family/sub_case"
-    (or "family") keys to {param: [values]} replacing the default sweep.
+    Each family sweeps the product of its ``ranges``.  ``profile`` maps
+    "family" or "family/sub_case" keys to {param: [values]} that replace
+    those ranges (a sub-case entry over a family entry); ``overrides`` pin
+    named parameters to one value each, inside the ranges or not, and drop
+    the instances whose fixed parameters differ.  Parameter sets outside a
+    family's domain are skipped.
     """
+    overrides = overrides or {}
+    profile = profile or {}
+    _check_profile(profile)
     out: list[CaseInstance] = []
     for key in family_keys():
         spec = FAMILIES[key]
@@ -1895,32 +1830,17 @@ def sweep_instances(
             continue
         if sub_case is not None and spec.sub_case != sub_case:
             continue
-        built: list[CaseInstance] = []
-        free = set(spec.param_names)
-        if overrides and free and free <= set(overrides):
-            ps = {name: overrides[name] for name in spec.param_names}
-            if spec.is_valid(ps):
-                built.append(spec.build(ps))
-        else:
-            param_sets = spec.default_sweep()
-            if ranges:
-                named = ranges.get(f"{spec.family}/{spec.sub_case}") or ranges.get(
-                    str(spec.family)
-                )
-                if named:
-                    param_sets = _range_sweep(
-                        **{k: list(v) for k, v in named.items()}
-                    )()
-            built.extend(spec.build(ps) for ps in param_sets if spec.is_valid(ps))
-        if overrides:
-            built = [
-                inst
-                for inst in built
-                if all(
-                    dict(inst.params).get(name, value) == value
-                    for name, value in overrides.items()
-                )
-            ]
-        out.extend(built)
+        swept = {
+            **spec.ranges,
+            **profile.get(str(spec.family), {}),
+            **profile.get(f"{spec.family}/{spec.sub_case}", {}),
+            **{name: [v] for name, v in overrides.items() if name in spec.ranges},
+        }
+        for values in product(*swept.values()):
+            params = dict(zip(swept, values))
+            if not spec.is_valid(params):
+                continue
+            inst = spec.build(params)
+            if all(dict(inst.params).get(k, v) == v for k, v in overrides.items()):
+                out.append(inst)
     return out
-

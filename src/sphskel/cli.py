@@ -17,11 +17,9 @@ import time
 from dataclasses import dataclass
 
 from sphskel import catalog, mukai, skeleton as sk_mod
-from sphskel.catalog import CaseInstance, SupportOption
+from sphskel.catalog import CaseInstance, SupportOption, UsageError
 from sphskel.mukai import MukaiVerdict
 from sphskel.skeleton import SkeletonInvariantError, SkeletonParseError
-
-SWEEP_ENV = "SPHSKEL_SWEEPS"
 
 
 @dataclass
@@ -121,7 +119,7 @@ def print_reports(reports: list[CaseReport], fmt: str, out=None) -> None:
     notes = {}
     for rep in reports:
         inst, v = rep.inst, rep.verdict
-        case = f"{inst.family}" + (f"/{inst.sub_case}" if inst.sub_case else "")
+        case = inst.label
         out.write(
             f"{case:<14} {_params_text(dict(inst.params)):<14} {rep.opt.key:<34} "
             f"{str(v.complete).lower():<5} {_p_text(v.p_value):>8} "
@@ -137,10 +135,6 @@ def print_reports(reports: list[CaseReport], fmt: str, out=None) -> None:
 
 # ---------------------------------------------------------------------------
 # selectors, params, sweep profiles
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _normalize_subcase(text: str) -> str:
@@ -176,17 +170,18 @@ def parse_params(items) -> dict[str, int]:
         if "=" not in item:
             raise UsageError(f"--param expects name=value, got {item!r}")
         name, _, value = item.partition("=")
+        name = name.strip()
+        if name in out:
+            raise UsageError(f"--param {name} given more than once")
         try:
-            out[name.strip()] = int(value)
+            out[name] = int(value)
         except ValueError as exc:
             raise UsageError(f"--param {item!r}: value must be an integer") from exc
     return out
 
 
 def load_sweep_profile(name: str, path: str | None = None) -> dict:
-    """Named sweep profile from the config file (package default or env)."""
-    if path is None:
-        path = os.environ.get(SWEEP_ENV)
+    """Named sweep profile from a config file (default: the built-in one)."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "sweeps.json")
     try:
@@ -194,6 +189,8 @@ def load_sweep_profile(name: str, path: str | None = None) -> dict:
             profiles = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read sweep config {path}: {exc}") from exc
+    if not isinstance(profiles, dict):
+        raise UsageError(f"sweep config {path}: expected an object of named profiles")
     if name not in profiles:
         raise UsageError(f"unknown sweep profile {name!r}; known: {sorted(profiles)}")
     return profiles[name]
@@ -202,21 +199,16 @@ def load_sweep_profile(name: str, path: str | None = None) -> dict:
 def _select_instances(args) -> list[CaseInstance]:
     family, sub = parse_selector(args.case)
     overrides = parse_params(args.param)
-    ranges = load_sweep_profile(args.sweep, getattr(args, "sweep_config", None))
-    if overrides:
-        bad = sorted(set(overrides) - {"p", "q", "r"})
-        if bad:
-            raise UsageError(f"unknown parameter {bad[0]!r}")
+    profile = load_sweep_profile(args.sweep, args.sweep_config)
     instances = catalog.sweep_instances(
-        family=family, sub_case=sub, overrides=overrides or None, ranges=ranges
+        family=family, sub_case=sub, overrides=overrides, profile=profile
     )
-    if overrides and family is not None and instances:
-        seen = {name for inst in instances for name, _ in inst.params}
-        missing = sorted(set(overrides) - seen)
-        if missing:
-            raise UsageError(f"case {family} takes no parameter {missing[0]!r}")
     if not instances:
         raise UsageError("selection matches no catalog instance")
+    unknown = sorted(set(overrides) - {name for inst in instances for name, _ in inst.params})
+    if unknown:
+        where = "the catalog" if family is None else f"case {family}"
+        raise UsageError(f"{where} takes no parameter {unknown[0]!r}")
     return instances
 
 
@@ -286,8 +278,7 @@ def cmd_supports(args) -> int:
             }
             print(json.dumps(payload))
             continue
-        label = f"case {inst.family}" + (f"/{inst.sub_case}" if inst.sub_case else "")
-        print(f"{label} params {_params_text(dict(inst.params))}:")
+        print(f"case {inst.label} params {_params_text(dict(inst.params))}:")
         for indices, verdict in found:
             key = inst.support_key(indices)
             print(
@@ -340,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sweep", default="default", help="sweep profile name")
         p.add_argument(
             "--sweep-config", dest="sweep_config", default=None,
-            help=f"path to a sweep config (default: ${SWEEP_ENV} or the built-in)",
+            help="path to a sweep config (default: the built-in one)",
         )
 
     p_verify = sub.add_parser("verify", help="re-verify catalog cases")

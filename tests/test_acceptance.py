@@ -528,3 +528,17 @@ def test_verify_json_output_identity(sweep_reports):
     text = re.sub(r', "wall_ms": [0-9.e-]+', "", buf.getvalue())
     assert text.count("\n") == 577
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_JSON_SHA256
+
+
+# sha256 of `sphskel supports --case all --sweep smoke --format json`: the
+# minimal supports, their verdicts and the certificates of every family
+SUPPORTS_SMOKE_JSON_SHA256 = "304766c568bcc19de03a75f982f1c8689cfdc5a8f75ea35299f9ef85d303c6cb"
+
+
+def test_supports_smoke_json_output_identity(capsys):
+    """Every family's smoke-sweep supports are byte-identical to the pinned ones."""
+    argv = ["supports", "--case", "all", "--sweep", "smoke", "--format", "json"]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.count("\n") == len(catalog.FAMILIES) == 31
+    assert hashlib.sha256(text.encode()).hexdigest() == SUPPORTS_SMOKE_JSON_SHA256

@@ -12,6 +12,14 @@ def option(family, sub_case, key, **params):
     return catalog.instantiate(family, sub_case, **params).option(key)
 
 
+def smallest_instances():
+    """The first instance of every family's default sweep."""
+    return [
+        FAMILIES[key].build({name: r[0] for name, r in FAMILIES[key].ranges.items()})
+        for key in catalog.family_keys()
+    ]
+
+
 def test_family_registry_shape():
     families = sorted({f for f, _ in FAMILIES})
     assert families == [31, 32, 33, 34, 35, 36, 37, 38, 39, 41] + list(range(42, 51))
@@ -102,9 +110,7 @@ def test_coroot_attachments_consistent():
     from sphskel.rootsys import coroot_pairing
 
     checked = 0
-    for key in catalog.family_keys():
-        spec = FAMILIES[key]
-        inst = spec.build(spec.default_sweep()[0])
+    for inst in smallest_instances():
         for color in inst.system.colors:
             if color.coroot is None:
                 continue
@@ -137,16 +143,25 @@ def test_sweep_instances_filtering():
     pinned = catalog.sweep_instances(family=31, overrides={"p": 4})
     assert len(pinned) == 1 and dict(pinned[0].params) == {"p": 4}
     ranged = catalog.sweep_instances(
-        family=31, ranges={"31": {"p": [2, 3]}}
+        family=31, profile={"31": {"p": [2, 3]}}
     )
     assert [dict(i.params)["p"] for i in ranged] == [2, 3]
+    # a sub-case entry goes over a family entry, and a parameter it does not
+    # name keeps its range
+    profile = {"42": {"q": [2]}, "42/p>=1": {"p": [3, 4]}}
+    layered = catalog.sweep_instances(family=42, profile=profile)
+    assert [dict(i.params) for i in layered] == [
+        {"p": 0, "q": 2}, {"p": 3, "q": 2}, {"p": 4, "q": 2},
+    ]
+    # a pin may leave the range; one on a fixed parameter selects the sub-case
+    pinned = catalog.sweep_instances(family=42, sub_case="p>=1", overrides={"p": 9})
+    assert [dict(i.params) for i in pinned] == [{"p": 9, "q": q} for q in range(1, 6)]
+    assert [i.sub_case for i in catalog.sweep_instances(family=46, overrides={"p": 5})] == ["p=5"]
 
 
 def test_smallest_instances_reproduce_expected_values():
     # the full sweep runs in the acceptance suite; spot the smallest ones here
-    for key in catalog.family_keys():
-        spec = FAMILIES[key]
-        inst = spec.build(spec.default_sweep()[0])
+    for inst in smallest_instances():
         for opt in inst.options:
             verdict = mukai.check_conjecture(inst.support_skeleton(opt))
             assert verdict.complete, (inst.label, opt.key)
@@ -158,10 +173,10 @@ def test_smallest_instances_reproduce_expected_values():
 
 
 def test_exportability_of_every_family(tmp_path):
-    for key in catalog.family_keys():
-        spec = FAMILIES[key]
-        inst = spec.build(spec.default_sweep()[0])
-        path = tmp_path / f"{spec.family}_{abs(hash(spec.sub_case))}.json"
+    instances = smallest_instances()
+    assert len(instances) == len(FAMILIES) == 31
+    for inst in instances:
+        path = tmp_path / f"{inst.family}_{abs(hash(inst.sub_case))}.json"
         sk.save(inst.system, str(path))
         loaded = sk.load(str(path))
         assert loaded.sigma == inst.system.sigma

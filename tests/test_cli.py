@@ -194,13 +194,10 @@ def test_sweep_profile_smoke():
     assert {r["params"]["q"] for r in rows} == {4}
 
 
-def test_sweep_config_env(tmp_path):
-    import os
-
+def test_sweep_config_option(tmp_path):
     cfg = tmp_path / "sweeps.json"
     cfg.write_text(json.dumps({"default": {"31": {"p": [2]}}}))
-    env = dict(os.environ, SPHSKEL_SWEEPS=str(cfg))
-    res = run_cli("verify", "--case", "31", "--format", "json", env=env)
+    res = run_cli("verify", "--case", "31", "--format", "json", "--sweep-config", str(cfg))
     assert res.returncode == 0
     rows = [json.loads(line) for line in res.stdout.splitlines()]
     assert {r["params"]["p"] for r in rows} == {2}
@@ -295,15 +292,43 @@ def test_internal_errors_propagate(monkeypatch):
     [
         ["export", "--case", "41", "--support", "nope"],
         ["supports", "--case", "41", "--max-card", "0"],
+        ["verify", "--case", "31", "--param", "p=3", "--param", "p=4"],
+        # a non-string argument is a sweep profile, written to a config file
+        ["verify", "--case", "31", "--sweep-config", {"31": {"p": 2}}],
+        ["verify", "--case", "31", "--sweep-config", {"31": {"p": [2.5]}}],
+        ["verify", "--case", "41", "--sweep-config", {"99": {"p": [2]}}],
+        ["verify", "--case", "43", "--sweep-config", {"43/p,q!=0,r=1": {"p": [1]}}],
+        ["verify", "--case", "34", "--sweep-config", {"34": {"p": [7]}}],
+        ["verify", "--case", "31", "--sweep-config", {"31": {"q": [2]}}],
+        # the whole profile is checked, not only the entries of the selection
+        ["verify", "--case", "41", "--sweep-config", {"31": {"p": [True]}}],
+        ["verify", "--case", "41", "--sweep-config", {"31": {"p": []}}],
+        ["verify", "--case", "41", "--sweep-config", {"31": [2]}],
+        ["verify", "--case", "41", "--sweep-config", {"42": {"p": [1]}}],
+        ["verify", "--case", "41", "--sweep-config", ["31"]],
     ],
-    ids=["export-unknown-support", "supports-max-card-0"],
+    ids=[
+        "export-unknown-support", "supports-max-card-0", "param-repeated",
+        "profile-value-not-a-list", "profile-value-float", "profile-unknown-case",
+        "profile-unknown-sub-case", "profile-fixed-case-parameter",
+        "profile-unknown-parameter", "profile-value-bool", "profile-value-empty",
+        "profile-entry-not-an-object", "profile-parameter-one-sub-case-lacks",
+        "profile-not-an-object",
+    ],
 )
 def test_user_errors_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     if argv[0] == "export":
         argv = argv + ["-o", str(out)]
+    cfg = tmp_path / "sweeps.json"
+    profile = [arg for arg in argv if not isinstance(arg, str)]
+    if profile:
+        cfg.write_text(json.dumps({"default": profile[0]}))
+    argv = [arg if isinstance(arg, str) else str(cfg) for arg in argv]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("sweep profile" in err) == bool(profile)
     assert not out.exists()
 
 
