@@ -1821,7 +1821,7 @@ def sweep_instances(
     family's domain are skipped.
     """
     overrides = overrides or {}
-    profile = profile or {}
+    profile = {} if profile is None else profile
     _check_profile(profile)
     out: list[CaseInstance] = []
     for key in family_keys():

@@ -306,6 +306,7 @@ def test_internal_errors_propagate(monkeypatch):
         ["verify", "--case", "41", "--sweep-config", {"31": [2]}],
         ["verify", "--case", "41", "--sweep-config", {"42": {"p": [1]}}],
         ["verify", "--case", "41", "--sweep-config", ["31"]],
+        ["verify", "--case", "41", "--sweep-config", []],
     ],
     ids=[
         "export-unknown-support", "supports-max-card-0", "param-repeated",
@@ -313,7 +314,7 @@ def test_internal_errors_propagate(monkeypatch):
         "profile-unknown-sub-case", "profile-fixed-case-parameter",
         "profile-unknown-parameter", "profile-value-bool", "profile-value-empty",
         "profile-entry-not-an-object", "profile-parameter-one-sub-case-lacks",
-        "profile-not-an-object",
+        "profile-not-an-object", "profile-empty-list",
     ],
 )
 def test_user_errors_exit_2(tmp_path, capsys, argv):
