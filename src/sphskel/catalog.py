@@ -8,8 +8,9 @@ supports.  Data entry follows the printed tables; the few readings that
 had to be corrected are flagged per entry in ``typo_fixes`` and asserted
 by the test suite.
 
-A builder returns only its case data.  The registry ``FAMILIES`` states each
-family's number, sub-case, parameter domain and default sweep ranges, and
+A builder returns only its case data; its ``params`` state every fixed and
+derived parameter.  The registry ``FAMILIES`` states each family's number,
+sub-case and sweep ranges, whose starts are the free parameters' least values.
 ``FamilySpec.build`` puts an instance together; every option's key is read
 off its indices and the sigma labels at that point.
 """
@@ -99,8 +100,6 @@ class CaseInstance:
 class FamilySpec:
     family: int
     sub_case: str
-    validity: str
-    is_valid: Callable[[dict], bool]
     ranges: dict[str, range]  # default sweep; the keys are the free parameters
     builder: Callable[[dict], dict]  # the CaseInstance fields after sub_case
 
@@ -110,6 +109,17 @@ class FamilySpec:
 
     def build(self, params: dict) -> CaseInstance:
         return CaseInstance(self.family, self.sub_case, **self.builder(params))
+
+    def below_least(self, params: dict) -> str | None:
+        """Which free parameter ``params`` set below its least value, the start
+        of its range, as a message; None when none is."""
+        for name, values in self.ranges.items():
+            if name in params and params[name] < values.start:
+                return (
+                    f"case {self.family}/{self.sub_case or '-'}: {name} = {params[name]}"
+                    f" is below its least value {values.start}"
+                )
+        return None
 
 
 @dataclass(frozen=True)
@@ -1627,182 +1637,130 @@ def _build_50(params: dict, even: bool) -> dict:
 # family registry
 
 
-def _always(params: dict) -> bool:
-    return True
-
-
-FAMILIES: dict[tuple[int, str], FamilySpec] = {}
-
-
-def _register(spec: FamilySpec) -> None:
-    FAMILIES[spec.key] = spec
-
-
-_register(
-    FamilySpec(31, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
-               {"p": range(2, 7)}, _build_31)
-)
-_register(
-    FamilySpec(32, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
-               {"p": range(2, 7)}, _build_32)
-)
-_register(
-    FamilySpec(33, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
-               {"p": range(2, 7)}, _build_33)
-)
-_register(FamilySpec(34, "", "fixed", _always, {}, _build_34))
-_register(FamilySpec(35, "", "fixed", _always, {}, _build_35))
-_register(
-    FamilySpec(36, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
-               {"p": range(2, 7)}, _build_36)
-)
-_register(
-    FamilySpec(37, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
-               {"p": range(2, 7)}, _build_37)
-)
-_register(FamilySpec(38, "", "fixed", _always, {}, _build_38))
-_register(FamilySpec(39, "", "fixed", _always, {}, _build_39))
-_register(FamilySpec(41, "", "fixed", _always, {}, _build_41))
-_register(
-    FamilySpec(42, "p=0", "p = 0, q >= 1",
-               lambda d: d.get("p", 0) == 0 and d.get("q", 0) >= 1,
-               {"q": range(1, 6)}, _build_42_p0)
-)
-_register(
-    FamilySpec(42, "p>=1", "p >= 1, q >= 1",
-               lambda d: d.get("p", 0) >= 1 and d.get("q", 0) >= 1,
-               {"p": range(1, 6), "q": range(1, 6)}, _build_42_p1)
-)
-_register(
-    FamilySpec(43, "p=q=r=0", "p = q = r = 0",
-               lambda d: all(d.get(k, 0) == 0 for k in "pqr"),
-               {}, _build_43_a)
-)
-_register(
-    FamilySpec(43, "p!=0,q=r=0", "p >= 1, q = r = 0",
-               lambda d: d.get("p", 0) >= 1 and d.get("q", 0) == 0 and d.get("r", 0) == 0,
-               {"p": range(1, 6)}, _build_43_b)
-)
-_register(
-    FamilySpec(43, "p,q!=0,r=0", "p, q >= 1, r = 0",
-               lambda d: d.get("p", 0) >= 1 and d.get("q", 0) >= 1 and d.get("r", 0) == 0,
-               {"p": range(1, 6), "q": range(1, 6)}, _build_43_c)
-)
-_register(
-    FamilySpec(43, "p,q,r!=0", "p, q, r >= 1",
-               lambda d: all(d.get(k, 0) >= 1 for k in "pqr"),
-               {"p": range(1, 6), "q": range(1, 6), "r": range(1, 6)},
-               _build_43_d)
-)
-_register(
-    FamilySpec(44, "p=2", "p = 2", lambda d: d.get("p", 2) == 2,
-               {}, _build_44_p2)
-)
-_register(
-    FamilySpec(44, "p>=3", "p >= 3", lambda d: d.get("p", 0) >= 3,
-               {"p": range(3, 8)}, _build_44_p3)
-)
-_register(
-    FamilySpec(45, "p=1", "p = 1, q >= 1",
-               lambda d: d.get("p", 1) == 1 and d.get("q", 0) >= 1,
-               {"q": range(1, 6)}, _build_45_p1)
-)
-_register(
-    FamilySpec(45, "p=2", "p = 2, q >= 1",
-               lambda d: d.get("p", 2) == 2 and d.get("q", 0) >= 1,
-               {"q": range(1, 6)}, _build_45_p2)
-)
-_register(
-    FamilySpec(45, "p>=3", "p >= 3, q >= 1",
-               lambda d: d.get("p", 0) >= 3 and d.get("q", 0) >= 1,
-               {"p": range(3, 8), "q": range(1, 6)}, _build_45_p3)
-)
-_register(FamilySpec(46, "p=4", "p = 4", lambda d: d.get("p", 4) == 4,
-                     {}, _build_46_p4))
-_register(FamilySpec(46, "p=5", "p = 5", lambda d: d.get("p", 5) == 5,
-                     {}, _build_46_p5))
-_register(FamilySpec(46, "p=6", "p = 6", lambda d: d.get("p", 6) == 6,
-                     {}, _build_46_p6))
-_register(
-    FamilySpec(47, "p=0", "p = 0, q >= 1",
-               lambda d: d.get("p", 0) == 0 and d.get("q", 0) >= 1,
-               {"q": range(1, 6)}, _build_47_p0)
-)
-_register(
-    FamilySpec(47, "p>=1", "p >= 1, q >= 1",
-               lambda d: d.get("p", 0) >= 1 and d.get("q", 0) >= 1,
-               {"p": range(1, 6), "q": range(1, 6)}, _build_47_p1)
-)
-_register(FamilySpec(48, "p=1", "p = 1", lambda d: d.get("p", 1) == 1,
-                     {}, _build_48_p1))
-_register(
-    FamilySpec(48, "p>=1", "printed p >= 1; data degenerates below p = 2",
-               lambda d: d.get("p", 0) >= 2, {"p": range(2, 7)},
-               _build_48_pge1)
-)
-_register(
-    FamilySpec(49, "", "p >= 2", lambda d: d.get("p", 0) >= 2,
-               {"p": range(2, 7)}, _build_49)
-)
-_register(
-    FamilySpec(50, "p=2q-1", "q >= 4 (p = 2q-1 >= 7)",
-               lambda d: d.get("q", 0) >= 4
-               and d.get("p", 2 * d.get("q", 0) - 1) == 2 * d.get("q", 0) - 1,
-               {"q": range(4, 8)}, lambda d: _build_50(d, even=False))
-)
-_register(
-    FamilySpec(50, "p=2q", "q >= 4 (p = 2q >= 8)",
-               lambda d: d.get("q", 0) >= 4
-               and d.get("p", 2 * d.get("q", 0)) == 2 * d.get("q", 0),
-               {"q": range(4, 8)}, lambda d: _build_50(d, even=True))
-)
+FAMILIES: dict[tuple[int, str], FamilySpec] = {
+    spec.key: spec
+    for spec in (
+        FamilySpec(31, "", {"p": range(2, 7)}, _build_31),
+        FamilySpec(32, "", {"p": range(2, 7)}, _build_32),
+        FamilySpec(33, "", {"p": range(2, 7)}, _build_33),
+        FamilySpec(34, "", {}, _build_34),
+        FamilySpec(35, "", {}, _build_35),
+        FamilySpec(36, "", {"p": range(2, 7)}, _build_36),
+        FamilySpec(37, "", {"p": range(2, 7)}, _build_37),
+        FamilySpec(38, "", {}, _build_38),
+        FamilySpec(39, "", {}, _build_39),
+        FamilySpec(41, "", {}, _build_41),
+        FamilySpec(42, "p=0", {"q": range(1, 6)}, _build_42_p0),
+        FamilySpec(42, "p>=1", {"p": range(1, 6), "q": range(1, 6)}, _build_42_p1),
+        FamilySpec(43, "p=q=r=0", {}, _build_43_a),
+        FamilySpec(43, "p!=0,q=r=0", {"p": range(1, 6)}, _build_43_b),
+        FamilySpec(43, "p,q!=0,r=0", {"p": range(1, 6), "q": range(1, 6)}, _build_43_c),
+        FamilySpec(
+            43, "p,q,r!=0", {"p": range(1, 6), "q": range(1, 6), "r": range(1, 6)},
+            _build_43_d,
+        ),
+        FamilySpec(44, "p=2", {}, _build_44_p2),
+        FamilySpec(44, "p>=3", {"p": range(3, 8)}, _build_44_p3),
+        FamilySpec(45, "p=1", {"q": range(1, 6)}, _build_45_p1),
+        FamilySpec(45, "p=2", {"q": range(1, 6)}, _build_45_p2),
+        FamilySpec(45, "p>=3", {"p": range(3, 8), "q": range(1, 6)}, _build_45_p3),
+        FamilySpec(46, "p=4", {}, _build_46_p4),
+        FamilySpec(46, "p=5", {}, _build_46_p5),
+        FamilySpec(46, "p=6", {}, _build_46_p6),
+        FamilySpec(47, "p=0", {"q": range(1, 6)}, _build_47_p0),
+        FamilySpec(47, "p>=1", {"p": range(1, 6), "q": range(1, 6)}, _build_47_p1),
+        FamilySpec(48, "p=1", {}, _build_48_p1),
+        # printed p >= 1; the data degenerates below p = 2
+        FamilySpec(48, "p>=1", {"p": range(2, 7)}, _build_48_pge1),
+        FamilySpec(49, "", {"p": range(2, 7)}, _build_49),
+        FamilySpec(50, "p=2q-1", {"q": range(4, 8)}, lambda d: _build_50(d, even=False)),
+        FamilySpec(50, "p=2q", {"q": range(4, 8)}, lambda d: _build_50(d, even=True)),
+    )
+}
 
 
 def family_keys() -> list[tuple[int, str]]:
     return sorted(FAMILIES)
 
 
+def _named(family: int | None, sub_case: str | None) -> list[FamilySpec]:
+    """The families a selection names, in key order; None names every one."""
+    return [
+        FAMILIES[key] for key in family_keys()
+        if family in (None, key[0]) and sub_case in (None, key[1])
+    ]
+
+
 def instantiate(family: int, sub_case: str = "", **params: int) -> CaseInstance:
-    """Build one case instance; raises on out-of-range parameters."""
+    """Build one case instance.  Raises ``KeyError`` for an unknown case and
+    ``ValueError`` for a free parameter missing or below its least value, a
+    parameter the case does not take, or a fixed or derived parameter given a
+    value other than the one the case states."""
+    where = f"case {family}/{sub_case or '-'}"
     spec = FAMILIES.get((family, sub_case))
     if spec is None:
-        raise KeyError(f"unknown case {family}/{sub_case or '-'}")
-    if not spec.is_valid(params):
-        raise ValueError(
-            f"case {family}/{sub_case or '-'}: parameters {params} outside {spec.validity}"
-        )
-    return spec.build(params)
+        raise KeyError(f"unknown {where}")
+    if not params.keys() >= spec.ranges.keys():
+        raise ValueError(f"{where}: needs the parameters {sorted(spec.ranges)}, got {params}")
+    problem = spec.below_least(params)
+    if problem:
+        raise ValueError(problem)
+    inst = spec.build(params)
+    if params.items() - dict(inst.params).items():
+        raise ValueError(f"{where}: parameters {params}, but the case states {dict(inst.params)}")
+    return inst
 
 
-def _check_profile(profile: dict) -> None:
-    """Reject a sweep profile entry that names no catalog case, or a
-    parameter that some case it names does not sweep, or values that are
-    not a non-empty list of integers."""
+def parse_case_key(text: str) -> tuple[int, str | None]:
+    """'34' | '43/p,q!=0,r=0' -> (family, sub_case), sub_case None when the key
+    names every sub-case.  The printed signs ≠ and ≥ stand for != and >=, and
+    spaces are ignored."""
+    key = text.replace("≠", "!=").replace("≥", ">=").replace(" ", "")
+    family, slash, sub_case = key.partition("/")
+    known = sorted(s for f, s in FAMILIES if str(f) == family)
+    if not known:
+        raise UsageError(f"unknown case {text!r}")
+    if slash and sub_case not in known:
+        raise UsageError(f"unknown sub-case {sub_case!r} for case {family}; known: {known}")
+    return int(family), sub_case if slash else None
+
+
+def _profile_ranges(profile: dict) -> dict[tuple[int, str], dict[str, list[int]]]:
+    """Check a sweep profile and resolve it into the values each family sweeps
+    in place of its ranges: a non-empty list of integers per parameter that
+    every sub-case its key names sweeps, none below the least value there."""
     if not isinstance(profile, dict):
         raise UsageError(f"a sweep profile maps case keys to ranges, got {profile!r}")
+    resolved: dict[tuple[int, str], dict[str, list[int]]] = {key: {} for key in FAMILIES}
     for name, entry in profile.items():
-        family, slash, sub_case = name.partition("/")
-        specs = [
-            spec for spec in FAMILIES.values()
-            if str(spec.family) == family and (not slash or spec.sub_case == sub_case)
-        ]
-        if not specs:
-            raise UsageError(f"sweep profile: {name!r} names no catalog case")
+        try:
+            family, sub_case = parse_case_key(name)
+        except UsageError as exc:
+            raise UsageError(f"sweep profile: {exc}") from None
         if not isinstance(entry, dict):
             raise UsageError(f"sweep profile {name!r}: expected {{parameter: [values]}}")
+        specs = _named(family, sub_case)
         for param, values in entry.items():
-            for spec in specs:
-                if param not in spec.ranges:
-                    raise UsageError(
-                        f"sweep profile {name!r}: case {spec.family}/{spec.sub_case or '-'} "
-                        f"sweeps no parameter {param!r} (it sweeps {sorted(spec.ranges)})"
-                    )
             if not (isinstance(values, list) and values
                     and all(type(v) is int for v in values)):
                 raise UsageError(
                     f"sweep profile {name!r}: {param} needs a non-empty list of "
                     f"integers, got {values!r}"
                 )
+            for spec in specs:
+                if param not in spec.ranges:
+                    raise UsageError(
+                        f"sweep profile {name!r}: case {spec.family}/{spec.sub_case or '-'} "
+                        f"sweeps no parameter {param!r} (it sweeps {sorted(spec.ranges)})"
+                    )
+                problem = spec.below_least({param: min(values)})
+                if problem:
+                    raise UsageError(f"sweep profile {name!r}: {problem}")
+        for spec in specs:
+            # a sub-case entry goes over a family entry, whichever comes first
+            layered = resolved[spec.key]
+            resolved[spec.key] = {**entry, **layered} if sub_case is None else {**layered, **entry}
+    return resolved
 
 
 def sweep_instances(
@@ -1817,30 +1775,22 @@ def sweep_instances(
     "family" or "family/sub_case" keys to {param: [values]} that replace
     those ranges (a sub-case entry over a family entry); ``overrides`` pin
     named parameters to one value each, inside the ranges or not, and drop
-    the instances whose fixed parameters differ.  Parameter sets outside a
-    family's domain are skipped.
+    the instances whose fixed parameters differ.  A pin below a free
+    parameter's least value skips the family.
     """
     overrides = overrides or {}
-    profile = {} if profile is None else profile
-    _check_profile(profile)
+    swept_by = _profile_ranges({} if profile is None else profile)
     out: list[CaseInstance] = []
-    for key in family_keys():
-        spec = FAMILIES[key]
-        if family is not None and spec.family != family:
-            continue
-        if sub_case is not None and spec.sub_case != sub_case:
+    for spec in _named(family, sub_case):
+        if spec.below_least(overrides):
             continue
         swept = {
             **spec.ranges,
-            **profile.get(str(spec.family), {}),
-            **profile.get(f"{spec.family}/{spec.sub_case}", {}),
+            **swept_by[spec.key],
             **{name: [v] for name, v in overrides.items() if name in spec.ranges},
         }
         for values in product(*swept.values()):
-            params = dict(zip(swept, values))
-            if not spec.is_valid(params):
-                continue
-            inst = spec.build(params)
+            inst = spec.build(dict(zip(swept, values)))
             if all(dict(inst.params).get(k, v) == v for k, v in overrides.items()):
                 out.append(inst)
     return out

@@ -137,31 +137,11 @@ def print_reports(reports: list[CaseReport], fmt: str, out=None) -> None:
 # selectors, params, sweep profiles
 
 
-def _normalize_subcase(text: str) -> str:
-    return text.replace("≠", "!=").replace("≥", ">=").replace(" ", "")
-
-
 def parse_selector(text: str) -> tuple[int | None, str | None]:
-    """'all' | '34' | '43/p,q!=0,r=0' -> (family, sub_case)."""
-    text = text.strip()
-    if text == "all":
+    """'all' or a case key ('34', '43/p,q!=0,r=0') -> (family, sub_case)."""
+    if text.strip() == "all":
         return None, None
-    if "/" in text:
-        fam_text, sub = text.split("/", 1)
-        sub = _normalize_subcase(sub)
-    else:
-        fam_text, sub = text, None
-    try:
-        family = int(fam_text)
-    except ValueError as exc:
-        raise UsageError(f"bad case selector {text!r}") from exc
-    known = {f for f, _ in catalog.FAMILIES}
-    if family not in known:
-        raise UsageError(f"unknown case {family}")
-    if sub is not None and (family, sub) not in catalog.FAMILIES:
-        subs = sorted(s for f, s in catalog.FAMILIES if f == family)
-        raise UsageError(f"unknown sub-case {sub!r} for case {family}; known: {subs}")
-    return family, sub
+    return catalog.parse_case_key(text)
 
 
 def parse_params(items) -> dict[str, int]:

@@ -71,12 +71,22 @@ class SphericalSkeleton:
 
 
 def _validate(sk: SphericalSkeleton) -> None:
+    # not in the cached checks: a float equals its Fraction, so a cache hit would pass it
+    for color in sk.colors:
+        if any(type(v) not in (int, Fraction) for v in color.rho):
+            raise SkeletonInvariantError(
+                "color-rho-rational", f"{color.name}: values must be int or Fraction"
+            )
     _system_multiplicities(sk.root_system, sk.sp, sk.sigma, sk.colors)
     nsig = len(sk.sigma)
     for div in sk.boundary:
         if len(div.rho) != nsig:
             raise SkeletonInvariantError(
                 "boundary-rho-length", f"{div.name}: expected {nsig} values"
+            )
+        if any(type(v) is not int for v in div.rho):
+            raise SkeletonInvariantError(
+                "boundary-rho-integer", f"{div.name}: pairings must be integers"
             )
         if any(v > 0 for v in div.rho):
             raise SkeletonInvariantError(

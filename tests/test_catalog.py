@@ -63,6 +63,29 @@ def test_parameter_validation():
         catalog.instantiate(40)
     with pytest.raises(KeyError):
         catalog.instantiate(43, "bogus")
+    # a parameter the case does not take, a fixed or derived one given another
+    # value than the case states, or a free one missing
+    for family, sub_case, params in [
+        (31, "", {"p": 2, "q": 9}),
+        (34, "", {"p": 5}),
+        (44, "p=2", {"p": 3}),
+        (50, "p=2q-1", {"q": 4, "p": 8}),
+        (31, "", {}),
+    ]:
+        with pytest.raises(ValueError):
+            catalog.instantiate(family, sub_case, **params)
+    assert dict(catalog.instantiate(44, "p=2", p=2).params) == {"p": 2}
+    assert dict(catalog.instantiate(50, "p=2q-1", q=4, p=7).params) == {"q": 4, "p": 7}
+    # the least value of each free parameter is the start of its range
+    for spec in FAMILIES.values():
+        least = {name: values.start for name, values in spec.ranges.items()}
+        inst = catalog.instantiate(spec.family, spec.sub_case, **least)
+        assert dict(inst.params).items() >= least.items()
+        for name in least:
+            with pytest.raises(ValueError):
+                catalog.instantiate(
+                    spec.family, spec.sub_case, **{**least, name: least[name] - 1}
+                )
 
 
 def test_expected_p_closed_forms():

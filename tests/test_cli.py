@@ -25,6 +25,7 @@ def test_parse_selector():
     assert parse_selector("43/p,q!=0,r=0") == (43, "p,q!=0,r=0")
     # the unicode inequality signs used in print are accepted too
     assert parse_selector("43/p,q≠0,r=0") == (43, "p,q!=0,r=0")
+    assert parse_selector("43/p, q≠0, r=0") == (43, "p,q!=0,r=0")
     with pytest.raises(UsageError):
         parse_selector("40")
     with pytest.raises(UsageError):
@@ -194,13 +195,21 @@ def test_sweep_profile_smoke():
     assert {r["params"]["q"] for r in rows} == {4}
 
 
-def test_sweep_config_option(tmp_path):
+def test_sweep_config_option(tmp_path, capsys):
     cfg = tmp_path / "sweeps.json"
     cfg.write_text(json.dumps({"default": {"31": {"p": [2]}}}))
     res = run_cli("verify", "--case", "31", "--format", "json", "--sweep-config", str(cfg))
     assert res.returncode == 0
     rows = [json.loads(line) for line in res.stdout.splitlines()]
     assert {r["params"]["p"] for r in rows} == {2}
+    # a profile key takes the spellings --case takes
+    cfg.write_text(json.dumps({"default": {"43/p, q≠0, r=0": {"p": [2], "q": [3]}}}))
+    argv = ["verify", "--case", "43/p, q≠0, r=0", "--sweep-config", str(cfg)]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows and all(
+        (r["sub_case"], r["params"]) == ("p,q!=0,r=0", {"p": 2, "q": 3, "r": 0}) for r in rows
+    )
 
 
 def test_verify_reports_sorted_canonically():
@@ -307,6 +316,9 @@ def test_internal_errors_propagate(monkeypatch):
         ["verify", "--case", "41", "--sweep-config", {"42": {"p": [1]}}],
         ["verify", "--case", "41", "--sweep-config", ["31"]],
         ["verify", "--case", "41", "--sweep-config", []],
+        # values below a free parameter's least value, the start of its range
+        ["verify", "--case", "31", "--sweep-config", {"31": {"p": [1, 2]}}],
+        ["verify", "--case", "41", "--sweep-config", {"48/p>=1": {"p": [1]}}],
     ],
     ids=[
         "export-unknown-support", "supports-max-card-0", "param-repeated",
@@ -314,7 +326,8 @@ def test_internal_errors_propagate(monkeypatch):
         "profile-unknown-sub-case", "profile-fixed-case-parameter",
         "profile-unknown-parameter", "profile-value-bool", "profile-value-empty",
         "profile-entry-not-an-object", "profile-parameter-one-sub-case-lacks",
-        "profile-not-an-object", "profile-empty-list",
+        "profile-not-an-object", "profile-empty-list", "profile-value-below-least",
+        "profile-value-below-least-of-sub-case",
     ],
 )
 def test_user_errors_exit_2(tmp_path, capsys, argv):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -239,6 +240,17 @@ def test_invariant_violations():
             rs, frozenset(), sigma, (Color(name="D", rho=(F(1), F(0)), moved_by=()),), ()
         )
     assert err.value.invariant == "color-moved-by"
+    # a float pairing would put floating point into the solve path
+    with pytest.raises(SkeletonInvariantError) as err:
+        SphericalSkeleton(
+            rs, frozenset(), sigma, (color,), (BoundaryDivisor("E", (-0.5, 0)),)
+        )
+    assert err.value.invariant == "boundary-rho-integer"
+    # equal to the valid color's rho, so only a check outside the cache sees it
+    float_color = replace(color, rho=tuple(float(v) for v in color.rho))
+    with pytest.raises(SkeletonInvariantError) as err:
+        SphericalSkeleton(rs, frozenset(), sigma, (float_color,), ())
+    assert err.value.invariant == "color-rho-rational"
 
 
 def test_file_round_trip(tmp_path):
