@@ -1700,6 +1700,8 @@ def instantiate(family: int, sub_case: str = "", **params: int) -> CaseInstance:
     spec = FAMILIES.get((family, sub_case))
     if spec is None:
         raise KeyError(f"unknown {where}")
+    if any(type(v) is not int for v in params.values()):
+        raise ValueError(f"{where}: parameter values must be integers, got {params}")
     if not params.keys() >= spec.ranges.keys():
         raise ValueError(f"{where}: needs the parameters {sorted(spec.ranges)}, got {params}")
     problem = spec.below_least(params)

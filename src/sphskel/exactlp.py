@@ -249,50 +249,54 @@ def verify_certificates(problem: LpProblem, sol: LpSolution) -> bool:
 def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     """Whether the optimal face is the single point sol.primal.
 
-    Maximizes and minimizes every coordinate over the optimal face (the
-    feasible region intersected with c.x = value) and compares both bounds
-    with the claimed optimum.
+    ``sol`` must be an optimal vertex with a dual that verify_certificates
+    accepts, else ValueError.  On the face, a variable (x_j or slack
+    s_i = b_i - a_i.x) with positive reduced cost stays 0 (Mangasarian 1979);
+    so the optimum is unique iff the set Z of variables that are 0 at the
+    vertex with zero reduced cost stays 0: Z empty needs no LP, otherwise one
+    LP maximizes the sum over Z on the face.
     """
-    if sol.status != "optimal":
-        raise ValueError("uniqueness is defined for optimal solutions only")
-    n = problem.n
-    if n == 0:
+    if sol.status != "optimal" or not verify_certificates(problem, sol):
+        raise ValueError("uniqueness needs an optimal solution with a valid dual")
+    a, x, y, n = problem.a, sol.primal, sol.dual, problem.n
+    slack = [bi - sum(r * xj for r, xj in zip(row, x)) for row, bi in zip(a, problem.b)]
+    active = [row for row, s in zip(a, slack) if s == 0]
+    active += [[int(k == j) for k in range(n)] for j in range(n) if x[j] == 0]
+    if matrix_rank(active) != n:
+        raise ValueError("uniqueness is decided at a vertex only")
+    # reduced costs: (A^T y)_j - c_j for x_j, y_i for s_i
+    z_x = {
+        j
+        for j in range(n)
+        if x[j] == 0 and sum(row[j] * yi for row, yi in zip(a, y)) == problem.c[j]
+    }
+    z_s = [row for row, s, yi in zip(a, slack, y) if s == 0 and yi == 0]
+    if not z_x and not z_s:
         return True
-    face_a = list(problem.a) + [tuple(-cj for cj in problem.c)]
+    # the sum over Z is obj.x plus a constant, since s_i = b_i - a_i.x
+    obj = [int(j in z_x) - sum(row[j] for row in z_s) for j in range(n)]
+    face_a = list(a) + [tuple(-cj for cj in problem.c)]
     face_b = list(problem.b) + [-sol.value]
-    for j in range(n):
-        for sign in (_ONE, -_ONE):
-            c = [_ZERO] * n
-            c[j] = sign
-            sub = solve_max(LpProblem.make(face_a, face_b, c))
-            if sub.status != "optimal":
-                return False
-            if sign * sub.value != sol.primal[j]:
-                return False
-    return True
+    best = solve_max(LpProblem.make(face_a, face_b, obj))
+    return best.status == "optimal" and best.value == sum(o * xj for o, xj in zip(obj, x))
 
 
 def feasible_with_lower_bounds(
-    aeq: Sequence[Sequence[Fraction]], lower: Fraction
+    vectors: Sequence[Sequence[Fraction]], lower: Fraction
 ) -> tuple[Fraction, ...] | None:
-    """A witness lam >= lower with aeq . lam = 0, or None.
+    """A witness lam >= lower with sum_k lam_k vectors[k] = 0, or None.
 
-    ``aeq`` is a list of equation rows over the lam variables.  Backs the
-    completeness test (find lam_D >= 1 with sum lam_D rho(D) = 0).
+    One lam_k per vector.  Backs the completeness test (lam_D >= 1 with
+    sum lam_D rho(D) = 0) and the certificate-multiplier search.
     """
-    rows = _frac_matrix(aeq)
-    if not rows:
-        return ()
-    k = len(rows[0])
-    if k == 0:
-        return ()
     lower = Fraction(lower)
+    rows = _frac_matrix(zip(*vectors))  # one equation per coordinate
     # substitute lam = lower + u with u >= 0
     rhs = [-lower * sum(row) for row in rows]
-    a = [list(row) for row in rows] + [[-x for x in row] for row in rows]
+    a = list(rows) + [[-x for x in row] for row in rows]
     b = rhs + [-r for r in rhs]
     try:
-        sol = solve_max(LpProblem.make(a, b, [_ZERO] * k))
+        sol = solve_max(LpProblem.make(a, b, [_ZERO] * len(vectors)))
     except LpInfeasibleError:
         return None
     return tuple(u + lower for u in sol.primal)

@@ -236,12 +236,10 @@ def is_complete(sk: SphericalSkeleton) -> bool:
     nsig = len(sk.sigma)
     if nsig == 0:
         return True
-    rows = [list(color.rho) for color in sk.colors]
-    rows += [[Fraction(v) for v in div.rho] for div in sk.boundary]
-    if not rows or exactlp.matrix_rank(rows) != nsig:
+    rows = [color.rho for color in sk.colors] + [div.rho for div in sk.boundary]
+    if exactlp.matrix_rank(rows) != nsig:
         return False
-    aeq = [[rows[d][g] for d in range(len(rows))] for g in range(nsig)]
-    return exactlp.feasible_with_lower_bounds(aeq, _ONE) is not None
+    return exactlp.feasible_with_lower_bounds(rows, _ONE) is not None
 
 
 def is_elementary(sk: SphericalSkeleton) -> bool:
@@ -358,6 +356,23 @@ def duplicate_boundary(sk: SphericalSkeleton, name: str) -> SphericalSkeleton:
     raise ValueError(f"no boundary divisor named {name!r}")
 
 
+def _certificate_colors(
+    sk: SphericalSkeleton, delta_prime: Iterable[str], sigma_prime: Iterable[int]
+) -> tuple[list[Color], frozenset[int]]:
+    """The colors Delta' names and the set Sigma'; ValueError for an unknown
+    color or an index that names no spherical root."""
+    by_name = {color.name: color for color in sk.colors}
+    try:
+        chosen = [by_name[name] for name in delta_prime]
+    except KeyError as exc:
+        raise ValueError(f"unknown color {exc.args[0]!r}") from exc
+    strict = frozenset(sigma_prime)
+    bad = [j for j in strict if type(j) is not int or not 0 <= j < len(sk.sigma)]
+    if bad:
+        raise ValueError(f"Sigma' indices {bad} name no spherical root")
+    return chosen, strict
+
+
 def check_distinguished_certificate(
     sk: SphericalSkeleton,
     delta_prime: Iterable[str],
@@ -371,18 +386,12 @@ def check_distinguished_certificate(
     reduced elementary skeleton with support inside Sigma' is not complete,
     which callers cross-check against is_complete.
     """
-    names = list(delta_prime)
+    chosen, strict = _certificate_colors(sk, delta_prime, sigma_prime)
     weights = [Fraction(x) for x in c]
-    if len(weights) != len(names):
+    if len(weights) != len(chosen):
         raise ValueError("one weight per color required")
     if any(w <= 0 for w in weights):
         raise ValueError("certificate weights must be strictly positive")
-    by_name = {color.name: color for color in sk.colors}
-    try:
-        chosen = [by_name[name] for name in names]
-    except KeyError as exc:
-        raise ValueError(f"unknown color {exc.args[0]!r}") from exc
-    strict = frozenset(sigma_prime)
     for j in range(len(sk.sigma)):
         total = sum(w * color.rho[j] for w, color in zip(weights, chosen))
         if total < 0:
@@ -397,35 +406,17 @@ def find_certificate_multipliers(
 ) -> tuple[Fraction, ...] | None:
     """Search c_D >= 1 making (Delta', Sigma') a valid certificate.
 
-    Solves the feasibility LP: sum c_D rho(D) = 0 off Sigma', >= 1 on it.
+    One feasibility LP: sum c_D rho(D) - sum_j t_j e_j = 0 over Delta' and
+    j in Sigma', with every c_D and t_j >= 1, so the sum is 0 off Sigma'
+    and at least 1 on it.
     """
     names = list(delta_prime)
-    by_name = {color.name: color for color in sk.colors}
-    chosen = [by_name[name] for name in names]
-    strict = frozenset(sigma_prime)
-    k = len(chosen)
-    if k == 0:
-        return () if not strict else None
-    # substitute c = 1 + u, u >= 0
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for j in range(len(sk.sigma)):
-        coeffs = [Fraction(color.rho[j]) for color in chosen]
-        base = sum(coeffs)
-        if j in strict:
-            # sum >= 1  <=>  -coeffs . u <= base - 1
-            rows.append([-x for x in coeffs])
-            rhs.append(base - 1)
-        else:
-            rows.append(list(coeffs))
-            rhs.append(-base)
-            rows.append([-x for x in coeffs])
-            rhs.append(base)
-    try:
-        sol = exactlp.solve_max(exactlp.LpProblem.make(rows, rhs, [_ZERO] * k))
-    except exactlp.LpInfeasibleError:
+    chosen, strict = _certificate_colors(sk, names, sigma_prime)
+    surplus = [[-int(g == j) for g in range(len(sk.sigma))] for j in sorted(strict)]
+    lam = exactlp.feasible_with_lower_bounds([c.rho for c in chosen] + surplus, _ONE)
+    if lam is None:
         return None
-    c = tuple(u + 1 for u in sol.primal)
+    c = lam[: len(chosen)]
     return c if check_distinguished_certificate(sk, names, strict, c) else None
 
 

@@ -155,3 +155,27 @@ def oracle_solve(a, b, c):
                 if sum(ci * di for ci, di in zip(c, d)) > 0:
                     return "unbounded", None
     return "optimal", best
+
+
+def oracle_unique(a, b, c) -> bool:
+    """Whether max c.x, Ax<=b, x>=0 (known to be optimal) has one maximizer.
+
+    Maximizes and minimizes every coordinate over the optimal face (the
+    region with -c.x <= -value added) with oracle_solve; the maximizer is
+    unique iff every coordinate's two bounds agree.
+    """
+    _, value = oracle_solve(a, b, c)
+    n = len(c)
+    face_a = [list(row) for row in a] + [[-F(x) for x in c]]
+    face_b = list(b) + [-value]
+    for j in range(n):
+        bounds = []
+        for sign in (1, -1):
+            objective = [sign * int(k == j) for k in range(n)]
+            status, best = oracle_solve(face_a, face_b, objective)
+            if status != "optimal":
+                return False
+            bounds.append(sign * best)
+        if bounds[0] != bounds[1]:
+            return False
+    return True

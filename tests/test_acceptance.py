@@ -252,8 +252,13 @@ def test_criterion_3_theta_verification(sweep):
           f"[{len(THETA_ANCHORS)} frozen anchors, 13 printed-theta families]")
 
 
-def test_criterion_4_equality_structure():
-    """Uniqueness, strict positivity, x_gamma = 1 and the duplication drop."""
+def test_criterion_4_equality_structure(monkeypatch):
+    """Uniqueness, strict positivity, x_gamma = 1 and the duplication drop.
+
+    Every Equal optimum is decided unique from its own dual, with no LP."""
+    solves = []
+    real_solve = exactlp.solve_max
+    monkeypatch.setattr(exactlp, "solve_max", lambda p: solves.append(p) or real_solve(p))
     checked = 0
     for inst in catalog.sweep_instances():
         for opt in inst.options:
@@ -263,6 +268,11 @@ def test_criterion_4_equality_structure():
             verdict = mukai.check_conjecture(skel)
             assert verdict.relation == EQUAL
             assert verdict.theta_unique is True, (inst.label, opt.key)
+            problem, _ = mukai.skeleton_lp(skel)
+            sol = real_solve(problem)
+            before = len(solves)
+            assert exactlp.unique_optimum(problem, sol) is True
+            assert len(solves) == before, (inst.label, opt.key)
             assert all(t > 0 for t in verdict.theta), (inst.label, opt.key)
             for j in opt.indices:
                 assert verdict.theta[j] == 1, (inst.label, opt.key, j)

@@ -64,13 +64,15 @@ def test_parameter_validation():
     with pytest.raises(KeyError):
         catalog.instantiate(43, "bogus")
     # a parameter the case does not take, a fixed or derived one given another
-    # value than the case states, or a free one missing
+    # value than the case states, a free one missing, or a value not an int
     for family, sub_case, params in [
         (31, "", {"p": 2, "q": 9}),
         (34, "", {"p": 5}),
         (44, "p=2", {"p": 3}),
         (50, "p=2q-1", {"q": 4, "p": 8}),
         (31, "", {}),
+        (43, "p!=0,q=r=0", {"p": True}),
+        (31, "", {"p": 3.0}),
     ]:
         with pytest.raises(ValueError):
             catalog.instantiate(family, sub_case, **params)

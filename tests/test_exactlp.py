@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_solve
+from oracles import oracle_solve, oracle_unique
+from sphskel import exactlp
 from sphskel.exactlp import (
     LpInfeasibleError,
     LpProblem,
+    LpSolution,
     feasible_with_lower_bounds,
     matrix_rank,
     solve_max,
@@ -72,14 +74,36 @@ def test_verify_rejects_tampering():
     assert not verify_certificates(p, sol)
 
 
-def test_unique_optimum_vertex_vs_segment():
+@pytest.fixture
+def solves(monkeypatch):
+    """The problems handed to solve_max while the test runs."""
+    seen = []
+    real = exactlp.solve_max
+    monkeypatch.setattr(exactlp, "solve_max", lambda p: seen.append(p) or real(p))
+    return seen
+
+
+def _uniqueness_lps(problem, solves):
+    """unique_optimum at solve_max's optimum, with the LPs it solved."""
+    sol = solve_max(problem)
+    before = len(solves)
+    return unique_optimum(problem, sol), len(solves) - before
+
+
+def test_unique_optimum_vertex_vs_segment(solves):
     vertex = LpProblem.make([[-1, 1], [0, -2], [1, 0]], [4, 6, 1], [0, 1])
     sol = solve_max(vertex)
     assert sol.value == 5 and sol.primal == (F(1), F(5))
-    assert unique_optimum(vertex, sol)
+    assert _uniqueness_lps(vertex, solves) == (True, 0)
     segment = LpProblem.make([[1]], [1], [0])  # max 0 over [0, 1]
     sol = solve_max(segment)
     assert not unique_optimum(segment, sol)
+    # max x1 s.t. x1 <= 1, x1 + x2 <= 1: degenerate vertex (1, 0), one LP
+    corner = LpProblem.make([[1, 0], [1, 1]], [1, 1], [1, 0])
+    assert _uniqueness_lps(corner, solves) == (True, 1)
+    # max x1 + x2 s.t. x1 + x2 <= 1: the whole edge is optimal
+    edge = LpProblem.make([[1, 1]], [1], [1, 1])
+    assert _uniqueness_lps(edge, solves) == (False, 1)
 
 
 def test_unique_optimum_unbounded_face():
@@ -89,12 +113,49 @@ def test_unique_optimum_unbounded_face():
     assert not unique_optimum(p, sol)
 
 
+def test_unique_optimum_rejects_non_vertex_and_bad_dual():
+    # x = 1/2 is optimal for max 0 over [0, 1] but is no vertex
+    segment = LpProblem.make([[1]], [1], [0])
+    midpoint = LpSolution("optimal", (F(1, 2),), value=F(0), dual=(F(0),))
+    assert verify_certificates(segment, midpoint)
+    with pytest.raises(ValueError):
+        unique_optimum(segment, midpoint)
+    corner = LpProblem.make([[1, 0], [1, 1]], [1, 1], [1, 0])
+    sol = solve_max(corner)
+    sol.dual = (F(2), F(0))
+    with pytest.raises(ValueError):
+        unique_optimum(corner, sol)
+    unbounded = LpProblem.make([[0]], [1], [1])
+    with pytest.raises(ValueError):
+        unique_optimum(unbounded, solve_max(unbounded))
+
+
+def test_unique_optimum_matches_oracle():
+    rng = random.Random(20240817)
+    unique = not_unique = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 4)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-3, 3) for _ in range(m)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        if oracle_solve(a, b, c)[0] != "optimal":
+            continue
+        problem = LpProblem.make(a, b, c)
+        got = unique_optimum(problem, solve_max(problem))
+        assert got == oracle_unique(a, b, c), (a, b, c)
+        unique += got
+        not_unique += not got
+    assert (unique, not_unique) == (81, 18)
+
+
 def test_feasible_with_lower_bounds():
-    w = feasible_with_lower_bounds([[1, -1]], F(1))
+    # one vector per lam_k
+    w = feasible_with_lower_bounds([[1], [-1]], F(1))
     assert w is not None and all(x >= 1 for x in w) and w[0] - w[1] == 0
-    assert feasible_with_lower_bounds([[1, 1]], F(1)) is None
+    assert feasible_with_lower_bounds([[1], [1]], F(1)) is None
     assert feasible_with_lower_bounds([], F(1)) == ()
-    w = feasible_with_lower_bounds([[2, -1, -1], [0, 1, -1]], F(1))
+    assert feasible_with_lower_bounds([[], []], F(1)) == (1, 1)
+    w = feasible_with_lower_bounds([[2, 0], [-1, 1], [-1, -1]], F(1))
     assert w is not None
     assert 2 * w[0] - w[1] - w[2] == 0 and w[1] == w[2]
 

@@ -196,6 +196,19 @@ def test_find_certificate_multipliers_case_31():
         sk.find_certificate_multipliers(inst.system, cert.delta_prime, (0, 1, 2, 3, 4))
         is None
     )
+    # both helpers reject a Sigma' index that names no spherical root and an
+    # unknown color
+    for delta_prime, sigma_prime in [
+        (cert.delta_prime, (1, 3, 99)),
+        (cert.delta_prime, (-1, 1, 3)),
+        (cert.delta_prime + ("nope",), cert.sigma_prime),
+    ]:
+        with pytest.raises(ValueError):
+            sk.find_certificate_multipliers(inst.system, delta_prime, sigma_prime)
+        with pytest.raises(ValueError):
+            sk.check_distinguished_certificate(
+                inst.system, delta_prime, sigma_prime, (1,) * len(delta_prime)
+            )
 
 
 def test_duplicate_boundary():
