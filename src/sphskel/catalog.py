@@ -9,14 +9,17 @@ had to be corrected are flagged per entry in ``typo_fixes`` and asserted
 by the test suite.
 
 A builder returns only its case data; its ``params`` state every fixed and
-derived parameter.  The registry ``FAMILIES`` states each family's number,
+derived parameter, and its system states only Luna's data (S^p, Sigma, the
+color names in order and the type-a values), from which ``_spherical_system``
+derives the rest.  The registry ``FAMILIES`` states each family's number,
 sub-case and sweep ranges, whose starts are the free parameters' least values.
-``FamilySpec.build`` puts an instance together; every option's key is read
-off its indices and the sigma labels at that point.
+``FamilySpec.build`` puts an instance together; the sigma labels are read off
+the system and every option's key off its indices and those labels.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -25,7 +28,7 @@ from typing import Callable, Iterable
 from sphskel import skeleton as sk_mod
 from sphskel.mukai import EQUAL, STRICTLY_LESS
 from sphskel.rootsys import build_root_system
-from sphskel.skeleton import Color, SphericalSkeleton, coroot_color
+from sphskel.skeleton import Color, SkeletonInvariantError, SphericalSkeleton
 
 F = Fraction
 
@@ -108,7 +111,9 @@ class FamilySpec:
         return (self.family, self.sub_case)
 
     def build(self, params: dict) -> CaseInstance:
-        return CaseInstance(self.family, self.sub_case, **self.builder(params))
+        fields = self.builder(params)
+        labels = _sigma_labels(fields["system"])
+        return CaseInstance(self.family, self.sub_case, sigma_labels=labels, **fields)
 
     def below_least(self, params: dict) -> str | None:
         """Which free parameter ``params`` set below its least value, the start
@@ -178,21 +183,114 @@ def _ctype(rank: int, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _explicit(
-    name: str, nsig: int, values: dict[int, int], moved: tuple[int, ...]
-) -> Color:
-    rho = tuple(F(values.get(j, 0)) for j in range(nsig))
-    return Color(name=name, rho=rho, moved_by=moved)
+def _a_values(name: str, entries) -> tuple[str, dict[int, int]]:
+    """A type-a color from (sigma position or None, value) pairs; None drops."""
+    return name, {pos: val for pos, val in entries if pos is not None}
 
 
-def _system(rs, sp, sigma, colors) -> SphericalSkeleton:
+def _spherical_system(rs, sp, sigma, colors) -> SphericalSkeleton:
+    """The bare system (S^p, Sigma) with the colors Luna's axioms give it.
+
+    ``colors`` lists (name, data) in LP-row order.  ``data`` is either a
+    simple root, whose color the axioms force: alpha^vee on Sigma for alpha
+    of type b, also moved by an orthogonal beta of type b with alpha + beta
+    in Sigma, and half of it for type 2a and for the two equal colors of a
+    type-a root.  Or it maps sigma positions to the values of a type-a
+    color, which the simple roots of Sigma where it takes 1 move.  Raises
+    SkeletonInvariantError unless every type-a color takes 1 on some root of
+    Sigma and, past those simple roots, less than 1 (A1), every type-a root
+    has two movers summing to alpha^vee on Sigma (A2), and every other simple
+    root outside S^p has one.
+    """
+    sp, sigma, rank = frozenset(sp), tuple(sigma), rs.rank
+    nsig = len(sigma)
+    # a_pos: the sigma position of each type-a root; halved: the roots whose
+    # forced color is half of alpha^vee; pairs: orthogonal alpha, beta with
+    # alpha + beta in Sigma
+    a_pos, halved, pairs = {}, set(), []
+    for j, g in enumerate(sigma):
+        support = [k for k, v in enumerate(g) if v]
+        values = [g[k] for k in support]
+        if values == [1]:
+            a_pos[support[0]] = j
+        elif values == [2]:
+            halved.add(support[0])
+        elif values == [1, 1] and not rs.cartan[support[0]][support[1]]:
+            pairs.append(support)
+    halved |= set(a_pos)
+    shared = {}  # Luna's identification of orthogonal type-b roots
+    for i, k in pairs:
+        if not {i, k} & (sp | halved):
+            shared[i], shared[k] = k, i
+    alpha_vee = {  # on Sigma, once for each root that needs it
+        i: sk_mod.coroot_rho(rs, sigma, i)
+        for i in set(a_pos).union(data for _, data in colors if type(data) is int)
+    }
+    built, twice = [], []  # the colors, and each 2 rho(D) in integers
+    for name, data in colors:
+        forced = type(data) is int
+        if not forced:
+            rho2 = tuple(2 * data.get(j, 0) for j in range(nsig))
+        elif data in halved:
+            rho2 = alpha_vee[data]
+        else:
+            rho2 = tuple(2 * v for v in alpha_vee[data])
+        rho = tuple(F(v, 2) for v in rho2)
+        if not forced or data in a_pos:
+            moved = tuple(i for i, j in sorted(a_pos.items()) if rho2[j] == 2)
+            if not moved or max(rho2) > 2 or rho2.count(2) != len(moved):
+                raise SkeletonInvariantError(
+                    "spherical-system-a1",
+                    f"{name}: a type-a color takes 1 on the simple roots of Sigma"
+                    f" that move it and less elsewhere, got ({', '.join(map(str, rho))})",
+                )
+        else:
+            moved = tuple(sorted({data, shared.get(data, data)}))
+        coroot = (data, F(1, 2) if data in halved else F(1)) if forced else None
+        built.append(Color(name, rho, moved, coroot))
+        twice.append(rho2)
+    movers: dict[int, list[int]] = {i: [] for i in range(rank) if i not in sp}
+    for k, color in enumerate(built):
+        for i in color.moved_by:
+            if i not in movers:
+                raise SkeletonInvariantError(
+                    "spherical-system-movers",
+                    f"{color.name}: alpha_{i} is no simple root outside S^p",
+                )
+            movers[i].append(k)
+    for i, ks in movers.items():
+        names = [built[k].name for k in ks]
+        if i in a_pos:
+            total = [sum(twice[k][j] for k in ks) for j in range(nsig)]
+            if len(ks) != 2 or total != [2 * v for v in alpha_vee[i]]:
+                raise SkeletonInvariantError(
+                    "spherical-system-a2",
+                    f"type-a alpha_{i} moves {names}; it takes two colors whose"
+                    f" functionals sum to alpha_{i}^vee {alpha_vee[i]} on Sigma",
+                )
+        elif len(ks) != 1:
+            raise SkeletonInvariantError(
+                "spherical-system-movers", f"alpha_{i} moves {names}, not one color"
+            )
     return SphericalSkeleton(
-        root_system=rs,
-        sp=frozenset(sp),
-        sigma=tuple(sigma),
-        colors=tuple(colors),
-        boundary=(),
+        root_system=rs, sp=sp, sigma=sigma, colors=tuple(built), boundary=()
     )
+
+
+def _sigma_labels(system: SphericalSkeleton) -> tuple[str, ...]:
+    """alpha_i, alpha'_i, ... (one prime per root-system component) when every
+    spherical root is simple; otherwise gamma_1, gamma_2, ..., or gamma alone."""
+    sigma, offsets = system.sigma, system.root_system.offsets
+    if all(g.count(1) == 1 and g.count(0) == len(g) - 1 for g in sigma):
+        labels = []
+        for g in sigma:
+            k = g.index(1)
+            c = bisect_right(offsets, k) - 1
+            labels.append("alpha" + "'" * c + f"_{k - offsets[c] + 1}")
+        return tuple(labels)
+    if len(sigma) == 1:
+        return ("gamma",)
+    return tuple(f"gamma_{j}" for j in range(1, len(sigma) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +302,7 @@ def _build_31(params: dict) -> dict:
     rs = build_root_system([("A", 2 * p)])
     n = rs.rank
     sigma = [_chain(n, i, i + 1) for i in range(0, 2 * p - 1)]
-    labels = tuple(f"gamma_{i}" for i in range(1, 2 * p))
-    colors = [coroot_color(rs, sigma, f"D{i + 1}", i) for i in range(2 * p)]
-    system = _system(rs, (), sigma, colors)
+    system = _spherical_system(rs, (), sigma, [(f"D{i + 1}", i) for i in range(2 * p)])
     inst_params = (("p", p),)
     top = F(2 * p * p + p)
     options = []
@@ -253,7 +349,6 @@ def _build_31(params: dict) -> dict:
     return dict(
         params=inst_params,
         system=system,
-        sigma_labels=labels,
         options=tuple(options),
         certificates=(cert,),
         expected_budget=2 * p * p + p,
@@ -264,11 +359,8 @@ def _build_32(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("B", p)])
     sigma = [_chain(p, i, i + 1) for i in range(p - 1)] + [_unit(p, p - 1)]
-    labels = tuple(f"gamma_{i}" for i in range(1, p + 1))
-    colors = [coroot_color(rs, sigma, f"D{i + 1}", i) for i in range(p - 1)]
-    colors.append(coroot_color(rs, sigma, "Dp+", p - 1, scale=F(1, 2)))
-    colors.append(coroot_color(rs, sigma, "Dp-", p - 1, scale=F(1, 2)))
-    system = _system(rs, (), sigma, colors)
+    colors = [(f"D{i + 1}", i) for i in range(p - 1)] + [("Dp+", p - 1), ("Dp-", p - 1)]
+    system = _spherical_system(rs, (), sigma, colors)
     options = []
     for ell in range(1, p + 1, 2):
         if ell == 1:
@@ -297,7 +389,6 @@ def _build_32(params: dict) -> dict:
     return dict(
         params=(("p", p),),
         system=system,
-        sigma_labels=labels,
         options=tuple(options),
         certificates=(cert,),
         expected_budget=p * p,
@@ -309,10 +400,7 @@ def _build_33(params: dict) -> dict:
     rs = build_root_system([("B", p)])
     sigma = [_chain(p, i, i + 1) for i in range(p - 1)]
     sigma.append(tuple(2 if j == p - 1 else 0 for j in range(p)))
-    labels = tuple(f"gamma_{i}" for i in range(1, p + 1))
-    colors = [coroot_color(rs, sigma, f"D{i + 1}", i) for i in range(p - 1)]
-    colors.append(coroot_color(rs, sigma, f"D{p}", p - 1, scale=F(1, 2)))
-    system = _system(rs, (), sigma, colors)
+    system = _spherical_system(rs, (), sigma, [(f"D{i + 1}", i) for i in range(p)])
     options = [
         SupportOption(
             indices=(0,),
@@ -335,7 +423,6 @@ def _build_33(params: dict) -> dict:
     return dict(
         params=(("p", p),),
         system=system,
-        sigma_labels=labels,
         options=tuple(options),
         certificates=(cert,),
         expected_budget=p * p,
@@ -345,11 +432,7 @@ def _build_33(params: dict) -> dict:
 def _build_34(params: dict) -> dict:
     rs = build_root_system([("B", 4)])
     sigma = [(1, 1, 1, 1), (0, 1, 2, 3)]
-    colors = [
-        coroot_color(rs, sigma, "D1", 0),
-        coroot_color(rs, sigma, "D4", 3),
-    ]
-    system = _system(rs, (1, 2), sigma, colors)
+    system = _spherical_system(rs, (1, 2), sigma, [("D1", 0), ("D4", 3)])
     options = (
         SupportOption(
             indices=(0,),
@@ -362,7 +445,6 @@ def _build_34(params: dict) -> dict:
     return dict(
         params=(),
         system=system,
-        sigma_labels=("gamma_1", "gamma_2"),
         options=options,
         certificates=(Certificate(("D4",), (1,)),),
         expected_budget=13,
@@ -372,8 +454,7 @@ def _build_34(params: dict) -> dict:
 def _build_35(params: dict) -> dict:
     rs = build_root_system([("B", 3)])
     sigma = [(1, 2, 3)]
-    colors = [coroot_color(rs, sigma, "D3", 2)]
-    system = _system(rs, (0, 1), sigma, colors)
+    system = _spherical_system(rs, (0, 1), sigma, [("D3", 2)])
     options = (
         SupportOption(
             indices=(0,),
@@ -386,7 +467,6 @@ def _build_35(params: dict) -> dict:
     return dict(
         params=(),
         system=system,
-        sigma_labels=("gamma",),
         options=options,
         certificates=(),
         expected_budget=6,
@@ -397,13 +477,8 @@ def _build_36(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("C", p + 1)])
     sigma = [_unit(p + 1, 0), _ctype(p + 1, 0, p)]
-    labels = ("gamma_1", "gamma_2")
-    colors = [
-        coroot_color(rs, sigma, "D1+", 0, scale=F(1, 2)),
-        coroot_color(rs, sigma, "D1-", 0, scale=F(1, 2)),
-        coroot_color(rs, sigma, "D2", 1),
-    ]
-    system = _system(rs, range(2, p + 1), sigma, colors)
+    colors = [("D1+", 0), ("D1-", 0), ("D2", 1)]
+    system = _spherical_system(rs, range(2, p + 1), sigma, colors)
     options = (
         SupportOption(
             indices=(1,),
@@ -416,7 +491,6 @@ def _build_36(params: dict) -> dict:
     return dict(
         params=(("p", p),),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=(Certificate(("D1+", "D1-"), (0,)),),
         expected_budget=4 * p,
@@ -427,11 +501,7 @@ def _build_37(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("C", p + 1)])
     sigma = [tuple(2 if j == 0 else 0 for j in range(p + 1)), _ctype(p + 1, 0, p)]
-    colors = [
-        coroot_color(rs, sigma, "D1", 0, scale=F(1, 2)),
-        coroot_color(rs, sigma, "D2", 1),
-    ]
-    system = _system(rs, range(2, p + 1), sigma, colors)
+    system = _spherical_system(rs, range(2, p + 1), sigma, [("D1", 0), ("D2", 1)])
     options = (
         SupportOption(
             indices=(1,),
@@ -442,7 +512,6 @@ def _build_37(params: dict) -> dict:
     return dict(
         params=(("p", p),),
         system=system,
-        sigma_labels=("gamma_1", "gamma_2"),
         options=options,
         certificates=(Certificate(("D1",), (0,)),),
         typo_fixes=(
@@ -455,13 +524,7 @@ def _build_37(params: dict) -> dict:
 def _build_38(params: dict) -> dict:
     rs = build_root_system([("D", 4)])
     sigma = [(1, 1, 1, 0), (1, 1, 0, 1), (0, 1, 1, 1)]
-    labels = ("gamma_1", "gamma_2", "gamma_3")
-    colors = [
-        coroot_color(rs, sigma, "D1", 0),
-        coroot_color(rs, sigma, "D3", 2),
-        coroot_color(rs, sigma, "D4", 3),
-    ]
-    system = _system(rs, (1,), sigma, colors)
+    system = _spherical_system(rs, (1,), sigma, [("D1", 0), ("D3", 2), ("D4", 3)])
     options = []
     for pair, bullet_theta in (((0, 1), (F(1), F(1), F(5))), ((0, 2), None), ((1, 2), None)):
         options.append(
@@ -498,7 +561,6 @@ def _build_38(params: dict) -> dict:
     return dict(
         params=(),
         system=system,
-        sigma_labels=labels,
         options=tuple(options),
         certificates=certs,
         expected_budget=11,
@@ -513,15 +575,14 @@ def _build_39(params: dict) -> dict:
         (0, 1, 1, 0, 1),
         (0, 0, 1, 1, 1),
     ]
-    labels = ("gamma_1", "gamma_2", "gamma_3", "gamma_4")
     colors = [
-        _explicit("D1+", 4, {0: 1, 1: -1}, (0,)),
-        _explicit("D1-", 4, {0: 1, 2: -1}, (0,)),
-        coroot_color(rs, sigma, "D2", 1),
-        coroot_color(rs, sigma, "D4", 3),
-        coroot_color(rs, sigma, "D5", 4),
+        ("D1+", {0: 1, 1: -1}),
+        ("D1-", {0: 1, 2: -1}),
+        ("D2", 1),
+        ("D4", 3),
+        ("D5", 4),
     ]
-    system = _system(rs, (2,), sigma, colors)
+    system = _spherical_system(rs, (2,), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j,),
@@ -533,7 +594,6 @@ def _build_39(params: dict) -> dict:
     return dict(
         params=(),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=(Certificate(("D4", "D5"), (3,)),),
         expected_budget=19,
@@ -543,8 +603,7 @@ def _build_39(params: dict) -> dict:
 def _build_41(params: dict) -> dict:
     rs = build_root_system([("G", 2)])
     sigma = [(4, 2)]
-    colors = [coroot_color(rs, sigma, "D1", 0)]
-    system = _system(rs, (1,), sigma, colors)
+    system = _spherical_system(rs, (1,), sigma, [("D1", 0)])
     options = (
         SupportOption(
             indices=(0,),
@@ -557,7 +616,6 @@ def _build_41(params: dict) -> dict:
     return dict(
         params=(),
         system=system,
-        sigma_labels=("gamma",),
         options=options,
         certificates=(),
         expected_budget=5,
@@ -572,11 +630,7 @@ def _build_42_p0(params: dict) -> dict:
         tuple(1 if j in (0, 1) else 0 for j in range(n)),
         _ctype(n, 1, q + 1),
     ]
-    colors = [
-        coroot_color(rs, sigma, "D'1", 1, moved_by=(0, 1)),
-        coroot_color(rs, sigma, "D'2", 2),
-    ]
-    system = _system(rs, range(3, q + 2), sigma, colors)
+    system = _spherical_system(rs, range(3, q + 2), sigma, [("D'1", 1), ("D'2", 2)])
     options = (
         SupportOption(
             indices=(1,),
@@ -589,7 +643,6 @@ def _build_42_p0(params: dict) -> dict:
     return dict(
         params=(("p", 0), ("q", q)),
         system=system,
-        sigma_labels=("gamma_1", "gamma_2"),
         options=options,
         certificates=(Certificate(("D'1",), (0,)),),
         expected_budget=4 * q + 1,
@@ -606,13 +659,8 @@ def _build_42_p1(params: dict) -> dict:
         _ctype(n, 0, p),
         _ctype(n, off, off + q),
     ]
-    colors = [
-        coroot_color(rs, sigma, "D1", 0, moved_by=(0, off)),
-        coroot_color(rs, sigma, "D2", 1),
-        coroot_color(rs, sigma, "D'2", off + 1),
-    ]
     sp = list(range(2, p + 1)) + list(range(off + 2, off + q + 1))
-    system = _system(rs, sp, sigma, colors)
+    system = _spherical_system(rs, sp, sigma, [("D1", 0), ("D2", 1), ("D'2", off + 1)])
     options = (
         SupportOption(
             indices=(1, 2),
@@ -627,7 +675,6 @@ def _build_42_p1(params: dict) -> dict:
     return dict(
         params=(("p", p), ("q", q)),
         system=system,
-        sigma_labels=("gamma_1", "gamma_2", "gamma_3"),
         options=options,
         certificates=certs,
         typo_fixes=(
@@ -641,13 +688,12 @@ def _build_42_p1(params: dict) -> dict:
 def _build_43_a(params: dict) -> dict:
     rs = build_root_system([("A", 1), ("A", 1), ("A", 1)])
     sigma = [_unit(3, 0), _unit(3, 1), _unit(3, 2)]
-    labels = ("alpha_1", "alpha'_1", "alpha''_1")
     colors = [
-        _explicit("D", 3, {0: 1, 1: 1, 2: -1}, (0, 1)),
-        _explicit("D'", 3, {0: 1, 1: -1, 2: 1}, (0, 2)),
-        _explicit("D''", 3, {0: -1, 1: 1, 2: 1}, (1, 2)),
+        ("D", {0: 1, 1: 1, 2: -1}),
+        ("D'", {0: 1, 1: -1, 2: 1}),
+        ("D''", {0: -1, 1: 1, 2: 1}),
     ]
-    system = _system(rs, (), sigma, colors)
+    system = _spherical_system(rs, (), sigma, colors)
     options = []
     for pair, theta in (((0, 1), (F(1), F(1), F(3))), ((0, 2), None), ((1, 2), None)):
         options.append(
@@ -684,7 +730,6 @@ def _build_43_a(params: dict) -> dict:
     return dict(
         params=(("p", 0), ("q", 0), ("r", 0)),
         system=system,
-        sigma_labels=labels,
         options=tuple(options),
         certificates=certs,
         expected_budget=3,
@@ -696,14 +741,13 @@ def _build_43_b(params: dict) -> dict:
     rs = build_root_system([("A", 1), ("A", 1), ("C", p + 1)])
     n = rs.rank
     sigma = [_unit(n, 0), _unit(n, 1), _unit(n, 2), _ctype(n, 2, p + 2)]
-    labels = ("gamma_1", "gamma_2", "gamma_3", "gamma_4")
     colors = [
-        _explicit("D", 4, {0: 1, 1: 1, 2: -1}, (0, 1)),
-        _explicit("D'", 4, {0: 1, 1: -1, 2: 1}, (0, 2)),
-        _explicit("D''", 4, {0: -1, 1: 1, 2: 1}, (1, 2)),
-        coroot_color(rs, sigma, "D''2", 3),
+        ("D", {0: 1, 1: 1, 2: -1}),
+        ("D'", {0: 1, 1: -1, 2: 1}),
+        ("D''", {0: -1, 1: 1, 2: 1}),
+        ("D''2", 3),
     ]
-    system = _system(rs, range(4, p + 3), sigma, colors)
+    system = _spherical_system(rs, range(4, p + 3), sigma, colors)
     options = [
         SupportOption(
             indices=(0, 3),
@@ -739,7 +783,6 @@ def _build_43_b(params: dict) -> dict:
     return dict(
         params=(("p", p), ("q", 0), ("r", 0)),
         system=system,
-        sigma_labels=labels,
         options=tuple(options),
         certificates=certs,
         expected_budget=4 * p + 2,
@@ -758,16 +801,15 @@ def _build_43_c(params: dict) -> dict:
         _unit(n, off2),
         _ctype(n, off2, off2 + q),
     ]
-    labels = ("gamma_1", "gamma_2", "gamma_3", "gamma_4", "gamma_5")
     colors = [
-        _explicit("D", 5, {0: 1, 1: 1, 3: -1}, (0, 1)),
-        _explicit("D'", 5, {0: 1, 1: -1, 3: 1}, (0, off2)),
-        _explicit("D''", 5, {0: -1, 1: 1, 3: 1}, (1, off2)),
-        coroot_color(rs, sigma, "D'2", 2),
-        coroot_color(rs, sigma, "D''2", off2 + 1),
+        ("D", {0: 1, 1: 1, 3: -1}),
+        ("D'", {0: 1, 1: -1, 3: 1}),
+        ("D''", {0: -1, 1: 1, 3: 1}),
+        ("D'2", 2),
+        ("D''2", off2 + 1),
     ]
     sp = list(range(3, p + 2)) + list(range(off2 + 2, off2 + q + 1))
-    system = _system(rs, sp, sigma, colors)
+    system = _spherical_system(rs, sp, sigma, colors)
     options = [
         SupportOption(
             indices=(2, 4),
@@ -797,7 +839,6 @@ def _build_43_c(params: dict) -> dict:
     return dict(
         params=(("p", p), ("q", q), ("r", 0)),
         system=system,
-        sigma_labels=labels,
         options=tuple(options),
         certificates=certs,
         expected_budget=4 * p + 4 * q + 1,
@@ -817,21 +858,20 @@ def _build_43_d(params: dict) -> dict:
         _unit(n, o2),
         _ctype(n, o2, o2 + r),
     ]
-    labels = tuple(f"gamma_{i}" for i in range(1, 7))
     colors = [
-        _explicit("D", 6, {0: 1, 2: 1, 4: -1}, (0, o1)),
-        _explicit("D'", 6, {0: 1, 2: -1, 4: 1}, (0, o2)),
-        _explicit("D''", 6, {0: -1, 2: 1, 4: 1}, (o1, o2)),
-        coroot_color(rs, sigma, "D2", 1),
-        coroot_color(rs, sigma, "D'2", o1 + 1),
-        coroot_color(rs, sigma, "D''2", o2 + 1),
+        ("D", {0: 1, 2: 1, 4: -1}),
+        ("D'", {0: 1, 2: -1, 4: 1}),
+        ("D''", {0: -1, 2: 1, 4: 1}),
+        ("D2", 1),
+        ("D'2", o1 + 1),
+        ("D''2", o2 + 1),
     ]
     sp = (
         list(range(2, p + 1))
         + list(range(o1 + 2, o1 + q + 1))
         + list(range(o2 + 2, o2 + r + 1))
     )
-    system = _system(rs, sp, sigma, colors)
+    system = _spherical_system(rs, sp, sigma, colors)
     options = (
         SupportOption(
             indices=(1, 3, 5),
@@ -847,7 +887,6 @@ def _build_43_d(params: dict) -> dict:
     return dict(
         params=(("p", p), ("q", q), ("r", r)),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=certs,
     )
@@ -856,15 +895,14 @@ def _build_43_d(params: dict) -> dict:
 def _build_44_p2(params: dict) -> dict:
     rs = build_root_system([("A", 3), ("A", 1)])
     sigma = [_unit(4, j) for j in range(4)]
-    labels = ("alpha_1", "alpha_2", "alpha_3", "alpha'_1")
     colors = [
-        _explicit("D+", 4, {0: 1, 1: -1, 2: 1, 3: -1}, (0, 2)),
-        _explicit("D2+", 4, {0: -1, 1: 1}, (1,)),
-        _explicit("D2-", 4, {1: 1, 2: -1}, (1,)),
-        _explicit("D'", 4, {0: 1, 2: -1, 3: 1}, (0, 3)),
-        _explicit("D''", 4, {0: -1, 2: 1, 3: 1}, (2, 3)),
+        ("D+", {0: 1, 1: -1, 2: 1, 3: -1}),
+        ("D2+", {0: -1, 1: 1}),
+        ("D2-", {1: 1, 2: -1}),
+        ("D'", {0: 1, 2: -1, 3: 1}),
+        ("D''", {0: -1, 2: 1, 3: 1}),
     ]
-    system = _system(rs, (), sigma, colors)
+    system = _spherical_system(rs, (), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j,),
@@ -876,7 +914,6 @@ def _build_44_p2(params: dict) -> dict:
     return dict(
         params=(("p", 2),),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=(Certificate(("D'", "D''"), (3,)),),
         expected_budget=7,
@@ -888,15 +925,14 @@ def _build_44_p3(params: dict) -> dict:
     rs = build_root_system([("A", p + 1), ("A", 1)])
     n = rs.rank
     sigma = [_unit(n, 0), _chain(n, 1, p - 1), _unit(n, p), _unit(n, p + 1)]
-    labels = ("gamma_1", "gamma_2", "gamma_3", "gamma_4")
     colors = [
-        _explicit("D+", 4, {0: 1, 1: -1, 2: 1, 3: -1}, (0, p)),
-        _explicit("D2", 4, {0: -1, 1: 1}, (1,)),
-        _explicit("Dp", 4, {1: 1, 2: -1}, (p - 1,)),
-        _explicit("D'", 4, {0: 1, 2: -1, 3: 1}, (0, p + 1)),
-        _explicit("D''", 4, {0: -1, 2: 1, 3: 1}, (p, p + 1)),
+        ("D+", {0: 1, 1: -1, 2: 1, 3: -1}),
+        ("D2", 1),
+        ("Dp", p - 1),
+        ("D'", {0: 1, 2: -1, 3: 1}),
+        ("D''", {0: -1, 2: 1, 3: 1}),
     ]
-    system = _system(rs, range(2, p - 1), sigma, colors)
+    system = _spherical_system(rs, range(2, p - 1), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j,),
@@ -908,7 +944,6 @@ def _build_44_p3(params: dict) -> dict:
     return dict(
         params=(("p", p),),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=(Certificate(("D'", "D''"), (3,)),),
         expected_budget=4 * p - 1,
@@ -920,15 +955,14 @@ def _build_45_p1(params: dict) -> dict:
     rs = build_root_system([("A", 2), ("C", q + 1)])
     n = rs.rank
     sigma = [_unit(n, 0), _unit(n, 1), _unit(n, 2), _ctype(n, 2, q + 2)]
-    labels = ("gamma_1", "gamma_2", "gamma_3", "gamma_4")
     colors = [
-        _explicit("D1+", 4, {0: 1, 1: -1, 2: 1}, (0, 2)),
-        _explicit("D1-", 4, {0: 1, 2: -1}, (0,)),
-        _explicit("D2+", 4, {1: 1, 2: -1}, (1,)),
-        _explicit("D2-", 4, {0: -1, 1: 1, 2: 1}, (1, 2)),
-        coroot_color(rs, sigma, "D'", 3),
+        ("D1+", {0: 1, 1: -1, 2: 1}),
+        ("D1-", {0: 1, 2: -1}),
+        ("D2+", {1: 1, 2: -1}),
+        ("D2-", {0: -1, 1: 1, 2: 1}),
+        ("D'", 3),
     ]
-    system = _system(rs, range(4, q + 3), sigma, colors)
+    system = _spherical_system(rs, range(4, q + 3), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j, 3),
@@ -944,7 +978,6 @@ def _build_45_p1(params: dict) -> dict:
     return dict(
         params=(("p", 1), ("q", q)),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=certs,
     )
@@ -955,16 +988,15 @@ def _build_45_p2(params: dict) -> dict:
     rs = build_root_system([("A", 3), ("C", q + 1)])
     n = rs.rank
     sigma = [_unit(n, 0), _unit(n, 1), _unit(n, 2), _unit(n, 3), _ctype(n, 3, q + 3)]
-    labels = ("gamma_1", "gamma_2", "gamma_3", "gamma_4", "gamma_5")
     colors = [
-        _explicit("D1+", 5, {0: 1, 1: -1, 2: 1, 3: -1}, (0, 2)),
-        _explicit("D1-", 5, {0: 1, 2: -1, 3: 1}, (0, 3)),
-        _explicit("D2+", 5, {0: -1, 1: 1}, (1,)),
-        _explicit("D2-", 5, {1: 1, 2: -1}, (1,)),
-        _explicit("D3-", 5, {0: -1, 2: 1, 3: 1}, (2, 3)),
-        coroot_color(rs, sigma, "D'", 4),
+        ("D1+", {0: 1, 1: -1, 2: 1, 3: -1}),
+        ("D1-", {0: 1, 2: -1, 3: 1}),
+        ("D2+", {0: -1, 1: 1}),
+        ("D2-", {1: 1, 2: -1}),
+        ("D3-", {0: -1, 2: 1, 3: 1}),
+        ("D'", 4),
     ]
-    system = _system(rs, range(5, q + 4), sigma, colors)
+    system = _spherical_system(rs, range(5, q + 4), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j, 4),
@@ -980,7 +1012,6 @@ def _build_45_p2(params: dict) -> dict:
     return dict(
         params=(("p", 2), ("q", q)),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=certs,
         expected_budget=6 + 4 * q,
@@ -1000,17 +1031,16 @@ def _build_45_p3(params: dict) -> dict:
         _unit(n, off),
         _ctype(n, off, off + q),
     ]
-    labels = ("gamma_1", "gamma_2", "gamma_3", "gamma_4", "gamma_5")
     colors = [
-        _explicit("D1+", 5, {0: 1, 1: -1, 2: 1, 3: -1}, (0, p)),
-        _explicit("D1-", 5, {0: 1, 2: -1, 3: 1}, (0, off)),
-        _explicit("D2", 5, {0: -1, 1: 1}, (1,)),
-        _explicit("Dp", 5, {1: 1, 2: -1}, (p - 1,)),
-        _explicit("Dp1-", 5, {0: -1, 2: 1, 3: 1}, (p, off)),
-        coroot_color(rs, sigma, "D'", off + 1),
+        ("D1+", {0: 1, 1: -1, 2: 1, 3: -1}),
+        ("D1-", {0: 1, 2: -1, 3: 1}),
+        ("D2", 1),
+        ("Dp", p - 1),
+        ("Dp1-", {0: -1, 2: 1, 3: 1}),
+        ("D'", off + 1),
     ]
     sp = list(range(2, p - 1)) + list(range(off + 2, off + q + 1))
-    system = _system(rs, sp, sigma, colors)
+    system = _spherical_system(rs, sp, sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j, 4),
@@ -1030,7 +1060,6 @@ def _build_45_p3(params: dict) -> dict:
     return dict(
         params=(("p", p), ("q", q)),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=certs,
         expected_budget=4 * p + 4 * q - 2,
@@ -1043,14 +1072,13 @@ def _build_45_p3(params: dict) -> dict:
 def _build_46_p4(params: dict) -> dict:
     rs = build_root_system([("B", 2), ("A", 1), ("A", 1)])
     sigma = [_unit(4, j) for j in range(4)]
-    labels = ("alpha_1", "alpha_2", "alpha'_1", "alpha''_1")
     colors = [
-        _explicit("D1+", 4, {0: 1, 1: -1, 2: 1, 3: 1}, (0, 2, 3)),
-        _explicit("D1-", 4, {0: 1, 2: -1, 3: -1}, (0,)),
-        _explicit("D2+", 4, {0: -1, 1: 1, 2: 1, 3: -1}, (1, 2)),
-        _explicit("D2-", 4, {0: -1, 1: 1, 2: -1, 3: 1}, (1, 3)),
+        ("D1+", {0: 1, 1: -1, 2: 1, 3: 1}),
+        ("D1-", {0: 1, 2: -1, 3: -1}),
+        ("D2+", {0: -1, 1: 1, 2: 1, 3: -1}),
+        ("D2-", {0: -1, 1: 1, 2: -1, 3: 1}),
     ]
-    system = _system(rs, (), sigma, colors)
+    system = _spherical_system(rs, (), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j,),
@@ -1062,7 +1090,6 @@ def _build_46_p4(params: dict) -> dict:
     return dict(
         params=(("p", 4),),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=(Certificate(("D1+", "D2+", "D2-"), (2, 3)),),
         expected_budget=6,
@@ -1072,15 +1099,14 @@ def _build_46_p4(params: dict) -> dict:
 def _build_46_p5(params: dict) -> dict:
     rs = build_root_system([("B", 2), ("A", 3)])
     sigma = [_unit(5, j) for j in range(5)]
-    labels = ("alpha_1", "alpha_2", "alpha'_1", "alpha'_2", "alpha'_3")
     colors = [
-        _explicit("D1+", 5, {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}, (0, 2, 4)),
-        _explicit("D1-", 5, {0: 1, 2: -1, 3: 1, 4: -1}, (0, 3)),
-        _explicit("D2+", 5, {0: -1, 1: 1, 2: 1, 4: -1}, (1, 2)),
-        _explicit("D2-", 5, {0: -1, 1: 1, 2: -1, 4: 1}, (1, 4)),
-        _explicit("D'2+", 5, {0: -1, 3: 1}, (3,)),
+        ("D1+", {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}),
+        ("D1-", {0: 1, 2: -1, 3: 1, 4: -1}),
+        ("D2+", {0: -1, 1: 1, 2: 1, 4: -1}),
+        ("D2-", {0: -1, 1: 1, 2: -1, 4: 1}),
+        ("D'2+", {0: -1, 3: 1}),
     ]
-    system = _system(rs, (), sigma, colors)
+    system = _spherical_system(rs, (), sigma, colors)
     options = (
         SupportOption(
             indices=(2,),
@@ -1110,7 +1136,6 @@ def _build_46_p5(params: dict) -> dict:
     return dict(
         params=(("p", 5),),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=(Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1)),),
         expected_budget=10,
@@ -1120,23 +1145,15 @@ def _build_46_p5(params: dict) -> dict:
 def _build_46_p6(params: dict) -> dict:
     rs = build_root_system([("B", 3), ("A", 3)])
     sigma = [_unit(6, j) for j in range(6)]
-    labels = (
-        "alpha_1",
-        "alpha_2",
-        "alpha_3",
-        "alpha'_1",
-        "alpha'_2",
-        "alpha'_3",
-    )
     colors = [
-        _explicit("D1+", 6, {0: 1, 1: -1, 4: 1}, (0, 4)),
-        _explicit("D1-", 6, {0: 1, 4: -1}, (0,)),
-        _explicit("D2+", 6, {1: 1, 2: -1, 3: 1, 4: -1, 5: 1}, (1, 3, 5)),
-        _explicit("D2-", 6, {0: -1, 1: 1, 3: -1, 4: 1, 5: -1}, (1, 4)),
-        _explicit("D3+", 6, {1: -1, 2: 1, 3: 1, 5: -1}, (2, 3)),
-        _explicit("D3-", 6, {1: -1, 2: 1, 3: -1, 5: 1}, (2, 5)),
+        ("D1+", {0: 1, 1: -1, 4: 1}),
+        ("D1-", {0: 1, 4: -1}),
+        ("D2+", {1: 1, 2: -1, 3: 1, 4: -1, 5: 1}),
+        ("D2-", {0: -1, 1: 1, 3: -1, 4: 1, 5: -1}),
+        ("D3+", {1: -1, 2: 1, 3: 1, 5: -1}),
+        ("D3-", {1: -1, 2: 1, 3: -1, 5: 1}),
     ]
-    system = _system(rs, (), sigma, colors)
+    system = _spherical_system(rs, (), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j,),
@@ -1148,7 +1165,6 @@ def _build_46_p6(params: dict) -> dict:
     return dict(
         params=(("p", 6),),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=(
             Certificate(("D1+", "D2+", "D2-", "D3+", "D3-"), (3, 4, 5)),
@@ -1165,15 +1181,14 @@ def _build_47_p0(params: dict) -> dict:
     rs = build_root_system([("B", 2), ("A", 1), ("C", q + 1)])
     n = rs.rank
     sigma = [_unit(n, 0), _unit(n, 1), _unit(n, 2), _unit(n, 3), _ctype(n, 3, q + 3)]
-    labels = ("gamma_1", "gamma_2", "gamma_3", "gamma_4", "gamma_5")
     colors = [
-        _explicit("D1+", 5, {0: 1, 1: -1, 2: 1, 3: 1}, (0, 2, 3)),
-        _explicit("D1-", 5, {0: 1, 2: -1, 3: -1}, (0,)),
-        _explicit("D2+", 5, {0: -1, 1: 1, 2: 1, 3: -1}, (1, 2)),
-        _explicit("D2-", 5, {0: -1, 1: 1, 2: -1, 3: 1}, (1, 3)),
-        coroot_color(rs, sigma, "D''", 4),
+        ("D1+", {0: 1, 1: -1, 2: 1, 3: 1}),
+        ("D1-", {0: 1, 2: -1, 3: -1}),
+        ("D2+", {0: -1, 1: 1, 2: 1, 3: -1}),
+        ("D2-", {0: -1, 1: 1, 2: -1, 3: 1}),
+        ("D''", 4),
     ]
-    system = _system(rs, range(5, q + 4), sigma, colors)
+    system = _spherical_system(rs, range(5, q + 4), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j, 4),
@@ -1189,7 +1204,6 @@ def _build_47_p0(params: dict) -> dict:
     return dict(
         params=(("p", 0), ("q", q)),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=certs,
         expected_budget=4 * q + 5,
@@ -1209,17 +1223,16 @@ def _build_47_p1(params: dict) -> dict:
         _unit(n, o2),
         _ctype(n, o2, o2 + q),
     ]
-    labels = tuple(f"gamma_{i}" for i in range(1, 7))
     colors = [
-        _explicit("D1+", 6, {0: 1, 1: -1, 2: 1, 4: 1}, (0, o1, o2)),
-        _explicit("D1-", 6, {0: 1, 2: -1, 4: -1}, (0,)),
-        _explicit("D2+", 6, {0: -1, 1: 1, 2: 1, 4: -1}, (1, o1)),
-        _explicit("D2-", 6, {0: -1, 1: 1, 2: -1, 4: 1}, (1, o2)),
-        coroot_color(rs, sigma, "D'", o1 + 1),
-        coroot_color(rs, sigma, "D''", o2 + 1),
+        ("D1+", {0: 1, 1: -1, 2: 1, 4: 1}),
+        ("D1-", {0: 1, 2: -1, 4: -1}),
+        ("D2+", {0: -1, 1: 1, 2: 1, 4: -1}),
+        ("D2-", {0: -1, 1: 1, 2: -1, 4: 1}),
+        ("D'", o1 + 1),
+        ("D''", o2 + 1),
     ]
     sp = list(range(o1 + 2, o1 + p + 1)) + list(range(o2 + 2, o2 + q + 1))
-    system = _system(rs, sp, sigma, colors)
+    system = _spherical_system(rs, sp, sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j, 3, 5),
@@ -1236,7 +1249,6 @@ def _build_47_p1(params: dict) -> dict:
     return dict(
         params=(("p", p), ("q", q)),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=certs,
         expected_budget=4 * (p + q + 1),
@@ -1246,15 +1258,14 @@ def _build_47_p1(params: dict) -> dict:
 def _build_48_p1(params: dict) -> dict:
     rs = build_root_system([("B", 2), ("C", 3)])
     sigma = [_unit(5, j) for j in range(5)]
-    labels = ("alpha_1", "alpha_2", "alpha'_1", "alpha'_2", "alpha'_3")
     colors = [
-        _explicit("D1+", 5, {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}, (0, 2, 4)),
-        _explicit("D1-", 5, {0: 1, 2: -1, 3: 1, 4: -1}, (0, 3)),
-        _explicit("D2+", 5, {0: -1, 1: 1, 2: 1, 4: -1}, (1, 2)),
-        _explicit("D2-", 5, {0: -1, 1: 1, 2: -1, 4: 1}, (1, 4)),
-        _explicit("D'2+", 5, {0: -1, 3: 1, 4: -1}, (3,)),
+        ("D1+", {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}),
+        ("D1-", {0: 1, 2: -1, 3: 1, 4: -1}),
+        ("D2+", {0: -1, 1: 1, 2: 1, 4: -1}),
+        ("D2-", {0: -1, 1: 1, 2: -1, 4: 1}),
+        ("D'2+", {0: -1, 3: 1, 4: -1}),
     ]
-    system = _system(rs, (), sigma, colors)
+    system = _spherical_system(rs, (), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j,),
@@ -1266,7 +1277,6 @@ def _build_48_p1(params: dict) -> dict:
     return dict(
         params=(("p", 1),),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=(Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1)),),
         expected_budget=13,
@@ -1285,16 +1295,15 @@ def _build_48_pge1(params: dict) -> dict:
         _unit(n, 4),
         _ctype(n, 4, p + 3),
     ]
-    labels = tuple(f"gamma_{i}" for i in range(1, 7))
     colors = [
-        _explicit("D1+", 6, {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}, (0, 2, 4)),
-        _explicit("D1-", 6, {0: 1, 2: -1, 3: 1, 4: -1}, (0, 3)),
-        _explicit("D2+", 6, {0: -1, 1: 1, 2: 1, 4: -1}, (1, 2)),
-        _explicit("D2-", 6, {0: -1, 1: 1, 2: -1, 4: 1}, (1, 4)),
-        _explicit("D'2+", 6, {0: -1, 3: 1, 5: -1}, (3,)),
-        coroot_color(rs, sigma, "D'4", 5),
+        ("D1+", {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}),
+        ("D1-", {0: 1, 2: -1, 3: 1, 4: -1}),
+        ("D2+", {0: -1, 1: 1, 2: 1, 4: -1}),
+        ("D2-", {0: -1, 1: 1, 2: -1, 4: 1}),
+        ("D'2+", {0: -1, 3: 1, 5: -1}),
+        ("D'4", 5),
     ]
-    system = _system(rs, range(6, p + 4), sigma, colors)
+    system = _spherical_system(rs, range(6, p + 4), sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j,),
@@ -1306,7 +1315,6 @@ def _build_48_pge1(params: dict) -> dict:
     return dict(
         params=(("p", p),),
         system=system,
-        sigma_labels=labels,
         options=options,
         certificates=(Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1)),),
         expected_budget=8 * p + 4,
@@ -1324,9 +1332,6 @@ def _build_49(params: dict) -> dict:
     rs = build_root_system([("A", p - 1), ("A", p)])
     n = rs.rank  # 2p - 1
     sigma = [_unit(n, j) for j in range(n)]
-    labels = tuple(f"alpha_{i}" for i in range(1, p)) + tuple(
-        f"alpha'_{i}" for i in range(1, p + 1)
-    )
 
     def unprimed(i: int) -> int | None:
         return i - 1 if 1 <= i <= p - 1 else None
@@ -1336,29 +1341,19 @@ def _build_49(params: dict) -> dict:
 
     colors = []
     for i in range(1, p + 1):
-        plus: dict[int, int] = {}
-        for pos, val in (
+        colors.append(_a_values(f"D{i}+", [
             (unprimed(p - i), -1),
             (unprimed(p - i + 1), 1),
             (primed(i - 1), -1),
             (primed(i), 1),
-        ):
-            if pos is not None:
-                plus[pos] = val
-        moved = tuple(sorted(j for j, v in plus.items() if v == 1))
-        colors.append(_explicit(f"D{i}+", n, plus, moved))
-        minus: dict[int, int] = {}
-        for pos, val in (
+        ]))
+        colors.append(_a_values(f"D{i}-", [
             (unprimed(p - i), 1),
             (unprimed(p - i + 1), -1),
             (primed(i), 1),
             (primed(i + 1), -1),
-        ):
-            if pos is not None:
-                minus[pos] = val
-        moved = tuple(sorted(j for j, v in minus.items() if v == 1))
-        colors.append(_explicit(f"D{i}-", n, minus, moved))
-    system = _system(rs, (), sigma, colors)
+        ]))
+    system = _spherical_system(rs, (), sigma, colors)
     options = []
     theta_last = tuple(F(i * (i + 1)) for i in range(1, p)) + tuple(
         F((p + 1 - j) ** 2) for j in range(1, p + 1)
@@ -1404,7 +1399,6 @@ def _build_49(params: dict) -> dict:
     return dict(
         params=(("p", p),),
         system=system,
-        sigma_labels=labels,
         options=tuple(options),
         certificates=(Certificate(cert_colors, tuple(range(p - 1))),),
         expected_budget=p * p,
@@ -1429,23 +1423,11 @@ def _build_50(params: dict, even: bool) -> dict:
         return nb + i - 1 if 1 <= i <= q else None
 
     sigma = [_unit(n, j) for j in range(n)]
-    labels = tuple(f"alpha_{i}" for i in range(1, nb + 1)) + tuple(
-        f"alpha'_{i}" for i in range(1, q + 1)
-    )
-
-    def color(name: str, entries) -> Color:
-        values: dict[int, int] = {}
-        for pos, val in entries:
-            if pos is not None:
-                values[pos] = val
-        moved = tuple(sorted(j for j, v in values.items() if v == 1))
-        return _explicit(name, n, values, moved)
-
     colors = []
     if even:
         for j in range(1, q - 1):
             colors.append(
-                color(
+                _a_values(
                     f"D{2 * j - 1}",
                     [
                         (unprimed(j - 1), -1),
@@ -1456,7 +1438,7 @@ def _build_50(params: dict, even: bool) -> dict:
                 )
             )
             colors.append(
-                color(
+                _a_values(
                     f"D{2 * j}",
                     [
                         (unprimed(j), 1),
@@ -1467,7 +1449,7 @@ def _build_50(params: dict, even: bool) -> dict:
                 )
             )
         colors.append(
-            color(
+            _a_values(
                 f"D{p - 3}",
                 [
                     (unprimed(q - 2), -1),
@@ -1479,7 +1461,7 @@ def _build_50(params: dict, even: bool) -> dict:
             )
         )
         colors.append(
-            color(
+            _a_values(
                 f"D{p - 2}",
                 [
                     (unprimed(q - 1), 1),
@@ -1491,7 +1473,7 @@ def _build_50(params: dict, even: bool) -> dict:
             )
         )
         colors.append(
-            color(
+            _a_values(
                 f"D{p - 1}",
                 [
                     (unprimed(q - 1), -1),
@@ -1502,7 +1484,7 @@ def _build_50(params: dict, even: bool) -> dict:
             )
         )
         colors.append(
-            color(
+            _a_values(
                 f"D{p}",
                 [
                     (unprimed(q - 1), -1),
@@ -1515,7 +1497,7 @@ def _build_50(params: dict, even: bool) -> dict:
     else:
         for j in range(1, q - 1):
             colors.append(
-                color(
+                _a_values(
                     f"D{2 * j - 1}",
                     [
                         (unprimed(j - 1), 1),
@@ -1527,7 +1509,7 @@ def _build_50(params: dict, even: bool) -> dict:
             )
         for j in range(1, q - 2):
             colors.append(
-                color(
+                _a_values(
                     f"D{2 * j}",
                     [
                         (unprimed(j - 1), -1),
@@ -1538,7 +1520,7 @@ def _build_50(params: dict, even: bool) -> dict:
                 )
             )
         colors.append(
-            color(
+            _a_values(
                 f"D{p - 3}",
                 [
                     (unprimed(q - 3), -1),
@@ -1550,7 +1532,7 @@ def _build_50(params: dict, even: bool) -> dict:
             )
         )
         colors.append(
-            color(
+            _a_values(
                 f"D{p - 2}",
                 [
                     (unprimed(q - 2), 1),
@@ -1562,7 +1544,7 @@ def _build_50(params: dict, even: bool) -> dict:
             )
         )
         colors.append(
-            color(
+            _a_values(
                 f"D{p - 1}",
                 [
                     (unprimed(q - 2), -1),
@@ -1573,7 +1555,7 @@ def _build_50(params: dict, even: bool) -> dict:
             )
         )
         colors.append(
-            color(
+            _a_values(
                 f"D{p}",
                 [
                     (unprimed(q - 2), -1),
@@ -1583,8 +1565,8 @@ def _build_50(params: dict, even: bool) -> dict:
                 ],
             )
         )
-    colors.sort(key=lambda c: int(c.name[1:]))
-    system = _system(rs, (), sigma, colors)
+    colors.sort(key=lambda c: int(c[0][1:]))
+    system = _spherical_system(rs, (), sigma, colors)
 
     options = []
     if even:
@@ -1626,7 +1608,6 @@ def _build_50(params: dict, even: bool) -> dict:
     return dict(
         params=(("q", q), ("p", p)),
         system=system,
-        sigma_labels=labels,
         options=tuple(options),
         certificates=(cert,),
         expected_budget=p * (p - 1) // 2,

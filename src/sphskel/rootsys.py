@@ -12,6 +12,7 @@ For G2 the orientation is fixed with alpha_1 short, i.e.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -77,6 +78,12 @@ def _enumerate_positive(cartan: Sequence[Sequence[int]]) -> list[RootVector]:
     return out
 
 
+# a sweep builds a few hundred systems from a few dozen components
+@lru_cache(maxsize=128)
+def _positive_roots(series: str, n: int) -> tuple[RootVector, ...]:
+    return tuple(_enumerate_positive(_cartan_block(series, n)))
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """A product of irreducible root systems with a global simple-root index."""
@@ -103,10 +110,13 @@ class RootSystem:
 
 
 def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
-    components = tuple((series, int(rank)) for series, rank in spec)
+    components = tuple((series, rank) for series, rank in spec)
     if not components:
         raise RootSystemError("empty root-system specification")
     for series, rank in components:
+        # a float or a bool must not read as the integer it rounds to
+        if type(rank) is not int:
+            raise RootSystemError(f"{series} rank must be an int, got {rank!r}")
         if series == "G":
             if rank != 2:
                 raise RootSystemError(f"G requires rank 2, got {rank}")
@@ -127,7 +137,7 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
         for i in range(rank):
             for j in range(rank):
                 cartan[pos + i][pos + j] = block[i][j]
-        for root in _enumerate_positive(block):
+        for root in _positive_roots(series, rank):
             padded = (0,) * pos + root + (0,) * (total - pos - rank)
             positive.append(padded)
         pos += rank

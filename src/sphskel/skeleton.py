@@ -155,7 +155,7 @@ def _system_multiplicities(
                 raise SkeletonInvariantError(
                     "coroot-range", f"{color.name}: coroot index {idx} out of range"
                 )
-            expect = tuple(scale * rootsys.coroot_pairing(rs, idx, g) for g in sigma)
+            expect = coroot_rho(rs, sigma, idx, scale)
             if tuple(color.rho) != expect:
                 raise SkeletonInvariantError(
                     "color-coroot-consistent",
@@ -189,19 +189,12 @@ def _system_multiplicities(
     return tuple(ms)
 
 
-def coroot_color(
-    sk_rs: RootSystem,
-    sigma: Sequence[tuple[int, ...]],
-    name: str,
-    index: int,
-    scale: Fraction | int = 1,
-    moved_by: Iterable[int] | None = None,
-) -> Color:
-    """Color whose functional is scale * alpha_index^vee restricted to sigma."""
-    scale = Fraction(scale)
-    rho = tuple(scale * rootsys.coroot_pairing(sk_rs, index, g) for g in sigma)
-    moved = tuple(moved_by) if moved_by is not None else (index,)
-    return Color(name=name, rho=rho, moved_by=moved, coroot=(index, scale))
+def coroot_rho(
+    rs: RootSystem, sigma: Sequence[tuple[int, ...]], index: int, scale: Fraction | int = 1
+) -> tuple:
+    """scale * alpha_index^vee restricted to sigma (integers for an int scale)."""
+    row = rs.cartan[index]
+    return tuple(scale * sum(c * v for c, v in zip(row, g) if c) for g in sigma)
 
 
 def pairing_matrix(sk: SphericalSkeleton) -> list[list[Fraction]]:
@@ -291,9 +284,16 @@ def to_reduced(sk: SphericalSkeleton) -> SphericalSkeleton:
 def with_boundary_support(
     sk: SphericalSkeleton, indices: Iterable[int], combined: bool = False
 ) -> SphericalSkeleton:
-    """Reduced elementary Gamma over the given support (or one combined divisor)."""
-    idx = sorted(set(indices))
+    """Reduced elementary Gamma over the given support (or one combined divisor).
+
+    ValueError names every index that is not an int naming a spherical root.
+    """
+    indices = list(indices)
     nsig = len(sk.sigma)
+    bad = [j for j in indices if type(j) is not int or not 0 <= j < nsig]
+    if bad:
+        raise ValueError(f"support indices {bad} name no spherical root of {nsig}")
+    idx = sorted(set(indices))
     if combined:
         rho = tuple(-1 if j in idx else 0 for j in range(nsig))
         gamma: tuple[BoundaryDivisor, ...] = (BoundaryDivisor(name="E", rho=rho),)

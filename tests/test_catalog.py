@@ -1,8 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from sphskel import catalog, mukai, skeleton as sk
+from sphskel.rootsys import build_root_system
 from sphskel.catalog import EQUALITY_REGISTRY, FAMILIES
 
 F = Fraction
@@ -205,3 +208,98 @@ def test_exportability_of_every_family(tmp_path):
         sk.save(inst.system, str(path))
         loaded = sk.load(str(path))
         assert loaded.sigma == inst.system.sigma
+
+
+def test_catalog_system_data_pinned():
+    # every color's name, position, rho, moved_by and coroot, and every sigma
+    # label, over the default sweep; P alone misses a changed name or mover
+    digest = hashlib.sha256()
+    instances = catalog.sweep_instances()
+    for inst in instances:
+        digest.update(json.dumps(sk.to_dict(inst.system), sort_keys=True).encode())
+        digest.update(json.dumps(inst.sigma_labels).encode())
+    assert len(instances) == 309
+    assert digest.hexdigest() == (
+        "d52a1e923c0c21a08a2b371562f6521275edb5b2acd470fe544c8f8c6cf22aa7"
+    )
+
+
+def test_sigma_labels_derived():
+    assert catalog.instantiate(43, "p=q=r=0").sigma_labels == (
+        "alpha_1", "alpha'_1", "alpha''_1",
+    )
+    assert catalog.instantiate(46, "p=4").sigma_labels == (
+        "alpha_1", "alpha_2", "alpha'_1", "alpha''_1",
+    )
+    assert catalog.instantiate(35).sigma_labels == ("gamma",)
+    assert catalog.instantiate(33, p=3).sigma_labels == ("gamma_1", "gamma_2", "gamma_3")
+
+
+# Luna's data of 43/p=q=r=0 (three type-a roots) and of 31/p=2 (four type-b roots)
+A1_CUBED = (build_root_system([("A", 1)] * 3), (), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+COLORS_43 = [
+    ("D", {0: 1, 1: 1, 2: -1}),
+    ("D'", {0: 1, 1: -1, 2: 1}),
+    ("D''", {0: -1, 1: 1, 2: 1}),
+]
+A4_CHAINS = (build_root_system([("A", 4)]), (), [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
+COLORS_31 = [(f"D{i + 1}", i) for i in range(4)]
+CASE_39 = (build_root_system([("D", 5)]), (2,), [
+    (1, 0, 0, 0, 0), (0, 1, 1, 1, 0), (0, 1, 1, 0, 1), (0, 0, 1, 1, 1),
+])
+COLORS_39 = [
+    ("D1+", {0: 1, 1: -1}), ("D1-", {0: 1, 2: -1}), ("D2", 1), ("D4", 3), ("D5", 4),
+]
+
+
+def test_spherical_system_reproduces_the_catalog():
+    assert catalog._spherical_system(*A1_CUBED, COLORS_43) == catalog.instantiate(
+        43, "p=q=r=0"
+    ).system
+    assert catalog._spherical_system(*A4_CHAINS, COLORS_31) == catalog.instantiate(
+        31, p=2
+    ).system
+    assert catalog._spherical_system(*CASE_39, COLORS_39) == catalog.instantiate(39).system
+
+
+@pytest.mark.parametrize(
+    "data,colors,invariant",
+    [
+        # one type-a value misprinted: D + D' is no longer alpha_1^vee on Sigma
+        (A1_CUBED, [("D", {0: 1, 1: 1, 2: 0})] + COLORS_43[1:], "spherical-system-a2"),
+        # a type-a color takes 2 on a spherical root
+        (A1_CUBED, [("D", {0: 1, 1: 2, 2: -1})] + COLORS_43[1:], "spherical-system-a1"),
+        # a type-a color that takes 1 on no root of Sigma is moved by none
+        (A1_CUBED, [("D", {0: -1})] + COLORS_43[1:], "spherical-system-a1"),
+        # D1+ of case 39 takes 1 on gamma_2, which is not a simple root
+        (CASE_39, [("D1+", {0: 1, 1: 1})] + COLORS_39[1:], "spherical-system-a1"),
+        # a color dropped
+        (A1_CUBED, COLORS_43[1:], "spherical-system-a2"),
+        (A4_CHAINS, COLORS_31[1:], "spherical-system-movers"),
+        # a color listed twice
+        (A1_CUBED, COLORS_43 + COLORS_43[:1], "spherical-system-a2"),
+        (A4_CHAINS, COLORS_31 + COLORS_31[:1], "spherical-system-movers"),
+        # a forced color of a root in S^p
+        ((A4_CHAINS[0], (3,), A4_CHAINS[2]), COLORS_31, "spherical-system-movers"),
+    ],
+)
+def test_spherical_system_rejects_what_luna_forbids(data, colors, invariant):
+    with pytest.raises(sk.SkeletonInvariantError) as err:
+        catalog._spherical_system(*data, colors)
+    assert err.value.invariant == invariant
+
+
+def test_luna_identification_of_shared_colors():
+    # orthogonal alpha, beta of type b with alpha + beta in Sigma share one color
+    for q in range(1, 6):
+        first = catalog.instantiate(42, "p=0", q=q).system.colors[0]
+        assert (first.name, first.moved_by, first.coroot) == ("D'1", (0, 1), (1, F(1)))
+        for p in range(1, 6):
+            first = catalog.instantiate(42, "p>=1", p=p, q=q).system.colors[0]
+            assert (first.name, first.moved_by, first.coroot) == ("D1", (0, p + 1), (0, F(1)))
+    rs = build_root_system([("A", 1), ("A", 1)])
+    shared = catalog._spherical_system(rs, (), [(1, 1)], [("D", 0)])
+    assert shared.colors[0].moved_by == (0, 1)
+    with pytest.raises(sk.SkeletonInvariantError) as err:
+        catalog._spherical_system(rs, (), [(1, 1)], [("D", 0), ("D'", 1)])
+    assert err.value.invariant == "spherical-system-movers"

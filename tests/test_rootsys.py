@@ -38,7 +38,11 @@ def test_product_block_diagonal_cartan():
 
 @pytest.mark.parametrize(
     "spec",
-    [[("A", 0)], [("B", 1)], [("C", 1)], [("D", 2)], [("G", 3)], [("E", 6)], []],
+    [
+        [("A", 0)], [("B", 1)], [("C", 1)], [("D", 2)], [("G", 3)], [("E", 6)], [],
+        # a rank that is not an int must not read as the integer it rounds to
+        [("A", 2.7)], [("A", True)],
+    ],
 )
 def test_invalid_specs_rejected(spec):
     with pytest.raises(RootSystemError):

@@ -12,7 +12,6 @@ from sphskel.skeleton import (
     SkeletonInvariantError,
     SkeletonParseError,
     SphericalSkeleton,
-    coroot_color,
 )
 
 F = Fraction
@@ -211,6 +210,16 @@ def test_find_certificate_multipliers_case_31():
             )
 
 
+@pytest.mark.parametrize("combined", [False, True])
+def test_boundary_support_indices_checked(combined):
+    system = case(41).system  # one spherical root
+    assert sk.support(sk.with_boundary_support(system, [0], combined=combined)) == {0}
+    with pytest.raises(ValueError, match=r"\[5, -1, 0\.0\]"):
+        sk.with_boundary_support(system, [0, 5, -1, 0.0], combined=combined)
+    with pytest.raises(ValueError, match=r"\[-1\]"):
+        sk.with_boundary_support(system, [-1], combined=combined)
+
+
 def test_duplicate_boundary():
     inst = case(41)
     skel = inst.support_skeleton(inst.option("gamma"))
@@ -225,7 +234,7 @@ def test_duplicate_boundary():
 def test_invariant_violations():
     rs = rootsys.build_root_system([("A", 2)])
     sigma = ((1, 0), (0, 1))
-    color = coroot_color(rs, sigma, "D1", 0)
+    color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,), coroot=(0, F(1)))
     with pytest.raises(SkeletonInvariantError) as err:
         SphericalSkeleton(
             rs, frozenset(), sigma, (color,), (BoundaryDivisor("E", (1, 0)),)
@@ -310,7 +319,7 @@ GOOD_A2 = dict(
     root_system=RS_A2,
     sp=frozenset(),
     sigma=SIGMA_A2,
-    colors=(coroot_color(RS_A2, SIGMA_A2, "D", 0),),
+    colors=(Color(name="D", rho=(F(1),), moved_by=(0,), coroot=(0, F(1))),),
     boundary=(BoundaryDivisor("E", (-1,)),),
 )
 # each replaces part of GOOD_A2 and breaks one Gamma-independent invariant
@@ -319,7 +328,7 @@ BAD_A2_SYSTEMS = {
     # 2rho_S - 2rho_{S^p} = (2, 0) pairs to -2 with alpha_2^vee
     "multiplicity-positive": {
         "sp": frozenset({1}),
-        "colors": (coroot_color(RS_A2, SIGMA_A2, "D", 1),),
+        "colors": (Color(name="D", rho=(F(1),), moved_by=(1,), coroot=(1, F(1))),),
     },
     "color-coroot-consistent": {
         "colors": (Color(name="D", rho=(F(5),), moved_by=(0,), coroot=(0, F(1))),),
