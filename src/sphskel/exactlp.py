@@ -8,8 +8,10 @@ run is deterministic.  Optimal solutions carry the exact dual vector read
 off the slack columns; unbounded ones carry an improving ray.
 
 Negative right-hand sides are handled by the one-artificial-variable
-phase 1; an empty feasible region raises ``LpInfeasibleError`` (skeleton
-problems always contain x = 0, so that error flags malformed input).
+phase 1; an empty feasible region raises ``LpInfeasibleError``.  Only a
+caller's own LPs and the face LP of ``unique_optimum`` can reach phase 1:
+the skeleton LP and the completeness LP of ``positive_dependence`` have
+b >= 0, so they start feasible at x = 0.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ class LpInfeasibleError(ValueError):
     """The feasible region {x >= 0 : Ax <= b} is empty."""
 
 
-def _frac_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def _frac_vector(v) -> tuple[Fraction, ...]:
+    # exact types only: Fraction(0.1) is not 1/10, and True would read as 1
+    bad = [x for x in v if type(x) not in (int, Fraction)]
+    if bad:
+        raise ValueError(f"LP entries must be int or Fraction, not {bad[0]!r}")
     return tuple(Fraction(x) for x in v)
 
 
@@ -44,7 +46,7 @@ class LpProblem:
 
     @staticmethod
     def make(a, b, c) -> "LpProblem":
-        a = _frac_matrix(a)
+        a = tuple(_frac_vector(row) for row in a)
         b = _frac_vector(b)
         c = _frac_vector(c)
         if len(a) != len(b):
@@ -281,25 +283,23 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     return best.status == "optimal" and best.value == sum(o * xj for o, xj in zip(obj, x))
 
 
-def feasible_with_lower_bounds(
-    vectors: Sequence[Sequence[Fraction]], lower: Fraction
-) -> tuple[Fraction, ...] | None:
-    """A witness lam >= lower with sum_k lam_k vectors[k] = 0, or None.
+def positive_dependence(vectors: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...] | None:
+    """A witness lam >= 1 with sum_k lam_k vectors[k] = 0, or None.
 
-    One lam_k per vector.  Backs the completeness test (lam_D >= 1 with
-    sum lam_D rho(D) = 0) and the certificate-multiplier search.
+    One lam_k per vector; backs the completeness test and the
+    certificate-multiplier search.  By Stiemke's lemma lam exists iff no y
+    has <v_k, y> >= 0 for every k and s.y > 0, where s = sum_k v_k.  So one
+    LP maximizes s.y subject to <v_k, y> >= 0 and s.y <= 1 (y = y+ - y-);
+    its b >= 0 needs no phase 1.  The optimum is 1 or 0, and at 0 the dual
+    mu has sum_k mu_k v_k = -s, so lam = mu + 1.
     """
-    lower = Fraction(lower)
-    rows = _frac_matrix(zip(*vectors))  # one equation per coordinate
-    # substitute lam = lower + u with u >= 0
-    rhs = [-lower * sum(row) for row in rows]
-    a = list(rows) + [[-x for x in row] for row in rows]
-    b = rhs + [-r for r in rhs]
-    try:
-        sol = solve_max(LpProblem.make(a, b, [_ZERO] * len(vectors)))
-    except LpInfeasibleError:
+    s = [sum(col) for col in zip(*vectors)]
+    a = [[-x for x in v] + list(v) for v in vectors]
+    a.append(s + [-x for x in s])
+    sol = solve_max(LpProblem.make(a, [0] * len(vectors) + [1], a[-1]))
+    if sol.value:
         return None
-    return tuple(u + lower for u in sol.primal)
+    return tuple(mu + 1 for mu in sol.dual[:-1])
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -71,11 +71,20 @@ class SphericalSkeleton:
 
 
 def _validate(sk: SphericalSkeleton) -> None:
-    # not in the cached checks: a float equals its Fraction, so a cache hit would pass it
+    # not in the cached checks: 1.0 and True equal 1, so a cache hit would pass them
+    if any(type(idx) is not int for idx in sk.sp):
+        raise SkeletonInvariantError("sp-integer", "S^p indices must be int")
+    for g in sk.sigma:
+        if any(type(v) is not int for v in g):
+            raise SkeletonInvariantError("sigma-integer", f"{g}: entries must be int")
     for color in sk.colors:
         if any(type(v) not in (int, Fraction) for v in color.rho):
             raise SkeletonInvariantError(
                 "color-rho-rational", f"{color.name}: values must be int or Fraction"
+            )
+        if any(type(idx) is not int for idx in color.moved_by):
+            raise SkeletonInvariantError(
+                "moved-by-integer", f"{color.name}: simple-root indices must be int"
             )
     _system_multiplicities(sk.root_system, sk.sp, sk.sigma, sk.colors)
     nsig = len(sk.sigma)
@@ -232,7 +241,7 @@ def is_complete(sk: SphericalSkeleton) -> bool:
     rows = [color.rho for color in sk.colors] + [div.rho for div in sk.boundary]
     if exactlp.matrix_rank(rows) != nsig:
         return False
-    return exactlp.feasible_with_lower_bounds(rows, _ONE) is not None
+    return exactlp.positive_dependence(rows) is not None
 
 
 def is_elementary(sk: SphericalSkeleton) -> bool:
@@ -413,7 +422,7 @@ def find_certificate_multipliers(
     names = list(delta_prime)
     chosen, strict = _certificate_colors(sk, names, sigma_prime)
     surplus = [[-int(g == j) for g in range(len(sk.sigma))] for j in sorted(strict)]
-    lam = exactlp.feasible_with_lower_bounds([c.rho for c in chosen] + surplus, _ONE)
+    lam = exactlp.positive_dependence([c.rho for c in chosen] + surplus)
     if lam is None:
         return None
     c = lam[: len(chosen)]

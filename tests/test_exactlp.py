@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_solve, oracle_unique
-from sphskel import exactlp
+from oracles import oracle_positive_span, oracle_solve, oracle_unique
+from test_catalog import smallest_instances
+from sphskel import exactlp, skeleton as sk
 from sphskel.exactlp import (
     LpInfeasibleError,
     LpProblem,
     LpSolution,
-    feasible_with_lower_bounds,
     matrix_rank,
+    positive_dependence,
     solve_max,
     unique_optimum,
     verify_certificates,
@@ -148,16 +149,64 @@ def test_unique_optimum_matches_oracle():
     assert (unique, not_unique) == (81, 18)
 
 
-def test_feasible_with_lower_bounds():
+def test_positive_dependence():
     # one vector per lam_k
-    w = feasible_with_lower_bounds([[1], [-1]], F(1))
+    w = positive_dependence([[1], [-1]])
     assert w is not None and all(x >= 1 for x in w) and w[0] - w[1] == 0
-    assert feasible_with_lower_bounds([[1], [1]], F(1)) is None
-    assert feasible_with_lower_bounds([], F(1)) == ()
-    assert feasible_with_lower_bounds([[], []], F(1)) == (1, 1)
-    w = feasible_with_lower_bounds([[2, 0], [-1, 1], [-1, -1]], F(1))
+    assert positive_dependence([[1], [1]]) is None
+    assert positive_dependence([]) == ()
+    assert positive_dependence([[], []]) == (1, 1)
+    w = positive_dependence([[2, 0], [-1, 1], [-1, -1]])
     assert w is not None
     assert 2 * w[0] - w[1] - w[2] == 0 and w[1] == w[2]
+
+
+def test_positive_dependence_matches_oracle():
+    rng = random.Random(1915)
+    found = none = full_rank = 0
+    for _ in range(400):
+        dim, k = rng.randint(1, 3), rng.randint(1, 6)
+        vectors = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(k)]
+        lam = positive_dependence(vectors)
+        if lam is not None:
+            assert len(lam) == k and all(x >= 1 for x in lam), vectors
+            for i in range(dim):
+                assert sum(x * v[i] for x, v in zip(lam, vectors)) == 0, vectors
+        if matrix_rank(vectors) == dim:
+            # on a full-rank set, lam > 0 exists iff the cone is everything
+            assert (lam is not None) == oracle_positive_span(vectors, dim), vectors
+            full_rank += 1
+        found += lam is not None
+        none += lam is None
+    assert (found, none, full_rank) == (136, 264, 312)
+
+
+def test_completeness_lps_start_feasible(solves):
+    # the smallest instance of every family, with all its options and
+    # certificates: no completeness LP needs phase 1
+    for inst in smallest_instances():
+        sk.is_complete(inst.system)
+        for opt in inst.options:
+            sk.is_complete(inst.support_skeleton(opt))
+        for cert in inst.certificates:
+            sk.find_certificate_multipliers(inst.system, cert.delta_prime, cert.sigma_prime)
+    assert len(solves) == 152
+    assert all(bi >= 0 for p in solves for bi in p.b)
+
+
+def test_make_rejects_inexact_entries():
+    # 0.1 would enter as 3602879701896397/36028797018963968, True as 1
+    for a, b, c in (
+        ([[0.1]], [1], [1]),
+        ([[1]], [1.0], [1]),
+        ([[1]], [1], [0.5]),
+        ([[True]], [1], [1]),
+        ([[1]], [False], [1]),
+        ([[1]], [1], [True]),
+    ):
+        with pytest.raises(ValueError):
+            LpProblem.make(a, b, c)
+    assert solve_max(LpProblem.make([[F(1, 10)]], [1], [1])).value == 10
 
 
 def test_row_scaling_invariance():

@@ -273,6 +273,19 @@ def test_invariant_violations():
     with pytest.raises(SkeletonInvariantError) as err:
         SphericalSkeleton(rs, frozenset(), sigma, (float_color,), ())
     assert err.value.invariant == "color-rho-rational"
+    # True == 1 and 1.0 == 1 hash alike too: D1 read as moved by alpha_2, a
+    # float Sigma evaluated to Equal
+    system = case(31, p=2).system
+    d1 = replace(system.colors[0], moved_by=(True,))
+    float_sigma = tuple(tuple(float(v) for v in g) for g in system.sigma)
+    for changes, invariant in (
+        ({"colors": (d1,) + system.colors[1:]}, "moved-by-integer"),
+        ({"sigma": float_sigma}, "sigma-integer"),
+        ({"sp": frozenset({True})}, "sp-integer"),
+    ):
+        with pytest.raises(SkeletonInvariantError) as err:
+            replace(system, **changes)
+        assert err.value.invariant == invariant
 
 
 def test_file_round_trip(tmp_path):
