@@ -28,33 +28,40 @@ class LpInfeasibleError(ValueError):
     """The feasible region {x >= 0 : Ax <= b} is empty."""
 
 
-def _frac_vector(v) -> tuple[Fraction, ...]:
-    # exact types only: Fraction(0.1) is not 1/10, and True would read as 1
-    bad = [x for x in v if type(x) not in (int, Fraction)]
-    if bad:
-        raise ValueError(f"LP entries must be int or Fraction, not {bad[0]!r}")
-    return tuple(Fraction(x) for x in v)
+def _frac_vector(v) -> tuple:
+    # ints become Fractions; anything else is left for LpProblem to reject
+    return tuple(Fraction(x) if type(x) is int else x for x in v)
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max c.x  s.t.  a x <= b,  x >= 0."""
+    """max c.x  s.t.  a x <= b,  x >= 0.
+
+    Every entry must be an ``int`` or a ``Fraction`` (ValueError otherwise),
+    however the problem is built; ``make`` also converts them to Fractions.
+    """
 
     a: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
     c: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        # exact types only: Fraction(0.1) is not 1/10, and True would read as 1
+        for v in (*self.a, self.b, self.c):
+            bad = [x for x in v if type(x) not in (int, Fraction)]
+            if bad:
+                raise ValueError(f"LP entries must be int or Fraction, not {bad[0]!r}")
+        if len(self.a) != len(self.b):
+            raise ValueError("row count of A does not match b")
+        for row in self.a:
+            if len(row) != len(self.c):
+                raise ValueError("column count of A does not match c")
+
     @staticmethod
     def make(a, b, c) -> "LpProblem":
-        a = tuple(_frac_vector(row) for row in a)
-        b = _frac_vector(b)
-        c = _frac_vector(c)
-        if len(a) != len(b):
-            raise ValueError("row count of A does not match b")
-        for row in a:
-            if len(row) != len(c):
-                raise ValueError("column count of A does not match c")
-        return LpProblem(a=a, b=b, c=c)
+        return LpProblem(
+            a=tuple(_frac_vector(row) for row in a), b=_frac_vector(b), c=_frac_vector(c)
+        )
 
     @property
     def m(self) -> int:
@@ -283,23 +290,27 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     return best.status == "optimal" and best.value == sum(o * xj for o, xj in zip(obj, x))
 
 
-def positive_dependence(vectors: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...] | None:
-    """A witness lam >= 1 with sum_k lam_k vectors[k] = 0, or None.
+def positive_dependence(
+    vectors: Sequence[Sequence[Fraction]],
+) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
+    """``(lam, None)`` with lam >= 1 and sum_k lam_k vectors[k] = 0, or
+    ``(None, y)`` with <v_k, y> >= 0 for every k and s.y = 1.
 
     One lam_k per vector; backs the completeness test and the
-    certificate-multiplier search.  By Stiemke's lemma lam exists iff no y
-    has <v_k, y> >= 0 for every k and s.y > 0, where s = sum_k v_k.  So one
-    LP maximizes s.y subject to <v_k, y> >= 0 and s.y <= 1 (y = y+ - y-);
-    its b >= 0 needs no phase 1.  The optimum is 1 or 0, and at 0 the dual
-    mu has sum_k mu_k v_k = -s, so lam = mu + 1.
+    certificate-multiplier search.  By Stiemke's lemma exactly one of the two
+    exists, where s = sum_k v_k.  So one LP maximizes s.y subject to
+    <v_k, y> >= 0 and s.y <= 1 (y = y+ - y-); its b >= 0 needs no phase 1.
+    The optimum is 1 or 0: at 1 its primal is y, and at 0 the dual mu has
+    sum_k mu_k v_k = -s, so lam = mu + 1.
     """
     s = [sum(col) for col in zip(*vectors)]
     a = [[-x for x in v] + list(v) for v in vectors]
     a.append(s + [-x for x in s])
     sol = solve_max(LpProblem.make(a, [0] * len(vectors) + [1], a[-1]))
     if sol.value:
-        return None
-    return tuple(mu + 1 for mu in sol.dual[:-1])
+        d = len(s)
+        return None, tuple(p - q for p, q in zip(sol.primal[:d], sol.primal[d:]))
+    return tuple(mu + 1 for mu in sol.dual[:-1]), None
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -54,7 +54,11 @@ def check_conjecture(sk: SphericalSkeleton) -> MukaiVerdict:
     The uniqueness probe runs exactly when the relation is Equal, where the
     theory asserts a unique maximizer; otherwise ``theta_unique`` is None.
     """
-    complete = sk_mod.is_complete(sk)
+    return _verdict(sk, sk_mod.is_complete(sk))
+
+
+def _verdict(sk: SphericalSkeleton, complete: bool) -> MukaiVerdict:
+    """check_conjecture for a skeleton whose completeness is already known."""
     problem, constant = skeleton_lp(sk)
     sol = exactlp.solve_max(problem)
     bud = budget(sk)
@@ -78,6 +82,10 @@ def enumerate_minimal_complete_supports(
     elementary skeleton is complete, each with its verdict.
 
     The input must carry an empty Gamma (it is the bare spherical system).
+    Candidates go by size, so a complete one is minimal unless it contains a
+    support already found.  A failed candidate's separating y pairs
+    nonnegatively with the colors and with -e_j for every j where y_j <= 0;
+    any T inside that set fails too (Stiemke 1915) and is skipped unsolved.
     """
     if system.boundary:
         raise ValueError("support enumeration expects a skeleton with empty Gamma")
@@ -86,15 +94,19 @@ def enumerate_minimal_complete_supports(
     nsig = len(system.sigma)
     found: list[tuple[tuple[int, ...], MukaiVerdict]] = []
     minimal: list[frozenset[int]] = []
+    separated: list[frozenset[int]] = []  # {j : y_j <= 0} per failed candidate
     for card in range(1, max_card + 1):
         for combo in combinations(range(nsig), card):
             t = frozenset(combo)
-            if any(prev <= t for prev in minimal):
+            if any(prev <= t for prev in minimal) or any(t <= sep for sep in separated):
                 continue
             candidate = sk_mod.with_boundary_support(system, combo)
-            if sk_mod.is_complete(candidate):
+            lam, y = sk_mod.completeness_witness(candidate)
+            if lam is not None:
                 minimal.append(t)
-                found.append((combo, check_conjecture(candidate)))
+                found.append((combo, _verdict(candidate, True)))
+            elif y is not None:
+                separated.append(frozenset(j for j, yj in enumerate(y) if yj <= 0))
     return found
 
 

@@ -229,19 +229,26 @@ def support(sk: SphericalSkeleton) -> frozenset[int]:
     return frozenset(out)
 
 
-def is_complete(sk: SphericalSkeleton) -> bool:
-    """Whether the rho(D) positively span the dual of span(Sigma).
+def completeness_witness(
+    sk: SphericalSkeleton,
+) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
+    """``(lam, y)`` from ``exactlp.positive_dependence`` on the rho(D),
+    colors then boundary; ``(None, None)`` when they do not span linearly.
 
-    Exact test: the functionals span linearly, and some lam_D >= 1 combines
-    them to zero (equivalent to the cone being the whole space).
+    The skeleton is complete iff lam is set: the functionals span, and
+    lam_D >= 1 combines them to zero (so their cone is the whole space).
+    A y pairs nonnegatively with every rho(D) and is nonzero, so it also
+    separates any subset of them.
     """
-    nsig = len(sk.sigma)
-    if nsig == 0:
-        return True
     rows = [color.rho for color in sk.colors] + [div.rho for div in sk.boundary]
-    if exactlp.matrix_rank(rows) != nsig:
-        return False
-    return exactlp.positive_dependence(rows) is not None
+    if exactlp.matrix_rank(rows) != len(sk.sigma):
+        return None, None
+    return exactlp.positive_dependence(rows)
+
+
+def is_complete(sk: SphericalSkeleton) -> bool:
+    """Whether the rho(D) positively span the dual of span(Sigma)."""
+    return completeness_witness(sk)[0] is not None
 
 
 def is_elementary(sk: SphericalSkeleton) -> bool:
@@ -422,7 +429,7 @@ def find_certificate_multipliers(
     names = list(delta_prime)
     chosen, strict = _certificate_colors(sk, names, sigma_prime)
     surplus = [[-int(g == j) for g in range(len(sk.sigma))] for j in sorted(strict)]
-    lam = exactlp.positive_dependence([c.rho for c in chosen] + surplus)
+    lam = exactlp.positive_dependence([c.rho for c in chosen] + surplus)[0]
     if lam is None:
         return None
     c = lam[: len(chosen)]

@@ -526,6 +526,32 @@ def test_criterion_8_property_suite(sweep):
           f"{len(pairs)} products]")
 
 
+def test_minimal_supports_match_catalog():
+    """On every default-sweep instance the computed minimal complete supports
+    (size <= 3) are the catalog's minimal, non-combined options, with the
+    catalog's P and relation."""
+    supports = 0
+    for inst in catalog.sweep_instances():
+        where = (inst.label, dict(inst.params))
+        expected = {
+            tuple(sorted(opt.indices)): opt
+            for opt in inst.options
+            if opt.minimal and not opt.combined
+        }
+        found = mukai.enumerate_minimal_complete_supports(inst.system, 3)
+        assert sorted(t for t, _ in found) == sorted(expected), where
+        for t, verdict in found:
+            opt = expected[t]
+            assert verdict.complete, (where, t)
+            assert verdict.relation == opt.expected_relation, (where, t)
+            assert verdict.p_value is not None, (where, t)
+            if opt.expected_p is not None:
+                assert verdict.p_value == opt.expected_p, (where, t)
+        supports += len(found)
+    assert supports == 527
+    print(f"ACCEPTANCE (minimal supports = catalog): PASS [{supports} supports]")
+
+
 # sha256 of `sphskel verify --case all --format json` with the timings
 # removed; any change to a report's keys, values or order changes it
 VERIFY_JSON_SHA256 = "509bc5c1f7679c608dca30f29387b36452bfe67b9057146475572c6526e8f7e8"

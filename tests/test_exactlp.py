@@ -151,13 +151,13 @@ def test_unique_optimum_matches_oracle():
 
 def test_positive_dependence():
     # one vector per lam_k
-    w = positive_dependence([[1], [-1]])
-    assert w is not None and all(x >= 1 for x in w) and w[0] - w[1] == 0
-    assert positive_dependence([[1], [1]]) is None
-    assert positive_dependence([]) == ()
-    assert positive_dependence([[], []]) == (1, 1)
-    w = positive_dependence([[2, 0], [-1, 1], [-1, -1]])
-    assert w is not None
+    w, y = positive_dependence([[1], [-1]])
+    assert y is None and all(x >= 1 for x in w) and w[0] - w[1] == 0
+    assert positive_dependence([[1], [1]]) == (None, (F(1, 2),))
+    assert positive_dependence([]) == ((), None)
+    assert positive_dependence([[], []]) == ((1, 1), None)
+    w, y = positive_dependence([[2, 0], [-1, 1], [-1, -1]])
+    assert w is not None and y is None
     assert 2 * w[0] - w[1] - w[2] == 0 and w[1] == w[2]
 
 
@@ -167,11 +167,18 @@ def test_positive_dependence_matches_oracle():
     for _ in range(400):
         dim, k = rng.randint(1, 3), rng.randint(1, 6)
         vectors = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(k)]
-        lam = positive_dependence(vectors)
+        lam, y = positive_dependence(vectors)
+        # Stiemke: exactly one of the two witnesses, re-checked by dot products
+        assert (lam is None) != (y is None), vectors
         if lam is not None:
             assert len(lam) == k and all(x >= 1 for x in lam), vectors
             for i in range(dim):
                 assert sum(x * v[i] for x, v in zip(lam, vectors)) == 0, vectors
+        else:
+            assert len(y) == dim, vectors
+            assert all(sum(a * b for a, b in zip(v, y)) >= 0 for v in vectors), vectors
+            s = [sum(col) for col in zip(*vectors)]
+            assert sum(a * b for a, b in zip(s, y)) == 1, vectors
         if matrix_rank(vectors) == dim:
             # on a full-rank set, lam > 0 exists iff the cone is everything
             assert (lam is not None) == oracle_positive_span(vectors, dim), vectors
@@ -195,10 +202,12 @@ def test_completeness_lps_start_feasible(solves):
 
 
 def test_make_rejects_inexact_entries():
-    # 0.1 would enter as 3602879701896397/36028797018963968, True as 1
+    # 0.1 would enter as 3602879701896397/36028797018963968, True as 1; the
+    # dataclass itself checks, so building it directly is no way round
     for a, b, c in (
         ([[0.1]], [1], [1]),
         ([[1]], [1.0], [1]),
+        ([[1]], [0.3], [1]),
         ([[1]], [1], [0.5]),
         ([[True]], [1], [1]),
         ([[1]], [False], [1]),
@@ -206,6 +215,10 @@ def test_make_rejects_inexact_entries():
     ):
         with pytest.raises(ValueError):
             LpProblem.make(a, b, c)
+        with pytest.raises(ValueError):
+            LpProblem(a=tuple(map(tuple, a)), b=tuple(b), c=tuple(c))
+    with pytest.raises(ValueError):
+        LpProblem(a=((1, 2),), b=(1,), c=(1,))
     assert solve_max(LpProblem.make([[F(1, 10)]], [1], [1])).value == 10
 
 

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from oracles import oracle_positive_span
 from sphskel import catalog, mukai, rootsys, skeleton as sk
 from sphskel.mukai import EQUAL, STRICTLY_LESS
 from sphskel.skeleton import Color, SphericalSkeleton
@@ -104,6 +107,46 @@ def test_enumerate_minimal_supports_case_31():
     assert [t for t, _ in found] == [(0,), (2,)]
     found = mukai.enumerate_minimal_complete_supports(case(31, p=3).system)
     assert [t for t, _ in found] == [(0,), (2,), (4,)]
+
+
+def _unpruned_minimal_supports(system, max_card):
+    """Every candidate by size, decided by the hyperplane-normal oracle."""
+    nsig = len(system.sigma)
+    minimal, tested = [], 0
+    for card in range(1, max_card + 1):
+        for t in combinations(range(nsig), card):
+            if any(set(prev) <= set(t) for prev in minimal):
+                continue
+            skel = sk.with_boundary_support(system, t)
+            rows = [c.rho for c in skel.colors] + [d.rho for d in skel.boundary]
+            tested += 1
+            if oracle_positive_span(rows, nsig):
+                minimal.append(t)
+    return minimal, tested
+
+
+def test_pruned_enumeration_matches_unpruned(monkeypatch):
+    # a seeded subset of the |Sigma| <= 4 instances, every support size
+    small = [i for i in catalog.sweep_instances() if len(i.system.sigma) <= 4]
+    sample = random.Random(1954).sample(small, 30)
+    solved = []
+    witness = sk.completeness_witness
+    monkeypatch.setattr(sk, "completeness_witness", lambda s: solved.append(s) or witness(s))
+    candidates = lps = 0
+    for inst in sample:
+        nsig = len(inst.system.sigma)
+        solved.clear()
+        found = mukai.enumerate_minimal_complete_supports(inst.system, nsig)
+        lps += len(solved)
+        expect, tested = _unpruned_minimal_supports(inst.system, nsig)
+        candidates += tested
+        assert [t for t, _ in found] == expect, inst.label
+        for t, verdict in found:
+            assert verdict.complete
+            full = mukai.check_conjecture(sk.with_boundary_support(inst.system, t))
+            assert verdict == full, (inst.label, t)
+    # the separating y skips candidates the unpruned search has to decide
+    assert (lps, candidates) == (89, 152)
 
 
 def test_enumerate_requires_empty_gamma():
