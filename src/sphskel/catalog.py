@@ -48,7 +48,6 @@ class SupportOption:
     expected_theta: tuple[Fraction, ...] | None = None
     combined: bool = False  # one divisor hitting all roots vs one per root
     minimal: bool = True  # belongs to the minimal-support list of the case
-    equality_bullet: int | None = None
     key: str = ""  # set by CaseInstance from the indices and sigma labels
 
 
@@ -132,7 +131,9 @@ class EqualityEntry:
     """One bullet of the equality classification, with its module tag.
 
     ``list_l`` is the number of the matching spherical-module skeleton in
-    the standard List L of spherical-module data.
+    the standard List L of spherical-module data.  An option of the case
+    ``(family, sub_case)`` lies in this bullet exactly when its
+    ``expected_relation`` is Equal.
     """
 
     bullet: int
@@ -320,7 +321,6 @@ def _build_31(params: dict) -> dict:
                     expected_p=top,
                     expected_relation=EQUAL,
                     expected_theta=theta,
-                    equality_bullet=0,
                 )
             )
         else:
@@ -371,7 +371,6 @@ def _build_32(params: dict) -> dict:
                     expected_p=F(3 * p - 2),
                     expected_relation=EQUAL if equal else STRICTLY_LESS,
                     expected_theta=(F(1), F(3)) if equal else None,
-                    equality_bullet=1 if equal else None,
                 )
             )
         else:
@@ -439,7 +438,6 @@ def _build_34(params: dict) -> dict:
             expected_p=F(13),
             expected_relation=EQUAL,
             expected_theta=(F(1), F(5)),
-            equality_bullet=2,
         ),
     )
     return dict(
@@ -461,7 +459,6 @@ def _build_35(params: dict) -> dict:
             expected_p=F(6),
             expected_relation=EQUAL,
             expected_theta=(F(1),),
-            equality_bullet=3,
         ),
     )
     return dict(
@@ -485,7 +482,6 @@ def _build_36(params: dict) -> dict:
             expected_p=F(4 * p),
             expected_relation=EQUAL,
             expected_theta=(F(2 * p + 1), F(1)),
-            equality_bullet=4,
         ),
     )
     return dict(
@@ -533,7 +529,6 @@ def _build_38(params: dict) -> dict:
                 expected_p=F(11),
                 expected_relation=EQUAL,
                 expected_theta=bullet_theta,
-                equality_bullet=5,
             )
         )
     options.append(
@@ -610,7 +605,6 @@ def _build_41(params: dict) -> dict:
             expected_p=F(5),
             expected_relation=EQUAL,
             expected_theta=(F(1),),
-            equality_bullet=6,
         ),
     )
     return dict(
@@ -637,7 +631,6 @@ def _build_42_p0(params: dict) -> dict:
             expected_p=F(4 * q + 1),
             expected_relation=EQUAL,
             expected_theta=(F(2 * q + 1), F(1)),
-            equality_bullet=7,
         ),
     )
     return dict(
@@ -702,7 +695,6 @@ def _build_43_a(params: dict) -> dict:
                 expected_p=F(3),
                 expected_relation=EQUAL,
                 expected_theta=theta,
-                equality_bullet=8,
             )
         )
     options.append(
@@ -754,13 +746,11 @@ def _build_43_b(params: dict) -> dict:
             expected_p=F(4 * p + 2),
             expected_relation=EQUAL,
             expected_theta=(F(1), F(2 * p + 3), F(2 * p + 1), F(1)),
-            equality_bullet=9,
         ),
         SupportOption(
             indices=(1, 3),
             expected_p=F(4 * p + 2),
             expected_relation=EQUAL,
-            equality_bullet=9,
         ),
         SupportOption(
             indices=(0, 1, 3),
@@ -822,7 +812,6 @@ def _build_43_c(params: dict) -> dict:
                 F(2 * q + 1),
                 F(1),
             ),
-            equality_bullet=10,
         ),
         SupportOption(
             indices=(2, 4),
@@ -1113,7 +1102,6 @@ def _build_46_p5(params: dict) -> dict:
             expected_p=F(10),
             expected_relation=EQUAL,
             expected_theta=(F(5), F(12), F(1), F(4), F(9)),
-            equality_bullet=11,
         ),
         SupportOption(
             indices=(3,),
@@ -1124,7 +1112,6 @@ def _build_46_p5(params: dict) -> dict:
             indices=(4,),
             expected_p=F(10),
             expected_relation=EQUAL,
-            equality_bullet=11,
         ),
         SupportOption(
             indices=(2, 4),
@@ -1367,7 +1354,6 @@ def _build_49(params: dict) -> dict:
                     expected_p=F(p * p),
                     expected_relation=EQUAL,
                     expected_theta=theta_last if k == p else None,
-                    equality_bullet=12,
                 )
             )
         else:

@@ -167,17 +167,9 @@ class _Simplex:
         if self.obj[-1] < 0:
             raise LpInfeasibleError("empty feasible region")
         if aux in self.basis:
-            # degenerate: x0 basic at value 0; pivot it out, or drop the row
-            # if it reduced to 0 = 0 (a redundant original constraint)
+            # x0 basic at 0: pivot it out; its slack columns hold a row of B^-1, never 0
             r = self.basis.index(aux)
-            for j in range(self.width - 1):
-                if self.rows[r][j] != 0:
-                    self.pivot(r, j)
-                    break
-            else:
-                del self.rows[r]
-                del self.basis[r]
-                self.m -= 1
+            self.pivot(r, next(j for j in range(aux) if self.rows[r][j] != 0))
         for row in self.rows:
             del row[aux]
         self.width -= 1
@@ -195,7 +187,7 @@ def solve_max(problem: LpProblem) -> LpSolution:
     simplex = _Simplex(problem)
     if any(bi < 0 for bi in problem.b):
         simplex.phase1()
-    n, m = problem.n, simplex.m
+    n, m = problem.n, problem.m
     c_full = list(problem.c) + [_ZERO] * (simplex.width - n)
     simplex.set_objective(c_full)
     unbounded_col = simplex.run()
@@ -210,10 +202,8 @@ def solve_max(problem: LpProblem) -> LpSolution:
             ray=tuple(ray[:n]),
             pivots=simplex.pivots,
         )
-    # dual components live on the slack columns (slack i is column n+i of the
-    # original tableau; phase 1 may have dropped redundant rows but never
-    # columns, so the layout is intact)
-    dual = tuple(simplex.obj[n + i] for i in range(problem.m))
+    # dual components live on the slack columns (slack i is column n+i)
+    dual = tuple(simplex.obj[n + i] for i in range(m))
     return LpSolution(
         status="optimal",
         primal=simplex.primal_point(),

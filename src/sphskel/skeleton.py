@@ -158,6 +158,10 @@ def _system_multiplicities(
             raise SkeletonInvariantError(
                 "moved-by-range", f"{color.name}: simple-root index out of range"
             )
+        if len(set(color.moved_by)) != len(color.moved_by):
+            raise SkeletonInvariantError(
+                "moved-by-distinct", f"{color.name}: a simple root is listed twice"
+            )
         if color.coroot is not None:
             idx, scale = color.coroot
             if not 0 <= idx < rank:
@@ -202,19 +206,16 @@ def coroot_rho(
     rs: RootSystem, sigma: Sequence[tuple[int, ...]], index: int, scale: Fraction | int = 1
 ) -> tuple:
     """scale * alpha_index^vee restricted to sigma (integers for an int scale)."""
-    row = rs.cartan[index]
-    return tuple(scale * sum(c * v for c, v in zip(row, g) if c) for g in sigma)
+    return tuple(scale * rootsys.coroot_pairing(rs, index, g) for g in sigma)
 
 
 def pairing_matrix(sk: SphericalSkeleton) -> list[list[Fraction]]:
-    """A[D][gamma] = -<rho(D), gamma> over D = colors then boundary."""
-    rows = [[-Fraction(v) for v in color.rho] for color in sk.colors]
-    rows += [[-Fraction(v) for v in div.rho] for div in sk.boundary]
-    return rows
+    """A[D][gamma] = -<rho(D), gamma> over D in ``sk.divisors``."""
+    return [[-Fraction(v) for v in div.rho] for div in sk.divisors]
 
 
 def multiplicities(sk: SphericalSkeleton) -> tuple[Fraction, ...]:
-    """m_D over D = colors then boundary (boundary divisors get 1)."""
+    """m_D over D in ``sk.divisors`` (boundary divisors get 1)."""
     ms = _system_multiplicities(sk.root_system, sk.sp, sk.sigma, sk.colors)
     return ms + (_ONE,) * len(sk.boundary)
 
@@ -232,15 +233,15 @@ def support(sk: SphericalSkeleton) -> frozenset[int]:
 def completeness_witness(
     sk: SphericalSkeleton,
 ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
-    """``(lam, y)`` from ``exactlp.positive_dependence`` on the rho(D),
-    colors then boundary; ``(None, None)`` when they do not span linearly.
+    """``(lam, y)`` from ``exactlp.positive_dependence`` on the rho(D) over
+    ``sk.divisors``; ``(None, None)`` when they do not span linearly.
 
     The skeleton is complete iff lam is set: the functionals span, and
     lam_D >= 1 combines them to zero (so their cone is the whole space).
     A y pairs nonnegatively with every rho(D) and is nonzero, so it also
     separates any subset of them.
     """
-    rows = [color.rho for color in sk.colors] + [div.rho for div in sk.boundary]
+    rows = [div.rho for div in sk.divisors]
     if exactlp.matrix_rank(rows) != len(sk.sigma):
         return None, None
     return exactlp.positive_dependence(rows)
@@ -288,13 +289,7 @@ def to_reduced(sk: SphericalSkeleton) -> SphericalSkeleton:
     """Keep one unit divisor per supported spherical root (elementary input)."""
     if not is_elementary(sk):
         raise ValueError("to_reduced requires an elementary skeleton")
-    nsig = len(sk.sigma)
-    gamma = [
-        _unit_boundary(nsig, j, f"E{j + 1}")
-        for j in range(nsig)
-        if any(div.rho[j] == -1 for div in sk.boundary)
-    ]
-    return replace(sk, boundary=tuple(gamma))
+    return with_boundary_support(sk, support(sk))
 
 
 def with_boundary_support(
@@ -533,7 +528,10 @@ def from_dict(data: dict) -> SphericalSkeleton:
     except rootsys.RootSystemError as exc:
         raise SkeletonParseError(f"root_system: {exc}") from exc
     sigma = tuple(_ints(g, "sigma") for g in _list(data.get("sigma", []), "sigma"))
-    sp = frozenset(_ints(data.get("sp", []), "sp"))
+    sp_list = _ints(data.get("sp", []), "sp")
+    if len(set(sp_list)) != len(sp_list):
+        raise SkeletonParseError(f"sp: repeated index in {list(sp_list)}")
+    sp = frozenset(sp_list)
     colors = []
     for c in _list(data.get("colors", []), "colors"):
         c = _object(c, "color", ("name", "rho", "moved_by"), ("coroot",))

@@ -196,6 +196,7 @@ def test_criterion_1_exact_p_values(sweep):
 
 def test_criterion_2_equality_classification(sweep):
     """relation = Equal appears exactly on the 13 registered bullets."""
+    bullet_of = {(e.family, e.sub_case): e.bullet for e in catalog.EQUALITY_REGISTRY}
     got_equal = set()
     expected_equal = set()
     bullets = set()
@@ -203,18 +204,13 @@ def test_criterion_2_equality_classification(sweep):
         key = (inst.family, inst.sub_case, _params_key(inst), opt.key)
         if verdict.relation == EQUAL:
             got_equal.add(key)
-        if opt.equality_bullet is not None:
+        if opt.expected_relation == EQUAL:
             expected_equal.add(key)
-            bullets.add(opt.equality_bullet)
+            bullets.add(bullet_of[(inst.family, inst.sub_case)])
         assert verdict.relation != "Violation", key
     assert got_equal == expected_equal
     assert bullets == set(range(13))
     assert len(catalog.EQUALITY_REGISTRY) == 13
-    by_bullet = {e.bullet: e for e in catalog.EQUALITY_REGISTRY}
-    for inst, opt, _ in sweep:
-        if opt.equality_bullet is not None:
-            entry = by_bullet[opt.equality_bullet]
-            assert (entry.family, entry.sub_case) == (inst.family, inst.sub_case)
     assert [e.list_l for e in catalog.EQUALITY_REGISTRY] == [
         "24", "38 (n=2)", "16", "15", "38 (n>2)", "20", "18", "10",
         "35", "40", "42", "13", "28",
@@ -262,7 +258,7 @@ def test_criterion_4_equality_structure(monkeypatch):
     checked = 0
     for inst in catalog.sweep_instances():
         for opt in inst.options:
-            if opt.equality_bullet is None:
+            if opt.expected_relation != EQUAL:
                 continue
             skel = inst.support_skeleton(opt)
             verdict = mukai.check_conjecture(skel)

@@ -123,12 +123,14 @@ def test_equality_registry():
         (42, "p=0"), (43, "p=q=r=0"), (43, "p!=0,q=r=0"), (43, "p,q!=0,r=0"),
         (46, "p=5"), (49, ""),
     ]
-    # every bullet is realized by some sweep option
+    # every bullet is realized by some Equal sweep option, and every Equal
+    # option's case is registered
+    bullet_of = {(e.family, e.sub_case): e.bullet for e in EQUALITY_REGISTRY}
     bullets = {
-        opt.equality_bullet
+        bullet_of[(inst.family, inst.sub_case)]
         for inst in catalog.sweep_instances()
         for opt in inst.options
-        if opt.equality_bullet is not None
+        if opt.expected_relation == mukai.EQUAL
     }
     assert bullets == set(range(13))
 

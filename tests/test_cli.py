@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -186,6 +188,24 @@ def test_unknown_selector_exit_2():
     assert "error" in res.stderr
 
 
+def test_runtime_imports_only_the_standard_library():
+    # -S keeps site-packages off the path, so a third-party import fails too
+    code = (
+        "import sys, sphskel.cli, sphskel.catalog\n"
+        "print(sorted(m for m in sys.modules if m != '__main__'"
+        " and m.split('.')[0] not in sys.stdlib_module_names | {'sphskel'}))"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_sweep_profile_smoke():
     res = run_cli(
         "verify", "--case", "50", "--sweep", "smoke", "--format", "json"
@@ -276,6 +296,10 @@ def _color(doc):
                      "[divisor-names-unique]", id="boundary-divisors-share-a-name"),
         pytest.param(lambda d: _color(d)["coroot"].update(index=-1), 3, "[coroot-range]",
                      id="coroot-index-out-of-range"),
+        # a repeated index would otherwise read as one
+        pytest.param(lambda d: d.update(sp=[1, 1]), 2, "parse error", id="sp-repeated"),
+        pytest.param(lambda d: _color(d).update(moved_by=[0, 0]), 3, "[moved-by-distinct]",
+                     id="moved-by-repeated"),
     ],
 )
 def test_compute_rejects_malformed_file(tmp_path, capsys, mutate, code, message):

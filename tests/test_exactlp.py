@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,15 +65,46 @@ def test_infeasible_raises():
         solve_max(p)
 
 
-def test_verify_rejects_tampering():
-    p = LpProblem.make([[1, -1], [-1, 1], [1, 1]], [1, 1, 3], [1, 1])
+def test_degenerate_phase1_exit():
+    # the duplicated row x <= 1 leaves the artificial variable basic at 0 when
+    # phase 1 ends; it is pivoted out and every row keeps its dual entry
+    p = LpProblem.make([[1], [-1], [1]], [1, -1, 1], [1])
     sol = solve_max(p)
+    assert sol.status == "optimal"
+    assert sol.value == 1 and sol.primal == (F(1),)
+    assert len(sol.dual) == 3
     assert verify_certificates(p, sol)
-    sol.value = sol.value + 1
-    assert not verify_certificates(p, sol)
-    sol.value = sol.value - 1
-    sol.dual = tuple(-y if i == 2 else y for i, y in enumerate(sol.dual))
-    assert not verify_certificates(p, sol)
+
+
+def test_verify_rejects_tampering():
+    # each tampered field breaks exactly one check: value 2 has the dual face
+    # y1 + y2 = 1, y3 = 0, and the ray (1, 1, 0) is one of many
+    bounded = LpProblem.make([[1, 1], [1, 1], [1, 0]], [2, 2, 1], [1, 1])
+    unbounded = LpProblem.make([[1, -1, 1]], [1], [1, 0, 0])
+    opt, unb = solve_max(bounded), solve_max(unbounded)
+    assert opt.status == "optimal" and opt.value == 2
+    assert unb.status == "unbounded" and unb.ray == (F(1), F(1), F(0))
+    assert verify_certificates(bounded, opt) and verify_certificates(unbounded, unb)
+    for changes in (
+        {"primal": opt.primal + (F(0),)},
+        {"primal": (F(-1), F(3))},
+        {"primal": (F(2), F(0))},  # x1 <= 1 fails
+        {"dual": None},
+        {"dual": opt.dual + (F(0),)},
+        {"dual": (F(2), F(-1), F(0))},
+        {"dual": (F(0), F(0), F(2))},  # A^T y >= c fails on x2
+        {"value": opt.value + 1},
+        {"status": "infeasible"},
+    ):
+        assert not verify_certificates(bounded, replace(opt, **changes)), changes
+    for changes in (
+        {"ray": None},
+        {"ray": (F(1), F(2), F(-1))},
+        {"ray": (F(1), F(0), F(0))},  # A r <= 0 fails
+        {"ray": (F(0), F(1), F(0))},  # c.r = 0
+        {"status": "infeasible"},
+    ):
+        assert not verify_certificates(unbounded, replace(unb, **changes)), changes
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sphskel import catalog, mukai, rootsys, skeleton as sk
+from sphskel import catalog, exactlp, mukai, rootsys, skeleton as sk
 from sphskel.skeleton import (
     BoundaryDivisor,
     Color,
@@ -74,6 +74,21 @@ def test_is_complete_empty_sigma():
     rs = rootsys.build_root_system([("A", 1)])
     skel = SphericalSkeleton(rs, frozenset(), (), (), ())
     assert sk.is_complete(skel)
+
+
+def test_is_complete_needs_spanning_functionals():
+    # rho(D1) + rho(D2) = 0 with lam = (1, 1), but the two functionals span a
+    # line of the plane, so their cone is not the whole space
+    rs = rootsys.build_root_system([("A", 1), ("A", 1)])
+    colors = (
+        Color(name="D1", rho=(F(1), F(1)), moved_by=(0,)),
+        Color(name="D2", rho=(F(-1), F(-1)), moved_by=(1,)),
+    )
+    skel = SphericalSkeleton(rs, frozenset(), ((1, 0), (0, 1)), colors, ())
+    assert exactlp.positive_dependence([c.rho for c in colors]) == ((F(1), F(1)), None)
+    assert not sk.is_complete(skel)
+    assert sk.completeness_witness(skel) == (None, None)
+    assert mukai.check_conjecture(skel).complete is False
 
 
 def test_support():
@@ -262,6 +277,9 @@ def test_invariant_violations():
             rs, frozenset(), sigma, (Color(name="D", rho=(F(1), F(0)), moved_by=()),), ()
         )
     assert err.value.invariant == "color-moved-by"
+    with pytest.raises(SkeletonInvariantError) as err:
+        SphericalSkeleton(rs, frozenset(), sigma, (replace(color, moved_by=(0, 0)),), ())
+    assert err.value.invariant == "moved-by-distinct"
     # a float pairing would put floating point into the solve path
     with pytest.raises(SkeletonInvariantError) as err:
         SphericalSkeleton(
