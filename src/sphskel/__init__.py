@@ -9,7 +9,7 @@ the standard classification).
 """
 
 from sphskel.rootsys import RootSystem, build_root_system
-from sphskel.skeleton import BoundaryDivisor, Color, SphericalSkeleton
+from sphskel.skeleton import BoundaryDivisor, Color, SphericalSkeleton, SphericalSystem
 from sphskel.mukai import MukaiVerdict, check_conjecture
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "build_root_system",
     "Color",
     "BoundaryDivisor",
+    "SphericalSystem",
     "SphericalSkeleton",
     "MukaiVerdict",
     "check_conjecture",

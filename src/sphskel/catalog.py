@@ -1,6 +1,6 @@
 """Parametrized generators for the non-symmetric case families 31-50.
 
-Each family builds the bare spherical system (empty Gamma), the boundary
+Each family builds the spherical system (S^p, Sigma, Delta), the boundary
 support options the case analysis computes (with the expected invariant
 value, relation and maximizer where one is stated), and the
 distinguished-subset data (Delta', Sigma') used to rule out non-complete
@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 from sphskel import skeleton as sk_mod
 from sphskel.mukai import EQUAL, STRICTLY_LESS
 from sphskel.rootsys import build_root_system
-from sphskel.skeleton import Color, SkeletonInvariantError, SphericalSkeleton
+from sphskel.skeleton import Color, SkeletonInvariantError, SphericalSkeleton, SphericalSystem
 
 F = Fraction
 
@@ -62,7 +62,7 @@ class CaseInstance:
     family: int
     sub_case: str
     params: tuple[tuple[str, int], ...]
-    system: SphericalSkeleton  # Gamma is empty
+    system: SphericalSystem
     sigma_labels: tuple[str, ...]
     options: tuple[SupportOption, ...]
     certificates: tuple[Certificate, ...]
@@ -189,7 +189,7 @@ def _a_values(name: str, entries) -> tuple[str, dict[int, int]]:
     return name, {pos: val for pos, val in entries if pos is not None}
 
 
-def _spherical_system(rs, sp, sigma, colors) -> SphericalSkeleton:
+def _spherical_system(rs, sp, sigma, colors) -> SphericalSystem:
     """The bare system (S^p, Sigma) with the colors Luna's axioms give it.
 
     ``colors`` lists (name, data) in LP-row order.  ``data`` is either a
@@ -273,12 +273,10 @@ def _spherical_system(rs, sp, sigma, colors) -> SphericalSkeleton:
             raise SkeletonInvariantError(
                 "spherical-system-movers", f"alpha_{i} moves {names}, not one color"
             )
-    return SphericalSkeleton(
-        root_system=rs, sp=sp, sigma=sigma, colors=tuple(built), boundary=()
-    )
+    return SphericalSystem(root_system=rs, sp=sp, sigma=sigma, colors=tuple(built))
 
 
-def _sigma_labels(system: SphericalSkeleton) -> tuple[str, ...]:
+def _sigma_labels(system: SphericalSystem) -> tuple[str, ...]:
     """alpha_i, alpha'_i, ... (one prime per root-system component) when every
     spherical root is simple; otherwise gamma_1, gamma_2, ..., or gamma alone."""
     sigma, offsets = system.sigma, system.root_system.offsets

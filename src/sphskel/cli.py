@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from sphskel import catalog, mukai, skeleton as sk_mod
 from sphskel.catalog import CaseInstance, SupportOption, UsageError
 from sphskel.mukai import MukaiVerdict
+from sphskel.rootsys import RootSystemError
 from sphskel.skeleton import SkeletonInvariantError, SkeletonParseError
 
 
@@ -180,9 +181,12 @@ def _select_instances(args) -> list[CaseInstance]:
     family, sub = parse_selector(args.case)
     overrides = parse_params(args.param)
     profile = load_sweep_profile(args.sweep, args.sweep_config)
-    instances = catalog.sweep_instances(
-        family=family, sub_case=sub, overrides=overrides, profile=profile
-    )
+    try:
+        instances = catalog.sweep_instances(
+            family=family, sub_case=sub, overrides=overrides, profile=profile
+        )
+    except RootSystemError as exc:  # a parameter too large for its root system
+        raise UsageError(str(exc)) from exc
     if not instances:
         raise UsageError("selection matches no catalog instance")
     unknown = sorted(set(overrides) - {name for inst in instances for name, _ in inst.params})
@@ -282,7 +286,7 @@ def cmd_export(args) -> int:
             "export needs exactly one instance; pin the parameters with --param"
         )
     inst = instances[0]
-    skel = inst.system
+    skel = sk_mod.SphericalSkeleton(inst.system, ())
     if args.support is not None:
         try:
             opt = inst.option(args.support)

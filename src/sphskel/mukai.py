@@ -14,7 +14,7 @@ from itertools import combinations
 
 from sphskel import exactlp, rootsys, skeleton as sk_mod
 from sphskel.exactlp import LpProblem
-from sphskel.skeleton import SphericalSkeleton
+from sphskel.skeleton import SphericalSkeleton, SphericalSystem
 
 STRICTLY_LESS = "StrictlyLess"
 EQUAL = "Equal"
@@ -36,7 +36,7 @@ def skeleton_lp(sk: SphericalSkeleton) -> tuple[LpProblem, Fraction]:
     """The LP of a skeleton plus the additive constant sum_D (m_D - 1)."""
     a = sk_mod.pairing_matrix(sk)
     b = sk_mod.multiplicities(sk)
-    nsig = len(sk.sigma)
+    nsig = len(sk.system.sigma)
     c = [-sum(row[j] for row in a) for j in range(nsig)]
     constant = sum(b) - len(b)
     return LpProblem.make(a, b, c), Fraction(constant)
@@ -44,8 +44,8 @@ def skeleton_lp(sk: SphericalSkeleton) -> tuple[LpProblem, Fraction]:
 
 def budget(sk: SphericalSkeleton) -> int:
     """|R+| - |R+_{S^p}|, the right-hand side of the inequality."""
-    rs = sk.root_system
-    return len(rs.positive) - rootsys.positive_count_in_span(rs, sk.sp)
+    rs = sk.system.root_system
+    return len(rs.positive) - rootsys.positive_count_in_span(rs, sk.system.sp)
 
 
 def check_conjecture(sk: SphericalSkeleton) -> MukaiVerdict:
@@ -76,19 +76,16 @@ def _verdict(sk: SphericalSkeleton, complete: bool) -> MukaiVerdict:
 
 
 def enumerate_minimal_complete_supports(
-    system: SphericalSkeleton, max_card: int = 3
+    system: SphericalSystem, max_card: int = 3
 ) -> list[tuple[tuple[int, ...], MukaiVerdict]]:
     """Inclusion-minimal supports T (|T| <= max_card) whose reduced
     elementary skeleton is complete, each with its verdict.
 
-    The input must carry an empty Gamma (it is the bare spherical system).
     Candidates go by size, so a complete one is minimal unless it contains a
     support already found.  A failed candidate's separating y pairs
     nonnegatively with the colors and with -e_j for every j where y_j <= 0;
     any T inside that set fails too (Stiemke 1915) and is skipped unsolved.
     """
-    if system.boundary:
-        raise ValueError("support enumeration expects a skeleton with empty Gamma")
     if max_card < 1:
         raise ValueError("max_card must be >= 1")
     nsig = len(system.sigma)

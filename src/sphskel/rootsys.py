@@ -19,6 +19,9 @@ from typing import Iterable, Sequence
 RootVector = tuple[int, ...]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+# the Cartan matrix is total x total; A_100 takes seconds to build, and the
+# catalog's largest rank is 18
+_MAX_TOTAL_RANK = 100
 
 
 class RootSystemError(ValueError):
@@ -97,17 +100,6 @@ class RootSystem:
     def rank(self) -> int:
         return len(self.cartan)
 
-    def index(self, component: int, i: int) -> int:
-        """Global 0-based index of alpha_i (1-based) in the given component."""
-        series, n = self.components[component]
-        if not 1 <= i <= n:
-            raise IndexError(f"alpha_{i} out of range for {series}{n}")
-        return self.offsets[component] + i - 1
-
-    def simple_root(self, component: int, i: int) -> RootVector:
-        k = self.index(component, i)
-        return tuple(1 if j == k else 0 for j in range(self.rank))
-
 
 def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
     components = tuple((series, rank) for series, rank in spec)
@@ -127,6 +119,8 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
             raise RootSystemError(f"unknown series {series!r}")
 
     total = sum(rank for _, rank in components)
+    if total > _MAX_TOTAL_RANK:
+        raise RootSystemError(f"total rank {total} exceeds {_MAX_TOTAL_RANK}")
     cartan = [[0] * total for _ in range(total)]
     offsets = []
     pos = 0

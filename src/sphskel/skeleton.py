@@ -1,18 +1,18 @@
 """Spherical skeletons (Delta, S^p, Sigma, Gamma) and their combinatorics.
 
-A skeleton bundles a root system, the parabolic subset S^p, the linearly
-independent spherically closed spherical roots Sigma, the colors Delta
-(each with its functional rho restricted to Sigma) and the boundary
-divisors Gamma (nonpositive integer pairings).  All values are exact; the
-functional of a color is stored explicitly, with an optional coroot
-reference kept purely as a consistency cross-check.
+A spherical system bundles a root system, the parabolic subset S^p, the
+linearly independent spherically closed spherical roots Sigma and the colors
+Delta (each with its functional rho restricted to Sigma).  A skeleton is a
+system plus the boundary divisors Gamma (nonpositive integer pairings), so
+every Gamma over one system shares the system's checks.  All values are
+exact; the functional of a color is stored explicitly, with an optional
+coroot reference kept purely as a consistency cross-check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -54,152 +54,148 @@ class BoundaryDivisor:
 
 
 @dataclass(frozen=True)
-class SphericalSkeleton:
+class SphericalSystem:
+    """A spherical system (S^p, Sigma, Delta) on a root system (Luna 2001).
+
+    Construction checks every invariant that does not involve Gamma and
+    stores m_D over the colors as ``multiplicities``: m_D is 1 when some
+    moving simple root lies in Sigma or (1/2)Sigma, otherwise
+    <alpha^vee, 2rho_S - 2rho_{S^p}> = 2 - <alpha^vee, 2rho_{S^p}> for the
+    moving root alpha (several movers must agree).
+    """
+
     root_system: RootSystem
     sp: frozenset[int]
     sigma: tuple[tuple[int, ...], ...]
     colors: tuple[Color, ...]
+    multiplicities: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        rs, sigma, colors = self.root_system, self.sigma, self.colors
+        if any(type(idx) is not int for idx in self.sp):
+            raise SkeletonInvariantError("sp-integer", "S^p indices must be int")
+        for g in sigma:
+            if any(type(v) is not int for v in g):
+                raise SkeletonInvariantError("sigma-integer", f"{g}: entries must be int")
+        for color in colors:
+            if any(type(v) not in (int, Fraction) for v in color.rho):
+                raise SkeletonInvariantError(
+                    "color-rho-rational", f"{color.name}: values must be int or Fraction"
+                )
+            if any(type(idx) is not int for idx in color.moved_by):
+                raise SkeletonInvariantError(
+                    "moved-by-integer", f"{color.name}: simple-root indices must be int"
+                )
+        rank = rs.rank
+        nsig = len(sigma)
+        for idx in self.sp:
+            if not 0 <= idx < rank:
+                raise SkeletonInvariantError("sp-range", f"index {idx} out of range")
+        for g in sigma:
+            if len(g) != rank:
+                raise SkeletonInvariantError("sigma-length", f"{g} has wrong length")
+        if nsig and exactlp.matrix_rank(sigma) != nsig:
+            raise SkeletonInvariantError("sigma-independent", "sigma is linearly dependent")
+        for color in colors:
+            if len(color.rho) != nsig:
+                raise SkeletonInvariantError(
+                    "color-rho-length", f"{color.name}: expected {nsig} values"
+                )
+            if any(Fraction(v).denominator not in (1, 2) for v in color.rho):
+                raise SkeletonInvariantError(
+                    "color-rho-denominator",
+                    f"{color.name}: values must be integral or half-integral",
+                )
+            if not color.moved_by:
+                raise SkeletonInvariantError(
+                    "color-moved-by", f"{color.name} is moved by no simple root"
+                )
+            if any(not 0 <= idx < rank for idx in color.moved_by):
+                raise SkeletonInvariantError(
+                    "moved-by-range", f"{color.name}: simple-root index out of range"
+                )
+            if len(set(color.moved_by)) != len(color.moved_by):
+                raise SkeletonInvariantError(
+                    "moved-by-distinct", f"{color.name}: a simple root is listed twice"
+                )
+            if color.coroot is not None:
+                idx, scale = color.coroot
+                if not 0 <= idx < rank:
+                    raise SkeletonInvariantError(
+                        "coroot-range", f"{color.name}: coroot index {idx} out of range"
+                    )
+                expect = coroot_rho(rs, sigma, idx, scale)
+                if tuple(color.rho) != expect:
+                    raise SkeletonInvariantError(
+                        "color-coroot-consistent",
+                        f"{color.name}: stored rho {color.rho}"
+                        f" != {scale}*alpha_{idx}^vee {expect}",
+                    )
+        inside = rootsys.two_rho(rs, self.sp)
+        sigma_set = set(sigma)
+        ms = []
+        for color in colors:
+            alphas = [tuple(int(j == idx) for j in range(rank)) for idx in color.moved_by]
+            if any(a in sigma_set or tuple(2 * v for v in a) in sigma_set for a in alphas):
+                ms.append(_ONE)
+                continue
+            values = {
+                Fraction(2 - rootsys.coroot_pairing(rs, idx, inside))
+                for idx in color.moved_by
+            }
+            if len(values) != 1:
+                raise SkeletonInvariantError(
+                    "multiplicity-well-defined",
+                    f"{color.name}: movers disagree on m_D ({sorted(values)})",
+                )
+            m = values.pop()
+            if m < 1:
+                raise SkeletonInvariantError(
+                    "multiplicity-positive", f"{color.name}: m_D = {m} < 1"
+                )
+            ms.append(m)
+        object.__setattr__(self, "multiplicities", tuple(ms))
+
+
+@dataclass(frozen=True)
+class SphericalSkeleton:
+    """A spherical system plus a set Gamma of boundary divisors
+    (Gagliardi & Hofscheier 2017); construction checks Gamma only."""
+
+    system: SphericalSystem
     boundary: tuple[BoundaryDivisor, ...]
 
     def __post_init__(self):
-        _validate(self)
+        nsig = len(self.system.sigma)
+        for div in self.boundary:
+            if len(div.rho) != nsig:
+                raise SkeletonInvariantError(
+                    "boundary-rho-length", f"{div.name}: expected {nsig} values"
+                )
+            if any(type(v) is not int for v in div.rho):
+                raise SkeletonInvariantError(
+                    "boundary-rho-integer", f"{div.name}: pairings must be integers"
+                )
+            if any(v > 0 for v in div.rho):
+                raise SkeletonInvariantError(
+                    "boundary-nonpositive", f"{div.name}: pairing must be <= 0"
+                )
+            if nsig and all(v == 0 for v in div.rho):
+                raise SkeletonInvariantError(
+                    "boundary-rho-nonzero", f"{div.name}: rho vanishes on sigma"
+                )
+        seen = set()
+        for div in self.divisors:
+            if div.name in seen:
+                raise SkeletonInvariantError(
+                    "divisor-names-unique", f"{div.name!r} names two divisors"
+                )
+            seen.add(div.name)
 
     @property
     def divisors(self) -> tuple:
         """The set D = Delta u Gamma, colors first."""
-        return self.colors + self.boundary
-
-
-def _validate(sk: SphericalSkeleton) -> None:
-    # not in the cached checks: 1.0 and True equal 1, so a cache hit would pass them
-    if any(type(idx) is not int for idx in sk.sp):
-        raise SkeletonInvariantError("sp-integer", "S^p indices must be int")
-    for g in sk.sigma:
-        if any(type(v) is not int for v in g):
-            raise SkeletonInvariantError("sigma-integer", f"{g}: entries must be int")
-    for color in sk.colors:
-        if any(type(v) not in (int, Fraction) for v in color.rho):
-            raise SkeletonInvariantError(
-                "color-rho-rational", f"{color.name}: values must be int or Fraction"
-            )
-        if any(type(idx) is not int for idx in color.moved_by):
-            raise SkeletonInvariantError(
-                "moved-by-integer", f"{color.name}: simple-root indices must be int"
-            )
-    _system_multiplicities(sk.root_system, sk.sp, sk.sigma, sk.colors)
-    nsig = len(sk.sigma)
-    for div in sk.boundary:
-        if len(div.rho) != nsig:
-            raise SkeletonInvariantError(
-                "boundary-rho-length", f"{div.name}: expected {nsig} values"
-            )
-        if any(type(v) is not int for v in div.rho):
-            raise SkeletonInvariantError(
-                "boundary-rho-integer", f"{div.name}: pairings must be integers"
-            )
-        if any(v > 0 for v in div.rho):
-            raise SkeletonInvariantError(
-                "boundary-nonpositive", f"{div.name}: pairing must be <= 0"
-            )
-        if nsig and all(v == 0 for v in div.rho):
-            raise SkeletonInvariantError(
-                "boundary-rho-nonzero", f"{div.name}: rho vanishes on sigma"
-            )
-    seen = set()
-    for div in sk.divisors:
-        if div.name in seen:
-            raise SkeletonInvariantError(
-                "divisor-names-unique", f"{div.name!r} names two divisors"
-            )
-        seen.add(div.name)
-
-
-# Every skeleton built from one bare system (each support option, each
-# candidate Gamma of a support enumeration) shares these checks, so they run
-# once per system.  Exceptions are not cached: a bad system raises each time.
-@lru_cache(maxsize=1024)
-def _system_multiplicities(
-    rs: RootSystem,
-    sp: frozenset[int],
-    sigma: tuple[tuple[int, ...], ...],
-    colors: tuple[Color, ...],
-) -> tuple[Fraction, ...]:
-    """Check the Gamma-independent invariants; m_D over the colors.
-
-    m_D is 1 when some moving simple root lies in Sigma or (1/2)Sigma,
-    otherwise <alpha^vee, 2rho_S - 2rho_{S^p}> for the moving root alpha
-    (several movers must agree).
-    """
-    rank = rs.rank
-    nsig = len(sigma)
-    for idx in sp:
-        if not 0 <= idx < rank:
-            raise SkeletonInvariantError("sp-range", f"index {idx} out of range")
-    for g in sigma:
-        if len(g) != rank:
-            raise SkeletonInvariantError("sigma-length", f"{g} has wrong length")
-    if nsig and exactlp.matrix_rank(sigma) != nsig:
-        raise SkeletonInvariantError("sigma-independent", "sigma is linearly dependent")
-    for color in colors:
-        if len(color.rho) != nsig:
-            raise SkeletonInvariantError(
-                "color-rho-length", f"{color.name}: expected {nsig} values"
-            )
-        if any(Fraction(v).denominator not in (1, 2) for v in color.rho):
-            raise SkeletonInvariantError(
-                "color-rho-denominator",
-                f"{color.name}: values must be integral or half-integral",
-            )
-        if not color.moved_by:
-            raise SkeletonInvariantError(
-                "color-moved-by", f"{color.name} is moved by no simple root"
-            )
-        if any(not 0 <= idx < rank for idx in color.moved_by):
-            raise SkeletonInvariantError(
-                "moved-by-range", f"{color.name}: simple-root index out of range"
-            )
-        if len(set(color.moved_by)) != len(color.moved_by):
-            raise SkeletonInvariantError(
-                "moved-by-distinct", f"{color.name}: a simple root is listed twice"
-            )
-        if color.coroot is not None:
-            idx, scale = color.coroot
-            if not 0 <= idx < rank:
-                raise SkeletonInvariantError(
-                    "coroot-range", f"{color.name}: coroot index {idx} out of range"
-                )
-            expect = coroot_rho(rs, sigma, idx, scale)
-            if tuple(color.rho) != expect:
-                raise SkeletonInvariantError(
-                    "color-coroot-consistent",
-                    f"{color.name}: stored rho {color.rho} != {scale}*alpha_{idx}^vee {expect}",
-                )
-    total = rootsys.two_rho(rs, range(rank))
-    inside = rootsys.two_rho(rs, sp)
-    two_rho_diff = tuple(t - i for t, i in zip(total, inside))
-    sigma_set = set(sigma)
-    ms = []
-    for color in colors:
-        alphas = [tuple(int(j == idx) for j in range(rank)) for idx in color.moved_by]
-        if any(a in sigma_set or tuple(2 * v for v in a) in sigma_set for a in alphas):
-            ms.append(_ONE)
-            continue
-        values = {
-            Fraction(rootsys.coroot_pairing(rs, idx, two_rho_diff))
-            for idx in color.moved_by
-        }
-        if len(values) != 1:
-            raise SkeletonInvariantError(
-                "multiplicity-well-defined",
-                f"{color.name}: movers disagree on m_D ({sorted(values)})",
-            )
-        m = values.pop()
-        if m < 1:
-            raise SkeletonInvariantError(
-                "multiplicity-positive", f"{color.name}: m_D = {m} < 1"
-            )
-        ms.append(m)
-    return tuple(ms)
+        return self.system.colors + self.boundary
 
 
 def coroot_rho(
@@ -216,8 +212,7 @@ def pairing_matrix(sk: SphericalSkeleton) -> list[list[Fraction]]:
 
 def multiplicities(sk: SphericalSkeleton) -> tuple[Fraction, ...]:
     """m_D over D in ``sk.divisors`` (boundary divisors get 1)."""
-    ms = _system_multiplicities(sk.root_system, sk.sp, sk.sigma, sk.colors)
-    return ms + (_ONE,) * len(sk.boundary)
+    return sk.system.multiplicities + (_ONE,) * len(sk.boundary)
 
 
 def support(sk: SphericalSkeleton) -> frozenset[int]:
@@ -242,7 +237,7 @@ def completeness_witness(
     separates any subset of them.
     """
     rows = [div.rho for div in sk.divisors]
-    if exactlp.matrix_rank(rows) != len(sk.sigma):
+    if exactlp.matrix_rank(rows) != len(sk.system.sigma):
         return None, None
     return exactlp.positive_dependence(rows)
 
@@ -264,7 +259,7 @@ def is_elementary(sk: SphericalSkeleton) -> bool:
 def is_reduced(sk: SphericalSkeleton) -> bool:
     if not is_elementary(sk):
         return False
-    for j in range(len(sk.sigma)):
+    for j in range(len(sk.system.sigma)):
         if sum(1 for div in sk.boundary if div.rho[j] == -1) > 1:
             return False
     return True
@@ -276,7 +271,7 @@ def _unit_boundary(nsig: int, j: int, name: str) -> BoundaryDivisor:
 
 def to_elementary(sk: SphericalSkeleton) -> SphericalSkeleton:
     """Split Gamma into unit divisors, one per unit of -<rho(D), gamma>."""
-    nsig = len(sk.sigma)
+    nsig = len(sk.system.sigma)
     gamma = []
     for j in range(nsig):
         total = -sum(div.rho[j] for div in sk.boundary)
@@ -289,18 +284,18 @@ def to_reduced(sk: SphericalSkeleton) -> SphericalSkeleton:
     """Keep one unit divisor per supported spherical root (elementary input)."""
     if not is_elementary(sk):
         raise ValueError("to_reduced requires an elementary skeleton")
-    return with_boundary_support(sk, support(sk))
+    return with_boundary_support(sk.system, support(sk))
 
 
 def with_boundary_support(
-    sk: SphericalSkeleton, indices: Iterable[int], combined: bool = False
+    system: SphericalSystem, indices: Iterable[int], combined: bool = False
 ) -> SphericalSkeleton:
     """Reduced elementary Gamma over the given support (or one combined divisor).
 
     ValueError names every index that is not an int naming a spherical root.
     """
     indices = list(indices)
-    nsig = len(sk.sigma)
+    nsig = len(system.sigma)
     bad = [j for j in indices if type(j) is not int or not 0 <= j < nsig]
     if bad:
         raise ValueError(f"support indices {bad} name no spherical root of {nsig}")
@@ -310,20 +305,21 @@ def with_boundary_support(
         gamma: tuple[BoundaryDivisor, ...] = (BoundaryDivisor(name="E", rho=rho),)
     else:
         gamma = tuple(_unit_boundary(nsig, j, f"E{j + 1}") for j in idx)
-    return replace(sk, boundary=gamma)
+    return SphericalSkeleton(system, gamma)
 
 
 def product(sk1: SphericalSkeleton, sk2: SphericalSkeleton) -> SphericalSkeleton:
     """Direct product: block-diagonal root systems, pairings and Gamma."""
-    rs = rootsys.build_root_system(sk1.root_system.components + sk2.root_system.components)
-    r1 = sk1.root_system.rank
-    n1, n2 = len(sk1.sigma), len(sk2.sigma)
-    pad1 = (0,) * sk2.root_system.rank
-    sigma = tuple(g + pad1 for g in sk1.sigma) + tuple(
-        (0,) * r1 + g for g in sk2.sigma
+    sys1, sys2 = sk1.system, sk2.system
+    rs = rootsys.build_root_system(sys1.root_system.components + sys2.root_system.components)
+    r1 = sys1.root_system.rank
+    n1, n2 = len(sys1.sigma), len(sys2.sigma)
+    pad1 = (0,) * sys2.root_system.rank
+    sigma = tuple(g + pad1 for g in sys1.sigma) + tuple(
+        (0,) * r1 + g for g in sys2.sigma
     )
-    sp = frozenset(sk1.sp) | frozenset(r1 + j for j in sk2.sp)
-    used = {c.name for c in sk1.colors} | {d.name for d in sk1.boundary}
+    sp = frozenset(sys1.sp) | frozenset(r1 + j for j in sys2.sp)
+    used = {div.name for div in sk1.divisors}
 
     def rename(name: str) -> str:
         while name in used:
@@ -332,9 +328,9 @@ def product(sk1: SphericalSkeleton, sk2: SphericalSkeleton) -> SphericalSkeleton
         return name
 
     colors = [
-        replace(c, rho=tuple(c.rho) + (_ZERO,) * n2) for c in sk1.colors
+        replace(c, rho=tuple(c.rho) + (_ZERO,) * n2) for c in sys1.colors
     ]
-    for c in sk2.colors:
+    for c in sys2.colors:
         coroot = (c.coroot[0] + r1, c.coroot[1]) if c.coroot else None
         colors.append(
             Color(
@@ -350,11 +346,8 @@ def product(sk1: SphericalSkeleton, sk2: SphericalSkeleton) -> SphericalSkeleton
         for d in sk2.boundary
     ]
     return SphericalSkeleton(
-        root_system=rs,
-        sp=sp,
-        sigma=sigma,
-        colors=tuple(colors),
-        boundary=tuple(boundary),
+        SphericalSystem(root_system=rs, sp=sp, sigma=sigma, colors=tuple(colors)),
+        tuple(boundary),
     )
 
 
@@ -368,24 +361,24 @@ def duplicate_boundary(sk: SphericalSkeleton, name: str) -> SphericalSkeleton:
 
 
 def _certificate_colors(
-    sk: SphericalSkeleton, delta_prime: Iterable[str], sigma_prime: Iterable[int]
+    system: SphericalSystem, delta_prime: Iterable[str], sigma_prime: Iterable[int]
 ) -> tuple[list[Color], frozenset[int]]:
     """The colors Delta' names and the set Sigma'; ValueError for an unknown
     color or an index that names no spherical root."""
-    by_name = {color.name: color for color in sk.colors}
+    by_name = {color.name: color for color in system.colors}
     try:
         chosen = [by_name[name] for name in delta_prime]
     except KeyError as exc:
         raise ValueError(f"unknown color {exc.args[0]!r}") from exc
     strict = frozenset(sigma_prime)
-    bad = [j for j in strict if type(j) is not int or not 0 <= j < len(sk.sigma)]
+    bad = [j for j in strict if type(j) is not int or not 0 <= j < len(system.sigma)]
     if bad:
         raise ValueError(f"Sigma' indices {bad} name no spherical root")
     return chosen, strict
 
 
 def check_distinguished_certificate(
-    sk: SphericalSkeleton,
+    system: SphericalSystem,
     delta_prime: Iterable[str],
     sigma_prime: Iterable[int],
     c: Sequence[Fraction | int],
@@ -397,13 +390,13 @@ def check_distinguished_certificate(
     reduced elementary skeleton with support inside Sigma' is not complete,
     which callers cross-check against is_complete.
     """
-    chosen, strict = _certificate_colors(sk, delta_prime, sigma_prime)
+    chosen, strict = _certificate_colors(system, delta_prime, sigma_prime)
     weights = [Fraction(x) for x in c]
     if len(weights) != len(chosen):
         raise ValueError("one weight per color required")
     if any(w <= 0 for w in weights):
         raise ValueError("certificate weights must be strictly positive")
-    for j in range(len(sk.sigma)):
+    for j in range(len(system.sigma)):
         total = sum(w * color.rho[j] for w, color in zip(weights, chosen))
         if total < 0:
             return False
@@ -413,7 +406,7 @@ def check_distinguished_certificate(
 
 
 def find_certificate_multipliers(
-    sk: SphericalSkeleton, delta_prime: Iterable[str], sigma_prime: Iterable[int]
+    system: SphericalSystem, delta_prime: Iterable[str], sigma_prime: Iterable[int]
 ) -> tuple[Fraction, ...] | None:
     """Search c_D >= 1 making (Delta', Sigma') a valid certificate.
 
@@ -422,13 +415,13 @@ def find_certificate_multipliers(
     and at least 1 on it.
     """
     names = list(delta_prime)
-    chosen, strict = _certificate_colors(sk, names, sigma_prime)
-    surplus = [[-int(g == j) for g in range(len(sk.sigma))] for j in sorted(strict)]
+    chosen, strict = _certificate_colors(system, names, sigma_prime)
+    surplus = [[-int(g == j) for g in range(len(system.sigma))] for j in sorted(strict)]
     lam = exactlp.positive_dependence([c.rho for c in chosen] + surplus)[0]
     if lam is None:
         return None
     c = lam[: len(chosen)]
-    return c if check_distinguished_certificate(sk, names, strict, c) else None
+    return c if check_distinguished_certificate(system, names, strict, c) else None
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +483,13 @@ def _frac(value, where: str) -> Fraction:
 
 
 def to_dict(sk: SphericalSkeleton) -> dict:
+    system = sk.system
     data = {
         "root_system": [
-            {"series": series, "rank": rank} for series, rank in sk.root_system.components
+            {"series": series, "rank": rank} for series, rank in system.root_system.components
         ],
-        "sp": sorted(sk.sp),
-        "sigma": [list(g) for g in sk.sigma],
+        "sp": sorted(system.sp),
+        "sigma": [list(g) for g in system.sigma],
         "colors": [
             {
                 "name": c.name,
@@ -507,7 +501,7 @@ def to_dict(sk: SphericalSkeleton) -> dict:
                     else {}
                 ),
             }
-            for c in sk.colors
+            for c in system.colors
         ],
         "boundary": [{"name": d.name, "rho": list(d.rho)} for d in sk.boundary],
     }
@@ -556,9 +550,8 @@ def from_dict(data: dict) -> SphericalSkeleton:
         d = _object(d, "boundary divisor", ("name", "rho"))
         where = f"boundary {_str(d['name'], 'boundary name')}"
         boundary.append(BoundaryDivisor(name=d["name"], rho=_ints(d["rho"], f"{where} rho")))
-    return SphericalSkeleton(
-        root_system=rs, sp=sp, sigma=sigma, colors=tuple(colors), boundary=tuple(boundary)
-    )
+    system = SphericalSystem(root_system=rs, sp=sp, sigma=sigma, colors=tuple(colors))
+    return SphericalSkeleton(system, tuple(boundary))
 
 
 def save(sk: SphericalSkeleton, path: str) -> None:

@@ -362,9 +362,9 @@ def test_criterion_6_completeness_certificates():
 
     def agree(skel):
         nonlocal oracle_checked
-        rows = [tuple(c.rho) for c in skel.colors]
+        rows = [tuple(c.rho) for c in skel.system.colors]
         rows += [tuple(F(v) for v in d.rho) for d in skel.boundary]
-        expect = oracle_positive_span(rows, len(skel.sigma))
+        expect = oracle_positive_span(rows, len(skel.system.sigma))
         assert sk.is_complete(skel) == expect, skel
         oracle_checked += 1
 
@@ -373,7 +373,7 @@ def test_criterion_6_completeness_certificates():
         nsig = len(inst.system.sigma)
         if nsig > 4:
             continue
-        agree(inst.system)
+        agree(SphericalSkeleton(inst.system, ()))
         for opt in inst.options:
             agree(inst.support_skeleton(opt))
         for j in range(nsig):
@@ -386,12 +386,7 @@ def test_criterion_6_completeness_certificates():
                 if all(v == 0 for v in rho):
                     rho[rng.randrange(nsig)] = -1
                 gamma.append(BoundaryDivisor(f"R{g}", tuple(rho)))
-            agree(
-                SphericalSkeleton(
-                    inst.system.root_system, inst.system.sp, inst.system.sigma,
-                    inst.system.colors, tuple(gamma),
-                )
-            )
+            agree(SphericalSkeleton(inst.system, tuple(gamma)))
     assert oracle_checked >= 500
     print(f"ACCEPTANCE 6 (completeness certificates): PASS "
           f"[{cert_count} certificates, {oracle_checked} oracle agreements]")
@@ -477,9 +472,7 @@ def test_criterion_8_property_suite(sweep):
             if all(v == 0 for v in rho):
                 rho[rng.randrange(nsig)] = -1
             gamma.append(BoundaryDivisor(f"R{g}", tuple(rho)))
-        skel = SphericalSkeleton(
-            system.root_system, system.sp, system.sigma, system.colors, tuple(gamma)
-        )
+        skel = SphericalSkeleton(system, tuple(gamma))
         elem = sk.to_elementary(skel)
         red = sk.to_reduced(elem)
         assert sk.support(skel) == sk.support(elem) == sk.support(red)
@@ -513,7 +506,7 @@ def test_criterion_8_property_suite(sweep):
     # completeness of a product is blockwise: one bad factor spoils it
     i35 = catalog.instantiate(35)
     good = i35.support_skeleton(i35.option("gamma"))
-    bad = catalog.instantiate(36, p=2).system  # colors only, not complete
+    bad = SphericalSkeleton(catalog.instantiate(36, p=2).system, ())  # colors only, not complete
     mixed = mukai.check_conjecture(sk.product(good, bad))
     assert not mixed.complete
     assert mixed.budget == 6 + 8

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -134,6 +135,28 @@ def test_export_verify_round_trip_identical(tmp_path):
     assert payload["p_value"] == row["p_value"]
     assert payload["theta"] == row["theta"]
     assert payload["budget"] == row["budget"]
+
+
+# sha256 over the files `sphskel export --sweep smoke` writes for every family
+# in sorted key order, the bare system (Gamma empty) first and then each option
+EXPORT_SMOKE_SHA256 = "7fdd591fb8dcd8ea45fbae4e37cfa3e8f9ddedf81e5f549c3f49a91afff9b31a"
+
+
+def test_export_smoke_files_identity(tmp_path):
+    digest = hashlib.sha256()
+    files = 0
+    path = tmp_path / "export.json"
+    smoke = cli.load_sweep_profile("smoke")
+    for family, sub_case in sorted(catalog.FAMILIES):
+        key = f"{family}/{sub_case}" if sub_case else str(family)
+        (inst,) = catalog.sweep_instances(family, sub_case, profile=smoke)
+        for support in [None] + [opt.key for opt in inst.options]:
+            argv = ["export", "--case", key, "--sweep", "smoke", "-o", str(path)]
+            assert cli.main(argv + (["--support", support] if support else [])) == 0
+            digest.update(path.read_bytes())
+            files += 1
+    assert files == 108
+    assert digest.hexdigest() == EXPORT_SMOKE_SHA256
 
 
 def test_compute_sigma_empty_with_boundary(tmp_path):
@@ -298,6 +321,9 @@ def _color(doc):
                      id="coroot-index-out-of-range"),
         # a repeated index would otherwise read as one
         pytest.param(lambda d: d.update(sp=[1, 1]), 2, "parse error", id="sp-repeated"),
+        # refused before a 10^30 x 10^30 Cartan matrix is allocated
+        pytest.param(lambda d: d["root_system"][0].update(rank=10**30), 2, "parse error",
+                     id="rank-huge"),
         pytest.param(lambda d: _color(d).update(moved_by=[0, 0]), 3, "[moved-by-distinct]",
                      id="moved-by-repeated"),
     ],
@@ -343,6 +369,8 @@ def test_internal_errors_propagate(monkeypatch):
         # values below a free parameter's least value, the start of its range
         ["verify", "--case", "31", "--sweep-config", {"31": {"p": [1, 2]}}],
         ["verify", "--case", "41", "--sweep-config", {"48/p>=1": {"p": [1]}}],
+        # A_102 exceeds the largest total rank a root system may have
+        ["verify", "--case", "31", "--param", "p=51"],
     ],
     ids=[
         "export-unknown-support", "supports-max-card-0", "param-repeated",
@@ -351,7 +379,7 @@ def test_internal_errors_propagate(monkeypatch):
         "profile-unknown-parameter", "profile-value-bool", "profile-value-empty",
         "profile-entry-not-an-object", "profile-parameter-one-sub-case-lacks",
         "profile-not-an-object", "profile-empty-list", "profile-value-below-least",
-        "profile-value-below-least-of-sub-case",
+        "profile-value-below-least-of-sub-case", "param-rank-too-large",
     ],
 )
 def test_user_errors_exit_2(tmp_path, capsys, argv):

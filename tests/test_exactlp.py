@@ -224,7 +224,7 @@ def test_completeness_lps_start_feasible(solves):
     # the smallest instance of every family, with all its options and
     # certificates: no completeness LP needs phase 1
     for inst in smallest_instances():
-        sk.is_complete(inst.system)
+        sk.is_complete(sk.SphericalSkeleton(inst.system, ()))
         for opt in inst.options:
             sk.is_complete(inst.support_skeleton(opt))
         for cert in inst.certificates:

@@ -7,7 +7,7 @@ import pytest
 from oracles import oracle_positive_span
 from sphskel import catalog, mukai, rootsys, skeleton as sk
 from sphskel.mukai import EQUAL, STRICTLY_LESS
-from sphskel.skeleton import Color, SphericalSkeleton
+from sphskel.skeleton import Color, SphericalSkeleton, SphericalSystem
 
 F = Fraction
 
@@ -32,7 +32,7 @@ def test_mfs_empty_sigma():
     # no variables: the value is the constant sum of (m_D - 1)
     rs = rootsys.build_root_system([("A", 1)])
     color = Color(name="D", rho=(), moved_by=(0,))  # m = <a^vee, 2rho> = 2
-    skel = SphericalSkeleton(rs, frozenset(), (), (color,), ())
+    skel = SphericalSkeleton(SphericalSystem(rs, frozenset(), (), (color,)), ())
     v = mukai.check_conjecture(skel)
     assert v.p_value == 1 and v.theta == ()
 
@@ -60,11 +60,11 @@ def test_mfs_infinite_on_noncomplete():
 
 
 def test_budget_examples():
-    assert mukai.budget(case(35).system) == 6
-    assert mukai.budget(case(44, "p=2", p=2).system) == 7
+    assert mukai.budget(SphericalSkeleton(case(35).system, ())) == 6
+    assert mukai.budget(SphericalSkeleton(case(44, "p=2", p=2).system, ())) == 7
     # S^p equal to the whole S gives budget zero
     rs = rootsys.build_root_system([("A", 2)])
-    skel = SphericalSkeleton(rs, frozenset({0, 1}), (), (), ())
+    skel = SphericalSkeleton(SphericalSystem(rs, frozenset({0, 1}), (), ()), ())
     assert mukai.budget(skel) == 0
 
 
@@ -118,7 +118,7 @@ def _unpruned_minimal_supports(system, max_card):
             if any(set(prev) <= set(t) for prev in minimal):
                 continue
             skel = sk.with_boundary_support(system, t)
-            rows = [c.rho for c in skel.colors] + [d.rho for d in skel.boundary]
+            rows = [div.rho for div in skel.divisors]
             tested += 1
             if oracle_positive_span(rows, nsig):
                 minimal.append(t)
@@ -149,12 +149,6 @@ def test_pruned_enumeration_matches_unpruned(monkeypatch):
     assert (lps, candidates) == (89, 152)
 
 
-def test_enumerate_requires_empty_gamma():
-    skel = support_skel(case(41), "gamma")
-    with pytest.raises(ValueError):
-        mukai.enumerate_minimal_complete_supports(skel)
-
-
 def test_duplicate_shift_case_41():
     skel = support_skel(case(41), "gamma")
     before, after, shift = mukai.duplicate_shift_check(skel, skel.boundary[0].name)
@@ -177,9 +171,7 @@ def test_reduction_monotonicity_small():
     # P(R) <= P(R^e) <= P(R^r) on a hand-built non-elementary Gamma
     system = case(38).system
     gamma = (sk.BoundaryDivisor("X", (-2, -1, 0)), sk.BoundaryDivisor("Y", (0, -1, 0)))
-    skel = SphericalSkeleton(
-        system.root_system, system.sp, system.sigma, system.colors, gamma
-    )
+    skel = SphericalSkeleton(system, gamma)
     p0 = mukai.check_conjecture(skel).p_value
     p1 = mukai.check_conjecture(sk.to_elementary(skel)).p_value
     p2 = mukai.check_conjecture(sk.to_reduced(sk.to_elementary(skel))).p_value

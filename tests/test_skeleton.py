@@ -1,17 +1,22 @@
+import copy
 import json
+import pathlib
+import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from sphskel import catalog, exactlp, mukai, rootsys, skeleton as sk
+from sphskel import catalog, cli, exactlp, mukai, rootsys, skeleton as sk
 from sphskel.skeleton import (
     BoundaryDivisor,
     Color,
     SkeletonInvariantError,
     SkeletonParseError,
     SphericalSkeleton,
+    SphericalSystem,
 )
 
 F = Fraction
@@ -33,19 +38,19 @@ def test_pairing_matrix_case_31_row():
 def test_pairing_matrix_empty_sigma():
     rs = rootsys.build_root_system([("A", 1)])
     color = Color(name="D", rho=(), moved_by=(0,))
-    skel = SphericalSkeleton(rs, frozenset(), (), (color,), ())
+    skel = SphericalSkeleton(SphericalSystem(rs, frozenset(), (), (color,)), ())
     assert sk.pairing_matrix(skel) == [[]]
 
 
 def test_pairing_matrix_case_39_explicit_row():
     inst = case(39)
-    a = sk.pairing_matrix(inst.system)
+    a = sk.pairing_matrix(SphericalSkeleton(inst.system, ()))
     assert a[0] == [F(-1), F(1), F(0), F(0)]  # D1+ has rho = (1,-1,0,0)
 
 
 def test_color_multiplicities_case_34():
     inst = case(34)
-    assert sk.multiplicities(inst.system) == (4, 6)
+    assert inst.system.multiplicities == (4, 6)
     skel = inst.support_skeleton(inst.option("gamma_1"))
     b = sk.multiplicities(skel)
     assert b[-1] == 1  # boundary divisors always get 1
@@ -54,7 +59,7 @@ def test_color_multiplicities_case_34():
 
 def test_color_multiplicity_one_for_sigma_movers():
     inst = case(36, p=3)
-    ms = dict(zip((c.name for c in inst.system.colors), sk.multiplicities(inst.system)))
+    ms = dict(zip((c.name for c in inst.system.colors), inst.system.multiplicities))
     assert ms["D1+"] == ms["D1-"] == 1
     assert ms["D2"] == 6
 
@@ -67,12 +72,12 @@ def test_is_complete_examples():
     assert not sk.is_complete(sk.with_boundary_support(inst.system, [1]))
     # colors alone in a half-space cannot positively span
     inst36 = case(36, p=2)
-    assert not sk.is_complete(inst36.system)
+    assert not sk.is_complete(SphericalSkeleton(inst36.system, ()))
 
 
 def test_is_complete_empty_sigma():
     rs = rootsys.build_root_system([("A", 1)])
-    skel = SphericalSkeleton(rs, frozenset(), (), (), ())
+    skel = SphericalSkeleton(SphericalSystem(rs, frozenset(), (), ()), ())
     assert sk.is_complete(skel)
 
 
@@ -84,7 +89,7 @@ def test_is_complete_needs_spanning_functionals():
         Color(name="D1", rho=(F(1), F(1)), moved_by=(0,)),
         Color(name="D2", rho=(F(-1), F(-1)), moved_by=(1,)),
     )
-    skel = SphericalSkeleton(rs, frozenset(), ((1, 0), (0, 1)), colors, ())
+    skel = SphericalSkeleton(SphericalSystem(rs, frozenset(), ((1, 0), (0, 1)), colors), ())
     assert exactlp.positive_dependence([c.rho for c in colors]) == ((F(1), F(1)), None)
     assert not sk.is_complete(skel)
     assert sk.completeness_witness(skel) == (None, None)
@@ -93,14 +98,11 @@ def test_is_complete_needs_spanning_functionals():
 
 def test_support():
     inst = case(34)
-    assert sk.support(inst.system) == frozenset()
+    assert sk.support(SphericalSkeleton(inst.system, ())) == frozenset()
     skel = inst.support_skeleton(inst.option("gamma_1"))
     assert sk.support(skel) == {0}
     two = SphericalSkeleton(
-        inst.system.root_system,
-        inst.system.sp,
-        inst.system.sigma,
-        inst.system.colors,
+        inst.system,
         (
             BoundaryDivisor("E1", (-1, 0)),
             BoundaryDivisor("E2", (-2, -1)),
@@ -113,9 +115,7 @@ def _with_gamma(system, rows):
     gamma = tuple(
         BoundaryDivisor(f"X{i}", tuple(row)) for i, row in enumerate(rows)
     )
-    return SphericalSkeleton(
-        system.root_system, system.sp, system.sigma, system.colors, gamma
-    )
+    return SphericalSkeleton(system, gamma)
 
 
 def test_to_elementary():
@@ -163,17 +163,17 @@ def test_product_structure():
     s35 = inst35.support_skeleton(inst35.option("gamma"))
     s41 = inst41.support_skeleton(inst41.option("gamma"))
     prod = sk.product(s35, s41)
-    assert prod.root_system.components == (("B", 3), ("G", 2))
+    assert prod.system.root_system.components == (("B", 3), ("G", 2))
     assert mukai.budget(prod) == 6 + 5 == 11
     a = sk.pairing_matrix(prod)
     # block-diagonal pairing: first-factor rows vanish on second-factor roots
     assert a[0][1] == 0 and a[1][0] == 0
-    assert len(prod.colors) == 2 and len(prod.boundary) == 2
+    assert len(prod.system.colors) == 2 and len(prod.boundary) == 2
 
 
 def test_product_with_empty_skeleton_is_identity_like():
     rs = rootsys.build_root_system([("A", 1)])
-    empty = SphericalSkeleton(rs, frozenset({0}), (), (), ())
+    empty = SphericalSkeleton(SphericalSystem(rs, frozenset({0}), (), ()), ())
     inst = case(41)
     s41 = inst.support_skeleton(inst.option("gamma"))
     prod = sk.product(s41, empty)
@@ -250,49 +250,43 @@ def test_invariant_violations():
     rs = rootsys.build_root_system([("A", 2)])
     sigma = ((1, 0), (0, 1))
     color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,), coroot=(0, F(1)))
+    system = SphericalSystem(rs, frozenset(), sigma, (color,))
     with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSkeleton(
-            rs, frozenset(), sigma, (color,), (BoundaryDivisor("E", (1, 0)),)
-        )
+        SphericalSkeleton(system, (BoundaryDivisor("E", (1, 0)),))
     assert err.value.invariant == "boundary-nonpositive"
     with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSkeleton(
-            rs, frozenset(), sigma, (color,), (BoundaryDivisor("E", (0, 0)),)
-        )
+        SphericalSkeleton(system, (BoundaryDivisor("E", (0, 0)),))
     assert err.value.invariant == "boundary-rho-nonzero"
     with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSkeleton(rs, frozenset(), ((1, 0), (2, 0)), (), ())
+        SphericalSystem(rs, frozenset(), ((1, 0), (2, 0)), ())
     assert err.value.invariant == "sigma-independent"
     with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSkeleton(
+        SphericalSystem(
             rs,
             frozenset(),
             sigma,
             (Color(name="D", rho=(F(1), F(1)), moved_by=(0,), coroot=(0, F(1))),),
-            (),
         )
     assert err.value.invariant == "color-coroot-consistent"
     with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSkeleton(
-            rs, frozenset(), sigma, (Color(name="D", rho=(F(1), F(0)), moved_by=()),), ()
+        SphericalSystem(
+            rs, frozenset(), sigma, (Color(name="D", rho=(F(1), F(0)), moved_by=()),)
         )
     assert err.value.invariant == "color-moved-by"
     with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSkeleton(rs, frozenset(), sigma, (replace(color, moved_by=(0, 0)),), ())
+        SphericalSystem(rs, frozenset(), sigma, (replace(color, moved_by=(0, 0)),))
     assert err.value.invariant == "moved-by-distinct"
     # a float pairing would put floating point into the solve path
     with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSkeleton(
-            rs, frozenset(), sigma, (color,), (BoundaryDivisor("E", (-0.5, 0)),)
-        )
+        SphericalSkeleton(system, (BoundaryDivisor("E", (-0.5, 0)),))
     assert err.value.invariant == "boundary-rho-integer"
-    # equal to the valid color's rho, so only a check outside the cache sees it
+    # equal to the valid color's rho, so only a type check sees it
     float_color = replace(color, rho=tuple(float(v) for v in color.rho))
     with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSkeleton(rs, frozenset(), sigma, (float_color,), ())
+        SphericalSystem(rs, frozenset(), sigma, (float_color,))
     assert err.value.invariant == "color-rho-rational"
-    # True == 1 and 1.0 == 1 hash alike too: D1 read as moved by alpha_2, a
-    # float Sigma evaluated to Equal
+    # True == 1 and 1.0 == 1 as well: D1 read as moved by alpha_2, a float
+    # Sigma evaluated to Equal
     system = case(31, p=2).system
     d1 = replace(system.colors[0], moved_by=(True,))
     float_sigma = tuple(tuple(float(v) for v in g) for g in system.sigma)
@@ -306,20 +300,132 @@ def test_invariant_violations():
         assert err.value.invariant == invariant
 
 
+FUZZ_VALUES = (None, True, 0, -1, 3, 1.5, "1/2", "x", "1/0", [], {}, 10**30)
+
+
+def _mutate(doc, rng):
+    """Delete a key or entry, duplicate a list entry, or replace a value."""
+    nodes = []
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            nodes.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(doc)
+    parent, key = rng.choice(nodes)
+    action = rng.randrange(3)
+    if action == 0:
+        del parent[key]
+    elif action == 1 and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+
+
+def test_from_dict_fuzz():
+    # one- and two-step mutations of every exported smoke-sweep skeleton: each
+    # document is a skeleton or is rejected with a named reason, never a crash
+    docs = []
+    for inst in catalog.sweep_instances(profile=cli.load_sweep_profile("smoke")):
+        docs.append(sk.to_dict(SphericalSkeleton(inst.system, ())))
+        docs += [sk.to_dict(inst.support_skeleton(opt)) for opt in inst.options]
+    rng = random.Random(2001)
+    outcomes = {"built": 0, "parse": 0, "invariant": 0}
+    for _ in range(2000):
+        doc = copy.deepcopy(rng.choice(docs))
+        for _ in range(rng.randint(1, 2)):
+            _mutate(doc, rng)
+        try:
+            sk.from_dict(doc)
+            outcomes["built"] += 1
+        except SkeletonParseError:
+            outcomes["parse"] += 1
+        except SkeletonInvariantError:
+            outcomes["invariant"] += 1
+    assert len(docs) == 108
+    assert all(outcomes.values()), outcomes
+
+
+RS_A2 = rootsys.build_root_system([("A", 2)])
+SIGMA_A2 = ((1, 1),)
+GOOD_A2 = dict(
+    root_system=RS_A2,
+    sp=frozenset(),
+    sigma=SIGMA_A2,
+    colors=(Color(name="D", rho=(F(1),), moved_by=(0,), coroot=(0, F(1))),),
+)
+GAMMA_A2 = (BoundaryDivisor("E", (-1,)),)
+
+
+def _a2_with_color(**changes):
+    """GOOD_A2 with its color changed (and its coroot reference dropped)."""
+    color = replace(GOOD_A2["colors"][0], coroot=None, **changes)
+    return SphericalSystem(**{**GOOD_A2, "colors": (color,)})
+
+
+# one failing construction each for invariants no other test reaches
+UNREACHED = {
+    "sigma-length": lambda: SphericalSystem(**{**GOOD_A2, "sigma": ((1, 1, 0),)}),
+    "color-rho-length": lambda: _a2_with_color(rho=(F(1), F(0))),
+    "color-rho-denominator": lambda: _a2_with_color(rho=(F(1, 3),)),
+    "moved-by-range": lambda: _a2_with_color(moved_by=(5,)),
+    "boundary-rho-length": lambda: SphericalSkeleton(
+        SphericalSystem(**GOOD_A2), (BoundaryDivisor("E", (-1, 0)),)
+    ),
+    # in A3 with S^p = {alpha_3}, 2rho_{S^p} = alpha_3 pairs to 0 with alpha_1^vee
+    # and to -1 with alpha_2^vee: m_D would be 2 and 3
+    "multiplicity-well-defined": lambda: SphericalSystem(
+        rootsys.build_root_system([("A", 3)]),
+        frozenset({2}),
+        (),
+        (Color(name="D", rho=(), moved_by=(0, 1)),),
+    ),
+}
+
+
+@pytest.mark.parametrize("invariant", sorted(UNREACHED))
+def test_unreached_invariants(invariant):
+    with pytest.raises(SkeletonInvariantError) as err:
+        UNREACHED[invariant]()
+    assert err.value.invariant == invariant
+
+
+def test_system_checks_run_once_per_system(monkeypatch):
+    checks = []
+    check = SphericalSystem.__post_init__
+
+    def counting(system):
+        checks.append(system)
+        check(system)
+
+    monkeypatch.setattr(SphericalSystem, "__post_init__", counting)
+    instances = catalog.sweep_instances(family=31)
+    for inst in instances:
+        for opt in inst.options:
+            elem = sk.to_elementary(inst.support_skeleton(opt))
+            sk.duplicate_boundary(elem, elem.boundary[0].name)
+        assert mukai.enumerate_minimal_complete_supports(inst.system, 3)
+    assert len(instances) == 5
+    assert checks == [inst.system for inst in instances]
+
+
 def test_file_round_trip(tmp_path):
     inst = case(32, p=3)
     skel = inst.support_skeleton(inst.option("gamma_1"))
     path = tmp_path / "skel.json"
     sk.save(skel, str(path))
     loaded = sk.load(str(path))
-    assert loaded.sigma == skel.sigma
-    assert [c.rho for c in loaded.colors] == [c.rho for c in skel.colors]
+    assert loaded.system.sigma == skel.system.sigma
+    assert [c.rho for c in loaded.system.colors] == [c.rho for c in skel.system.colors]
     assert mukai.check_conjecture(loaded) == mukai.check_conjecture(skel)
     # the half-coroot scale survives as a reduced fraction string
     data = json.loads(path.read_text())
     dp = next(c for c in data["colors"] if c["name"] == "Dp+")
     assert dp["coroot"]["scale"] == "1/2"
-    assert loaded.colors[-1].coroot == (2, F(1, 2))
+    assert loaded.system.colors[-1].coroot == (2, F(1, 2))
 
 
 def test_parse_errors(tmp_path):
@@ -344,18 +450,9 @@ def test_parse_errors(tmp_path):
         sk.load(str(bad))
 
 
-RS_A2 = rootsys.build_root_system([("A", 2)])
-SIGMA_A2 = ((1, 1),)
-GOOD_A2 = dict(
-    root_system=RS_A2,
-    sp=frozenset(),
-    sigma=SIGMA_A2,
-    colors=(Color(name="D", rho=(F(1),), moved_by=(0,), coroot=(0, F(1))),),
-    boundary=(BoundaryDivisor("E", (-1,)),),
-)
 # each replaces part of GOOD_A2 and breaks one Gamma-independent invariant
 BAD_A2_SYSTEMS = {
-    "sigma-independent": {"sigma": ((1, 1), (2, 2)), "colors": (), "boundary": ()},
+    "sigma-independent": {"sigma": ((1, 1), (2, 2)), "colors": ()},
     # 2rho_S - 2rho_{S^p} = (2, 0) pairs to -2 with alpha_2^vee
     "multiplicity-positive": {
         "sp": frozenset({1}),
@@ -370,17 +467,29 @@ BAD_A2_SYSTEMS = {
 
 @pytest.mark.parametrize("invariant", sorted(BAD_A2_SYSTEMS))
 def test_system_checks_run_on_every_construction(tmp_path, invariant):
-    # a valid skeleton and its derived Gammas on the same root system first
-    good = SphericalSkeleton(**GOOD_A2)
+    # a valid system and its derived Gammas on the same root system first
+    good = SphericalSystem(**GOOD_A2)
     assert sk.multiplicities(sk.with_boundary_support(good, (0,))) == (2, 1)
     bad = {**GOOD_A2, **BAD_A2_SYSTEMS[invariant]}
+    boundary = () if invariant == "sigma-independent" else GAMMA_A2
     path = tmp_path / "bad.json"
-    # to_dict reads the fields only, so it can write a skeleton that never validated
-    path.write_text(json.dumps(sk.to_dict(SimpleNamespace(**bad))))
+    # to_dict reads the fields only, so it can write a system that never validated
+    doc = sk.to_dict(SimpleNamespace(system=SimpleNamespace(**bad), boundary=boundary))
+    path.write_text(json.dumps(doc))
     for _ in range(2):
         with pytest.raises(SkeletonInvariantError) as err:
-            SphericalSkeleton(**bad)
+            SphericalSystem(**bad)
         assert err.value.invariant == invariant
         with pytest.raises(SkeletonInvariantError) as err:
             sk.load(str(path))
         assert err.value.invariant == invariant
+
+
+def test_every_invariant_is_documented():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    names = set()
+    for path in (root / "src" / "sphskel").glob("*.py"):
+        names |= set(re.findall(r'SkeletonInvariantError\(\s*"([^"]+)"', path.read_text()))
+    readme = (root / "README.md").read_text()
+    assert len(names) == 24
+    assert sorted(name for name in names if f"`{name}`" not in readme) == []
