@@ -1,11 +1,20 @@
 """Exact rational linear programming with certificates.
 
-Canonical form: maximize c.x subject to A x <= b, x >= 0, everything a
-``fractions.Fraction``.  The solver is a two-phase primal simplex with
-Bland's rule (entering: smallest index with negative reduced cost; leaving:
-smallest basic index among the minimum ratios), so it terminates and every
-run is deterministic.  Optimal solutions carry the exact dual vector read
-off the slack columns; unbounded ones carry an improving ray.
+Canonical form: maximize c.x subject to A x <= b, x >= 0, every entry an
+``int`` or a ``fractions.Fraction``.  The solver is a two-phase primal
+simplex with Bland's rule (entering: smallest index with negative reduced
+cost; leaving: smallest basic index among the minimum ratios), so it
+terminates and every run is deterministic.  Optimal solutions carry the
+exact dual vector read off the slack columns; unbounded ones carry an
+improving ray.
+
+The tableau holds Python ints only (Edmonds 1967, Bareiss 1968): each row
+of ``[A | b]`` is scaled by the lcm of its denominators, c by the lcm of
+its own, and every entry is the numerator over one common denominator, the
+basis determinant, so a pivot is an exact integer division.  Scaling a row
+scales its slack, which leaves Bland's path and the pivot count unchanged.
+``Fraction`` enters only in ``LpProblem`` and is built again only for the
+primal, value, dual and ray of the result.
 
 Negative right-hand sides are handled by the one-artificial-variable
 phase 1; an empty feasible region raises ``LpInfeasibleError``.  Only a
@@ -18,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 _ZERO = Fraction(0)
@@ -29,8 +40,26 @@ class LpInfeasibleError(ValueError):
 
 
 def _frac_vector(v) -> tuple:
-    # ints become Fractions; anything else is left for LpProblem to reject
-    return tuple(Fraction(x) if type(x) is int else x for x in v)
+    # ints become Fractions; anything else is left for LpProblem to reject.
+    # This module builds tuples from lists: tuple() of a generator resizes its
+    # result, and CPython's tuple free lists then keep up to 2000 stranded
+    # tuples of each small size, so peak memory grew with every LP solved.
+    return tuple([Fraction(x) if type(x) is int else x for x in v])
+
+
+def _check_exact(v) -> None:
+    # exact types only: Fraction(0.1) is not 1/10, and True would read as 1
+    bad = [x for x in v if type(x) not in (int, Fraction)]
+    if bad:
+        raise ValueError(f"entries must be int or Fraction, not {bad[0]!r}")
+
+
+def _integer_row(v) -> tuple[list[int], int]:
+    """``(L*v, L)`` for the least L > 0 that makes every entry an int."""
+    pairs = [x.as_integer_ratio() for x in v]
+    # star-args from a list, not a generator (see _frac_vector)
+    scale = lcm(*[q for _, q in pairs])
+    return [p * (scale // q) for p, q in pairs], scale
 
 
 @dataclass(frozen=True)
@@ -46,11 +75,8 @@ class LpProblem:
     c: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # exact types only: Fraction(0.1) is not 1/10, and True would read as 1
         for v in (*self.a, self.b, self.c):
-            bad = [x for x in v if type(x) not in (int, Fraction)]
-            if bad:
-                raise ValueError(f"LP entries must be int or Fraction, not {bad[0]!r}")
+            _check_exact(v)
         if len(self.a) != len(self.b):
             raise ValueError("row count of A does not match b")
         for row in self.a:
@@ -60,7 +86,7 @@ class LpProblem:
     @staticmethod
     def make(a, b, c) -> "LpProblem":
         return LpProblem(
-            a=tuple(_frac_vector(row) for row in a), b=_frac_vector(b), c=_frac_vector(c)
+            a=tuple([_frac_vector(row) for row in a]), b=_frac_vector(b), c=_frac_vector(c)
         )
 
     @property
@@ -83,88 +109,107 @@ class LpSolution:
 
 
 class _Simplex:
-    """Dense tableau over Fractions; rows are B^-1 [A | I], rhs B^-1 b."""
+    """Dense tableau of ints over one common denominator ``d > 0``.
+
+    The rows are ``d * B^-1 [LA | I | Lb]``, where row i of A and b is
+    scaled by L_i, the lcm of its denominators: x keeps the problem's units,
+    slack i is s'_i = L_i s_i, and phase 1's aux column holds -L_i, the image
+    of -1.  ``z`` is d times the objective row for ``L_c c``, value last.
+    A pivot on p leaves d the absolute basis determinant, so the update
+    ``(x * p - f * q) // d`` divides exactly (Bareiss), and negates the
+    tableau when p < 0 (the phase-1 aux pivot and its exit pivot).
+    ``Fraction`` is built only by ``obj``, ``primal_point`` and ``ray``.
+    """
 
     def __init__(self, problem: LpProblem):
         m, n = problem.m, problem.n
         self.m, self.n = m, n
         self.width = n + m  # structural + slack columns; aux column may follow
-        self.rows = []
+        self.rows: list[list[int]] = []
+        self.row_scale: list[int] = []
         for i in range(m):
-            row = [Fraction(x) for x in problem.a[i]] + [_ZERO] * m + [problem.b[i]]
-            row[n + i] = _ONE
+            scaled, scale = _integer_row((*problem.a[i], problem.b[i]))
+            row = scaled[:n] + [0] * m + scaled[n:]
+            row[n + i] = 1
             self.rows.append(row)
+            self.row_scale.append(scale)
+        self.cost, self.cost_scale = _integer_row(problem.c)
+        self.b = problem.b
         self.basis = [n + i for i in range(m)]
-        self.obj: list[Fraction] = []
+        self.d = 1
+        self.z: list[int] = []
         self.pivots = 0
 
     def pivot(self, r: int, c: int) -> None:
         self.pivots += 1
         prow = self.rows[r]
-        piv = prow[c]
-        if piv != 1:
-            prow = [v / piv for v in prow]
+        p = prow[c]
+        if p < 0:  # keep d > 0: the tableau over d is the same negated
+            prow = [-q for q in prow]
             self.rows[r] = prow
-        for i in range(self.m):
+            p = -p
+        d = self.d
+        for i, row in enumerate(self.rows):
             if i == r:
                 continue
-            f = self.rows[i][c]
+            f = row[c]
             if f:
-                self.rows[i] = [a - f * p for a, p in zip(self.rows[i], prow)]
-        f = self.obj[c]
-        if f:
-            self.obj = [a - f * p for a, p in zip(self.obj, prow)]
+                self.rows[i] = [(x * p - f * q) // d for x, q in zip(row, prow)]
+            elif p != d:
+                self.rows[i] = [x * p // d for x in row]
+        f = self.z[c]
+        self.z = [(x * p - f * q) // d for x, q in zip(self.z, prow)]
+        self.d = p
         self.basis[r] = c
 
     def run(self) -> int | None:
         """Bland iterations; None once optimal, else the unbounded column."""
         while True:
             enter = -1
-            obj = self.obj
+            z = self.z
             for j in range(self.width):
-                if obj[j] < 0:
+                if z[j] < 0:
                     enter = j
                     break
             if enter < 0:
                 return None
-            leave = -1
-            best = None
-            for i in range(self.m):
-                coef = self.rows[i][enter]
+            leave, best_rhs, best_coef = -1, 0, 1
+            for i, row in enumerate(self.rows):
+                coef = row[enter]
                 if coef > 0:
-                    ratio = self.rows[i][-1] / coef
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
+                    # rhs / coef against best_rhs / best_coef, cross-multiplied
+                    key = row[-1] * best_coef - best_rhs * coef
+                    if leave < 0 or key < 0 or (
+                        key == 0 and self.basis[i] < self.basis[leave]
                     ):
-                        best = ratio
-                        leave = i
+                        leave, best_rhs, best_coef = i, row[-1], coef
             if leave < 0:
                 return enter
             self.pivot(leave, enter)
 
-    def set_objective(self, c: Sequence[Fraction]) -> None:
-        """Objective row z_j - c_j for the current basis (c over all columns)."""
-        obj = [-x for x in c] + [_ZERO]
+    def set_objective(self, c: Sequence[int]) -> None:
+        """Objective row for the current basis (integer c over all columns)."""
+        z = [-self.d * x for x in c] + [0]
         for i in range(self.m):
             ck = c[self.basis[i]]
             if ck:
-                row = self.rows[i]
-                obj = [a + ck * p for a, p in zip(obj, row)]
-        self.obj = obj
+                z = [a + ck * p for a, p in zip(z, self.rows[i])]
+        self.z = z
 
     def phase1(self) -> None:
         """One-artificial-variable phase 1; raises LpInfeasibleError."""
         aux = self.width
         self.width += 1
-        for row in self.rows:
-            row.insert(aux, -_ONE)
-        worst = min(range(self.m), key=lambda i: (self.rows[i][-1], self.basis[i]))
-        c = [_ZERO] * self.width
-        c[aux] = -_ONE
+        for row, scale in zip(self.rows, self.row_scale):
+            row.insert(aux, -scale)
+        # the worst row on the unscaled b, so the path is the unscaled one
+        worst = min(range(self.m), key=lambda i: (self.b[i], self.basis[i]))
+        c = [0] * self.width
+        c[aux] = -1
         self.set_objective(c)
         self.pivot(worst, aux)
         self.run()  # bounded by construction: -x0 <= 0
-        if self.obj[-1] < 0:
+        if self.z[-1] < 0:
             raise LpInfeasibleError("empty feasible region")
         if aux in self.basis:
             # x0 basic at 0: pivot it out; its slack columns hold a row of B^-1, never 0
@@ -174,12 +219,39 @@ class _Simplex:
             del row[aux]
         self.width -= 1
 
+    @cached_property
+    def obj(self) -> tuple[Fraction, ...]:
+        """The objective row in the problem's units: the reduced costs of x
+        and of the unscaled slacks s_i (the duals), then the value.  Built
+        on first use and kept, so read it only once the solve is over."""
+        scale = self.d * self.cost_scale
+        n = self.n
+        z = self.z
+        return (
+            *(Fraction(x, scale) for x in z[:n]),
+            *(Fraction(s * x, scale) for s, x in zip(self.row_scale, z[n:-1])),
+            Fraction(z[-1], scale),
+        )
+
     def primal_point(self) -> tuple[Fraction, ...]:
         x = [_ZERO] * self.n
         for i in range(self.m):
             if self.basis[i] < self.n:
-                x[self.basis[i]] = self.rows[i][-1]
+                x[self.basis[i]] = Fraction(self.rows[i][-1], self.d)
         return tuple(x)
+
+    def ray(self, col: int) -> tuple[Fraction, ...]:
+        """The improving ray on x when column ``col`` enters unbounded: a
+        slack s'_k = L_k s_k enters at L_k per unit of s_k."""
+        n = self.n
+        scale = self.row_scale[col - n] if col >= n else 1
+        ray = [_ZERO] * n
+        if col < n:
+            ray[col] = _ONE
+        for i, k in enumerate(self.basis):
+            if k < n:
+                ray[k] = Fraction(-self.rows[i][col] * scale, self.d)
+        return tuple(ray)
 
 
 def solve_max(problem: LpProblem) -> LpSolution:
@@ -187,23 +259,18 @@ def solve_max(problem: LpProblem) -> LpSolution:
     simplex = _Simplex(problem)
     if any(bi < 0 for bi in problem.b):
         simplex.phase1()
-    n, m = problem.n, problem.m
-    c_full = list(problem.c) + [_ZERO] * (simplex.width - n)
-    simplex.set_objective(c_full)
+    n = problem.n
+    simplex.set_objective(simplex.cost + [0] * (simplex.width - n))
     unbounded_col = simplex.run()
     if unbounded_col is not None:
-        ray = [_ZERO] * simplex.width
-        ray[unbounded_col] = _ONE
-        for i in range(m):
-            ray[simplex.basis[i]] = -simplex.rows[i][unbounded_col]
         return LpSolution(
             status="unbounded",
             primal=simplex.primal_point(),
-            ray=tuple(ray[:n]),
+            ray=simplex.ray(unbounded_col),
             pivots=simplex.pivots,
         )
     # dual components live on the slack columns (slack i is column n+i)
-    dual = tuple(simplex.obj[n + i] for i in range(m))
+    dual = simplex.obj[n:-1]
     return LpSolution(
         status="optimal",
         primal=simplex.primal_point(),
@@ -299,33 +366,34 @@ def positive_dependence(
     sol = solve_max(LpProblem.make(a, [0] * len(vectors) + [1], a[-1]))
     if sol.value:
         d = len(s)
-        return None, tuple(p - q for p, q in zip(sol.primal[:d], sol.primal[d:]))
-    return tuple(mu + 1 for mu in sol.dual[:-1]), None
+        return None, tuple([p - q for p, q in zip(sol.primal[:d], sol.primal[d:])])
+    return tuple([mu + 1 for mu in sol.dual[:-1]]), None
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix over the rationals (fraction-exact elimination)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    """Rank of a matrix of ints and Fractions over the rationals.
+
+    Fraction-free elimination (Bareiss 1968) on the rows scaled to ints:
+    each step divides exactly by the previous pivot.  ValueError for an
+    entry of another type or for rows of different lengths.
+    """
+    for row in rows:
+        _check_exact(row)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows have different lengths")
+    work = [_integer_row(row)[0] for row in rows]
+    rank, prev = 0, 1
+    while work and work[0]:
+        r = next((i for i, row in enumerate(work) if row[0]), None)
+        if r is None:  # a zero column: drop it
+            work = [row[1:] for row in work]
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        piv = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            if f:
-                fi = f / piv
-                work[i] = [a - fi * p for a, p in zip(work[i], work[rank])]
+        prow = work.pop(r)
+        p = prow[0]
+        work = [
+            [(x * p - row[0] * q) // prev for x, q in zip(row[1:], prow[1:])]
+            for row in work
+        ]
+        prev = p
         rank += 1
-        if rank == len(work):
-            break
     return rank

@@ -238,6 +238,20 @@ def test_sweep_profile_smoke():
     assert {r["params"]["q"] for r in rows} == {4}
 
 
+def test_sweep_profile_deep_extends_every_range():
+    # one-parameter families go 8 values further, two-parameter ones 3, and
+    # 43/p,q,r!=0 one; the CI job pins the digest of its verify JSON
+    deep = cli.load_sweep_profile("deep")
+    swept = [spec for spec in catalog.FAMILIES.values() if spec.ranges]
+    assert len(deep) == len(swept)
+    for spec in swept:
+        extra = {1: 8, 2: 3, 3: 1}[len(spec.ranges)]
+        entry = deep[f"{spec.family}/{spec.sub_case}" if spec.sub_case else str(spec.family)]
+        assert entry == {
+            name: list(range(r.start, r.stop + extra)) for name, r in spec.ranges.items()
+        }, spec.key
+
+
 def test_sweep_config_option(tmp_path, capsys):
     cfg = tmp_path / "sweeps.json"
     cfg.write_text(json.dumps({"default": {"31": {"p": [2]}}}))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -269,9 +270,14 @@ def test_row_scaling_invariance():
         b2 = list(b)
         b2[k] = scale * b2[k]
         scaled = solve_max(LpProblem.make(a2, b2, c))
+        # the same Bland path: scaling a row only scales its slack
         assert scaled.status == base.status
+        assert scaled.primal == base.primal and scaled.ray == base.ray
+        assert scaled.pivots == base.pivots
         if base.status == "optimal":
             assert scaled.value == base.value
+            want = [y / scale if i == k else y for i, y in enumerate(base.dual)]
+            assert list(scaled.dual) == want
 
 
 def test_deterministic_pivoting():
@@ -312,9 +318,88 @@ def test_random_instances_match_oracle():
     assert optimal and unbounded and infeasible
 
 
+def _pivot_path_lps(seed, count):
+    """Seeded LPs with entries over the denominators 1, 2, 3, 4, 6, b of both
+    signs, and up to two duplicated or negated rows."""
+    rng = random.Random(seed)
+
+    def entry():
+        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+
+    for _ in range(count):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[entry() for _ in range(n)] for _ in range(m)]
+        b = [entry() for _ in range(m)]
+        for _ in range(rng.randint(0, 2)):
+            k, sign = rng.randrange(len(a)), rng.choice((1, -1))
+            a.append([sign * x for x in a[k]])
+            b.append(sign * b[k])
+        yield a, b, [entry() for _ in range(n)]
+
+
+def _outcome(problem):
+    """status, value, primal, dual, ray and pivots as fraction strings."""
+    try:
+        sol = solve_max(problem)
+    except LpInfeasibleError:
+        return "infeasible"
+    vectors = ("-" if v is None else " ".join(map(str, v))
+               for v in (sol.primal, sol.dual, sol.ray))
+    return "|".join((sol.status, str(sol.value), *vectors, str(sol.pivots)))
+
+
+def test_pivot_path_pinned():
+    # every field of 1000 solves, fractional rows included, pinned to the
+    # digest of the Fraction tableau this solver replaced
+    outcomes = [_outcome(LpProblem.make(a, b, c)) for a, b, c in _pivot_path_lps(1967, 1000)]
+    statuses = [o.partition("|")[0] for o in outcomes]
+    counts = {s: statuses.count(s) for s in ("infeasible", "optimal", "unbounded")}
+    assert counts == {"infeasible": 396, "optimal": 298, "unbounded": 306}
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "961f462949f8f1d3f8136c49140bb3dc9e3bb36fb505a96bb3672fd6ef0db757"
+
+
+def _fraction_rank(rows):
+    """Rank by plain Gaussian elimination over Fractions."""
+    work = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        r = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if r is None:
+            continue
+        work[rank], work[r] = work[r], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col] / work[rank][col]
+            work[i] = [x - f * p for x, p in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
 def test_matrix_rank():
     assert matrix_rank([]) == 0
     assert matrix_rank([[0, 0]]) == 0
+    assert matrix_rank([[], []]) == 0
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([[1, 0, 1], [0, 1, 1], [1, 1, 2]]) == 2
     assert matrix_rank([[F(1, 2), 0], [0, F(3)]]) == 2
+    assert matrix_rank([[0, 0, 1], [0, 2, 0], [0, 1, F(1, 2)]]) == 2
+    # 0.1 is not 1/10 (the exact rank of the first is 1), a ragged row is no
+    # matrix, and True is not 1
+    for rows in ([[0.1, 0.2], [1, 2]], [[0, 1], [1]], [[True, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            matrix_rank(rows)
+    rng = random.Random(1968)
+    ranks = []
+    for _ in range(500):
+        k = rng.randint(0, 6)
+        rows = [
+            [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) if rng.random() < 0.6 else 0
+             for _ in range(k)]
+            for _ in range(rng.randint(0, 6))
+        ]
+        if rows:  # a dependent row: a rational combination of two rows
+            u, v = rng.choice(rows), rng.choice(rows)
+            rows.insert(rng.randrange(len(rows)), [x - F(2, 3) * y for x, y in zip(u, v)])
+        ranks.append(matrix_rank(rows))
+        assert ranks[-1] == _fraction_rank(rows), rows
+    assert len(set(ranks)) == 7
