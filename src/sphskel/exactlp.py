@@ -13,8 +13,9 @@ of ``[A | b]`` is scaled by the lcm of its denominators, c by the lcm of
 its own, and every entry is the numerator over one common denominator, the
 basis determinant, so a pivot is an exact integer division.  Scaling a row
 scales its slack, which leaves Bland's path and the pivot count unchanged.
-``Fraction`` enters only in ``LpProblem`` and is built again only for the
-primal, value, dual and ray of the result.
+An all-int row needs no scaling, and ``LpProblem`` keeps ints as given, so
+``Fraction`` enters only with a caller's non-integral entry and is built
+again only for the primal, value, dual and ray of the result.
 
 Negative right-hand sides are handled by the one-artificial-variable
 phase 1; an empty feasible region raises ``LpInfeasibleError``.  Only a
@@ -39,14 +40,6 @@ class LpInfeasibleError(ValueError):
     """The feasible region {x >= 0 : Ax <= b} is empty."""
 
 
-def _frac_vector(v) -> tuple:
-    # ints become Fractions; anything else is left for LpProblem to reject.
-    # This module builds tuples from lists: tuple() of a generator resizes its
-    # result, and CPython's tuple free lists then keep up to 2000 stranded
-    # tuples of each small size, so peak memory grew with every LP solved.
-    return tuple([Fraction(x) if type(x) is int else x for x in v])
-
-
 def _check_exact(v) -> None:
     # exact types only: Fraction(0.1) is not 1/10, and True would read as 1
     bad = [x for x in v if type(x) not in (int, Fraction)]
@@ -56,8 +49,12 @@ def _check_exact(v) -> None:
 
 def _integer_row(v) -> tuple[list[int], int]:
     """``(L*v, L)`` for the least L > 0 that makes every entry an int."""
+    if all(type(x) is int for x in v):
+        return list(v), 1
     pairs = [x.as_integer_ratio() for x in v]
-    # star-args from a list, not a generator (see _frac_vector)
+    # star-args from a list, not a generator: tuple() of a generator resizes
+    # its result, and CPython's tuple free lists then keep up to 2000 stranded
+    # tuples of each small size, so peak memory grew with every LP solved
     scale = lcm(*[q for _, q in pairs])
     return [p * (scale // q) for p, q in pairs], scale
 
@@ -67,12 +64,13 @@ class LpProblem:
     """max c.x  s.t.  a x <= b,  x >= 0.
 
     Every entry must be an ``int`` or a ``Fraction`` (ValueError otherwise),
-    however the problem is built; ``make`` also converts them to Fractions.
+    however the problem is built; ``make`` keeps them as given, so an
+    integral LP is solved without building a single ``Fraction``.
     """
 
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
+    a: tuple[tuple[int | Fraction, ...], ...]
+    b: tuple[int | Fraction, ...]
+    c: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         for v in (*self.a, self.b, self.c):
@@ -85,9 +83,8 @@ class LpProblem:
 
     @staticmethod
     def make(a, b, c) -> "LpProblem":
-        return LpProblem(
-            a=tuple([_frac_vector(row) for row in a]), b=_frac_vector(b), c=_frac_vector(c)
-        )
+        # tuples from lists, not generators (see _integer_row)
+        return LpProblem(a=tuple([tuple(row) for row in a]), b=tuple(b), c=tuple(c))
 
     @property
     def m(self) -> int:
@@ -341,14 +338,14 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
         return True
     # the sum over Z is obj.x plus a constant, since s_i = b_i - a_i.x
     obj = [int(j in z_x) - sum(row[j] for row in z_s) for j in range(n)]
-    face_a = list(a) + [tuple(-cj for cj in problem.c)]
+    face_a = list(a) + [[-cj for cj in problem.c]]
     face_b = list(problem.b) + [-sol.value]
     best = solve_max(LpProblem.make(face_a, face_b, obj))
     return best.status == "optimal" and best.value == sum(o * xj for o, xj in zip(obj, x))
 
 
 def positive_dependence(
-    vectors: Sequence[Sequence[Fraction]],
+    vectors: Sequence[Sequence[int | Fraction]],
 ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
     """``(lam, None)`` with lam >= 1 and sum_k lam_k vectors[k] = 0, or
     ``(None, y)`` with <v_k, y> >= 0 for every k and s.y = 1.
@@ -370,7 +367,7 @@ def positive_dependence(
     return tuple([mu + 1 for mu in sol.dual[:-1]]), None
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank of a matrix of ints and Fractions over the rationals.
 
     Fraction-free elimination (Bareiss 1968) on the rows scaled to ints:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from sphskel import exactlp, rootsys, skeleton as sk_mod
+from sphskel import exactlp, skeleton as sk_mod
 from sphskel.exactlp import LpProblem
 from sphskel.skeleton import SphericalSkeleton, SphericalSystem
 
@@ -44,8 +44,7 @@ def skeleton_lp(sk: SphericalSkeleton) -> tuple[LpProblem, Fraction]:
 
 def budget(sk: SphericalSkeleton) -> int:
     """|R+| - |R+_{S^p}|, the right-hand side of the inequality."""
-    rs = sk.system.root_system
-    return len(rs.positive) - rootsys.positive_count_in_span(rs, sk.system.sp)
+    return sk.system.budget
 
 
 def check_conjecture(sk: SphericalSkeleton) -> MukaiVerdict:

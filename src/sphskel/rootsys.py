@@ -52,7 +52,7 @@ def _cartan_block(series: str, n: int) -> list[list[int]]:
 def _enumerate_positive(cartan: Sequence[Sequence[int]]) -> list[RootVector]:
     """Closure algorithm: grow root strings upward from the simple roots."""
     rank = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    simple = [tuple([1 if j == i else 0 for j in range(rank)]) for i in range(rank)]
     known: set[RootVector] = set(simple)
     level = list(simple)
     out = list(simple)
@@ -102,7 +102,7 @@ class RootSystem:
 
 
 def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
-    components = tuple((series, rank) for series, rank in spec)
+    components = tuple([(series, rank) for series, rank in spec])
     if not components:
         raise RootSystemError("empty root-system specification")
     for series, rank in components:
@@ -137,7 +137,7 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
         pos += rank
     return RootSystem(
         components=components,
-        cartan=tuple(tuple(row) for row in cartan),
+        cartan=tuple([tuple(row) for row in cartan]),
         positive=tuple(positive),
         offsets=tuple(offsets),
     )
@@ -153,18 +153,15 @@ def vector_support(v: Sequence[int | Fraction]) -> frozenset[int]:
     return frozenset(j for j, x in enumerate(v) if x != 0)
 
 
-def two_rho(rs: RootSystem, subset: Iterable[int]) -> RootVector:
-    """Sum of the positive roots supported inside ``subset``."""
+def positive_in_span(rs: RootSystem, subset: Iterable[int]) -> tuple[RootVector, int]:
+    """``(2rho_subset, |R+_subset|)``: the sum and the number of the positive
+    roots whose support lies inside ``subset``, in one pass."""
     inside = frozenset(subset)
     total = [0] * rs.rank
+    count = 0
     for root in rs.positive:
         if vector_support(root) <= inside:
+            count += 1
             for j, x in enumerate(root):
                 total[j] += x
-    return tuple(total)
-
-
-def positive_count_in_span(rs: RootSystem, subset: Iterable[int]) -> int:
-    """Number of positive roots whose support lies inside ``subset``."""
-    inside = frozenset(subset)
-    return sum(1 for root in rs.positive if vector_support(root) <= inside)
+    return tuple(total), count

@@ -19,9 +19,6 @@ from typing import Iterable, Sequence
 from sphskel import exactlp, rootsys
 from sphskel.rootsys import RootSystem
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class SkeletonInvariantError(ValueError):
     """A skeleton invariant is violated; .invariant names which one."""
@@ -38,11 +35,12 @@ class Color:
     ``coroot`` optionally records that rho(D) = scale * alpha_idx^vee; the
     explicit ``rho`` vector stays authoritative and the reference is only
     validated against it.  ``moved_by`` lists the simple roots alpha with
-    D in Delta(alpha); it drives the anticanonical multiplicity m_D.
+    D in Delta(alpha); it drives the anticanonical multiplicity m_D.  In a
+    ``SphericalSystem`` an integral value of ``rho`` is an ``int``.
     """
 
     name: str
-    rho: tuple[Fraction, ...]
+    rho: tuple[int | Fraction, ...]
     moved_by: tuple[int, ...]
     coroot: tuple[int, Fraction] | None = None
 
@@ -58,17 +56,21 @@ class SphericalSystem:
     """A spherical system (S^p, Sigma, Delta) on a root system (Luna 2001).
 
     Construction checks every invariant that does not involve Gamma and
-    stores m_D over the colors as ``multiplicities``: m_D is 1 when some
-    moving simple root lies in Sigma or (1/2)Sigma, otherwise
+    stores each color with the integral values of its rho as ``int``, so the
+    LPs built on an integral system hold no ``Fraction``.  It also stores
+    m_D over the colors as ``multiplicities``: m_D is 1 when some moving
+    simple root lies in Sigma or (1/2)Sigma, otherwise
     <alpha^vee, 2rho_S - 2rho_{S^p}> = 2 - <alpha^vee, 2rho_{S^p}> for the
-    moving root alpha (several movers must agree).
+    moving root alpha (several movers must agree); and the budget
+    |R+| - |R+_{S^p}|, counted in the pass that sums 2rho_{S^p}.
     """
 
     root_system: RootSystem
     sp: frozenset[int]
     sigma: tuple[tuple[int, ...], ...]
     colors: tuple[Color, ...]
-    multiplicities: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
+    multiplicities: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    budget: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rs, sigma, colors = self.root_system, self.sigma, self.colors
@@ -96,12 +98,13 @@ class SphericalSystem:
                 raise SkeletonInvariantError("sigma-length", f"{g} has wrong length")
         if nsig and exactlp.matrix_rank(sigma) != nsig:
             raise SkeletonInvariantError("sigma-independent", "sigma is linearly dependent")
+        canonical = []
         for color in colors:
             if len(color.rho) != nsig:
                 raise SkeletonInvariantError(
                     "color-rho-length", f"{color.name}: expected {nsig} values"
                 )
-            if any(Fraction(v).denominator not in (1, 2) for v in color.rho):
+            if any(v.denominator not in (1, 2) for v in color.rho):
                 raise SkeletonInvariantError(
                     "color-rho-denominator",
                     f"{color.name}: values must be integral or half-integral",
@@ -131,18 +134,19 @@ class SphericalSystem:
                         f"{color.name}: stored rho {color.rho}"
                         f" != {scale}*alpha_{idx}^vee {expect}",
                     )
-        inside = rootsys.two_rho(rs, self.sp)
+            rho = tuple([v.numerator if v.denominator == 1 else v for v in color.rho])
+            canonical.append(Color(color.name, rho, color.moved_by, color.coroot))
+        object.__setattr__(self, "colors", tuple(canonical))
+        inside, count = rootsys.positive_in_span(rs, self.sp)
+        object.__setattr__(self, "budget", len(rs.positive) - count)
         sigma_set = set(sigma)
         ms = []
         for color in colors:
-            alphas = [tuple(int(j == idx) for j in range(rank)) for idx in color.moved_by]
-            if any(a in sigma_set or tuple(2 * v for v in a) in sigma_set for a in alphas):
-                ms.append(_ONE)
+            alphas = [tuple([int(j == idx) for j in range(rank)]) for idx in color.moved_by]
+            if any(a in sigma_set or tuple([2 * v for v in a]) in sigma_set for a in alphas):
+                ms.append(1)
                 continue
-            values = {
-                Fraction(2 - rootsys.coroot_pairing(rs, idx, inside))
-                for idx in color.moved_by
-            }
+            values = {2 - rootsys.coroot_pairing(rs, idx, inside) for idx in color.moved_by}
             if len(values) != 1:
                 raise SkeletonInvariantError(
                     "multiplicity-well-defined",
@@ -202,17 +206,17 @@ def coroot_rho(
     rs: RootSystem, sigma: Sequence[tuple[int, ...]], index: int, scale: Fraction | int = 1
 ) -> tuple:
     """scale * alpha_index^vee restricted to sigma (integers for an int scale)."""
-    return tuple(scale * rootsys.coroot_pairing(rs, index, g) for g in sigma)
+    return tuple([scale * rootsys.coroot_pairing(rs, index, g) for g in sigma])
 
 
-def pairing_matrix(sk: SphericalSkeleton) -> list[list[Fraction]]:
+def pairing_matrix(sk: SphericalSkeleton) -> list[list[int | Fraction]]:
     """A[D][gamma] = -<rho(D), gamma> over D in ``sk.divisors``."""
-    return [[-Fraction(v) for v in div.rho] for div in sk.divisors]
+    return [[-v for v in div.rho] for div in sk.divisors]
 
 
-def multiplicities(sk: SphericalSkeleton) -> tuple[Fraction, ...]:
+def multiplicities(sk: SphericalSkeleton) -> tuple[int, ...]:
     """m_D over D in ``sk.divisors`` (boundary divisors get 1)."""
-    return sk.system.multiplicities + (_ONE,) * len(sk.boundary)
+    return sk.system.multiplicities + (1,) * len(sk.boundary)
 
 
 def support(sk: SphericalSkeleton) -> frozenset[int]:
@@ -266,7 +270,7 @@ def is_reduced(sk: SphericalSkeleton) -> bool:
 
 
 def _unit_boundary(nsig: int, j: int, name: str) -> BoundaryDivisor:
-    return BoundaryDivisor(name=name, rho=tuple(-1 if t == j else 0 for t in range(nsig)))
+    return BoundaryDivisor(name=name, rho=tuple([-1 if t == j else 0 for t in range(nsig)]))
 
 
 def to_elementary(sk: SphericalSkeleton) -> SphericalSkeleton:
@@ -301,10 +305,10 @@ def with_boundary_support(
         raise ValueError(f"support indices {bad} name no spherical root of {nsig}")
     idx = sorted(set(indices))
     if combined:
-        rho = tuple(-1 if j in idx else 0 for j in range(nsig))
+        rho = tuple([-1 if j in idx else 0 for j in range(nsig)])
         gamma: tuple[BoundaryDivisor, ...] = (BoundaryDivisor(name="E", rho=rho),)
     else:
-        gamma = tuple(_unit_boundary(nsig, j, f"E{j + 1}") for j in idx)
+        gamma = tuple([_unit_boundary(nsig, j, f"E{j + 1}") for j in idx])
     return SphericalSkeleton(system, gamma)
 
 
@@ -315,9 +319,7 @@ def product(sk1: SphericalSkeleton, sk2: SphericalSkeleton) -> SphericalSkeleton
     r1 = sys1.root_system.rank
     n1, n2 = len(sys1.sigma), len(sys2.sigma)
     pad1 = (0,) * sys2.root_system.rank
-    sigma = tuple(g + pad1 for g in sys1.sigma) + tuple(
-        (0,) * r1 + g for g in sys2.sigma
-    )
+    sigma = tuple([g + pad1 for g in sys1.sigma] + [(0,) * r1 + g for g in sys2.sigma])
     sp = frozenset(sys1.sp) | frozenset(r1 + j for j in sys2.sp)
     used = {div.name for div in sk1.divisors}
 
@@ -327,16 +329,14 @@ def product(sk1: SphericalSkeleton, sk2: SphericalSkeleton) -> SphericalSkeleton
         used.add(name)
         return name
 
-    colors = [
-        replace(c, rho=tuple(c.rho) + (_ZERO,) * n2) for c in sys1.colors
-    ]
+    colors = [replace(c, rho=tuple(c.rho) + (0,) * n2) for c in sys1.colors]
     for c in sys2.colors:
         coroot = (c.coroot[0] + r1, c.coroot[1]) if c.coroot else None
         colors.append(
             Color(
                 name=rename(c.name),
-                rho=(_ZERO,) * n1 + tuple(c.rho),
-                moved_by=tuple(r1 + j for j in c.moved_by),
+                rho=(0,) * n1 + tuple(c.rho),
+                moved_by=tuple([r1 + j for j in c.moved_by]),
                 coroot=coroot,
             )
         )
@@ -470,7 +470,7 @@ def _int(value, where: str) -> int:
 
 
 def _ints(values, where: str) -> tuple[int, ...]:
-    return tuple(_int(v, where) for v in _list(values, where))
+    return tuple([_int(v, where) for v in _list(values, where)])
 
 
 def _frac(value, where: str) -> Fraction:
@@ -521,7 +521,7 @@ def from_dict(data: dict) -> SphericalSkeleton:
         rs = rootsys.build_root_system(spec)
     except rootsys.RootSystemError as exc:
         raise SkeletonParseError(f"root_system: {exc}") from exc
-    sigma = tuple(_ints(g, "sigma") for g in _list(data.get("sigma", []), "sigma"))
+    sigma = tuple([_ints(g, "sigma") for g in _list(data.get("sigma", []), "sigma")])
     sp_list = _ints(data.get("sp", []), "sp")
     if len(set(sp_list)) != len(sp_list):
         raise SkeletonParseError(f"sp: repeated index in {list(sp_list)}")
@@ -540,7 +540,7 @@ def from_dict(data: dict) -> SphericalSkeleton:
         colors.append(
             Color(
                 name=c["name"],
-                rho=tuple(_frac(v, f"{where} rho") for v in _list(c["rho"], f"{where} rho")),
+                rho=tuple([_frac(v, f"{where} rho") for v in _list(c["rho"], f"{where} rho")]),
                 moved_by=_ints(c["moved_by"], f"{where} moved_by"),
                 coroot=coroot,
             )

@@ -280,6 +280,38 @@ def test_row_scaling_invariance():
             assert list(scaled.dual) == want
 
 
+def test_int_lps_solve_as_their_fraction_twins():
+    # make keeps ints as given: an integral LP takes the same path as its twin
+    # with every entry a Fraction, and both give their results as Fractions
+    rng = random.Random(1968)
+    statuses = set()
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-6, 6) for _ in range(m)]
+        c = [rng.randint(-6, 6) for _ in range(n)]
+        given = LpProblem.make(a, b, c)
+        assert {type(x) for x in (*given.b, *given.c, *given.a[0])} == {int}
+        twin = LpProblem.make(
+            [[F(x) for x in row] for row in a], [F(x) for x in b], [F(x) for x in c]
+        )
+        outcomes = []
+        for problem in (given, twin):
+            try:
+                sol = solve_max(problem)
+            except LpInfeasibleError:
+                outcomes.append(("infeasible",))
+                continue
+            results = [*sol.primal, *(sol.dual or ()), *(sol.ray or ())]
+            if sol.value is not None:
+                results.append(sol.value)
+            assert {type(x) for x in results} == {F}
+            outcomes.append((sol.status, sol.value, sol.primal, sol.dual, sol.ray, sol.pivots))
+        assert outcomes[0] == outcomes[1]
+        statuses.add(outcomes[0][0])
+    assert statuses == {"infeasible", "optimal", "unbounded"}
+
+
 def test_deterministic_pivoting():
     p = LpProblem.make([[1, -1], [-1, 1], [1, 1]], [1, 1, 3], [1, 1])
     first = solve_max(p)

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from oracles import oracle_positive_span
-from sphskel import catalog, mukai, rootsys, skeleton as sk
+from sphskel import catalog, exactlp, mukai, rootsys, skeleton as sk
 from sphskel.mukai import EQUAL, STRICTLY_LESS
 from sphskel.skeleton import Color, SphericalSkeleton, SphericalSystem
 
@@ -66,6 +66,30 @@ def test_budget_examples():
     rs = rootsys.build_root_system([("A", 2)])
     skel = SphericalSkeleton(SphericalSystem(rs, frozenset({0, 1}), (), ()), ())
     assert mukai.budget(skel) == 0
+
+
+def test_catalog_lps_are_integral(monkeypatch):
+    # the catalog's pairings and multiplicities are integers, and its LPs stay
+    # in ints up to the tableau: a Fraction here costs time and no digest sees it
+    passed = []
+    dependence = exactlp.positive_dependence
+
+    def recording(rows):
+        passed.append(rows)
+        return dependence(rows)
+
+    monkeypatch.setattr(exactlp, "positive_dependence", recording)
+    skeletons = [
+        inst.support_skeleton(opt) for inst in catalog.sweep_instances() for opt in inst.options
+    ]
+    assert len(skeletons) == 577
+    for skel in skeletons:
+        problem = mukai.skeleton_lp(skel)[0]
+        entries = [x for row in problem.a for x in row] + [*problem.b, *problem.c]
+        assert {type(x) for x in entries} <= {int}, skel
+        assert sk.is_complete(skel)
+    assert len(passed) == 577
+    assert {type(x) for rows in passed for row in rows for x in row} == {int}
 
 
 def test_check_conjecture_examples():

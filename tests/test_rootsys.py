@@ -7,8 +7,7 @@ from sphskel.rootsys import (
     RootSystemError,
     build_root_system,
     coroot_pairing,
-    positive_count_in_span,
-    two_rho,
+    positive_in_span,
 )
 
 
@@ -26,7 +25,7 @@ def test_g2_orientation_alpha1_short():
     assert set(rs.positive) == {
         (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2),
     }
-    assert two_rho(rs, [0, 1]) == (10, 6)
+    assert positive_in_span(rs, [0, 1])[0] == (10, 6)
 
 
 def test_product_block_diagonal_cartan():
@@ -127,10 +126,10 @@ def test_coroot_pairing_linear_and_fractional():
 
 def test_two_rho_examples():
     b4 = build_root_system([("B", 4)])
-    assert two_rho(b4, [1, 2]) == (0, 2, 2, 0)
-    assert two_rho(b4, []) == (0, 0, 0, 0)
+    assert positive_in_span(b4, [1, 2])[0] == (0, 2, 2, 0)
+    assert positive_in_span(b4, [])[0] == (0, 0, 0, 0)
     a2 = build_root_system([("A", 2)])
-    assert two_rho(a2, [0, 1]) == (2, 2)
+    assert positive_in_span(a2, [0, 1])[0] == (2, 2)
 
 
 def test_two_rho_pairing_is_two():
@@ -138,23 +137,23 @@ def test_two_rho_pairing_is_two():
     for spec in ([("A", 5)], [("B", 4)], [("C", 5)], [("D", 6)], [("G", 2)],
                  [("B", 2), ("D", 4)]):
         rs = build_root_system(spec)
-        rho2 = two_rho(rs, range(rs.rank))
+        rho2 = positive_in_span(rs, range(rs.rank))[0]
         for i in range(rs.rank):
             assert coroot_pairing(rs, i, rho2) == 2, (spec, i)
 
 
 def test_positive_count_in_span_examples():
     b4 = build_root_system([("B", 4)])
-    assert positive_count_in_span(b4, [1, 2]) == 3
-    assert len(b4.positive) - positive_count_in_span(b4, [1, 2]) == 13
-    assert positive_count_in_span(b4, []) == 0
+    assert positive_in_span(b4, [1, 2])[1] == 3
+    assert len(b4.positive) - positive_in_span(b4, [1, 2])[1] == 13
+    assert positive_in_span(b4, [])[1] == 0
     b3 = build_root_system([("B", 3)])
-    assert positive_count_in_span(b3, [0, 1]) == 3
-    assert len(b3.positive) - positive_count_in_span(b3, [0, 1]) == 6
+    assert positive_in_span(b3, [0, 1])[1] == 3
+    assert len(b3.positive) - positive_in_span(b3, [0, 1])[1] == 6
 
 
 def test_positive_count_monotone_and_full():
     rs = build_root_system([("C", 4)])
-    counts = [positive_count_in_span(rs, range(k)) for k in range(5)]
+    counts = [positive_in_span(rs, range(k))[1] for k in range(5)]
     assert counts == sorted(counts)
     assert counts[-1] == len(rs.positive) == 16

@@ -393,6 +393,25 @@ def test_unreached_invariants(invariant):
     assert err.value.invariant == invariant
 
 
+def test_system_stores_integral_values_as_int():
+    # one representation of rho: an integral value becomes an int, so the LPs
+    # built on the system hold ints; a half-integral one stays a Fraction
+    colors = (
+        Color(name="D", rho=(F(2),), moved_by=(0,)),
+        Color(name="D'", rho=(F(1, 2),), moved_by=(1,)),
+    )
+    system = SphericalSystem(**{**GOOD_A2, "colors": colors})
+    assert system.colors == colors
+    whole, half = (color.rho[0] for color in system.colors)
+    assert (whole, type(whole)) == (2, int)
+    assert (half, type(half)) == (F(1, 2), F)
+    assert system.multiplicities == (2, 2)
+    assert [type(m) for m in system.multiplicities] == [int, int]
+    assert system.budget == 3
+    loaded = sk.from_dict(sk.to_dict(SphericalSkeleton(system, GAMMA_A2))).system
+    assert [type(color.rho[0]) for color in loaded.colors] == [int, F]
+
+
 def test_system_checks_run_once_per_system(monkeypatch):
     checks = []
     check = SphericalSystem.__post_init__
