@@ -15,7 +15,12 @@ basis determinant, so a pivot is an exact integer division.  Scaling a row
 scales its slack, which leaves Bland's path and the pivot count unchanged.
 An all-int row needs no scaling, and ``LpProblem`` keeps ints as given, so
 ``Fraction`` enters only with a caller's non-integral entry and is built
-again only for the primal, value, dual and ray of the result.
+again only for what a caller reads: the primal, value and dual of an
+optimum (not the reduced costs of x), the ray of an unbounded LP, and the
+``lam`` of ``positive_dependence``, one ``Fraction`` per entry.  The
+certificate checks of ``verify_certificates`` and ``unique_optimum`` run on
+integer numerators: x = X/dx and y = Y/dy over their least denominators, so
+on an int LP every product is an int.
 
 Negative right-hand sides are handled by the one-artificial-variable
 phase 1; an empty feasible region raises ``LpInfeasibleError``.  Only a
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 _ZERO = Fraction(0)
@@ -40,16 +46,21 @@ class LpInfeasibleError(ValueError):
     """The feasible region {x >= 0 : Ax <= b} is empty."""
 
 
+_EXACT = {int, Fraction}
+_INT = {int}
+
+
 def _check_exact(v) -> None:
-    # exact types only: Fraction(0.1) is not 1/10, and True would read as 1
-    bad = [x for x in v if type(x) not in (int, Fraction)]
-    if bad:
-        raise ValueError(f"entries must be int or Fraction, not {bad[0]!r}")
+    # exact types only: Fraction(0.1) is not 1/10, and True would read as 1;
+    # one pass over the types, the first bad entry found only on failure
+    if not {*map(type, v)} <= _EXACT:
+        bad = next(x for x in v if type(x) not in _EXACT)
+        raise ValueError(f"entries must be int or Fraction, not {bad!r}")
 
 
 def _integer_row(v) -> tuple[list[int], int]:
     """``(L*v, L)`` for the least L > 0 that makes every entry an int."""
-    if all(type(x) is int for x in v):
+    if {*map(type, v)} <= _INT:
         return list(v), 1
     pairs = [x.as_integer_ratio() for x in v]
     # star-args from a list, not a generator: tuple() of a generator resizes
@@ -218,17 +229,15 @@ class _Simplex:
 
     @cached_property
     def obj(self) -> tuple[Fraction, ...]:
-        """The objective row in the problem's units: the reduced costs of x
-        and of the unscaled slacks s_i (the duals), then the value.  Built
-        on first use and kept, so read it only once the solve is over."""
+        """The duals (the reduced costs of the unscaled slacks s_i, in the
+        problem's units), then the value.  Built on first use and kept, so
+        read it only once the solve is over; the reduced costs of x are never
+        read, so they are not built."""
         scale = self.d * self.cost_scale
-        n = self.n
         z = self.z
-        return (
-            *(Fraction(x, scale) for x in z[:n]),
-            *(Fraction(s * x, scale) for s, x in zip(self.row_scale, z[n:-1])),
-            Fraction(z[-1], scale),
-        )
+        obj = [Fraction(s * x, scale) for s, x in zip(self.row_scale, z[self.n:-1])]
+        obj.append(Fraction(z[-1], scale))
+        return tuple(obj)
 
     def primal_point(self) -> tuple[Fraction, ...]:
         x = [_ZERO] * self.n
@@ -267,45 +276,71 @@ def solve_max(problem: LpProblem) -> LpSolution:
             pivots=simplex.pivots,
         )
     # dual components live on the slack columns (slack i is column n+i)
-    dual = simplex.obj[n:-1]
     return LpSolution(
         status="optimal",
         primal=simplex.primal_point(),
         value=simplex.obj[-1],
-        dual=dual,
+        dual=simplex.obj[:-1],
         pivots=simplex.pivots,
     )
 
 
+def _numerators(v) -> tuple[list[int], int] | None:
+    """``_integer_row(v)``, or None for a missing vector or one with an entry
+    that is not an int or a Fraction: a certificate must be exact."""
+    if v is None or not {*map(type, v)} <= _EXACT:
+        return None
+    return _integer_row(v)
+
+
+def _dot(u: Sequence, v: Sequence):
+    return sum(map(mul, u, v))
+
+
+def _transpose_dot(a: Sequence[Sequence], y: Sequence[int], n: int) -> list:
+    """A^T y, summing only the rows whose y_i is not 0."""
+    out = [0] * n
+    for row, yi in zip(a, y):
+        if yi:
+            out = [s + r * yi for s, r in zip(out, row)]
+    return out
+
+
 def verify_certificates(problem: LpProblem, sol: LpSolution) -> bool:
-    """Re-check every optimality/unboundedness invariant from scratch."""
-    m, n = problem.m, problem.n
-    x = sol.primal
+    """Re-check every optimality/unboundedness invariant from scratch.
+
+    The checks run on integer numerators: the primal is x = X/dx and the
+    dual y = Y/dy over their least denominators, so ``A x <= b`` reads
+    ``A X <= b dx``, and a ray needs no denominator at all.  A vector or a
+    value whose entries are not int or Fraction fails the check.
+    """
+    a, b, c, m, n = problem.a, problem.b, problem.c, problem.m, problem.n
+    if (primal := _numerators(sol.primal)) is None:
+        return False
+    x, dx = primal
     if len(x) != n or any(xj < 0 for xj in x):
         return False
-    for i in range(m):
-        if sum(problem.a[i][j] * x[j] for j in range(n)) > problem.b[i]:
-            return False
+    if any(_dot(row, x) > bi * dx for row, bi in zip(a, b)):
+        return False
     if sol.status == "optimal":
-        y = sol.dual
-        if y is None or sol.value is None or len(y) != m:
+        value = sol.value
+        if (dual := _numerators(sol.dual)) is None or type(value) not in _EXACT:
             return False
-        if any(yi < 0 for yi in y):
+        y, dy = dual
+        if len(y) != m or any(yi < 0 for yi in y):
             return False
-        for j in range(n):
-            if sum(problem.a[i][j] * y[i] for i in range(m)) < problem.c[j]:
-                return False
-        primal_value = sum(problem.c[j] * x[j] for j in range(n))
-        dual_value = sum(problem.b[i] * y[i] for i in range(m))
-        return primal_value == sol.value and dual_value == sol.value
+        if any(s < cj * dy for s, cj in zip(_transpose_dot(a, y, n), c)):
+            return False
+        return _dot(c, x) == value * dx and _dot(b, y) == value * dy
     if sol.status == "unbounded":
-        r = sol.ray
-        if r is None or len(r) != n or any(rj < 0 for rj in r):
+        if (ray := _numerators(sol.ray)) is None:
             return False
-        for i in range(m):
-            if sum(problem.a[i][j] * r[j] for j in range(n)) > 0:
-                return False
-        return sum(problem.c[j] * r[j] for j in range(n)) > 0
+        r = ray[0]
+        if len(r) != n or any(rj < 0 for rj in r):
+            return False
+        if any(_dot(row, r) > 0 for row in a):
+            return False
+        return _dot(c, r) > 0
     return False
 
 
@@ -317,31 +352,33 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     s_i = b_i - a_i.x) with positive reduced cost stays 0 (Mangasarian 1979);
     so the optimum is unique iff the set Z of variables that are 0 at the
     vertex with zero reduced cost stays 0: Z empty needs no LP, otherwise one
-    LP maximizes the sum over Z on the face.
+    LP maximizes the sum over Z on the face.  Tight rows and zero reduced
+    costs are read on the numerators x = X/dx and y = Y/dy.
     """
     if sol.status != "optimal" or not verify_certificates(problem, sol):
         raise ValueError("uniqueness needs an optimal solution with a valid dual")
-    a, x, y, n = problem.a, sol.primal, sol.dual, problem.n
-    slack = [bi - sum(r * xj for r, xj in zip(row, x)) for row, bi in zip(a, problem.b)]
-    active = [row for row, s in zip(a, slack) if s == 0]
+    a, b, c, n = problem.a, problem.b, problem.c, problem.n
+    x, dx = _integer_row(sol.primal)
+    y, dy = _integer_row(sol.dual)
+    tight = [_dot(row, x) == bi * dx for row, bi in zip(a, b)]
+    active = [row for row, t in zip(a, tight) if t]
     active += [[int(k == j) for k in range(n)] for j in range(n) if x[j] == 0]
     if matrix_rank(active) != n:
         raise ValueError("uniqueness is decided at a vertex only")
     # reduced costs: (A^T y)_j - c_j for x_j, y_i for s_i
-    z_x = {
-        j
-        for j in range(n)
-        if x[j] == 0 and sum(row[j] * yi for row, yi in zip(a, y)) == problem.c[j]
-    }
-    z_s = [row for row, s, yi in zip(a, slack, y) if s == 0 and yi == 0]
+    aty = _transpose_dot(a, y, n)
+    z_x = {j for j in range(n) if x[j] == 0 and aty[j] == c[j] * dy}
+    z_s = [row for row, t, yi in zip(a, tight, y) if t and yi == 0]
     if not z_x and not z_s:
         return True
     # the sum over Z is obj.x plus a constant, since s_i = b_i - a_i.x
     obj = [int(j in z_x) - sum(row[j] for row in z_s) for j in range(n)]
-    face_a = list(a) + [[-cj for cj in problem.c]]
-    face_b = list(problem.b) + [-sol.value]
+    face_a = list(a) + [[-cj for cj in c]]
+    # an integral optimum enters as an int, so the face LP of an int LP is one
+    value = sol.value
+    face_b = list(b) + [-value.numerator if value.denominator == 1 else -value]
     best = solve_max(LpProblem.make(face_a, face_b, obj))
-    return best.status == "optimal" and best.value == sum(o * xj for o, xj in zip(obj, x))
+    return best.status == "optimal" and best.value * dx == _dot(obj, x)
 
 
 def positive_dependence(
@@ -364,7 +401,9 @@ def positive_dependence(
     if sol.value:
         d = len(s)
         return None, tuple([p - q for p, q in zip(sol.primal[:d], sol.primal[d:])])
-    return tuple([mu + 1 for mu in sol.dual[:-1]]), None
+    # lam_k = mu_k + 1, built as one Fraction and not as a sum
+    return tuple([Fraction(mu.numerator + mu.denominator, mu.denominator)
+                  for mu in sol.dual[:-1]]), None
 
 
 def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:

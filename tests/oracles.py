@@ -179,3 +179,47 @@ def oracle_unique(a, b, c) -> bool:
         if bounds[0] != bounds[1]:
             return False
     return True
+
+
+def oracle_certificate_check(a, b, c, status, primal, value, dual, ray) -> bool:
+    """Whether (primal, value, dual, ray) certifies max c.x, Ax<=b, x>=0.
+
+    Plain Fraction arithmetic, term by term: an optimum needs x >= 0 with
+    Ax <= b, y >= 0 with A^T y >= c, and c.x = b.y = value; an unbounded
+    answer needs that x and a ray r >= 0 with Ar <= 0 and c.r > 0.
+    """
+    m, n = len(b), len(c)
+    a = [[F(x) for x in row] for row in a]
+    b = [F(x) for x in b]
+    c = [F(x) for x in c]
+    if primal is None or len(primal) != n:
+        return False
+    x = [F(v) for v in primal]
+    if min(x, default=0) < 0:
+        return False
+    for i in range(m):
+        if sum(a[i][j] * x[j] for j in range(n)) > b[i]:
+            return False
+    if status == "optimal":
+        if dual is None or value is None or len(dual) != m:
+            return False
+        y = [F(v) for v in dual]
+        if min(y, default=0) < 0:
+            return False
+        for j in range(n):
+            if sum(a[i][j] * y[i] for i in range(m)) < c[j]:
+                return False
+        primal_value = sum(c[j] * x[j] for j in range(n))
+        dual_value = sum(b[i] * y[i] for i in range(m))
+        return primal_value == F(value) and dual_value == F(value)
+    if status == "unbounded":
+        if ray is None or len(ray) != n:
+            return False
+        r = [F(v) for v in ray]
+        if min(r, default=0) < 0:
+            return False
+        for i in range(m):
+            if sum(a[i][j] * r[j] for j in range(n)) > 0:
+                return False
+        return sum(c[j] * r[j] for j in range(n)) > 0
+    return False

@@ -1,11 +1,17 @@
 import hashlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_positive_span, oracle_solve, oracle_unique
+from oracles import (
+    oracle_certificate_check,
+    oracle_positive_span,
+    oracle_solve,
+    oracle_unique,
+)
 from test_catalog import smallest_instances
 from sphskel import exactlp, skeleton as sk
 from sphskel.exactlp import (
@@ -20,6 +26,14 @@ from sphskel.exactlp import (
 )
 
 F = Fraction
+
+
+class _Half(Fraction):
+    """A Fraction subclass: exact, but not of type Fraction."""
+
+
+# after valid ints in a row, each must still be rejected by name
+BAD_ENTRIES = (True, 2.5, None, _Half(1, 2))
 
 
 def test_zero_objective_is_zero():
@@ -106,6 +120,80 @@ def test_verify_rejects_tampering():
         {"status": "infeasible"},
     ):
         assert not verify_certificates(unbounded, replace(unb, **changes)), changes
+
+
+def _certificate_lps(rng):
+    """300 seeded int LPs, each followed by its all-Fraction twin, then 100
+    LPs with half-integral entries (twin None)."""
+    for count, entry in ((300, lambda: rng.randint(-6, 6)),
+                         (100, lambda: F(rng.randint(-9, 9), 2))):
+        for _ in range(count):
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            a = [[entry() for _ in range(n)] for _ in range(m)]
+            b, c = [entry() for _ in range(m)], [entry() for _ in range(n)]
+            twin = None
+            if count == 300:
+                twin = LpProblem.make(
+                    [[F(x) for x in row] for row in a], [F(x) for x in b], [F(x) for x in c]
+                )
+            yield LpProblem.make(a, b, c), twin
+
+
+def _tamperings(sol, rng):
+    """One entry of the primal, the dual and the ray, and the value, each
+    moved by a seeded +-1/1, 1/2 or 1/3."""
+    def moved(v):
+        k = rng.randrange(len(v))
+        step = F(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+        return v[:k] + (v[k] + step,) + v[k + 1:]
+
+    for field in ("primal", "dual", "ray"):
+        if getattr(sol, field):
+            yield replace(sol, **{field: moved(getattr(sol, field))})
+    if sol.value is not None:
+        yield replace(sol, value=moved((sol.value,))[0])
+
+
+def test_certificate_check_matches_fraction_oracle():
+    # the integer-numerator check accepts every solve_max result and gives
+    # a plain Fraction check's verdict on seeded tamperings; an int LP and
+    # its Fraction twin give the same uniqueness verdict
+    rng = random.Random(2011)
+    solved = accepted = rejected = unique = not_unique = 0
+    for given, twin in _certificate_lps(rng):
+        verdicts = []
+        for problem in (given, twin) if twin else (given,):
+            try:
+                sol = solve_max(problem)
+            except LpInfeasibleError:
+                continue
+            solved += 1
+            for candidate in (sol, *_tamperings(sol, rng)):
+                got = verify_certificates(problem, candidate)
+                want = oracle_certificate_check(
+                    problem.a, problem.b, problem.c, candidate.status, candidate.primal,
+                    candidate.value, candidate.dual, candidate.ray,
+                )
+                assert got == want, (problem, candidate)
+                if candidate is sol:
+                    assert got, (problem, sol)
+                else:
+                    accepted += got
+                    rejected += not got
+            if sol.status == "optimal":
+                verdicts.append(unique_optimum(problem, sol))
+        if twin and verdicts:
+            assert verdicts[0] == verdicts[1], given
+            unique += verdicts[0]
+            not_unique += not verdicts[0]
+    assert (solved, accepted, rejected) == (430, 170, 857)
+    assert (unique, not_unique) == (64, 9)
+    # a certificate must be exact: a float or a bool entry fails the check
+    problem = LpProblem.make([[1, 1]], [2], [1, 1])
+    sol = solve_max(problem)
+    assert (sol.primal, sol.dual, sol.value) == ((2, 0), (1,), 2)
+    for changes in ({"primal": (2.0, F(0))}, {"dual": (True,)}, {"value": 2.0}):
+        assert not verify_certificates(problem, replace(sol, **changes)), changes
 
 
 @pytest.fixture
@@ -250,9 +338,25 @@ def test_make_rejects_inexact_entries():
             LpProblem.make(a, b, c)
         with pytest.raises(ValueError):
             LpProblem(a=tuple(map(tuple, a)), b=tuple(b), c=tuple(c))
+    # in a longer row, after valid ints and before a second bad entry: the
+    # error names the first bad one, wherever the row sits
+    for bad in BAD_ENTRIES:
+        row = [1, -2, F(3, 2), bad, "second"]
+        for a, b, c in (
+            ([row], [1], [1] * 5),
+            ([[1]] * 5, row, [1]),
+            ([[1] * 5], [1], row),
+        ):
+            for build in (LpProblem.make, _direct):
+                with pytest.raises(ValueError, match=re.escape(f"not {bad!r}")):
+                    build(a, b, c)
     with pytest.raises(ValueError):
         LpProblem(a=((1, 2),), b=(1,), c=(1,))
     assert solve_max(LpProblem.make([[F(1, 10)]], [1], [1])).value == 10
+
+
+def _direct(a, b, c):
+    return LpProblem(a=tuple(map(tuple, a)), b=tuple(b), c=tuple(c))
 
 
 def test_row_scaling_invariance():
@@ -419,6 +523,10 @@ def test_matrix_rank():
     # matrix, and True is not 1
     for rows in ([[0.1, 0.2], [1, 2]], [[0, 1], [1]], [[True, 0], [0, 1]]):
         with pytest.raises(ValueError):
+            matrix_rank(rows)
+    for bad in BAD_ENTRIES:
+        rows = [[1, 2, 3, 4, 5], [1, -2, F(3, 2), bad, "second"]]
+        with pytest.raises(ValueError, match=re.escape(f"not {bad!r}")):
             matrix_rank(rows)
     rng = random.Random(1968)
     ranks = []

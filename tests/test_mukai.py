@@ -91,6 +91,26 @@ def test_catalog_lps_are_integral(monkeypatch):
     assert len(passed) == 577
     assert {type(x) for rows in passed for row in rows for x in row} == {int}
 
+    # the face LP of unique_optimum on every Equal report: its optimum is
+    # integral and enters as an int.  Z is empty at all 77 optima, so no face
+    # LP is solved as they stand; an idle column (zero in A and c) is free on
+    # the face, puts its x_j in Z and makes unique_optimum solve one
+    equal = [skel for skel in skeletons if mukai.check_conjecture(skel).relation == EQUAL]
+    assert len(equal) == 77
+    face_lps = []
+    solve = exactlp.solve_max
+    monkeypatch.setattr(exactlp, "solve_max", lambda p: face_lps.append(p) or solve(p))
+    for skel in equal:
+        problem = mukai.skeleton_lp(skel)[0]
+        assert exactlp.unique_optimum(problem, solve(problem))
+        idle = exactlp.LpProblem.make(
+            [[*row, 0] for row in problem.a], problem.b, [*problem.c, 0]
+        )
+        assert not exactlp.unique_optimum(idle, solve(idle))
+    assert len(face_lps) == 77
+    entries = [x for p in face_lps for x in (*p.b, *p.c, *(y for row in p.a for y in row))]
+    assert {type(x) for x in entries} == {int}
+
 
 def test_check_conjecture_examples():
     v41 = mukai.check_conjecture(support_skel(case(41), "gamma"))
