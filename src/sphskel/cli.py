@@ -231,11 +231,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_supports(args) -> int:
-    if args.max_card < 1:
-        raise UsageError("--max-card must be >= 1")
     instances = _select_instances(args)
     for inst in instances:
-        found = mukai.enumerate_minimal_complete_supports(inst.system, args.max_card)
+        found = mukai.enumerate_minimal_complete_supports(inst.system)
         if args.format == "json":
             payload = {
                 "case": inst.family,
@@ -332,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         "supports", help="enumerate minimal complete supports"
     )
     add_selection(p_supports)
-    p_supports.add_argument("--max-card", type=int, default=3)
     p_supports.add_argument("--format", choices=("text", "json"), default="text")
     p_supports.set_defaults(func=cmd_supports)
 

@@ -9,24 +9,12 @@ exact dual vector read off the slack columns; unbounded ones carry an
 improving ray.
 
 The tableau holds Python ints only (Edmonds 1967, Bareiss 1968): each row
-of ``[A | b]`` is scaled by the lcm of its denominators, c by the lcm of
-its own, and every entry is the numerator over one common denominator, the
-basis determinant, so a pivot is an exact integer division.  Scaling a row
-scales its slack, which leaves Bland's path and the pivot count unchanged.
-An all-int row needs no scaling, and ``LpProblem`` keeps ints as given, so
-``Fraction`` enters only with a caller's non-integral entry and is built
-again only for what a caller reads: the primal, value and dual of an
-optimum (not the reduced costs of x), the ray of an unbounded LP, and the
-``lam`` of ``positive_dependence``, one ``Fraction`` per entry.  The
-certificate checks of ``verify_certificates`` and ``unique_optimum`` run on
-integer numerators: x = X/dx and y = Y/dy over their least denominators, so
-on an int LP every product is an int.
-
-Negative right-hand sides are handled by the one-artificial-variable
-phase 1; an empty feasible region raises ``LpInfeasibleError``.  Only a
-caller's own LPs and the face LP of ``unique_optimum`` can reach phase 1:
-the skeleton LP and the completeness LP of ``positive_dependence`` have
-b >= 0, so they start feasible at x = 0.
+of ``[A | b]`` and c is scaled by the lcm of its denominators, which scales
+only its slack, so Bland's path and the pivot count are those of the
+rational tableau.  The certificate checks run on integer numerators
+(x = X/dx, y = Y/dy).  Only a caller's own LPs and the face LP of
+``unique_optimum`` can reach phase 1: the skeleton LP and the completeness
+LP have b >= 0.
 """
 
 from __future__ import annotations
@@ -50,18 +38,16 @@ _EXACT = {int, Fraction}
 _INT = {int}
 
 
-def _check_exact(v) -> None:
-    # exact types only: Fraction(0.1) is not 1/10, and True would read as 1;
-    # one pass over the types, the first bad entry found only on failure
-    if not {*map(type, v)} <= _EXACT:
+def _integer_row(v) -> tuple[list[int], int]:
+    """``(L*v, L)`` for the least L > 0 that makes every entry an int; the one
+    exact-entry gate, ValueError names the first entry that is not an int or a
+    Fraction (Fraction(0.1) is not 1/10, and True would read as 1)."""
+    types = {*map(type, v)}
+    if types <= _INT:
+        return list(v), 1
+    if not types <= _EXACT:
         bad = next(x for x in v if type(x) not in _EXACT)
         raise ValueError(f"entries must be int or Fraction, not {bad!r}")
-
-
-def _integer_row(v) -> tuple[list[int], int]:
-    """``(L*v, L)`` for the least L > 0 that makes every entry an int."""
-    if {*map(type, v)} <= _INT:
-        return list(v), 1
     pairs = [x.as_integer_ratio() for x in v]
     # star-args from a list, not a generator: tuple() of a generator resizes
     # its result, and CPython's tuple free lists then keep up to 2000 stranded
@@ -85,7 +71,7 @@ class LpProblem:
 
     def __post_init__(self):
         for v in (*self.a, self.b, self.c):
-            _check_exact(v)
+            _integer_row(v)
         if len(self.a) != len(self.b):
             raise ValueError("row count of A does not match b")
         for row in self.a:
@@ -229,10 +215,8 @@ class _Simplex:
 
     @cached_property
     def obj(self) -> tuple[Fraction, ...]:
-        """The duals (the reduced costs of the unscaled slacks s_i, in the
-        problem's units), then the value.  Built on first use and kept, so
-        read it only once the solve is over; the reduced costs of x are never
-        read, so they are not built."""
+        """The duals (in the units of the unscaled slacks s_i), then the
+        value; read it only once the solve is over."""
         scale = self.d * self.cost_scale
         z = self.z
         obj = [Fraction(s * x, scale) for s, x in zip(self.row_scale, z[self.n:-1])]
@@ -286,11 +270,13 @@ def solve_max(problem: LpProblem) -> LpSolution:
 
 
 def _numerators(v) -> tuple[list[int], int] | None:
-    """``_integer_row(v)``, or None for a missing vector or one with an entry
-    that is not an int or a Fraction: a certificate must be exact."""
-    if v is None or not {*map(type, v)} <= _EXACT:
+    """``_integer_row(v)``, or None for a missing or inexact vector."""
+    if v is None:
         return None
-    return _integer_row(v)
+    try:
+        return _integer_row(v)
+    except ValueError:
+        return None
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -361,9 +347,10 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     x, dx = _integer_row(sol.primal)
     y, dy = _integer_row(sol.dual)
     tight = [_dot(row, x) == bi * dx for row, bi in zip(a, b)]
-    active = [row for row, t in zip(a, tight) if t]
-    active += [[int(k == j) for k in range(n)] for j in range(n) if x[j] == 0]
-    if matrix_rank(active) != n:
+    # with the unit rows of x's zeros, rank n iff full rank on x's support
+    support = [j for j in range(n) if x[j]]
+    on_support = [[row[j] for j in support] for row, t in zip(a, tight) if t]
+    if matrix_rank(on_support) != len(support):
         raise ValueError("uniqueness is decided at a vertex only")
     # reduced costs: (A^T y)_j - c_j for x_j, y_i for s_i
     aty = _transpose_dot(a, y, n)
@@ -401,7 +388,6 @@ def positive_dependence(
     if sol.value:
         d = len(s)
         return None, tuple([p - q for p, q in zip(sol.primal[:d], sol.primal[d:])])
-    # lam_k = mu_k + 1, built as one Fraction and not as a sum
     return tuple([Fraction(mu.numerator + mu.denominator, mu.denominator)
                   for mu in sol.dual[:-1]]), None
 
@@ -413,11 +399,9 @@ def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     each step divides exactly by the previous pivot.  ValueError for an
     entry of another type or for rows of different lengths.
     """
-    for row in rows:
-        _check_exact(row)
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError("matrix rows have different lengths")
     work = [_integer_row(row)[0] for row in rows]
+    if len({len(row) for row in work}) > 1:
+        raise ValueError("matrix rows have different lengths")
     rank, prev = 0, 1
     while work and work[0]:
         r = next((i for i, row in enumerate(work) if row[0]), None)

@@ -42,11 +42,6 @@ def skeleton_lp(sk: SphericalSkeleton) -> tuple[LpProblem, Fraction]:
     return LpProblem.make(a, b, c), Fraction(constant)
 
 
-def budget(sk: SphericalSkeleton) -> int:
-    """|R+| - |R+_{S^p}|, the right-hand side of the inequality."""
-    return sk.system.budget
-
-
 def check_conjecture(sk: SphericalSkeleton) -> MukaiVerdict:
     """Assemble completeness, P(R), budget, relation and the maximizer.
 
@@ -60,7 +55,7 @@ def _verdict(sk: SphericalSkeleton, complete: bool) -> MukaiVerdict:
     """check_conjecture for a skeleton whose completeness is already known."""
     problem, constant = skeleton_lp(sk)
     sol = exactlp.solve_max(problem)
-    bud = budget(sk)
+    bud = sk.system.budget
     if sol.status != "optimal":
         return MukaiVerdict(complete, None, bud, None, None, None, sol.pivots)
     value = sol.value + constant
@@ -85,6 +80,7 @@ def enumerate_minimal_complete_supports(
     nonnegatively with the colors and with -e_j for every j where y_j <= 0;
     any T inside that set fails too (Stiemke 1915) and is skipped unsolved.
     """
+    # max_card stays only because perfbench/workloads.py passes 3 positionally
     if max_card < 1:
         raise ValueError("max_card must be >= 1")
     nsig = len(system.sigma)

@@ -149,10 +149,6 @@ def coroot_pairing(rs: RootSystem, i: int, v: Sequence[int | Fraction]):
     return sum(row[j] * v[j] for j in range(rs.rank))
 
 
-def vector_support(v: Sequence[int | Fraction]) -> frozenset[int]:
-    return frozenset(j for j, x in enumerate(v) if x != 0)
-
-
 def positive_in_span(rs: RootSystem, subset: Iterable[int]) -> tuple[RootVector, int]:
     """``(2rho_subset, |R+_subset|)``: the sum and the number of the positive
     roots whose support lies inside ``subset``, in one pass."""
@@ -160,7 +156,7 @@ def positive_in_span(rs: RootSystem, subset: Iterable[int]) -> tuple[RootVector,
     total = [0] * rs.rank
     count = 0
     for root in rs.positive:
-        if vector_support(root) <= inside:
+        if all(j in inside for j, x in enumerate(root) if x):
             count += 1
             for j, x in enumerate(root):
                 total[j] += x

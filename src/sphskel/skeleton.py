@@ -88,6 +88,19 @@ class SphericalSystem:
                 raise SkeletonInvariantError(
                     "moved-by-integer", f"{color.name}: simple-root indices must be int"
                 )
+            if color.coroot is not None:
+                idx, scale = color.coroot
+                if type(idx) is not int or type(scale) not in (int, Fraction):
+                    raise SkeletonInvariantError(
+                        "coroot-exact",
+                        f"{color.name}: coroot index must be int, scale int or Fraction",
+                    )
+        names = [color.name for color in colors]
+        if len(set(names)) != len(names):
+            repeated = next(name for name in names if names.count(name) > 1)
+            raise SkeletonInvariantError(
+                "divisor-names-unique", f"{repeated!r} names two colors"
+            )
         rank = rs.rank
         nsig = len(sigma)
         for idx in self.sp:
@@ -364,12 +377,15 @@ def _certificate_colors(
     system: SphericalSystem, delta_prime: Iterable[str], sigma_prime: Iterable[int]
 ) -> tuple[list[Color], frozenset[int]]:
     """The colors Delta' names and the set Sigma'; ValueError for an unknown
-    color or an index that names no spherical root."""
+    or repeated color or an index that names no spherical root."""
     by_name = {color.name: color for color in system.colors}
+    names = list(delta_prime)
     try:
-        chosen = [by_name[name] for name in delta_prime]
+        chosen = [by_name[name] for name in names]
     except KeyError as exc:
         raise ValueError(f"unknown color {exc.args[0]!r}") from exc
+    if len(set(names)) != len(names):
+        raise ValueError(f"Delta' names a color twice: {names}")
     strict = frozenset(sigma_prime)
     bad = [j for j in strict if type(j) is not int or not 0 <= j < len(system.sigma)]
     if bad:
@@ -391,9 +407,11 @@ def check_distinguished_certificate(
     which callers cross-check against is_complete.
     """
     chosen, strict = _certificate_colors(system, delta_prime, sigma_prime)
-    weights = [Fraction(x) for x in c]
+    weights = list(c)
     if len(weights) != len(chosen):
         raise ValueError("one weight per color required")
+    if any(type(w) not in (int, Fraction) for w in weights):
+        raise ValueError(f"certificate weights must be int or Fraction: {weights}")
     if any(w <= 0 for w in weights):
         raise ValueError("certificate weights must be strictly positive")
     for j in range(len(system.sigma)):

@@ -555,6 +555,17 @@ def test_verify_json_output_identity(sweep_reports):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
+# sha256 of the `sphskel verify --case all` text table
+VERIFY_TEXT_SHA256 = "3c81bead395045c5a8a90e050ada0c66aa818642499e0a9f726705214e5ba8e2"
+
+
+def test_verify_text_output_identity(sweep_reports):
+    """The default sweep's text table is byte-identical to the pinned one."""
+    buf = io.StringIO()
+    cli.print_reports(sweep_reports, "text", buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == VERIFY_TEXT_SHA256
+
+
 # sha256 of `sphskel supports --case all --sweep smoke --format json`: the
 # minimal supports, their verdicts and the certificates of every family
 SUPPORTS_SMOKE_JSON_SHA256 = "304766c568bcc19de03a75f982f1c8689cfdc5a8f75ea35299f9ef85d303c6cb"
@@ -567,3 +578,18 @@ def test_supports_smoke_json_output_identity(capsys):
     text = capsys.readouterr().out
     assert text.count("\n") == len(catalog.FAMILIES) == 31
     assert hashlib.sha256(text.encode()).hexdigest() == SUPPORTS_SMOKE_JSON_SHA256
+
+
+# sha256 of `sphskel supports --case all` on stdout, as JSON and as text
+SUPPORTS_SHA256 = {
+    "json": "46bc8241e18d0b6ca06fc3ada227c78fab670bf6e8b1e89dd4e18ed8ac4d2746",
+    "text": "1a7534319d73ac2da1e4507ddb77cc00bc089f53cdb7cf2f68efd4ba62fb4db8",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SUPPORTS_SHA256))
+def test_supports_output_identity(capsys, fmt):
+    """The default sweep's minimal supports are byte-identical to the pinned ones."""
+    assert cli.main(["supports", "--case", "all", "--format", fmt]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == SUPPORTS_SHA256[fmt]

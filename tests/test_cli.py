@@ -364,7 +364,6 @@ def test_internal_errors_propagate(monkeypatch):
     "argv",
     [
         ["export", "--case", "41", "--support", "nope"],
-        ["supports", "--case", "41", "--max-card", "0"],
         ["verify", "--case", "31", "--param", "p=3", "--param", "p=4"],
         # a non-string argument is a sweep profile, written to a config file
         ["verify", "--case", "31", "--sweep-config", {"31": {"p": 2}}],
@@ -387,7 +386,7 @@ def test_internal_errors_propagate(monkeypatch):
         ["verify", "--case", "31", "--param", "p=51"],
     ],
     ids=[
-        "export-unknown-support", "supports-max-card-0", "param-repeated",
+        "export-unknown-support", "param-repeated",
         "profile-value-not-a-list", "profile-value-float", "profile-unknown-case",
         "profile-unknown-sub-case", "profile-fixed-case-parameter",
         "profile-unknown-parameter", "profile-value-bool", "profile-value-empty",

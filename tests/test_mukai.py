@@ -60,12 +60,11 @@ def test_mfs_infinite_on_noncomplete():
 
 
 def test_budget_examples():
-    assert mukai.budget(SphericalSkeleton(case(35).system, ())) == 6
-    assert mukai.budget(SphericalSkeleton(case(44, "p=2", p=2).system, ())) == 7
+    assert case(35).system.budget == 6
+    assert case(44, "p=2", p=2).system.budget == 7
     # S^p equal to the whole S gives budget zero
     rs = rootsys.build_root_system([("A", 2)])
-    skel = SphericalSkeleton(SphericalSystem(rs, frozenset({0, 1}), (), ()), ())
-    assert mukai.budget(skel) == 0
+    assert SphericalSystem(rs, frozenset({0, 1}), (), ()).budget == 0
 
 
 def test_catalog_lps_are_integral(monkeypatch):

@@ -164,7 +164,7 @@ def test_product_structure():
     s41 = inst41.support_skeleton(inst41.option("gamma"))
     prod = sk.product(s35, s41)
     assert prod.system.root_system.components == (("B", 3), ("G", 2))
-    assert mukai.budget(prod) == 6 + 5 == 11
+    assert prod.system.budget == 6 + 5 == 11
     a = sk.pairing_matrix(prod)
     # block-diagonal pairing: first-factor rows vanish on second-factor roots
     assert a[0][1] == 0 and a[1][0] == 0
@@ -178,7 +178,7 @@ def test_product_with_empty_skeleton_is_identity_like():
     s41 = inst.support_skeleton(inst.option("gamma"))
     prod = sk.product(s41, empty)
     assert mukai.check_conjecture(prod).p_value == 5
-    assert mukai.budget(prod) == 5  # the A1 factor lies in S^p
+    assert prod.system.budget == 5  # the A1 factor lies in S^p
 
 
 def test_check_distinguished_certificate():
@@ -223,6 +223,22 @@ def test_find_certificate_multipliers_case_31():
             sk.check_distinguished_certificate(
                 inst.system, delta_prime, sigma_prime, (1,) * len(delta_prime)
             )
+
+
+def test_certificate_helpers_reject_inexact_weights_and_repeated_colors():
+    system = case(34).system
+    assert sk.check_distinguished_certificate(system, ("D4",), (1,), (1,))
+    assert sk.check_distinguished_certificate(system, ("D4",), (1,), (F(1, 2),))
+    # each equals or approximates a valid weight, so only a type check sees it
+    for weight in (0.5, True, 1e-300):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            sk.check_distinguished_certificate(system, ("D4",), (1,), (weight,))
+    # one color named twice would get two multipliers
+    with pytest.raises(ValueError, match="twice"):
+        sk.check_distinguished_certificate(system, ("D4", "D4"), (1,), (1, 1))
+    with pytest.raises(ValueError, match="twice"):
+        sk.find_certificate_multipliers(system, ("D4", "D4"), (1,))
+    assert sk.find_certificate_multipliers(system, ("D4",), (1,)) == (F(1),)
 
 
 @pytest.mark.parametrize("combined", [False, True])
@@ -412,6 +428,35 @@ def test_system_stores_integral_values_as_int():
     assert [type(color.rho[0]) for color in loaded.colors] == [int, F]
 
 
+@pytest.mark.parametrize("coroot", [(True, 1), (0, True), (0, 1.0), (0.0, 1)])
+def test_coroot_reference_must_be_exact(coroot):
+    # each equals a valid reference, (1, 1) or (0, 1), so the consistency
+    # check passes it; save would write "index": true, which the reader rejects
+    color = replace(GOOD_A2["colors"][0], coroot=coroot)
+    with pytest.raises(SkeletonInvariantError) as err:
+        SphericalSystem(**{**GOOD_A2, "colors": (color,)})
+    assert err.value.invariant == "coroot-exact"
+
+
+def _save_load(skel, path):
+    sk.save(skel, str(path))
+    return sk.load(str(path))
+
+
+def test_api_built_systems_survive_a_file_round_trip(tmp_path):
+    # an int coroot scale, an integral rho given as a Fraction, a half one
+    colors = (
+        Color(name="D", rho=(F(1),), moved_by=(0,), coroot=(0, 1)),
+        Color(name="D'", rho=(F(1, 2),), moved_by=(1,), coroot=(1, F(1, 2))),
+    )
+    skel = SphericalSkeleton(SphericalSystem(**{**GOOD_A2, "colors": colors}), GAMMA_A2)
+    assert _save_load(skel, tmp_path / "a2.json") == skel
+    # the catalog builds its systems through the same API
+    for inst in catalog.sweep_instances(profile=cli.load_sweep_profile("smoke")):
+        skel = SphericalSkeleton(inst.system, ())
+        assert _save_load(skel, tmp_path / "case.json") == skel, inst.label
+
+
 def test_system_checks_run_once_per_system(monkeypatch):
     checks = []
     check = SphericalSystem.__post_init__
@@ -481,6 +526,8 @@ BAD_A2_SYSTEMS = {
         "colors": (Color(name="D", rho=(F(5),), moved_by=(0,), coroot=(0, F(1))),),
     },
     "sp-range": {"sp": frozenset({5})},
+    # a certificate helper, which takes a system, would read the last "D"
+    "divisor-names-unique": {"colors": GOOD_A2["colors"] * 2},
 }
 
 
@@ -510,5 +557,5 @@ def test_every_invariant_is_documented():
     for path in (root / "src" / "sphskel").glob("*.py"):
         names |= set(re.findall(r'SkeletonInvariantError\(\s*"([^"]+)"', path.read_text()))
     readme = (root / "README.md").read_text()
-    assert len(names) == 24
+    assert len(names) == 25
     assert sorted(name for name in names if f"`{name}`" not in readme) == []
