@@ -14,7 +14,8 @@ color names in order and the type-a values), from which ``_spherical_system``
 derives the rest.  The registry ``FAMILIES`` states each family's number,
 sub-case and sweep ranges, whose starts are the free parameters' least values.
 ``FamilySpec.build`` puts an instance together; the sigma labels are read off
-the system and every option's key off its indices and those labels.
+the system, every option's key off its indices and those labels, and its
+minimal flag off the indices of the case's other options.
 """
 
 from __future__ import annotations
@@ -40,15 +41,16 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class SupportOption:
-    """One boundary-support choice of a case, with its expected outcome."""
+    """One boundary-support choice of a case, with its expected outcome; the
+    builders state neither ``minimal`` nor ``key``, CaseInstance derives both."""
 
     indices: tuple[int, ...]
     expected_p: Fraction | None
     expected_relation: str
     expected_theta: tuple[Fraction, ...] | None = None
     combined: bool = False  # one divisor hitting all roots vs one per root
-    minimal: bool = True  # belongs to the minimal-support list of the case
-    key: str = ""  # set by CaseInstance from the indices and sigma labels
+    minimal: bool = True  # not combined, and no plain support strictly inside it
+    key: str = ""  # the support in sigma labels
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,14 @@ class CaseInstance:
     typo_fixes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # the one place an option's key is stated: its support in sigma labels
-        keyed = tuple(
-            replace(opt, key=self.support_key(opt.indices, opt.combined))
+        # the one place an option's key and minimal flag are stated
+        plain = [set(opt.indices) for opt in self.options if not opt.combined]
+        derived = tuple(
+            replace(opt, key=self.support_key(opt.indices, opt.combined),
+                    minimal=not opt.combined and not any(s < {*opt.indices} for s in plain))
             for opt in self.options
         )
-        object.__setattr__(self, "options", keyed)
+        object.__setattr__(self, "options", derived)
 
     def support_skeleton(self, option: SupportOption) -> SphericalSkeleton:
         return sk_mod.with_boundary_support(
@@ -337,7 +341,6 @@ def _build_31(params: dict) -> dict:
             indices=(0, 2 * p - 2),
             expected_p=F(2 * p),
             expected_relation=STRICTLY_LESS,
-            minimal=False,
         )
     )
     cert = Certificate(
@@ -534,7 +537,6 @@ def _build_38(params: dict) -> dict:
             indices=(0, 1, 2),
             expected_p=F(6),
             expected_relation=STRICTLY_LESS,
-            minimal=False,
         )
     )
     options.append(
@@ -543,7 +545,6 @@ def _build_38(params: dict) -> dict:
             expected_p=F(10),
             expected_relation=STRICTLY_LESS,
             combined=True,
-            minimal=False,
         )
     )
     certs = (
@@ -700,7 +701,6 @@ def _build_43_a(params: dict) -> dict:
             indices=(0, 1, 2),
             expected_p=F(0),
             expected_relation=STRICTLY_LESS,
-            minimal=False,
         )
     )
     options.append(
@@ -709,7 +709,6 @@ def _build_43_a(params: dict) -> dict:
             expected_p=F(2),
             expected_relation=STRICTLY_LESS,
             combined=True,
-            minimal=False,
         )
     )
     certs = (
@@ -754,14 +753,12 @@ def _build_43_b(params: dict) -> dict:
             indices=(0, 1, 3),
             expected_p=F(2 * p - 1),
             expected_relation=STRICTLY_LESS,
-            minimal=False,
         ),
         SupportOption(
             indices=(0, 3),
             expected_p=F(4 * p + 1),
             expected_relation=STRICTLY_LESS,
             combined=True,
-            minimal=False,
         ),
     ]
     certs = (
@@ -816,7 +813,6 @@ def _build_43_c(params: dict) -> dict:
             expected_p=F(4 * p + 4 * q),
             expected_relation=STRICTLY_LESS,
             combined=True,
-            minimal=False,
         ),
     ]
     certs = (
@@ -1115,7 +1111,6 @@ def _build_46_p5(params: dict) -> dict:
             indices=(2, 4),
             expected_p=F(1),
             expected_relation=STRICTLY_LESS,
-            minimal=False,
         ),
     )
     return dict(
@@ -1371,7 +1366,6 @@ def _build_49(params: dict) -> dict:
             indices=(p - 1, 2 * p - 2),
             expected_p=F(0),
             expected_relation=STRICTLY_LESS,
-            minimal=False,
         )
     )
     cert_colors = tuple(
@@ -1553,18 +1547,8 @@ def _build_50(params: dict, even: bool) -> dict:
     system = _spherical_system(rs, (), sigma, colors)
 
     options = []
-    if even:
-        # supports on the unprimed (B) side
-        def pos(k: int) -> int:
-            return unprimed(k)
-
-        side = range(1, q + 1)
-    else:
-        def pos(k: int) -> int:
-            return primed(k)
-
-        side = range(1, q + 1)
-    for k in side:
+    pos = unprimed if even else primed  # the supports lie on the B side when p is even
+    for k in range(1, q + 1):
         if k == 1:
             exp = F(p - 1)
         elif k <= q - 2:
@@ -1695,15 +1679,20 @@ def parse_case_key(text: str) -> tuple[int, str | None]:
 def _profile_ranges(profile: dict) -> dict[tuple[int, str], dict[str, list[int]]]:
     """Check a sweep profile and resolve it into the values each family sweeps
     in place of its ranges: a non-empty list of integers per parameter that
-    every sub-case its key names sweeps, none below the least value there."""
+    every sub-case its key names sweeps, none below the least value there.
+    Two spellings of one key are an error; a sub-case key layers over its
+    family's key."""
     if not isinstance(profile, dict):
         raise UsageError(f"a sweep profile maps case keys to ranges, got {profile!r}")
     resolved: dict[tuple[int, str], dict[str, list[int]]] = {key: {} for key in FAMILIES}
+    names: dict[tuple[int, str | None], str] = {}
     for name, entry in profile.items():
         try:
             family, sub_case = parse_case_key(name)
         except UsageError as exc:
             raise UsageError(f"sweep profile: {exc}") from None
+        if (first := names.setdefault((family, sub_case), name)) != name:
+            raise UsageError(f"sweep profile: {first!r} and {name!r} name the same case")
         if not isinstance(entry, dict):
             raise UsageError(f"sweep profile {name!r}: expected {{parameter: [values]}}")
         specs = _named(family, sub_case)

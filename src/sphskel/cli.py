@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -155,7 +156,10 @@ def parse_params(items) -> dict[str, int]:
         if name in out:
             raise UsageError(f"--param {name} given more than once")
         try:
-            out[name] = int(value)
+            # ASCII digits only: int() alone reads "1_0" as 10 and "٣" as 3
+            if not re.fullmatch(r"[+-]?[0-9]+", value.strip(), re.ASCII):
+                raise ValueError(value)
+            out[name] = int(value)  # ValueError past int()'s digit limit too
         except ValueError as exc:
             raise UsageError(f"--param {item!r}: value must be an integer") from exc
     return out
@@ -167,8 +171,8 @@ def load_sweep_profile(name: str, path: str | None = None) -> dict:
         path = os.path.join(os.path.dirname(__file__), "sweeps.json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            profiles = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            profiles = sk_mod.read_json(handle)
+    except (OSError, ValueError) as exc:  # bad JSON, a repeated key or bad UTF-8
         raise UsageError(f"cannot read sweep config {path}: {exc}") from exc
     if not isinstance(profiles, dict):
         raise UsageError(f"sweep config {path}: expected an object of named profiles")

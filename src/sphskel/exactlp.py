@@ -19,7 +19,7 @@ LP have b >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -38,13 +38,13 @@ _EXACT = {int, Fraction}
 _INT = {int}
 
 
-def _integer_row(v) -> tuple[list[int], int]:
-    """``(L*v, L)`` for the least L > 0 that makes every entry an int; the one
-    exact-entry gate, ValueError names the first entry that is not an int or a
-    Fraction (Fraction(0.1) is not 1/10, and True would read as 1)."""
+def _integer_row(v) -> tuple[Sequence[int], int]:
+    """``(L*v, L)`` for the least L > 0 that makes every entry an int (v itself
+    if all are); the one exact-entry gate, ValueError names the first entry
+    not an int or a Fraction (Fraction(0.1) is not 1/10, True would read as 1)."""
     types = {*map(type, v)}
     if types <= _INT:
-        return list(v), 1
+        return v, 1
     if not types <= _EXACT:
         bad = next(x for x in v if type(x) not in _EXACT)
         raise ValueError(f"entries must be int or Fraction, not {bad!r}")
@@ -62,21 +62,24 @@ class LpProblem:
 
     Every entry must be an ``int`` or a ``Fraction`` (ValueError otherwise),
     however the problem is built; ``make`` keeps them as given, so an
-    integral LP is solved without building a single ``Fraction``.
+    integral LP is solved without building a single ``Fraction``.  Each row of
+    ``[a | b]``, then c, passes the gate once; ``scaled`` keeps the output,
+    ``(L_i [a_i | b_i], L_i)`` per row and ``(L_c c, L_c)``, for the tableau.
     """
 
     a: tuple[tuple[int | Fraction, ...], ...]
     b: tuple[int | Fraction, ...]
     c: tuple[int | Fraction, ...]
+    scaled: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for v in (*self.a, self.b, self.c):
-            _integer_row(v)
         if len(self.a) != len(self.b):
             raise ValueError("row count of A does not match b")
         for row in self.a:
             if len(row) != len(self.c):
                 raise ValueError("column count of A does not match c")
+        rows = [_integer_row((*row, bi)) for row, bi in zip(self.a, self.b)]
+        object.__setattr__(self, "scaled", (*rows, _integer_row(self.c)))
 
     @staticmethod
     def make(a, b, c) -> "LpProblem":
@@ -105,8 +108,9 @@ class LpSolution:
 class _Simplex:
     """Dense tableau of ints over one common denominator ``d > 0``.
 
-    The rows are ``d * B^-1 [LA | I | Lb]``, where row i of A and b is
-    scaled by L_i, the lcm of its denominators: x keeps the problem's units,
+    The rows are ``d * B^-1 [LA | I | Lb]``, where ``problem.scaled`` gives
+    row i of A and b scaled by L_i, the lcm of its denominators, and L_c c;
+    the tableau never gates an entry again.  x keeps the problem's units,
     slack i is s'_i = L_i s_i, and phase 1's aux column holds -L_i, the image
     of -1.  ``z`` is d times the objective row for ``L_c c``, value last.
     A pivot on p leaves d the absolute basis determinant, so the update
@@ -121,13 +125,12 @@ class _Simplex:
         self.width = n + m  # structural + slack columns; aux column may follow
         self.rows: list[list[int]] = []
         self.row_scale: list[int] = []
-        for i in range(m):
-            scaled, scale = _integer_row((*problem.a[i], problem.b[i]))
-            row = scaled[:n] + [0] * m + scaled[n:]
+        *rows, (self.cost, self.cost_scale) = problem.scaled
+        for i, (scaled, scale) in enumerate(rows):
+            row = [*scaled[:n], *[0] * m, scaled[n]]
             row[n + i] = 1
             self.rows.append(row)
             self.row_scale.append(scale)
-        self.cost, self.cost_scale = _integer_row(problem.c)
         self.b = problem.b
         self.basis = [n + i for i in range(m)]
         self.d = 1
@@ -250,7 +253,7 @@ def solve_max(problem: LpProblem) -> LpSolution:
     if any(bi < 0 for bi in problem.b):
         simplex.phase1()
     n = problem.n
-    simplex.set_objective(simplex.cost + [0] * (simplex.width - n))
+    simplex.set_objective([*simplex.cost, *[0] * (simplex.width - n)])
     unbounded_col = simplex.run()
     if unbounded_col is not None:
         return LpSolution(

@@ -578,10 +578,25 @@ def save(sk: SphericalSkeleton, path: str) -> None:
         handle.write("\n")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def read_json(handle) -> object:
+    """``json.load``, but ValueError names a repeated key of an object, whose
+    last value json alone would keep without a word."""
+    return json.load(handle, object_pairs_hook=_unique_keys)
+
+
 def load(path: str) -> SphericalSkeleton:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
+            data = read_json(handle)
+        except ValueError as exc:  # bad JSON, a repeated key or bad UTF-8
             raise SkeletonParseError(f"invalid JSON: {exc}") from exc
     return from_dict(data)

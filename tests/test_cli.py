@@ -41,6 +41,12 @@ def test_parse_params():
         parse_params(["p"])
     with pytest.raises(UsageError):
         parse_params(["p=x"])
+    assert parse_params([" p = +3 ", "q=-2"]) == {"p": 3, "q": -2}
+    # an optional sign and ASCII digits only: int() alone reads "1_0" as 10,
+    # and "٣" (Arabic-Indic three) and "３" (fullwidth three) as 3
+    for value in ("1_0", "٣", "３", "", "+", "3.0", "0x3", "1e3", "9" * 5000):
+        with pytest.raises(UsageError):
+            parse_params([f"p={value}"])
 
 
 def test_verify_case_34():
@@ -340,13 +346,24 @@ def _color(doc):
                      id="rank-huge"),
         pytest.param(lambda d: _color(d).update(moved_by=[0, 0]), 3, "[moved-by-distinct]",
                      id="moved-by-repeated"),
+        # a mutation that returns text or bytes writes them as the file: json keeps
+        # a repeated key's last value, here an empty boundary
+        pytest.param(lambda d: json.dumps(d)[:-1] + ', "boundary": []}', 2,
+                     "repeated key 'boundary'", id="top-level-key-repeated"),
+        pytest.param(lambda d: json.dumps(d).replace('"rho": ["1"]', '"rho": ["1"], "rho": ["2"]'),
+                     2, "repeated key 'rho'", id="color-key-repeated"),
+        pytest.param(lambda d: json.dumps(d).replace('"rho": [-1]', '"rho": [-1], "rho": [-1]'),
+                     2, "repeated key 'rho'", id="boundary-key-repeated"),
+        pytest.param(lambda d: b"\xff" + json.dumps(d).encode(), 2, "parse error",
+                     id="not-utf-8"),
     ],
 )
 def test_compute_rejects_malformed_file(tmp_path, capsys, mutate, code, message):
     doc = copy.deepcopy(VALID_DOC)
-    mutate(doc)
+    text = mutate(doc)
+    text = json.dumps(doc) if text is None else text
     path = tmp_path / "skel.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert cli.main(["compute", str(path)]) == code
     assert message in capsys.readouterr().err
 
@@ -382,8 +399,18 @@ def test_internal_errors_propagate(monkeypatch):
         # values below a free parameter's least value, the start of its range
         ["verify", "--case", "31", "--sweep-config", {"31": {"p": [1, 2]}}],
         ["verify", "--case", "41", "--sweep-config", {"48/p>=1": {"p": [1]}}],
+        # two spellings of one case key: one entry would be dropped
+        ["verify", "--case", "43", "--sweep-config",
+         {"43/p,q!=0,r=0": {"p": [1]}, "43/p, q≠0, r=0": {"p": [2]}}],
         # A_102 exceeds the largest total rank a root system may have
         ["verify", "--case", "31", "--param", "p=51"],
+        # bytes are a raw config file: json alone keeps a repeated key's last value
+        ["verify", "--case", "31", "--sweep-config",
+         b'{"default": {}, "default": {"31": {"p": [2]}}}'],
+        ["verify", "--case", "31", "--sweep-config",
+         b'{"default": {"31": {"p": [2]}, "31": {"p": [3]}}}'],
+        ["verify", "--case", "31", "--sweep-config", b'{"default": {"31": {"p": [2], "p": [3]}}}'],
+        ["verify", "--case", "31", "--sweep-config", b'\xff{"default": {}}'],
     ],
     ids=[
         "export-unknown-support", "param-repeated",
@@ -392,7 +419,9 @@ def test_internal_errors_propagate(monkeypatch):
         "profile-unknown-parameter", "profile-value-bool", "profile-value-empty",
         "profile-entry-not-an-object", "profile-parameter-one-sub-case-lacks",
         "profile-not-an-object", "profile-empty-list", "profile-value-below-least",
-        "profile-value-below-least-of-sub-case", "param-rank-too-large",
+        "profile-value-below-least-of-sub-case", "profile-case-named-twice",
+        "param-rank-too-large", "config-profile-repeated", "config-case-repeated",
+        "config-parameter-repeated", "config-not-utf-8",
     ],
 )
 def test_user_errors_exit_2(tmp_path, capsys, argv):
@@ -401,13 +430,17 @@ def test_user_errors_exit_2(tmp_path, capsys, argv):
         argv = argv + ["-o", str(out)]
     cfg = tmp_path / "sweeps.json"
     profile = [arg for arg in argv if not isinstance(arg, str)]
-    if profile:
+    raw = bool(profile) and isinstance(profile[0], bytes)
+    if raw:
+        cfg.write_bytes(profile[0])
+    elif profile:
         cfg.write_text(json.dumps({"default": profile[0]}))
     argv = [arg if isinstance(arg, str) else str(cfg) for arg in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert ("sweep profile" in err) == bool(profile)
+    assert ("sweep profile" in err) == (bool(profile) and not raw)
+    assert ("sweep config" in err) == raw
     assert not out.exists()
 
 

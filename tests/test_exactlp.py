@@ -359,6 +359,25 @@ def _direct(a, b, c):
     return LpProblem(a=tuple(map(tuple, a)), b=tuple(b), c=tuple(c))
 
 
+def test_each_row_passes_the_gate_once(monkeypatch):
+    # LpProblem gates each row of [a | b] and then c; the tableau starts from
+    # that output, so a solve, and a second solve, gate nothing
+    seen = []
+    gate = exactlp._integer_row
+    monkeypatch.setattr(exactlp, "_integer_row", lambda v: seen.append(tuple(v)) or gate(v))
+    for a, b, c in (
+        ([[1, 2], [F(1, 2), 1], [3, F(2, 3)]], [4, F(5, 2), 6], [1, F(1, 3)]),
+        ([[1, 1], [-1, -1]], [2, -1], [1, 0]),  # phase 1
+    ):
+        gated = [(*row, bi) for row, bi in zip(a, b)] + [tuple(c)]
+        seen.clear()
+        problem = LpProblem.make(a, b, c)
+        assert seen == gated
+        first, again = solve_max(problem), solve_max(problem)
+        assert seen == gated
+        assert first == again and first.status == "optimal"
+
+
 def test_row_scaling_invariance():
     rng = random.Random(7)
     for _ in range(25):
