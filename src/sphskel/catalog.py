@@ -1678,10 +1678,10 @@ def parse_case_key(text: str) -> tuple[int, str | None]:
 
 def _profile_ranges(profile: dict) -> dict[tuple[int, str], dict[str, list[int]]]:
     """Check a sweep profile and resolve it into the values each family sweeps
-    in place of its ranges: a non-empty list of integers per parameter that
-    every sub-case its key names sweeps, none below the least value there.
-    Two spellings of one key are an error; a sub-case key layers over its
-    family's key."""
+    in place of its ranges: a non-empty list of distinct integers per
+    parameter that every sub-case its key names sweeps, none below the least
+    value there.  Two spellings of one key are an error; a sub-case key layers
+    over its family's key."""
     if not isinstance(profile, dict):
         raise UsageError(f"a sweep profile maps case keys to ranges, got {profile!r}")
     resolved: dict[tuple[int, str], dict[str, list[int]]] = {key: {} for key in FAMILIES}
@@ -1703,6 +1703,9 @@ def _profile_ranges(profile: dict) -> dict[tuple[int, str], dict[str, list[int]]
                     f"sweep profile {name!r}: {param} needs a non-empty list of "
                     f"integers, got {values!r}"
                 )
+            if len(set(values)) < len(values):
+                repeated = next(v for v in values if values.count(v) > 1)
+                raise UsageError(f"sweep profile {name!r}: {param} lists {repeated} twice")
             for spec in specs:
                 if param not in spec.ranges:
                     raise UsageError(

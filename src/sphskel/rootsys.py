@@ -1,26 +1,24 @@
 """Finite root systems of types A, B, C, D, G2 and products thereof.
 
-Everything lives in root-lattice coordinates: a root is a tuple of integer
-coefficients over the simple roots, and all pairings go through the Cartan
-matrix ``C[i][j] = <alpha_i^vee, alpha_j>``.  Simple roots are numbered as in
-Bourbaki inside each component (B_n has alpha_n short, C_n has alpha_n long)
-and concatenated to a single 0-based global index across product components.
-For G2 the orientation is fixed with alpha_1 short, i.e.
-``<alpha_1^vee, alpha_2> = -3``.
+A system stores only Cartan data, and |R+| comes from the component types.
+A root is a tuple of integer coefficients over the simple roots, and all
+pairings go through the Cartan matrix ``C[i][j] = <alpha_i^vee, alpha_j>``.
+Simple roots are numbered as in Bourbaki inside each component (B_n has
+alpha_n short, C_n has alpha_n long) and concatenated to a single 0-based
+global index across product components.  For G2 the orientation is fixed
+with alpha_1 short, i.e. ``<alpha_1^vee, alpha_2> = -3``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 RootVector = tuple[int, ...]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
-# the Cartan matrix is total x total; A_100 takes seconds to build, and the
-# catalog's largest rank is 18
+# bounds the total x total Cartan matrix a system allocates
 _MAX_TOTAL_RANK = 100
 
 
@@ -50,55 +48,55 @@ def _cartan_block(series: str, n: int) -> list[list[int]]:
 
 
 def _enumerate_positive(cartan: Sequence[Sequence[int]]) -> list[RootVector]:
-    """Closure algorithm: grow root strings upward from the simple roots."""
+    """Closure algorithm: grow root strings upward from the simple roots.
+    beta + alpha_i is a root iff the alpha_i-string through beta reaches
+    p > <alpha_i^vee, beta> steps down."""
     rank = len(cartan)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
     simple = [tuple([1 if j == i else 0 for j in range(rank)]) for i in range(rank)]
     known: set[RootVector] = set(simple)
     level = list(simple)
-    out = list(simple)
     while level:
         nxt: list[RootVector] = []
         for beta in level:
-            for i in range(rank):
+            for i, row in enumerate(rows):
                 down = list(beta)
                 p = 0
-                while True:
+                while down[i]:
                     down[i] -= 1
-                    if tuple(down) in known:
-                        p += 1
-                    else:
+                    if tuple(down) not in known:
                         break
-                pairing = sum(cartan[i][j] * beta[j] for j in range(rank))
-                if p - pairing > 0:
+                    p += 1
+                if p > sum(c * beta[j] for j, c in row):
                     up = list(beta)
                     up[i] += 1
                     cand = tuple(up)
                     if cand not in known:
                         known.add(cand)
                         nxt.append(cand)
-                        out.append(cand)
         level = nxt
-    return out
-
-
-# a sweep builds a few hundred systems from a few dozen components
-@lru_cache(maxsize=128)
-def _positive_roots(series: str, n: int) -> tuple[RootVector, ...]:
-    return tuple(_enumerate_positive(_cartan_block(series, n)))
+    return list(known)
 
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A product of irreducible root systems with a global simple-root index."""
+    """A product of irreducible root systems: component types, Cartan matrix, offsets."""
 
     components: tuple[tuple[str, int], ...]
     cartan: tuple[tuple[int, ...], ...]
-    positive: tuple[RootVector, ...]
     offsets: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.cartan)
+
+    @property
+    def positive_count(self) -> int:
+        """|R+| from the component types (Bourbaki, Lie Groups, ch. VI, Plates I-IX)."""
+        return sum(
+            {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1), "G": 6}[series]
+            for series, n in self.components
+        )
 
 
 def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
@@ -124,21 +122,16 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
     cartan = [[0] * total for _ in range(total)]
     offsets = []
     pos = 0
-    positive: list[RootVector] = []
     for series, rank in components:
         offsets.append(pos)
         block = _cartan_block(series, rank)
         for i in range(rank):
             for j in range(rank):
                 cartan[pos + i][pos + j] = block[i][j]
-        for root in _positive_roots(series, rank):
-            padded = (0,) * pos + root + (0,) * (total - pos - rank)
-            positive.append(padded)
         pos += rank
     return RootSystem(
         components=components,
         cartan=tuple([tuple(row) for row in cartan]),
-        positive=tuple(positive),
         offsets=tuple(offsets),
     )
 
@@ -151,13 +144,16 @@ def coroot_pairing(rs: RootSystem, i: int, v: Sequence[int | Fraction]):
 
 def positive_in_span(rs: RootSystem, subset: Iterable[int]) -> tuple[RootVector, int]:
     """``(2rho_subset, |R+_subset|)``: the sum and the number of the positive
-    roots whose support lies inside ``subset``, in one pass."""
-    inside = frozenset(subset)
+    roots supported in ``subset``, closed over the principal Cartan submatrix
+    on ``subset`` alone (Humphreys, Introduction to Lie Algebras, section 10)."""
+    inside = set(subset)
+    for i in inside:
+        if type(i) is not int or not 0 <= i < rs.rank:
+            raise ValueError(f"simple-root index {i!r} is not in range({rs.rank})")
+    idx = sorted(inside)
+    roots = _enumerate_positive([[rs.cartan[i][j] for j in idx] for i in idx])
     total = [0] * rs.rank
-    count = 0
-    for root in rs.positive:
-        if all(j in inside for j, x in enumerate(root) if x):
-            count += 1
-            for j, x in enumerate(root):
-                total[j] += x
-    return tuple(total), count
+    for root in roots:
+        for j, x in zip(idx, root):
+            total[j] += x
+    return tuple(total), len(roots)

@@ -61,8 +61,8 @@ class SphericalSystem:
     m_D over the colors as ``multiplicities``: m_D is 1 when some moving
     simple root lies in Sigma or (1/2)Sigma, otherwise
     <alpha^vee, 2rho_S - 2rho_{S^p}> = 2 - <alpha^vee, 2rho_{S^p}> for the
-    moving root alpha (several movers must agree); and the budget
-    |R+| - |R+_{S^p}|, counted in the pass that sums 2rho_{S^p}.
+    moving root alpha (several movers must agree); and the budget |R+| minus
+    |R+_{S^p}|, the count of the closure over S^p that sums 2rho_{S^p}.
     """
 
     root_system: RootSystem
@@ -151,7 +151,7 @@ class SphericalSystem:
             canonical.append(Color(color.name, rho, color.moved_by, color.coroot))
         object.__setattr__(self, "colors", tuple(canonical))
         inside, count = rootsys.positive_in_span(rs, self.sp)
-        object.__setattr__(self, "budget", len(rs.positive) - count)
+        object.__setattr__(self, "budget", rs.positive_count - count)
         sigma_set = set(sigma)
         ms = []
         for color in colors:

@@ -176,6 +176,9 @@ def test_sweep_instances_filtering():
         family=31, profile={"31": {"p": [2, 3]}}
     )
     assert [dict(i.params)["p"] for i in ranged] == [2, 3]
+    # a repeated value would build its instance twice
+    with pytest.raises(catalog.UsageError, match="'31': p lists 2 twice"):
+        catalog.sweep_instances(family=31, profile={"31": {"p": [2, 3, 2]}})
     # a sub-case entry goes over a family entry, and a parameter it does not
     # name keeps its range
     profile = {"42": {"q": [2]}, "42/p>=1": {"p": [3, 4]}}

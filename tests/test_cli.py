@@ -399,6 +399,8 @@ def test_internal_errors_propagate(monkeypatch):
         # values below a free parameter's least value, the start of its range
         ["verify", "--case", "31", "--sweep-config", {"31": {"p": [1, 2]}}],
         ["verify", "--case", "41", "--sweep-config", {"48/p>=1": {"p": [1]}}],
+        # a repeated value would run its instance twice
+        ["verify", "--case", "31", "--sweep-config", {"31": {"p": [2, 2]}}],
         # two spellings of one case key: one entry would be dropped
         ["verify", "--case", "43", "--sweep-config",
          {"43/p,q!=0,r=0": {"p": [1]}, "43/p, q≠0, r=0": {"p": [2]}}],
@@ -419,7 +421,8 @@ def test_internal_errors_propagate(monkeypatch):
         "profile-unknown-parameter", "profile-value-bool", "profile-value-empty",
         "profile-entry-not-an-object", "profile-parameter-one-sub-case-lacks",
         "profile-not-an-object", "profile-empty-list", "profile-value-below-least",
-        "profile-value-below-least-of-sub-case", "profile-case-named-twice",
+        "profile-value-below-least-of-sub-case", "profile-value-repeated",
+        "profile-case-named-twice",
         "param-rank-too-large", "config-profile-repeated", "config-case-repeated",
         "config-parameter-repeated", "config-not-utf-8",
     ],

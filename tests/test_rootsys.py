@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from sphskel import rootsys
+from sphskel import catalog, rootsys
 from sphskel.rootsys import (
     RootSystemError,
     build_root_system,
@@ -14,7 +15,7 @@ from sphskel.rootsys import (
 def test_rank_one_cartan():
     rs = build_root_system([("A", 1)])
     assert rs.cartan == ((2,),)
-    assert rs.positive == ((1,),)
+    assert rootsys._enumerate_positive(rs.cartan) == [(1,)]
 
 
 def test_g2_orientation_alpha1_short():
@@ -22,7 +23,7 @@ def test_g2_orientation_alpha1_short():
     # orientation the catalog's G2 case forces
     rs = build_root_system([("G", 2)])
     assert rs.cartan == ((2, -3), (-1, 2))
-    assert set(rs.positive) == {
+    assert set(rootsys._enumerate_positive(rs.cartan)) == {
         (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2),
     }
     assert positive_in_span(rs, [0, 1])[0] == (10, 6)
@@ -67,7 +68,7 @@ def test_invalid_specs_rejected(spec):
 )
 def test_positive_root_counts(series, rank, count):
     rs = build_root_system([(series, rank)])
-    roots = rs.positive
+    roots = rootsys._enumerate_positive(rs.cartan)
     assert len(roots) == count
     assert len(set(roots)) == count
     for root in roots:
@@ -76,12 +77,12 @@ def test_positive_root_counts(series, rank, count):
 
 def test_counts_add_over_products():
     rs = build_root_system([("B", 4), ("A", 2), ("G", 2)])
-    assert len(rs.positive) == 16 + 3 + 6
+    assert len(rootsys._enumerate_positive(rs.cartan)) == 16 + 3 + 6
 
 
 def test_simple_roots_are_positive_roots():
     rs = build_root_system([("D", 5)])
-    roots = set(rs.positive)
+    roots = set(rootsys._enumerate_positive(rs.cartan))
     for i in range(5):
         assert tuple(1 if j == i else 0 for j in range(5)) in roots
 
@@ -91,7 +92,7 @@ def test_root_strings_have_no_gaps():
     # contiguous in k for beta + k alpha_i
     for spec in ([("B", 4)], [("C", 4)], [("D", 4)], [("G", 2)]):
         rs = build_root_system(spec)
-        roots = set(rs.positive)
+        roots = set(rootsys._enumerate_positive(rs.cartan))
         for beta in roots:
             for i in range(rs.rank):
                 up = list(beta)
@@ -145,15 +146,82 @@ def test_two_rho_pairing_is_two():
 def test_positive_count_in_span_examples():
     b4 = build_root_system([("B", 4)])
     assert positive_in_span(b4, [1, 2])[1] == 3
-    assert len(b4.positive) - positive_in_span(b4, [1, 2])[1] == 13
+    assert len(rootsys._enumerate_positive(b4.cartan)) - positive_in_span(b4, [1, 2])[1] == 13
     assert positive_in_span(b4, [])[1] == 0
     b3 = build_root_system([("B", 3)])
     assert positive_in_span(b3, [0, 1])[1] == 3
-    assert len(b3.positive) - positive_in_span(b3, [0, 1])[1] == 6
+    assert len(rootsys._enumerate_positive(b3.cartan)) - positive_in_span(b3, [0, 1])[1] == 6
 
 
 def test_positive_count_monotone_and_full():
     rs = build_root_system([("C", 4)])
     counts = [positive_in_span(rs, range(k))[1] for k in range(5)]
     assert counts == sorted(counts)
-    assert counts[-1] == len(rs.positive) == 16
+    assert counts[-1] == len(rootsys._enumerate_positive(rs.cartan)) == 16
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [[("A", n)] for n in range(1, 31)]
+    + [[(series, n)] for series in "BC" for n in range(2, 31)]
+    + [[("D", n)] for n in range(3, 31)]
+    + [[("G", 2)], [("B", 4), ("A", 2), ("G", 2)], [("D", 5), ("C", 3)],
+       [("A", 1), ("A", 1), ("B", 3), ("D", 4)]],
+)
+def test_positive_count_matches_closure(spec):
+    rs = build_root_system(spec)
+    assert rs.positive_count == len(rootsys._enumerate_positive(rs.cartan))
+
+
+def _filtered_span(rs, subset):
+    """The reference: filter the closure of the full system by support."""
+    inside = set(subset)
+    total = [0] * rs.rank
+    count = 0
+    for root in rootsys._enumerate_positive(rs.cartan):
+        if all(j in inside for j, x in enumerate(root) if x):
+            count += 1
+            total = [t + x for t, x in zip(total, root)]
+    return tuple(total), count
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [("A", 6)], [("B", 5)], [("C", 5)], [("D", 6)], [("G", 2)],
+        [("B", 3), ("A", 2), ("G", 2)], [("D", 4), ("C", 3), ("A", 1)],
+    ],
+)
+def test_positive_in_span_matches_filtered_closure(spec):
+    rs = build_root_system(spec)
+    rng = random.Random(20261019)
+    # every other index skips one; the two ends span every component of a
+    # product; a repeated index counts once
+    subsets = [[], list(range(rs.rank)), list(range(0, rs.rank, 2)), [rs.rank - 1, 0],
+               [rs.rank - 1] * 3 + [0]]
+    subsets += [rng.sample(range(rs.rank), rng.randint(1, rs.rank)) for _ in range(12)]
+    for subset in subsets:
+        assert positive_in_span(rs, subset) == _filtered_span(rs, subset), subset
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 10**30, 1.0, True, "0", None])
+def test_positive_in_span_rejects_bad_index(bad):
+    rs = build_root_system([("B", 4)])
+    with pytest.raises(ValueError, match="simple-root index"):
+        positive_in_span(rs, [0, bad])
+
+
+def test_catalog_closes_over_sp_only(monkeypatch):
+    # A_96 at 31/p=48: the closure never runs on the full Cartan matrix
+    sizes = []
+    closure = rootsys._enumerate_positive
+
+    def recorded(cartan):
+        sizes.append(len(cartan))
+        return closure(cartan)
+
+    monkeypatch.setattr(rootsys, "_enumerate_positive", recorded)
+    (inst,) = catalog.sweep_instances(family=31, overrides={"p": 48})
+    assert inst.system.root_system.rank == 96
+    assert sizes == [len(inst.system.sp)]
+    assert inst.system.budget == 96 * 97 // 2 == inst.expected_budget
