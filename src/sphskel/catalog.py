@@ -11,8 +11,12 @@ by the test suite.
 A builder returns only its case data; its ``params`` state every fixed and
 derived parameter, and its system states only Luna's data (S^p, Sigma, the
 color names in order and the type-a values), from which ``_spherical_system``
-derives the rest.  The registry ``FAMILIES`` states each family's number,
-sub-case and sweep ranges, whose starts are the free parameters' least values.
+derives the rest.  Family 50 states its colors by one chain rule for both
+parities (see ``_build_50``): p = 2q - 1 takes the colors of p = 2q from D2
+on, renumbered down by one, with the chain one node later on the B side and
+the end colors' signs on alpha'_{q-1}, alpha'_q flipped.  The registry
+``FAMILIES`` states each family's number, sub-case and sweep ranges, whose
+starts are the free parameters' least values.
 ``FamilySpec.build`` puts an instance together; the sigma labels are read off
 the system, every option's key off its indices and those labels, and its
 minimal flag off the indices of the case's other options.
@@ -1401,149 +1405,31 @@ def _build_50(params: dict, even: bool) -> dict:
         return nb + i - 1 if 1 <= i <= q else None
 
     sigma = [_unit(n, j) for j in range(n)]
+    # One chain rule for both parities, with the colors numbered as for p = 2q:
+    # D_k takes s, -s on alpha_h, alpha_{h+1} (h = k // 2) and -s, s on
+    # alpha'_{c-1}, alpha'_c (c = (k + 1) // 2), where s = (-1)^k.  The color on
+    # the fork node alpha'_{q-1} also pairs with alpha'_q, with the same sign.
+    # The end colors D_{p-1} and D_p both take D_{2q-1}'s values on the B side
+    # and flip their signs on alpha'_{q-1} and alpha'_q between the two
+    # parities: p = 2q - 1 keeps the chain's, p = 2q flips them.  For
+    # p = 2q - 1 the B side has rank q - 1, so the chain starts one node
+    # later: the colors are those of p = 2q from D2 on, renumbered down by one.
+    shift = q - nb
     colors = []
-    if even:
-        for j in range(1, q - 1):
-            colors.append(
-                _a_values(
-                    f"D{2 * j - 1}",
-                    [
-                        (unprimed(j - 1), -1),
-                        (unprimed(j), 1),
-                        (primed(j - 1), 1),
-                        (primed(j), -1),
-                    ],
-                )
-            )
-            colors.append(
-                _a_values(
-                    f"D{2 * j}",
-                    [
-                        (unprimed(j), 1),
-                        (unprimed(j + 1), -1),
-                        (primed(j - 1), -1),
-                        (primed(j), 1),
-                    ],
-                )
-            )
-        colors.append(
-            _a_values(
-                f"D{p - 3}",
-                [
-                    (unprimed(q - 2), -1),
-                    (unprimed(q - 1), 1),
-                    (primed(q - 2), 1),
-                    (primed(q - 1), -1),
-                    (primed(q), -1),
-                ],
-            )
-        )
-        colors.append(
-            _a_values(
-                f"D{p - 2}",
-                [
-                    (unprimed(q - 1), 1),
-                    (unprimed(q), -1),
-                    (primed(q - 2), -1),
-                    (primed(q - 1), 1),
-                    (primed(q), 1),
-                ],
-            )
-        )
-        colors.append(
-            _a_values(
-                f"D{p - 1}",
-                [
-                    (unprimed(q - 1), -1),
-                    (unprimed(q), 1),
-                    (primed(q - 1), -1),
-                    (primed(q), 1),
-                ],
-            )
-        )
-        colors.append(
-            _a_values(
-                f"D{p}",
-                [
-                    (unprimed(q - 1), -1),
-                    (unprimed(q), 1),
-                    (primed(q - 1), 1),
-                    (primed(q), -1),
-                ],
-            )
-        )
-    else:
-        for j in range(1, q - 1):
-            colors.append(
-                _a_values(
-                    f"D{2 * j - 1}",
-                    [
-                        (unprimed(j - 1), 1),
-                        (unprimed(j), -1),
-                        (primed(j - 1), -1),
-                        (primed(j), 1),
-                    ],
-                )
-            )
-        for j in range(1, q - 2):
-            colors.append(
-                _a_values(
-                    f"D{2 * j}",
-                    [
-                        (unprimed(j - 1), -1),
-                        (unprimed(j), 1),
-                        (primed(j), 1),
-                        (primed(j + 1), -1),
-                    ],
-                )
-            )
-        colors.append(
-            _a_values(
-                f"D{p - 3}",
-                [
-                    (unprimed(q - 3), -1),
-                    (unprimed(q - 2), 1),
-                    (primed(q - 2), 1),
-                    (primed(q - 1), -1),
-                    (primed(q), -1),
-                ],
-            )
-        )
-        colors.append(
-            _a_values(
-                f"D{p - 2}",
-                [
-                    (unprimed(q - 2), 1),
-                    (unprimed(q - 1), -1),
-                    (primed(q - 2), -1),
-                    (primed(q - 1), 1),
-                    (primed(q), 1),
-                ],
-            )
-        )
-        colors.append(
-            _a_values(
-                f"D{p - 1}",
-                [
-                    (unprimed(q - 2), -1),
-                    (unprimed(q - 1), 1),
-                    (primed(q - 1), 1),
-                    (primed(q), -1),
-                ],
-            )
-        )
-        colors.append(
-            _a_values(
-                f"D{p}",
-                [
-                    (unprimed(q - 2), -1),
-                    (unprimed(q - 1), 1),
-                    (primed(q - 1), -1),
-                    (primed(q), 1),
-                ],
-            )
-        )
-    colors.sort(key=lambda c: int(c[0][1:]))
+    for k in range(1 + shift, 2 * q + 1):
+        kb = min(k, 2 * q - 1)
+        sb = (-1) ** kb
+        sd = -((-1) ** k) if even and k >= 2 * q - 1 else (-1) ** k
+        h, c = kb // 2, (k + 1) // 2
+        values = [
+            (unprimed(h - shift), sb),
+            (unprimed(h + 1 - shift), -sb),
+            (primed(c - 1), -sd),
+            (primed(c), sd),
+        ]
+        if c == q - 1:  # the fork
+            values.append((primed(q), sd))
+        colors.append(_a_values(f"D{k - shift}", values))
     system = _spherical_system(rs, (), sigma, colors)
 
     options = []
@@ -1632,7 +1518,7 @@ def family_keys() -> list[tuple[int, str]]:
     return sorted(FAMILIES)
 
 
-def _named(family: int | None, sub_case: str | None) -> list[FamilySpec]:
+def named(family: int | None, sub_case: str | None) -> list[FamilySpec]:
     """The families a selection names, in key order; None names every one."""
     return [
         FAMILIES[key] for key in family_keys()
@@ -1695,7 +1581,7 @@ def _profile_ranges(profile: dict) -> dict[tuple[int, str], dict[str, list[int]]
             raise UsageError(f"sweep profile: {first!r} and {name!r} name the same case")
         if not isinstance(entry, dict):
             raise UsageError(f"sweep profile {name!r}: expected {{parameter: [values]}}")
-        specs = _named(family, sub_case)
+        specs = named(family, sub_case)
         for param, values in entry.items():
             if not (isinstance(values, list) and values
                     and all(type(v) is int for v in values)):
@@ -1740,7 +1626,7 @@ def sweep_instances(
     overrides = overrides or {}
     swept_by = _profile_ranges({} if profile is None else profile)
     out: list[CaseInstance] = []
-    for spec in _named(family, sub_case):
+    for spec in named(family, sub_case):
         if spec.below_least(overrides):
             continue
         swept = {

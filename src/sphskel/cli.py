@@ -192,7 +192,8 @@ def _select_instances(args) -> list[CaseInstance]:
     except RootSystemError as exc:  # a parameter too large for its root system
         raise UsageError(str(exc)) from exc
     if not instances:
-        raise UsageError("selection matches no catalog instance")
+        below = (spec.below_least(overrides) for spec in catalog.named(family, sub))
+        raise UsageError(next(filter(None, below), "selection matches no catalog instance"))
     unknown = sorted(set(overrides) - {name for inst in instances for name, _ in inst.params})
     if unknown:
         where = "the catalog" if family is None else f"case {family}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 RootVector = tuple[int, ...]
@@ -137,9 +138,11 @@ def build_root_system(spec: Iterable[tuple[str, int]]) -> RootSystem:
 
 
 def coroot_pairing(rs: RootSystem, i: int, v: Sequence[int | Fraction]):
-    """<alpha_i^vee, v> for v in root-lattice coordinates."""
-    row = rs.cartan[i]
-    return sum(row[j] * v[j] for j in range(rs.rank))
+    """<alpha_i^vee, v> for v in root-lattice coordinates; ValueError unless v
+    has one coordinate per simple root."""
+    if len(v) != rs.rank:
+        raise ValueError(f"{len(v)} coordinates for a system of rank {rs.rank}")
+    return sum(map(mul, rs.cartan[i], v))
 
 
 def positive_in_span(rs: RootSystem, subset: Iterable[int]) -> tuple[RootVector, int]:

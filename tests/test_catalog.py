@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphskel import catalog, mukai, skeleton as sk
+from sphskel import catalog, cli, mukai, skeleton as sk
 from sphskel.rootsys import build_root_system
 from sphskel.catalog import EQUALITY_REGISTRY, FAMILIES
 
@@ -217,17 +217,20 @@ def test_exportability_of_every_family(tmp_path):
 
 def test_catalog_system_data_pinned():
     # every color's name, position, rho, moved_by and coroot, and every sigma
-    # label, over the default sweep; P alone misses a changed name or mover
-    digest = hashlib.sha256()
-    instances = catalog.sweep_instances()
-    for inst in instances:
-        bare = sk.SphericalSkeleton(inst.system, ())
-        digest.update(json.dumps(sk.to_dict(bare), sort_keys=True).encode())
-        digest.update(json.dumps(inst.sigma_labels).encode())
-    assert len(instances) == 309
-    assert digest.hexdigest() == (
-        "d52a1e923c0c21a08a2b371562f6521275edb5b2acd470fe544c8f8c6cf22aa7"
-    )
+    # label, over the default and the deep sweep (family 50 up to q=15); P
+    # alone misses a changed name or mover
+    for profile, count, expected in [
+        ("default", 309, "d52a1e923c0c21a08a2b371562f6521275edb5b2acd470fe544c8f8c6cf22aa7"),
+        ("deep", 676, "27d5841b9fd2f56b7cdb88e6b722e22a76bc3960b7da50eac1e9cfc3ae5b8e07"),
+    ]:
+        digest = hashlib.sha256()
+        instances = catalog.sweep_instances(profile=cli.load_sweep_profile(profile))
+        for inst in instances:
+            bare = sk.SphericalSkeleton(inst.system, ())
+            digest.update(json.dumps(sk.to_dict(bare), sort_keys=True).encode())
+            digest.update(json.dumps(inst.sigma_labels).encode())
+        assert len(instances) == count, profile
+        assert digest.hexdigest() == expected, profile
 
 
 def test_sigma_labels_derived():

@@ -67,6 +67,15 @@ def test_verify_case_46_p6_values():
     assert all(r["budget"] == 15 for r in rows)
 
 
+def test_pin_below_least_value(capsys):
+    # the message names the least value when the pin leaves out every
+    # sub-case selected; other families still run
+    assert cli.main(["verify", "--case", "31", "--param", "p=1"]) == 2
+    assert capsys.readouterr().err == "error: case 31/-: p = 1 is below its least value 2\n"
+    assert cli.main(["verify", "--case", "all", "--param", "p=1"]) == 0
+    assert "checked 78 reports: 78 match" in capsys.readouterr().err
+
+
 def test_verify_json_exact_fractions_round_trip():
     res = run_cli("verify", "--case", "34", "--format", "json")
     row = json.loads(res.stdout.splitlines()[0])
@@ -406,6 +415,8 @@ def test_internal_errors_propagate(monkeypatch):
          {"43/p,q!=0,r=0": {"p": [1]}, "43/p, q≠0, r=0": {"p": [2]}}],
         # A_102 exceeds the largest total rank a root system may have
         ["verify", "--case", "31", "--param", "p=51"],
+        # a pin below the least value leaves out every sub-case selected
+        ["verify", "--case", "31", "--param", "p=1"],
         # bytes are a raw config file: json alone keeps a repeated key's last value
         ["verify", "--case", "31", "--sweep-config",
          b'{"default": {}, "default": {"31": {"p": [2]}}}'],
@@ -423,7 +434,7 @@ def test_internal_errors_propagate(monkeypatch):
         "profile-not-an-object", "profile-empty-list", "profile-value-below-least",
         "profile-value-below-least-of-sub-case", "profile-value-repeated",
         "profile-case-named-twice",
-        "param-rank-too-large", "config-profile-repeated", "config-case-repeated",
+        "param-rank-too-large", "param-below-least", "config-profile-repeated", "config-case-repeated",
         "config-parameter-repeated", "config-not-utf-8",
     ],
 )

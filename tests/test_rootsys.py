@@ -125,6 +125,13 @@ def test_coroot_pairing_linear_and_fractional():
         )
 
 
+def test_coroot_pairing_rejects_wrong_length():
+    a3 = build_root_system([("A", 3)])
+    for v in [(1, 0), (1, 0, 0, 0)]:  # a longer vector is not truncated
+        with pytest.raises(ValueError, match="coordinates"):
+            coroot_pairing(a3, 0, v)
+
+
 def test_two_rho_examples():
     b4 = build_root_system([("B", 4)])
     assert positive_in_span(b4, [1, 2])[0] == (0, 2, 2, 0)
