@@ -13,8 +13,8 @@ of ``[A | b]`` and c is scaled by the lcm of its denominators, which scales
 only its slack, so Bland's path and the pivot count are those of the
 rational tableau.  The certificate checks run on integer numerators
 (x = X/dx, y = Y/dy).  Only a caller's own LPs and the face LP of
-``unique_optimum`` can reach phase 1: the skeleton LP and the completeness
-LP have b >= 0.
+``unique_optimum`` can reach phase 1: the skeleton LP, the completeness LP
+over a color basis and ``positive_dependence``'s LP all have b >= 0.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -105,6 +105,27 @@ class LpSolution:
     pivots: int = 0
 
 
+def _bareiss_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free Gauss-Jordan step on ``rows[r][c]`` of a tableau of
+    ints over d > 0 (Bareiss 1968): every other row's column c becomes 0,
+    and ``(x * p - f * q) // d`` divides exactly.  A negative pivot negates
+    row r first, the same tableau over d > 0.  Returns the new d, |p|."""
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        prow = rows[r] = [-q for q in prow]
+        p = -p
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(x * p - f * q) // d for x, q in zip(row, prow)]
+        elif p != d:
+            rows[i] = [x * p // d for x in row]
+    return p
+
+
 class _Simplex:
     """Dense tableau of ints over one common denominator ``d > 0``.
 
@@ -139,24 +160,9 @@ class _Simplex:
 
     def pivot(self, r: int, c: int) -> None:
         self.pivots += 1
-        prow = self.rows[r]
-        p = prow[c]
-        if p < 0:  # keep d > 0: the tableau over d is the same negated
-            prow = [-q for q in prow]
-            self.rows[r] = prow
-            p = -p
-        d = self.d
-        for i, row in enumerate(self.rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                self.rows[i] = [(x * p - f * q) // d for x, q in zip(row, prow)]
-            elif p != d:
-                self.rows[i] = [x * p // d for x in row]
-        f = self.z[c]
-        self.z = [(x * p - f * q) // d for x, q in zip(self.z, prow)]
-        self.d = p
+        self.rows.append(self.z)  # z takes the same step as a row
+        self.d = _bareiss_pivot(self.rows, r, c, self.d)
+        self.z = self.rows.pop()
         self.basis[r] = c
 
     def run(self) -> int | None:
@@ -377,12 +383,12 @@ def positive_dependence(
     """``(lam, None)`` with lam >= 1 and sum_k lam_k vectors[k] = 0, or
     ``(None, y)`` with <v_k, y> >= 0 for every k and s.y = 1.
 
-    One lam_k per vector; backs the completeness test and the
-    certificate-multiplier search.  By Stiemke's lemma exactly one of the two
-    exists, where s = sum_k v_k.  So one LP maximizes s.y subject to
-    <v_k, y> >= 0 and s.y <= 1 (y = y+ - y-); its b >= 0 needs no phase 1.
-    The optimum is 1 or 0: at 1 its primal is y, and at 0 the dual mu has
-    sum_k mu_k v_k = -s, so lam = mu + 1.
+    One lam_k per vector; backs the certificate-multiplier search and the
+    completeness test of colors that do not span.  By Stiemke's lemma
+    exactly one of the two exists, where s = sum_k v_k.  So one LP maximizes
+    s.y subject to <v_k, y> >= 0 and s.y <= 1 (y = y+ - y-); its b >= 0
+    needs no phase 1.  The optimum is 1 or 0: at 1 its primal is y, and at 0
+    the dual mu has sum_k mu_k v_k = -s, so lam = mu + 1.
     """
     s = [sum(col) for col in zip(*vectors)]
     a = [[-x for x in v] + list(v) for v in vectors]
@@ -420,3 +426,49 @@ def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
         prev = p
         rank += 1
     return rank
+
+
+def spanning_basis(
+    vectors: Sequence[Sequence[int | Fraction]], dim: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int] | None:
+    """``(basis, inverse, coords, den)`` for the first ``dim`` linearly
+    independent vectors taken in order, or None when they do not span Q^dim.
+
+    With B the matrix whose row k is ``vectors[basis[k]]``, B^-1 is
+    ``inverse`` over ``den`` (so row j over den is the coordinates of e_j in
+    the basis), and ``coords`` gives the coordinates of every other vector,
+    in order, over the same den > 0, the least that makes them all ints.
+    Fraction-free Gauss-Jordan (Bareiss 1968) on [V^T | I], scaled to ints:
+    its pivot columns are the greedy choice, and it ends at d [W | B^-T]
+    over the last pivot d.  ValueError as ``matrix_rank``.
+    """
+    count = len(vectors)
+    if any(len(v) != dim for v in vectors):
+        raise ValueError(f"vectors must have {dim} entries")
+    flat, scale = _integer_row([x for v in vectors for x in v])
+    rows = [
+        [*flat[i::dim], *[scale if j == i else 0 for j in range(dim)]] for i in range(dim)
+    ]
+    basis: list[int] = []
+    pivot_rows: list[int] = []
+    free = list(range(dim))
+    d = 1
+    for c in range(count):
+        if not free:
+            break
+        r = next((i for i in free if rows[i][c]), None)
+        if r is None:
+            continue
+        d = _bareiss_pivot(rows, r, c, d)
+        free.remove(r)
+        basis.append(c)
+        pivot_rows.append(r)
+    if free:
+        return None
+    picked = set(basis)
+    others = [c for c in range(count) if c not in picked]
+    ordered = [rows[r] for r in pivot_rows]
+    g = gcd(d, *[x for row in ordered for x in (*row[count:], *[row[c] for c in others])])
+    inverse = tuple([tuple([row[count + j] // g for row in ordered]) for j in range(dim)])
+    coords = tuple([tuple([row[c] // g for row in ordered]) for c in others])
+    return tuple(basis), inverse, coords, d // g

@@ -69,26 +69,30 @@ def test_budget_examples():
 
 def test_catalog_lps_are_integral(monkeypatch):
     # the catalog's pairings and multiplicities are integers, and its LPs stay
-    # in ints up to the tableau: a Fraction here costs time and no digest sees it
+    # in ints up to the tableau: a Fraction here costs time and no digest sees it.
+    # The completeness LPs hold the coordinates in the system's color basis,
+    # each row scaled by the basis's denominator, and never reach the rank
+    # test or Stiemke's LP over all rho(D), which only non-spanning colors take
     passed = []
-    dependence = exactlp.positive_dependence
-
-    def recording(rows):
-        passed.append(rows)
-        return dependence(rows)
-
-    monkeypatch.setattr(exactlp, "positive_dependence", recording)
-    skeletons = [
-        inst.support_skeleton(opt) for inst in catalog.sweep_instances() for opt in inst.options
-    ]
+    solve = exactlp.solve_max
+    monkeypatch.setattr(exactlp, "solve_max", lambda p: passed.append(p) or solve(p))
+    fallback = []
+    for name in ("matrix_rank", "positive_dependence"):
+        real = getattr(exactlp, name)
+        monkeypatch.setattr(exactlp, name, lambda *a, real=real: fallback.append(a) or real(*a))
+    instances = catalog.sweep_instances()
+    assert all(inst.system.basis is not None for inst in instances)
+    fallback.clear()  # the systems' own Sigma rank checks
+    skeletons = [inst.support_skeleton(opt) for inst in instances for opt in inst.options]
     assert len(skeletons) == 577
     for skel in skeletons:
         problem = mukai.skeleton_lp(skel)[0]
         entries = [x for row in problem.a for x in row] + [*problem.b, *problem.c]
         assert {type(x) for x in entries} <= {int}, skel
         assert sk.is_complete(skel)
-    assert len(passed) == 577
-    assert {type(x) for rows in passed for row in rows for x in row} == {int}
+    assert len(passed) == 577 and not fallback
+    entries = [x for p in passed for x in (*p.b, *p.c, *(y for row in p.a for y in row))]
+    assert {type(x) for x in entries} == {int}
 
     # the face LP of unique_optimum on every Equal report: its optimum is
     # integral and enters as an int.  Z is empty at all 77 optima, so no face
@@ -97,7 +101,6 @@ def test_catalog_lps_are_integral(monkeypatch):
     equal = [skel for skel in skeletons if mukai.check_conjecture(skel).relation == EQUAL]
     assert len(equal) == 77
     face_lps = []
-    solve = exactlp.solve_max
     monkeypatch.setattr(exactlp, "solve_max", lambda p: face_lps.append(p) or solve(p))
     for skel in equal:
         problem = mukai.skeleton_lp(skel)[0]

@@ -5,6 +5,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -94,6 +95,68 @@ def test_is_complete_needs_spanning_functionals():
     assert not sk.is_complete(skel)
     assert sk.completeness_witness(skel) == (None, None)
     assert mukai.check_conjecture(skel).complete is False
+    # no color basis: completeness falls back to the rank test and Stiemke's
+    # LP over all rho(D), and -e_1, -e_2 complete the line to the plane
+    assert skel.system.basis is None
+    whole = sk.with_boundary_support(skel.system, [0, 1])
+    lam, y = sk.completeness_witness(whole)
+    rows = [div.rho for div in whole.divisors]
+    assert y is None and all(x >= 1 for x in lam)
+    assert [sum(x * r[j] for x, r in zip(lam, rows)) for j in range(2)] == [0, 0]
+
+
+def test_empty_sigma_file_is_complete(tmp_path, capsys):
+    # |Sigma| = 0: the colors span Q^0 by an empty basis, and the LP over no
+    # columns gives every color lam = 1
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "root_system": [{"series": "A", "rank": 1}],
+        "sp": [],
+        "sigma": [],
+        "colors": [{"name": "D1", "rho": [], "moved_by": [0]}],
+        "boundary": [],
+    }))
+    skel = sk.load(str(path))
+    assert skel.system.basis == sk.ColorBasis((), (), ((),), 1)
+    assert sk.completeness_witness(skel) == ((1,), None)
+    assert cli.main(["compute", str(path)]) == 0
+    assert capsys.readouterr().out == "complete: true, P=1, budget=1, Equal, theta=()\n"
+
+
+def _pairing(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def test_completeness_in_color_coordinates_matches_doubled_lp():
+    # every option skeleton of the default sweep, the empty Gamma and every
+    # support of size 1 and 2: the LP over the basis's n columns gives the
+    # verdict of the rank test plus Stiemke's LP over the doubled columns
+    # y = y+ - y-, and each witness is checked by dot products
+    count = complete = 0
+    for inst in catalog.sweep_instances():
+        system = inst.system
+        nsig = len(system.sigma)
+        assert system.basis is not None, inst.label
+        supports = [c for k in (1, 2) for c in combinations(range(nsig), k)]
+        skeletons = [inst.support_skeleton(opt) for opt in inst.options]
+        skeletons.append(SphericalSkeleton(system, ()))
+        skeletons += [sk.with_boundary_support(system, t) for t in supports]
+        for skel in skeletons:
+            rows = [div.rho for div in skel.divisors]
+            doubled = exactlp.matrix_rank(rows) == nsig and (
+                exactlp.positive_dependence(rows)[0] is not None
+            )
+            lam, y = sk.completeness_witness(skel)
+            assert (lam is not None) == doubled, (inst.label, skel.boundary)
+            if lam is not None:
+                assert y is None and len(lam) == len(rows)
+                assert all(x >= 1 for x in lam)
+                assert all(_pairing(lam, col) == 0 for col in zip(*rows))
+                complete += 1
+            else:
+                assert any(y) and all(_pairing(row, y) >= 0 for row in rows)
+            count += 1
+    assert (count, complete) == (6418, 1696)
 
 
 def test_support():
@@ -426,6 +489,13 @@ def test_system_stores_integral_values_as_int():
     assert system.budget == 3
     loaded = sk.from_dict(sk.to_dict(SphericalSkeleton(system, GAMMA_A2))).system
     assert [type(color.rho[0]) for color in loaded.colors] == [int, F]
+    # the first color is the basis B = (2); B^-1 = 1/2 and the other color's
+    # coordinate 1/4 share the denominator 4
+    basis = system.basis
+    assert basis == sk.ColorBasis(indices=(0,), inverse=((2,),), coords=((1,),), den=4)
+    values = [*basis.indices, *(x for row in basis.inverse + basis.coords for x in row)]
+    assert {type(x) for x in values} == {int} and type(basis.den) is int and basis.den > 0
+    assert loaded.basis == basis
 
 
 @pytest.mark.parametrize("coroot", [(True, 1), (0, True), (0, 1.0), (0.0, 1)])
