@@ -13,8 +13,9 @@ of ``[A | b]`` and c is scaled by the lcm of its denominators, which scales
 only its slack, so Bland's path and the pivot count are those of the
 rational tableau.  The certificate checks run on integer numerators
 (x = X/dx, y = Y/dy).  Only a caller's own LPs and the face LP of
-``unique_optimum`` can reach phase 1: the skeleton LP, the completeness LP
-over a color basis and ``positive_dependence``'s LP all have b >= 0.
+``unique_optimum`` can reach phase 1: the skeleton LP and
+``positive_dependence``'s one LP over a basis of the span both have b >= 0.
+The rank and that basis share one fraction-free Gauss-Jordan loop.
 """
 
 from __future__ import annotations
@@ -377,81 +378,14 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     return best.status == "optimal" and best.value * dx == _dot(obj, x)
 
 
-def positive_dependence(
-    vectors: Sequence[Sequence[int | Fraction]],
-) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
-    """``(lam, None)`` with lam >= 1 and sum_k lam_k vectors[k] = 0, or
-    ``(None, y)`` with <v_k, y> >= 0 for every k and s.y = 1.
-
-    One lam_k per vector; backs the certificate-multiplier search and the
-    completeness test of colors that do not span.  By Stiemke's lemma
-    exactly one of the two exists, where s = sum_k v_k.  So one LP maximizes
-    s.y subject to <v_k, y> >= 0 and s.y <= 1 (y = y+ - y-); its b >= 0
-    needs no phase 1.  The optimum is 1 or 0: at 1 its primal is y, and at 0
-    the dual mu has sum_k mu_k v_k = -s, so lam = mu + 1.
-    """
-    s = [sum(col) for col in zip(*vectors)]
-    a = [[-x for x in v] + list(v) for v in vectors]
-    a.append(s + [-x for x in s])
-    sol = solve_max(LpProblem.make(a, [0] * len(vectors) + [1], a[-1]))
-    if sol.value:
-        d = len(s)
-        return None, tuple([p - q for p, q in zip(sol.primal[:d], sol.primal[d:])])
-    return tuple([Fraction(mu.numerator + mu.denominator, mu.denominator)
-                  for mu in sol.dual[:-1]]), None
-
-
-def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank of a matrix of ints and Fractions over the rationals.
-
-    Fraction-free elimination (Bareiss 1968) on the rows scaled to ints:
-    each step divides exactly by the previous pivot.  ValueError for an
-    entry of another type or for rows of different lengths.
-    """
-    work = [_integer_row(row)[0] for row in rows]
-    if len({len(row) for row in work}) > 1:
-        raise ValueError("matrix rows have different lengths")
-    rank, prev = 0, 1
-    while work and work[0]:
-        r = next((i for i, row in enumerate(work) if row[0]), None)
-        if r is None:  # a zero column: drop it
-            work = [row[1:] for row in work]
-            continue
-        prow = work.pop(r)
-        p = prow[0]
-        work = [
-            [(x * p - row[0] * q) // prev for x, q in zip(row[1:], prow[1:])]
-            for row in work
-        ]
-        prev = p
-        rank += 1
-    return rank
-
-
-def spanning_basis(
-    vectors: Sequence[Sequence[int | Fraction]], dim: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int] | None:
-    """``(basis, inverse, coords, den)`` for the first ``dim`` linearly
-    independent vectors taken in order, or None when they do not span Q^dim.
-
-    With B the matrix whose row k is ``vectors[basis[k]]``, B^-1 is
-    ``inverse`` over ``den`` (so row j over den is the coordinates of e_j in
-    the basis), and ``coords`` gives the coordinates of every other vector,
-    in order, over the same den > 0, the least that makes them all ints.
-    Fraction-free Gauss-Jordan (Bareiss 1968) on [V^T | I], scaled to ints:
-    its pivot columns are the greedy choice, and it ends at d [W | B^-T]
-    over the last pivot d.  ValueError as ``matrix_rank``.
-    """
-    count = len(vectors)
-    if any(len(v) != dim for v in vectors):
-        raise ValueError(f"vectors must have {dim} entries")
-    flat, scale = _integer_row([x for v in vectors for x in v])
-    rows = [
-        [*flat[i::dim], *[scale if j == i else 0 for j in range(dim)]] for i in range(dim)
-    ]
-    basis: list[int] = []
+def _gauss_jordan(rows: list[list[int]], count: int) -> tuple[list[int], list[int], int]:
+    """Fraction-free Gauss-Jordan (Bareiss 1968) over the first ``count``
+    columns of int ``rows``, in place: each column pivots on the first row not
+    yet pivoted with a non-zero entry there.  Returns the pivot columns, their
+    rows and the last pivot d (1 if none); d is every pivot entry at the end."""
+    free = list(range(len(rows)))
+    cols: list[int] = []
     pivot_rows: list[int] = []
-    free = list(range(dim))
     d = 1
     for c in range(count):
         if not free:
@@ -461,14 +395,121 @@ def spanning_basis(
             continue
         d = _bareiss_pivot(rows, r, c, d)
         free.remove(r)
-        basis.append(c)
+        cols.append(c)
         pivot_rows.append(r)
-    if free:
-        return None
+    return cols, pivot_rows, d
+
+
+def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
+    """Rank of a matrix of ints and Fractions over the rationals.
+
+    The number of pivots of ``_gauss_jordan`` on the rows scaled to ints.
+    ValueError for an entry of another type or for rows of different lengths.
+    """
+    work = [_integer_row(row)[0] for row in rows]
+    if len({len(row) for row in work}) > 1:
+        raise ValueError("matrix rows have different lengths")
+    return len(_gauss_jordan(work, len(work[0]) if work else 0)[0])
+
+
+@dataclass(frozen=True)
+class SpanBasis:
+    """A basis B of the span of some vectors, taken greedily in their order,
+    as ints over one denominator ``den > 0``.
+
+    ``indices`` names the vectors of B's rows.  ``inverse`` has one row per
+    coordinate: for v in the span, sum_j v_j inverse[j] / den is v's
+    coordinates in the basis, and with P the matrix whose column j is
+    inverse[j] / den, y = P^T u gives B y = u.  ``coords`` holds the
+    coordinates of every other vector, in order, over the same den.
+    """
+
+    indices: tuple[int, ...]
+    inverse: tuple[tuple[int, ...], ...]
+    coords: tuple[tuple[int, ...], ...]
+    den: int
+
+
+def span_basis(vectors: Sequence[Sequence[int | Fraction]], dim: int) -> SpanBasis:
+    """The basis of the span of ``vectors`` (each with ``dim`` entries).
+
+    ``_gauss_jordan`` on [V^T | I], scaled to ints: its pivot columns are the
+    greedy choice, and pivot row k ends as d times [the k-th coordinate of
+    every vector | row k of P].  den is the least that makes them all ints.
+    ValueError as ``matrix_rank``.
+    """
+    count = len(vectors)
+    if any(len(v) != dim for v in vectors):
+        raise ValueError(f"vectors must have {dim} entries")
+    flat, scale = _integer_row([x for v in vectors for x in v])
+    rows = [
+        [*flat[i::dim], *[scale if j == i else 0 for j in range(dim)]] for i in range(dim)
+    ]
+    basis, pivot_rows, d = _gauss_jordan(rows, count)
     picked = set(basis)
     others = [c for c in range(count) if c not in picked]
     ordered = [rows[r] for r in pivot_rows]
     g = gcd(d, *[x for row in ordered for x in (*row[count:], *[row[c] for c in others])])
     inverse = tuple([tuple([row[count + j] // g for row in ordered]) for j in range(dim)])
     coords = tuple([tuple([row[c] // g for row in ordered]) for c in others])
-    return tuple(basis), inverse, coords, d // g
+    return SpanBasis(tuple(basis), inverse, coords, d // g)
+
+
+def positive_dependence(
+    vectors: Sequence[Sequence[int | Fraction]], basis: SpanBasis | None = None
+) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
+    """``(lam, None)`` with lam >= 1 and sum_k lam_k vectors[k] = 0, or
+    ``(None, y)`` with <v_k, y> >= 0 for every k and s.y = 1.
+
+    By Stiemke's lemma exactly one of the two exists, where s = sum_k v_k.
+    ``basis`` is the ``span_basis`` of a prefix of ``vectors`` (None: of
+    all of them); the vectors past the prefix need a basis of Q^dim and
+    enter through its ``inverse``, a unit -e_j as row j with no arithmetic.
+    In the coordinates u = B y (Davis 1954) the basis vectors' condition is
+    u >= 0, so one LP over the basis's columns decides: max s.u subject to
+    W.u >= 0 for each vector off the basis, with W its coordinates, and
+    s.u <= 1.  Its rows are the numerators over den, and b >= 0 needs no
+    phase 1.  At 1 its primal gives y = den P^T u; at 0 its dual mu gives
+    lam_W = mu_W + 1 off the basis, and on it lam = -sum_W lam_W W >= 1.
+    ValueError when the prefix is longer than ``vectors`` or vectors pass a
+    basis that does not span Q^dim.
+    """
+    if basis is None:
+        basis = span_basis(vectors, len(vectors[0]) if vectors else 0)
+    inverse, den, rank = basis.inverse, basis.den, len(basis.indices)
+    dim, prefix = len(inverse), rank + len(basis.coords)
+    if len(vectors) < prefix:
+        raise ValueError(f"the basis covers {prefix} vectors, not {len(vectors)}")
+    extra = vectors[prefix:]
+    if extra and rank < dim:
+        raise ValueError(f"a basis of rank {rank} < {dim} gives no coordinates past it")
+    # one row -W (over den) per vector off the basis; -e_j has W = -inverse[j]
+    a = [[-x for x in w] for w in basis.coords]
+    for v in extra:
+        if len(v) != dim:
+            raise ValueError(f"vectors must have {dim} entries")
+        if -1 in v and v.count(0) == dim - 1:
+            a.append(inverse[v.index(-1)])
+            continue
+        row = [0] * rank
+        for j, x in enumerate(v):
+            if x:
+                row = [t - x * e for t, e in zip(row, inverse[j])]
+        a.append(row)
+    # s is den (the basis vectors' u_k) plus the sum of the W
+    s = [den - t for t in map(sum, zip(*a))] if a else [den] * rank
+    sol = solve_max(LpProblem.make([*a, s], [0] * len(a) + [1], s))
+    if sol.value:
+        u = [(k, x) for k, x in enumerate(sol.primal) if x]
+        scale = lcm(*[x.denominator for _, x in u])
+        u = [(k, x.numerator * (scale // x.denominator)) for k, x in u]
+        return None, tuple([Fraction(sum(row[k] * x for k, x in u), scale) for row in inverse])
+    mu = sol.dual[:-1]
+    scale = lcm(*[x.denominator for x in mu])
+    off = [x.numerator * (scale // x.denominator) + scale for x in mu]
+    on = [Fraction(sum(map(mul, col, off)), scale * den) for col in zip(*a)]
+    picked = dict(zip(basis.indices, on))
+    rest = iter([Fraction(x, scale) for x in off])
+    lam = [picked[k] if k in picked else next(rest) for k in range(prefix)]
+    lam.extend(rest)
+    return tuple(lam), None

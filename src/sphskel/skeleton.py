@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from sphskel import exactlp, rootsys
@@ -54,22 +52,6 @@ class BoundaryDivisor:
 
 
 @dataclass(frozen=True)
-class ColorBasis:
-    """n colors whose rho form a basis B of Q^n, n = |Sigma|, taken greedily
-    in color order, as ints over one denominator ``den > 0``.
-
-    ``indices`` names the colors of B's rows.  ``inverse[j]`` over den is
-    row j of B^-1, the coordinates of e_j in the basis, and ``coords`` holds
-    the coordinates of every other color, in color order, over the same den.
-    """
-
-    indices: tuple[int, ...]
-    inverse: tuple[tuple[int, ...], ...]
-    coords: tuple[tuple[int, ...], ...]
-    den: int
-
-
-@dataclass(frozen=True)
 class SphericalSystem:
     """A spherical system (S^p, Sigma, Delta) on a root system (Luna 2001).
 
@@ -81,8 +63,8 @@ class SphericalSystem:
     <alpha^vee, 2rho_S - 2rho_{S^p}> = 2 - <alpha^vee, 2rho_{S^p}> for the
     moving root alpha (several movers must agree); and the budget |R+| minus
     |R+_{S^p}|, the count of the closure over S^p that sums 2rho_{S^p}.
-    When the colors span Q^Sigma it stores a ``ColorBasis`` of them as
-    ``basis``, in which completeness is decided; otherwise ``basis`` is None.
+    It stores the ``exactlp.SpanBasis`` of the colors' rho as ``basis``, in
+    whose coordinates completeness is decided.
     """
 
     root_system: RootSystem
@@ -91,7 +73,7 @@ class SphericalSystem:
     colors: tuple[Color, ...]
     multiplicities: tuple[int, ...] = field(init=False, compare=False, repr=False)
     budget: int = field(init=False, compare=False, repr=False)
-    basis: ColorBasis | None = field(init=False, compare=False, repr=False)
+    basis: exactlp.SpanBasis = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rs, sigma, colors = self.root_system, self.sigma, self.colors
@@ -171,8 +153,7 @@ class SphericalSystem:
             rho = tuple([v.numerator if v.denominator == 1 else v for v in color.rho])
             canonical.append(Color(color.name, rho, color.moved_by, color.coroot))
         object.__setattr__(self, "colors", tuple(canonical))
-        basis = exactlp.spanning_basis([color.rho for color in canonical], nsig)
-        object.__setattr__(self, "basis", ColorBasis(*basis) if basis else None)
+        object.__setattr__(self, "basis", exactlp.span_basis([c.rho for c in canonical], nsig))
         inside, count = rootsys.positive_in_span(rs, self.sp)
         object.__setattr__(self, "budget", rs.positive_count - count)
         sigma_set = set(sigma)
@@ -274,55 +255,17 @@ def completeness_witness(
 
     The skeleton is complete iff lam is set: the functionals span, and a
     positive combination of them vanishes, so their cone is the whole space
-    (Stiemke 1915).  A y also separates any subset of them.  In the
-    coordinates u = B y of the system's ``basis`` (Davis 1954) y is free iff
-    u is, and u >= 0 is the basis colors' own condition, so one LP over n
-    columns decides: max s.u subject to W.u >= 0 for each vector off the
-    basis, with W its coordinates, and s.u <= 1, where s sums the
-    coordinates of all the rho(D).  At 1 its primal gives y = B^-1 u; at 0
-    its dual mu gives lam_W = mu_W + 1 off the basis, and on it
-    lam = -sum_W lam_W W >= 1.  The LP's rows are the numerators over the
-    basis's den, so it holds ints.  Colors that do not span (a file may
-    hold them) fall back to a rank test and Stiemke's LP over all rho(D).
+    (Stiemke 1915).  A y also separates any subset of them.  The system's
+    ``basis`` serves when its colors span; otherwise a basis of all the
+    rho(D) does, if they span.
     """
-    system = sk.system
-    basis = system.basis
-    if basis is None:
-        rows = [div.rho for div in sk.divisors]
-        if exactlp.matrix_rank(rows) != len(system.sigma):
+    rows = [div.rho for div in sk.divisors]
+    nsig, basis = len(sk.system.sigma), sk.system.basis
+    if len(basis.indices) < nsig:
+        basis = exactlp.span_basis(rows, nsig)
+        if len(basis.indices) < nsig:
             return None, None
-        return exactlp.positive_dependence(rows)
-    nsig, inverse, den = len(system.sigma), basis.inverse, basis.den
-    # one row -W (over den) per vector off the basis; -e_j has W = -inverse[j]
-    a = [[-x for x in w] for w in basis.coords]
-    for div in sk.boundary:
-        rho = div.rho
-        if sum(rho) == -1:
-            a.append(inverse[rho.index(-1)])
-            continue
-        row = [0] * nsig
-        for j, v in enumerate(rho):
-            if v:
-                row = [x - v * e for x, e in zip(row, inverse[j])]
-        a.append(row)
-    # s is den (the basis colors' u_k) plus the sum of the W
-    s = [den - t for t in map(sum, zip(*a))] if a else [den] * nsig
-    sol = exactlp.solve_max(exactlp.LpProblem.make([*a, s], [0] * len(a) + [1], s))
-    if sol.value:
-        u = [(k, x) for k, x in enumerate(sol.primal) if x]
-        scale = lcm(*[x.denominator for _, x in u])
-        u = [(k, x.numerator * (scale // x.denominator)) for k, x in u]
-        scale *= den
-        return None, tuple([Fraction(sum(row[k] * x for k, x in u), scale) for row in inverse])
-    mu = sol.dual[:-1]
-    scale = lcm(*[x.denominator for x in mu])
-    off = [x.numerator * (scale // x.denominator) + scale for x in mu]
-    on = [Fraction(sum(map(mul, col, off)), scale * den) for col in zip(*a)]
-    picked = dict(zip(basis.indices, on))
-    rest = iter([Fraction(x, scale) for x in off])
-    lam = [picked[k] if k in picked else next(rest) for k in range(len(system.colors))]
-    lam.extend(rest)
-    return tuple(lam), None
+    return exactlp.positive_dependence(rows, basis)
 
 
 def is_complete(sk: SphericalSkeleton) -> bool:

@@ -3,6 +3,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -307,6 +308,84 @@ def test_positive_dependence_matches_oracle():
         found += lam is not None
         none += lam is None
     assert (found, none, full_rank) == (136, 264, 312)
+
+
+def _witness_ok(vectors, lam, y):
+    """Stiemke's alternative, re-checked by dot products."""
+    if lam is not None:
+        return y is None and all(x >= 1 for x in lam) and all(
+            sum(x * v for x, v in zip(lam, col)) == 0 for col in zip(*vectors)
+        )
+    s = [sum(col) for col in zip(*vectors)]
+    return all(sum(a * b for a, b in zip(v, y)) >= 0 for v in vectors) and sum(
+        a * b for a, b in zip(s, y)
+    ) == 1
+
+
+def test_span_basis_of_a_rank_deficient_set():
+    rng = random.Random(1954)
+    deficient = 0
+    for _ in range(300):
+        dim, k = rng.randint(0, 4), rng.randint(0, 6)
+        vectors = [[F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim)]
+                   for _ in range(k)]
+        if vectors and rng.random() < 0.5:  # a dependent vector
+            u, v = rng.choice(vectors), rng.choice(vectors)
+            vectors.append([x - F(1, 3) * y for x, y in zip(u, v)])
+        basis = exactlp.span_basis(vectors, dim)
+        rank = len(basis.indices)
+        assert rank == _fraction_rank(vectors) and basis.den > 0, vectors
+        deficient += rank < dim
+        rows = [vectors[i] for i in basis.indices]
+        p = [[F(basis.inverse[j][k], basis.den) for j in range(dim)] for k in range(rank)]
+        # P B^T = I, so y = P^T u gives B y = u
+        for k in range(rank):
+            assert [sum(map(mul, p[k], row)) for row in rows] == [int(i == k) for i in range(rank)]
+        # each vector is the combination of the basis its coordinates name
+        others = [v for i, v in enumerate(vectors) if i not in basis.indices]
+        assert len(basis.coords) == len(others)
+        for v, w in zip(others, basis.coords):
+            assert [sum(F(x, basis.den) * row[j] for x, row in zip(w, rows))
+                    for j in range(dim)] == v, vectors
+            assert [sum(map(mul, p[k], v)) for k in range(rank)] == [F(x, basis.den) for x in w]
+    assert deficient == 83  # of 300
+
+
+def test_positive_dependence_past_a_basis():
+    # the vectors past the basis's prefix enter through its inverse; the verdict
+    # is the one over a basis of all of them, and (1, -2) and (1, -1, -1) are
+    # not a unit -e_j, though the first sums to -1 and the second has a -1
+    e2 = [[1, 0], [0, 1]]
+    e3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cases = [
+        (e2, [[1, -2]], False),
+        (e2, [[1, -2], [-2, 1]], True),
+        (e2, [[-1, 0], [0, -1]], True),
+        (e3, [[1, -1, -1], [-2, 1, 1]], True),
+        (e3, [[-1, 0, 0], [0, -1, 0]], False),
+        ([[2, 1], [1, 1], [3, 2]], [[-1, 0], [0, -1]], True),
+    ]
+    for prefix, extra, dependent in cases:
+        vectors = prefix + extra
+        basis = exactlp.span_basis(prefix, len(prefix[0]))
+        lam, y = positive_dependence(vectors, basis)
+        assert (lam is not None) == dependent, vectors
+        assert _witness_ok(vectors, lam, y), vectors
+        assert (positive_dependence(vectors)[0] is not None) == dependent, vectors
+
+
+def test_positive_dependence_rejects_a_basis_that_does_not_fit():
+    line = exactlp.span_basis([[1, 1], [-1, -1]], 2)
+    assert positive_dependence([[1, 1], [-1, -1]], line) == ((1, 1), None)
+    # past a basis of a line there are no coordinates to read
+    with pytest.raises(ValueError, match="rank 1 < 2"):
+        positive_dependence([[1, 1], [-1, -1], [-1, 0]], line)
+    plane = exactlp.span_basis([[1, 0], [0, 1], [1, 1]], 2)
+    # fewer vectors than the basis was built from
+    with pytest.raises(ValueError, match="covers 3 vectors, not 2"):
+        positive_dependence([[1, 0], [0, 1]], plane)
+    with pytest.raises(ValueError, match="2 entries"):
+        positive_dependence([[1, 0], [0, 1], [1, 1], [-1, 0, 0]], plane)
 
 
 def test_completeness_lps_start_feasible(solves):

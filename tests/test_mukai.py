@@ -71,18 +71,18 @@ def test_catalog_lps_are_integral(monkeypatch):
     # the catalog's pairings and multiplicities are integers, and its LPs stay
     # in ints up to the tableau: a Fraction here costs time and no digest sees it.
     # The completeness LPs hold the coordinates in the system's color basis,
-    # each row scaled by the basis's denominator, and never reach the rank
-    # test or Stiemke's LP over all rho(D), which only non-spanning colors take
+    # each row scaled by the basis's denominator: no catalog skeleton builds a
+    # basis of its own (only colors that do not span need one) or a rank
     passed = []
     solve = exactlp.solve_max
     monkeypatch.setattr(exactlp, "solve_max", lambda p: passed.append(p) or solve(p))
     fallback = []
-    for name in ("matrix_rank", "positive_dependence"):
+    for name in ("matrix_rank", "span_basis"):
         real = getattr(exactlp, name)
         monkeypatch.setattr(exactlp, name, lambda *a, real=real: fallback.append(a) or real(*a))
     instances = catalog.sweep_instances()
-    assert all(inst.system.basis is not None for inst in instances)
-    fallback.clear()  # the systems' own Sigma rank checks
+    assert all(len(inst.system.basis.indices) == len(inst.system.sigma) for inst in instances)
+    fallback.clear()  # the systems' own Sigma rank checks and color bases
     skeletons = [inst.support_skeleton(opt) for inst in instances for opt in inst.options]
     assert len(skeletons) == 577
     for skel in skeletons:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pathlib
 import random
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import _rank
 from sphskel import catalog, cli, exactlp, mukai, rootsys, skeleton as sk
 from sphskel.skeleton import (
     BoundaryDivisor,
@@ -95,10 +97,11 @@ def test_is_complete_needs_spanning_functionals():
     assert not sk.is_complete(skel)
     assert sk.completeness_witness(skel) == (None, None)
     assert mukai.check_conjecture(skel).complete is False
-    # no color basis: completeness falls back to the rank test and Stiemke's
-    # LP over all rho(D), and -e_1, -e_2 complete the line to the plane
-    assert skel.system.basis is None
+    # the colors' basis has 1 < 2 vectors, so completeness takes a basis of
+    # all rho(D), and -e_1, -e_2 complete the line to the plane
+    assert skel.system.basis == exactlp.SpanBasis((0,), ((1,), (0,)), ((-1,),), 1)
     whole = sk.with_boundary_support(skel.system, [0, 1])
+    assert len(exactlp.span_basis([div.rho for div in whole.divisors], 2).indices) == 2
     lam, y = sk.completeness_witness(whole)
     rows = [div.rho for div in whole.divisors]
     assert y is None and all(x >= 1 for x in lam)
@@ -117,7 +120,7 @@ def test_empty_sigma_file_is_complete(tmp_path, capsys):
         "boundary": [],
     }))
     skel = sk.load(str(path))
-    assert skel.system.basis == sk.ColorBasis((), (), ((),), 1)
+    assert skel.system.basis == exactlp.SpanBasis((), (), ((),), 1)
     assert sk.completeness_witness(skel) == ((1,), None)
     assert cli.main(["compute", str(path)]) == 0
     assert capsys.readouterr().out == "complete: true, P=1, budget=1, Equal, theta=()\n"
@@ -127,28 +130,26 @@ def _pairing(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def test_completeness_in_color_coordinates_matches_doubled_lp():
+def test_completeness_in_span_coordinates_matches_rank_oracle():
     # every option skeleton of the default sweep, the empty Gamma and every
-    # support of size 1 and 2: the LP over the basis's n columns gives the
-    # verdict of the rank test plus Stiemke's LP over the doubled columns
-    # y = y+ - y-, and each witness is checked by dot products
+    # support of size 1 and 2: the LP over the colors' basis leaves both
+    # witnesses unset exactly when the oracle's rank of the rho(D) is below
+    # |Sigma|, and each witness it gives is checked by dot products
     count = complete = 0
     for inst in catalog.sweep_instances():
         system = inst.system
         nsig = len(system.sigma)
-        assert system.basis is not None, inst.label
+        assert len(system.basis.indices) == nsig, inst.label
         supports = [c for k in (1, 2) for c in combinations(range(nsig), k)]
         skeletons = [inst.support_skeleton(opt) for opt in inst.options]
         skeletons.append(SphericalSkeleton(system, ()))
         skeletons += [sk.with_boundary_support(system, t) for t in supports]
         for skel in skeletons:
             rows = [div.rho for div in skel.divisors]
-            doubled = exactlp.matrix_rank(rows) == nsig and (
-                exactlp.positive_dependence(rows)[0] is not None
-            )
             lam, y = sk.completeness_witness(skel)
-            assert (lam is not None) == doubled, (inst.label, skel.boundary)
-            if lam is not None:
+            if _rank(rows) < nsig:
+                assert (lam, y) == (None, None), (inst.label, skel.boundary)
+            elif lam is not None:
                 assert y is None and len(lam) == len(rows)
                 assert all(x >= 1 for x in lam)
                 assert all(_pairing(lam, col) == 0 for col in zip(*rows))
@@ -286,6 +287,21 @@ def test_find_certificate_multipliers_case_31():
             sk.check_distinguished_certificate(
                 inst.system, delta_prime, sigma_prime, (1,) * len(delta_prime)
             )
+
+
+def test_certificate_multipliers_pinned():
+    # the multipliers c of every default-sweep certificate, one JSON line
+    # [label, params, Sigma', c] each: the LP's vertex, not only its validity
+    lines = []
+    for inst in catalog.sweep_instances():
+        for cert in inst.certificates:
+            c = sk.find_certificate_multipliers(inst.system, cert.delta_prime, cert.sigma_prime)
+            row = [inst.label, dict(inst.params), list(cert.sigma_prime)]
+            lines.append(json.dumps([*row, [sk.frac_str(x) for x in c]]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        706, "56b97936f74001d54f8cc7c5e7a4e08d7b0d0722331b987750f274dcb8c7c10c"
+    )
 
 
 def test_certificate_helpers_reject_inexact_weights_and_repeated_colors():
@@ -492,7 +508,7 @@ def test_system_stores_integral_values_as_int():
     # the first color is the basis B = (2); B^-1 = 1/2 and the other color's
     # coordinate 1/4 share the denominator 4
     basis = system.basis
-    assert basis == sk.ColorBasis(indices=(0,), inverse=((2,),), coords=((1,),), den=4)
+    assert basis == exactlp.SpanBasis(indices=(0,), inverse=((2,),), coords=((1,),), den=4)
     values = [*basis.indices, *(x for row in basis.inverse + basis.coords for x in row)]
     assert {type(x) for x in values} == {int} and type(basis.den) is int and basis.den > 0
     assert loaded.basis == basis
