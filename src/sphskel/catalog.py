@@ -14,11 +14,16 @@ color names in order and the type-a values), from which ``_spherical_system``
 derives the rest.  Family 50 states its colors by one chain rule for both
 parities (see ``_build_50``): p = 2q - 1 takes the colors of p = 2q from D2
 on, renumbered down by one, with the chain one node later on the B side and
-the end colors' signs on alpha'_{q-1}, alpha'_q flipped.  The registry
-``FAMILIES`` states each family's number, sub-case and sweep ranges, whose
-starts are the free parameters' least values.
-``FamilySpec.build`` puts an instance together; the sigma labels are read off
-the system, every option's key off its indices and those labels, and its
+the end colors' signs on alpha'_{q-1}, alpha'_q flipped.  Families 43 and
+47, and 45 at p = 1, 2, lay out their systems by one block rule (see
+``_c_blocks``): a parameter k is a block A_1 when k = 0 and C_{k+1}
+otherwise, so one builder serves all sub-cases of 43 and of 47.  The
+registry ``FAMILIES`` states each family's number, sub-case and sweep
+ranges, whose starts are the free parameters' least values.
+``FamilySpec.build`` puts an instance together; it hands the builder only
+the free parameters, so a builder never reads a fixed one a caller passes
+(``instantiate`` then rejects it as a mismatch).  The sigma labels are read
+off the system, every option's key off its indices and those labels, and its
 minimal flag off the indices of the case's other options.
 """
 
@@ -118,7 +123,8 @@ class FamilySpec:
         return (self.family, self.sub_case)
 
     def build(self, params: dict) -> CaseInstance:
-        fields = self.builder(params)
+        # only the free parameters: a builder never reads a fixed one
+        fields = self.builder({name: params[name] for name in self.ranges})
         labels = _sigma_labels(fields["system"])
         return CaseInstance(self.family, self.sub_case, sigma_labels=labels, **fields)
 
@@ -190,6 +196,28 @@ def _ctype(rank: int, lo: int, hi: int) -> tuple[int, ...]:
     for j in range(lo + 1, hi):
         out[j] = 2
     return tuple(out)
+
+
+def _c_blocks(components, ks):
+    """The fixed ``components``, their simple roots in Sigma, then one block
+    per k in ``ks``: A_1 when k = 0, else C_{k+1}.  A block puts its first
+    simple root in Sigma; a C_{k+1} block also its C-type root, its roots from
+    the third on in S^p, and a forced color on its second root.  Returns
+    (rs, sigma, sp, firsts, forced): ``firsts`` the Sigma positions of the
+    blocks' first roots, ``forced`` the roots of the forced colors."""
+    rs = build_root_system([*components, *(("C", k + 1) if k else ("A", 1) for k in ks)])
+    off = sum(rank for _, rank in components)
+    sigma = [_unit(rs.rank, j) for j in range(off)]
+    sp, firsts, forced = [], [], []
+    for k in ks:
+        firsts.append(len(sigma))
+        sigma.append(_unit(rs.rank, off))
+        if k:
+            sigma.append(_ctype(rs.rank, off, off + k))
+            sp += range(off + 2, off + k + 1)
+            forced.append(off + 1)
+        off += k + 1
+    return rs, sigma, sp, firsts, forced
 
 
 def _a_values(name: str, entries) -> tuple[str, dict[int, int]]:
@@ -681,201 +709,115 @@ def _build_42_p1(params: dict) -> dict:
     )
 
 
-def _build_43_a(params: dict) -> dict:
-    rs = build_root_system([("A", 1), ("A", 1), ("A", 1)])
-    sigma = [_unit(3, 0), _unit(3, 1), _unit(3, 2)]
+def _build_43(params: dict) -> dict:
+    p, q, r = (params.get(name, 0) for name in "pqr")
+    rs, sigma, sp, firsts, forced = _c_blocks([], sorted((p, q, r), key=bool))
     colors = [
-        ("D", {0: 1, 1: 1, 2: -1}),
-        ("D'", {0: 1, 1: -1, 2: 1}),
-        ("D''", {0: -1, 1: 1, 2: 1}),
+        (name, dict(zip(firsts, signs)))
+        for name, signs in (("D", (1, 1, -1)), ("D'", (1, -1, 1)), ("D''", (-1, 1, 1)))
     ]
-    system = _spherical_system(rs, (), sigma, colors)
-    options = []
-    for pair, theta in (((0, 1), (F(1), F(1), F(3))), ((0, 2), None), ((1, 2), None)):
-        options.append(
+    # the blocks C_{k+1} come last, and each forces its color on its second root
+    colors += zip(("D2", "D'2", "D''2")[3 - len(forced):], forced)
+    system = _spherical_system(rs, sp, sigma, colors)
+    zeros = (p, q, r).count(0)
+    if zeros == 3:
+        options = [
             SupportOption(
                 indices=pair,
                 expected_p=F(3),
                 expected_relation=EQUAL,
                 expected_theta=theta,
             )
-        )
-    options.append(
-        SupportOption(
-            indices=(0, 1, 2),
-            expected_p=F(0),
-            expected_relation=STRICTLY_LESS,
-        )
-    )
-    options.append(
-        SupportOption(
-            indices=(0, 1),
-            expected_p=F(2),
-            expected_relation=STRICTLY_LESS,
-            combined=True,
-        )
-    )
-    certs = (
-        Certificate(("D'", "D''"), (2,)),
-        Certificate(("D", "D''"), (1,)),
-        Certificate(("D", "D'"), (0,)),
-    )
-    return dict(
-        params=(("p", 0), ("q", 0), ("r", 0)),
-        system=system,
-        options=tuple(options),
-        certificates=certs,
-        expected_budget=3,
-    )
-
-
-def _build_43_b(params: dict) -> dict:
-    p = params["p"]
-    rs = build_root_system([("A", 1), ("A", 1), ("C", p + 1)])
-    n = rs.rank
-    sigma = [_unit(n, 0), _unit(n, 1), _unit(n, 2), _ctype(n, 2, p + 2)]
-    colors = [
-        ("D", {0: 1, 1: 1, 2: -1}),
-        ("D'", {0: 1, 1: -1, 2: 1}),
-        ("D''", {0: -1, 1: 1, 2: 1}),
-        ("D''2", 3),
-    ]
-    system = _spherical_system(rs, range(4, p + 3), sigma, colors)
-    options = [
-        SupportOption(
-            indices=(0, 3),
-            expected_p=F(4 * p + 2),
-            expected_relation=EQUAL,
-            expected_theta=(F(1), F(2 * p + 3), F(2 * p + 1), F(1)),
-        ),
-        SupportOption(
-            indices=(1, 3),
-            expected_p=F(4 * p + 2),
-            expected_relation=EQUAL,
-        ),
-        SupportOption(
-            indices=(0, 1, 3),
-            expected_p=F(2 * p - 1),
-            expected_relation=STRICTLY_LESS,
-        ),
-        SupportOption(
-            indices=(0, 3),
-            expected_p=F(4 * p + 1),
-            expected_relation=STRICTLY_LESS,
-            combined=True,
-        ),
-    ]
-    certs = (
-        Certificate(("D'", "D''", "D''2"), (2, 3)),
-        Certificate(("D", "D'", "D''"), (0, 1, 2)),
-    )
-    return dict(
-        params=(("p", p), ("q", 0), ("r", 0)),
-        system=system,
-        options=tuple(options),
-        certificates=certs,
-        expected_budget=4 * p + 2,
-    )
-
-
-def _build_43_c(params: dict) -> dict:
-    p, q = params["p"], params["q"]
-    rs = build_root_system([("A", 1), ("C", p + 1), ("C", q + 1)])
-    n = rs.rank
-    off2 = p + 2
-    sigma = [
-        _unit(n, 0),
-        _unit(n, 1),
-        _ctype(n, 1, p + 1),
-        _unit(n, off2),
-        _ctype(n, off2, off2 + q),
-    ]
-    colors = [
-        ("D", {0: 1, 1: 1, 3: -1}),
-        ("D'", {0: 1, 1: -1, 3: 1}),
-        ("D''", {0: -1, 1: 1, 3: 1}),
-        ("D'2", 2),
-        ("D''2", off2 + 1),
-    ]
-    sp = list(range(3, p + 2)) + list(range(off2 + 2, off2 + q + 1))
-    system = _spherical_system(rs, sp, sigma, colors)
-    options = [
-        SupportOption(
-            indices=(2, 4),
-            expected_p=F(4 * p + 4 * q + 1),
-            expected_relation=EQUAL,
-            expected_theta=(
-                F(2 * p + 2 * q + 3),
-                F(2 * p + 1),
-                F(1),
-                F(2 * q + 1),
-                F(1),
+            for pair, theta in (((0, 1), (F(1), F(1), F(3))), ((0, 2), None), ((1, 2), None))
+        ]
+        options += [
+            SupportOption(indices=(0, 1, 2), expected_p=F(0), expected_relation=STRICTLY_LESS),
+            SupportOption(
+                indices=(0, 1), expected_p=F(2), expected_relation=STRICTLY_LESS, combined=True
             ),
-        ),
-        SupportOption(
-            indices=(2, 4),
-            expected_p=F(4 * p + 4 * q),
-            expected_relation=STRICTLY_LESS,
-            combined=True,
-        ),
-    ]
-    certs = (
-        Certificate(("D", "D'", "D''", "D''2"), (0, 1, 3, 4)),
-        Certificate(("D", "D'", "D''", "D'2"), (0, 1, 2, 3)),
-    )
-    return dict(
-        params=(("p", p), ("q", q), ("r", 0)),
-        system=system,
-        options=tuple(options),
-        certificates=certs,
-        expected_budget=4 * p + 4 * q + 1,
-    )
-
-
-def _build_43_d(params: dict) -> dict:
-    p, q, r = params["p"], params["q"], params["r"]
-    rs = build_root_system([("C", p + 1), ("C", q + 1), ("C", r + 1)])
-    n = rs.rank
-    o1, o2 = p + 1, p + q + 2
-    sigma = [
-        _unit(n, 0),
-        _ctype(n, 0, p),
-        _unit(n, o1),
-        _ctype(n, o1, o1 + q),
-        _unit(n, o2),
-        _ctype(n, o2, o2 + r),
-    ]
-    colors = [
-        ("D", {0: 1, 2: 1, 4: -1}),
-        ("D'", {0: 1, 2: -1, 4: 1}),
-        ("D''", {0: -1, 2: 1, 4: 1}),
-        ("D2", 1),
-        ("D'2", o1 + 1),
-        ("D''2", o2 + 1),
-    ]
-    sp = (
-        list(range(2, p + 1))
-        + list(range(o1 + 2, o1 + q + 1))
-        + list(range(o2 + 2, o2 + r + 1))
-    )
-    system = _spherical_system(rs, sp, sigma, colors)
-    options = (
-        SupportOption(
-            indices=(1, 3, 5),
-            expected_p=F(2 * (p + q + r) - 3),
-            expected_relation=STRICTLY_LESS,
-        ),
-    )
-    certs = (
-        Certificate(("D", "D'", "D''", "D'2", "D''2"), (0, 2, 3, 4, 5)),
-        Certificate(("D", "D'", "D''", "D2", "D''2"), (0, 1, 2, 4, 5)),
-        Certificate(("D", "D'", "D''", "D2", "D'2"), (0, 1, 2, 3, 4)),
-    )
+        ]
+        certs = (
+            Certificate(("D'", "D''"), (2,)),
+            Certificate(("D", "D''"), (1,)),
+            Certificate(("D", "D'"), (0,)),
+        )
+        budget = 3
+    elif zeros == 2:
+        options = [
+            SupportOption(
+                indices=(0, 3),
+                expected_p=F(4 * p + 2),
+                expected_relation=EQUAL,
+                expected_theta=(F(1), F(2 * p + 3), F(2 * p + 1), F(1)),
+            ),
+            SupportOption(
+                indices=(1, 3),
+                expected_p=F(4 * p + 2),
+                expected_relation=EQUAL,
+            ),
+            SupportOption(
+                indices=(0, 1, 3),
+                expected_p=F(2 * p - 1),
+                expected_relation=STRICTLY_LESS,
+            ),
+            SupportOption(
+                indices=(0, 3),
+                expected_p=F(4 * p + 1),
+                expected_relation=STRICTLY_LESS,
+                combined=True,
+            ),
+        ]
+        certs = (
+            Certificate(("D'", "D''", "D''2"), (2, 3)),
+            Certificate(("D", "D'", "D''"), (0, 1, 2)),
+        )
+        budget = 4 * p + 2
+    elif zeros == 1:
+        options = [
+            SupportOption(
+                indices=(2, 4),
+                expected_p=F(4 * p + 4 * q + 1),
+                expected_relation=EQUAL,
+                expected_theta=(
+                    F(2 * p + 2 * q + 3),
+                    F(2 * p + 1),
+                    F(1),
+                    F(2 * q + 1),
+                    F(1),
+                ),
+            ),
+            SupportOption(
+                indices=(2, 4),
+                expected_p=F(4 * p + 4 * q),
+                expected_relation=STRICTLY_LESS,
+                combined=True,
+            ),
+        ]
+        certs = (
+            Certificate(("D", "D'", "D''", "D''2"), (0, 1, 3, 4)),
+            Certificate(("D", "D'", "D''", "D'2"), (0, 1, 2, 3)),
+        )
+        budget = 4 * p + 4 * q + 1
+    else:
+        options = [
+            SupportOption(
+                indices=(1, 3, 5),
+                expected_p=F(2 * (p + q + r) - 3),
+                expected_relation=STRICTLY_LESS,
+            ),
+        ]
+        certs = (
+            Certificate(("D", "D'", "D''", "D'2", "D''2"), (0, 2, 3, 4, 5)),
+            Certificate(("D", "D'", "D''", "D2", "D''2"), (0, 1, 2, 4, 5)),
+            Certificate(("D", "D'", "D''", "D2", "D'2"), (0, 1, 2, 3, 4)),
+        )
+        budget = None
     return dict(
         params=(("p", p), ("q", q), ("r", r)),
         system=system,
-        options=options,
+        options=tuple(options),
         certificates=certs,
+        expected_budget=budget,
     )
 
 
@@ -939,17 +881,15 @@ def _build_44_p3(params: dict) -> dict:
 
 def _build_45_p1(params: dict) -> dict:
     q = params["q"]
-    rs = build_root_system([("A", 2), ("C", q + 1)])
-    n = rs.rank
-    sigma = [_unit(n, 0), _unit(n, 1), _unit(n, 2), _ctype(n, 2, q + 2)]
+    rs, sigma, sp, _, (forced,) = _c_blocks([("A", 2)], (q,))
     colors = [
         ("D1+", {0: 1, 1: -1, 2: 1}),
         ("D1-", {0: 1, 2: -1}),
         ("D2+", {1: 1, 2: -1}),
         ("D2-", {0: -1, 1: 1, 2: 1}),
-        ("D'", 3),
+        ("D'", forced),
     ]
-    system = _spherical_system(rs, range(4, q + 3), sigma, colors)
+    system = _spherical_system(rs, sp, sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j, 3),
@@ -972,18 +912,16 @@ def _build_45_p1(params: dict) -> dict:
 
 def _build_45_p2(params: dict) -> dict:
     q = params["q"]
-    rs = build_root_system([("A", 3), ("C", q + 1)])
-    n = rs.rank
-    sigma = [_unit(n, 0), _unit(n, 1), _unit(n, 2), _unit(n, 3), _ctype(n, 3, q + 3)]
+    rs, sigma, sp, _, (forced,) = _c_blocks([("A", 3)], (q,))
     colors = [
         ("D1+", {0: 1, 1: -1, 2: 1, 3: -1}),
         ("D1-", {0: 1, 2: -1, 3: 1}),
         ("D2+", {0: -1, 1: 1}),
         ("D2-", {1: 1, 2: -1}),
         ("D3-", {0: -1, 2: 1, 3: 1}),
-        ("D'", 4),
+        ("D'", forced),
     ]
-    system = _spherical_system(rs, range(5, q + 4), sigma, colors)
+    system = _spherical_system(rs, sp, sigma, colors)
     options = tuple(
         SupportOption(
             indices=(j, 4),
@@ -1160,82 +1098,48 @@ def _build_46_p6(params: dict) -> dict:
     )
 
 
-def _build_47_p0(params: dict) -> dict:
-    q = params["q"]
-    rs = build_root_system([("B", 2), ("A", 1), ("C", q + 1)])
-    n = rs.rank
-    sigma = [_unit(n, 0), _unit(n, 1), _unit(n, 2), _unit(n, 3), _ctype(n, 3, q + 3)]
+def _build_47(params: dict) -> dict:
+    p, q = params.get("p", 0), params["q"]
+    rs, sigma, sp, (f1, f2), forced = _c_blocks([("B", 2)], (p, q))
     colors = [
-        ("D1+", {0: 1, 1: -1, 2: 1, 3: 1}),
-        ("D1-", {0: 1, 2: -1, 3: -1}),
-        ("D2+", {0: -1, 1: 1, 2: 1, 3: -1}),
-        ("D2-", {0: -1, 1: 1, 2: -1, 3: 1}),
-        ("D''", 4),
+        ("D1+", {0: 1, 1: -1, f1: 1, f2: 1}),
+        ("D1-", {0: 1, f1: -1, f2: -1}),
+        ("D2+", {0: -1, 1: 1, f1: 1, f2: -1}),
+        ("D2-", {0: -1, 1: 1, f1: -1, f2: 1}),
+        *zip(("D'", "D''")[2 - len(forced):], forced),
     ]
-    system = _spherical_system(rs, range(5, q + 4), sigma, colors)
-    options = tuple(
-        SupportOption(
-            indices=(j, 4),
-            expected_p=F(v),
-            expected_relation=STRICTLY_LESS,
-        )
-        for j, v in ((0, 2 * (q + 1)), (1, 2 * q - 1))
-    )
-    certs = (
-        Certificate(("D1+", "D2+", "D2-", "D''"), (2, 3, 4)),
-        Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1, 2, 3)),
-    )
-    return dict(
-        params=(("p", 0), ("q", q)),
-        system=system,
-        options=options,
-        certificates=certs,
-        expected_budget=4 * q + 5,
-    )
-
-
-def _build_47_p1(params: dict) -> dict:
-    p, q = params["p"], params["q"]
-    rs = build_root_system([("B", 2), ("C", p + 1), ("C", q + 1)])
-    n = rs.rank
-    o1, o2 = 2, p + 3
-    sigma = [
-        _unit(n, 0),
-        _unit(n, 1),
-        _unit(n, o1),
-        _ctype(n, o1, o1 + p),
-        _unit(n, o2),
-        _ctype(n, o2, o2 + q),
-    ]
-    colors = [
-        ("D1+", {0: 1, 1: -1, 2: 1, 4: 1}),
-        ("D1-", {0: 1, 2: -1, 4: -1}),
-        ("D2+", {0: -1, 1: 1, 2: 1, 4: -1}),
-        ("D2-", {0: -1, 1: 1, 2: -1, 4: 1}),
-        ("D'", o1 + 1),
-        ("D''", o2 + 1),
-    ]
-    sp = list(range(o1 + 2, o1 + p + 1)) + list(range(o2 + 2, o2 + q + 1))
     system = _spherical_system(rs, sp, sigma, colors)
+    # the budgets differ at p = 0: A_1 adds one positive root, C_{p+1} over
+    # its S^p adds 4p
+    if p == 0:
+        ctypes, values = (4,), ((0, 2 * (q + 1)), (1, 2 * q - 1))
+        certs = (
+            Certificate(("D1+", "D2+", "D2-", "D''"), (2, 3, 4)),
+            Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1, 2, 3)),
+        )
+        budget = 4 * q + 5
+    else:
+        ctypes, values = (3, 5), ((0, 2 * p + 2 * q - 1), (1, 2 * (p + q - 1)))
+        certs = (
+            Certificate(("D1+", "D2+", "D2-", "D'", "D''"), (2, 3, 4, 5)),
+            Certificate(("D1+", "D1-", "D2+", "D2-", "D''"), (0, 1, 2, 4, 5)),
+            Certificate(("D1+", "D1-", "D2+", "D2-", "D'"), (0, 1, 2, 3, 4)),
+        )
+        budget = 4 * (p + q + 1)
     options = tuple(
         SupportOption(
-            indices=(j, 3, 5),
+            indices=(j, *ctypes),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
-        for j, v in ((0, 2 * p + 2 * q - 1), (1, 2 * (p + q - 1)))
-    )
-    certs = (
-        Certificate(("D1+", "D2+", "D2-", "D'", "D''"), (2, 3, 4, 5)),
-        Certificate(("D1+", "D1-", "D2+", "D2-", "D''"), (0, 1, 2, 4, 5)),
-        Certificate(("D1+", "D1-", "D2+", "D2-", "D'"), (0, 1, 2, 3, 4)),
+        for j, v in values
     )
     return dict(
         params=(("p", p), ("q", q)),
         system=system,
         options=options,
         certificates=certs,
-        expected_budget=4 * (p + q + 1),
+        expected_budget=budget,
     )
 
 
@@ -1487,12 +1391,11 @@ FAMILIES: dict[tuple[int, str], FamilySpec] = {
         FamilySpec(41, "", {}, _build_41),
         FamilySpec(42, "p=0", {"q": range(1, 6)}, _build_42_p0),
         FamilySpec(42, "p>=1", {"p": range(1, 6), "q": range(1, 6)}, _build_42_p1),
-        FamilySpec(43, "p=q=r=0", {}, _build_43_a),
-        FamilySpec(43, "p!=0,q=r=0", {"p": range(1, 6)}, _build_43_b),
-        FamilySpec(43, "p,q!=0,r=0", {"p": range(1, 6), "q": range(1, 6)}, _build_43_c),
+        FamilySpec(43, "p=q=r=0", {}, _build_43),
+        FamilySpec(43, "p!=0,q=r=0", {"p": range(1, 6)}, _build_43),
+        FamilySpec(43, "p,q!=0,r=0", {"p": range(1, 6), "q": range(1, 6)}, _build_43),
         FamilySpec(
-            43, "p,q,r!=0", {"p": range(1, 6), "q": range(1, 6), "r": range(1, 6)},
-            _build_43_d,
+            43, "p,q,r!=0", {"p": range(1, 6), "q": range(1, 6), "r": range(1, 6)}, _build_43
         ),
         FamilySpec(44, "p=2", {}, _build_44_p2),
         FamilySpec(44, "p>=3", {"p": range(3, 8)}, _build_44_p3),
@@ -1502,8 +1405,8 @@ FAMILIES: dict[tuple[int, str], FamilySpec] = {
         FamilySpec(46, "p=4", {}, _build_46_p4),
         FamilySpec(46, "p=5", {}, _build_46_p5),
         FamilySpec(46, "p=6", {}, _build_46_p6),
-        FamilySpec(47, "p=0", {"q": range(1, 6)}, _build_47_p0),
-        FamilySpec(47, "p>=1", {"p": range(1, 6), "q": range(1, 6)}, _build_47_p1),
+        FamilySpec(47, "p=0", {"q": range(1, 6)}, _build_47),
+        FamilySpec(47, "p>=1", {"p": range(1, 6), "q": range(1, 6)}, _build_47),
         FamilySpec(48, "p=1", {}, _build_48_p1),
         # printed p >= 1; the data degenerates below p = 2
         FamilySpec(48, "p>=1", {"p": range(2, 7)}, _build_48_pge1),

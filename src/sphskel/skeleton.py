@@ -12,6 +12,7 @@ coroot reference kept purely as a consistency cross-check.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -504,6 +505,10 @@ def _frac(value, where: str) -> Fraction:
     if type(value) is not int and not isinstance(value, str):
         raise SkeletonParseError(f"{where}: expected a fraction string, got {value!r}")
     try:
+        # "n" or "n/d" in ASCII digits: Fraction alone reads "1_0" as 10,
+        # "٣" as 3, "1.5" as 3/2 and " 1" as 1
+        if isinstance(value, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value, re.ASCII):
+            raise ValueError(value)
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SkeletonParseError(f"{where}: bad rational {value!r}") from exc

@@ -76,6 +76,11 @@ def test_parameter_validation():
         (31, "", {}),
         (43, "p!=0,q=r=0", {"p": True}),
         (31, "", {"p": 3.0}),
+        # a fixed parameter given another value is never read: a builder that
+        # reads it would build another sub-case, whose parameters match
+        (43, "p!=0,q=r=0", {"p": 1, "q": 3}),
+        (43, "p=q=r=0", {"r": 2}),
+        (47, "p=0", {"q": 1, "p": 2}),
     ]:
         with pytest.raises(ValueError):
             catalog.instantiate(family, sub_case, **params)
@@ -217,20 +222,26 @@ def test_exportability_of_every_family(tmp_path):
 
 def test_catalog_system_data_pinned():
     # every color's name, position, rho, moved_by and coroot, and every sigma
-    # label, over the default and the deep sweep (family 50 up to q=15); P
-    # alone misses a changed name or mover
-    for profile, count, expected in [
-        ("default", 309, "d52a1e923c0c21a08a2b371562f6521275edb5b2acd470fe544c8f8c6cf22aa7"),
-        ("deep", 676, "27d5841b9fd2f56b7cdb88e6b722e22a76bc3960b7da50eac1e9cfc3ae5b8e07"),
+    # label, over the default and the deep sweep (family 50 up to q=15), and
+    # over families 43 at p=30 and 47 at q=40, past deep, where the A_1/C_{k+1}
+    # block rule lays out every sub-case; P alone misses a changed name or mover
+    blocks = catalog.sweep_instances(family=43, overrides={"p": 30})
+    blocks += catalog.sweep_instances(family=47, overrides={"q": 40})
+    for label, instances, count, expected in [
+        ("default", catalog.sweep_instances(profile=cli.load_sweep_profile("default")), 309,
+         "d52a1e923c0c21a08a2b371562f6521275edb5b2acd470fe544c8f8c6cf22aa7"),
+        ("deep", catalog.sweep_instances(profile=cli.load_sweep_profile("deep")), 676,
+         "27d5841b9fd2f56b7cdb88e6b722e22a76bc3960b7da50eac1e9cfc3ae5b8e07"),
+        ("43 p=30, 47 q=40", blocks, 37,
+         "6919eefa5a3fa4f230b1841bf176b344a332eca1ebb3a15a6530aee64cd1ba70"),
     ]:
         digest = hashlib.sha256()
-        instances = catalog.sweep_instances(profile=cli.load_sweep_profile(profile))
         for inst in instances:
             bare = sk.SphericalSkeleton(inst.system, ())
             digest.update(json.dumps(sk.to_dict(bare), sort_keys=True).encode())
             digest.update(json.dumps(inst.sigma_labels).encode())
-        assert len(instances) == count, profile
-        assert digest.hexdigest() == expected, profile
+        assert len(instances) == count, label
+        assert digest.hexdigest() == expected, label
 
 
 def test_sigma_labels_derived():

@@ -332,6 +332,29 @@ def _color(doc):
         pytest.param(lambda d: _color(d).update(rho=[1.0]), 2, "parse error",
                      id="color-rho-float"),
         pytest.param(lambda d: _color(d).update(name=7), 2, "parse error", id="name-number"),
+        # a fraction string is "n" or "n/d" in ASCII digits; Fraction alone
+        # reads each of these as another number
+        pytest.param(lambda d: _color(d).update(rho=["1_0"]), 2, "bad rational '1_0'",
+                     id="color-rho-underscore"),
+        pytest.param(lambda d: _color(d).update(rho=["\u0661"]), 2, "bad rational",
+                     id="color-rho-arabic-indic-digit"),
+        pytest.param(lambda d: _color(d).update(rho=["\uff11"]), 2, "bad rational",
+                     id="color-rho-fullwidth-digit"),
+        pytest.param(lambda d: _color(d).update(rho=["1.0"]), 2, "bad rational",
+                     id="color-rho-decimal"),
+        pytest.param(lambda d: _color(d).update(rho=["1e0"]), 2, "bad rational",
+                     id="color-rho-exponent"),
+        pytest.param(lambda d: _color(d).update(rho=[" 1"]), 2, "bad rational",
+                     id="color-rho-space"),
+        pytest.param(lambda d: _color(d)["coroot"].update(scale="1_0"), 2, "bad rational",
+                     id="coroot-scale-underscore"),
+        pytest.param(lambda d: _color(d)["coroot"].update(scale="2/\u0662"), 2, "bad rational",
+                     id="coroot-scale-arabic-indic-digit"),
+        pytest.param(lambda d: _color(d)["coroot"].update(scale="1/0"), 2, "bad rational",
+                     id="coroot-scale-zero-denominator"),
+        pytest.param(lambda d: _color(d).update(rho=[1]), 0, "", id="color-rho-json-int"),
+        pytest.param(lambda d: _color(d)["coroot"].update(scale=1), 0, "",
+                     id="coroot-scale-json-int"),
         pytest.param(lambda d: d.update(boundry=[]), 2, "unknown key 'boundry'",
                      id="unknown-top-level-key"),
         pytest.param(lambda d: d["root_system"][0].update(serie="A"), 2, "parse error",
