@@ -140,42 +140,6 @@ class FamilySpec:
         return None
 
 
-@dataclass(frozen=True)
-class EqualityEntry:
-    """One bullet of the equality classification, with its module tag.
-
-    ``list_l`` is the number of the matching spherical-module skeleton in
-    the standard List L of spherical-module data.  An option of the case
-    ``(family, sub_case)`` lies in this bullet exactly when its
-    ``expected_relation`` is Equal.
-    """
-
-    bullet: int
-    family: int
-    sub_case: str
-    description: str
-    list_l: str
-
-
-EQUALITY_REGISTRY: tuple[EqualityEntry, ...] = (
-    EqualityEntry(0, 31, "", "support {gamma_1} or {gamma_{2p-1}}", "24"),
-    EqualityEntry(1, 32, "", "p = 2, support {gamma_1}", "38 (n=2)"),
-    EqualityEntry(2, 34, "", "support {gamma_1}", "16"),
-    EqualityEntry(3, 35, "", "support {gamma}", "15"),
-    EqualityEntry(4, 36, "", "support {gamma_2}", "38 (n>2)"),
-    EqualityEntry(5, 38, "", "any support of cardinality 2", "20"),
-    EqualityEntry(6, 41, "", "support {gamma}", "18"),
-    EqualityEntry(7, 42, "p=0", "support {gamma_2}", "10"),
-    EqualityEntry(8, 43, "p=q=r=0", "any support of cardinality 2", "35"),
-    EqualityEntry(
-        9, 43, "p!=0,q=r=0", "support {gamma_1,gamma_4} or {gamma_2,gamma_4}", "40"
-    ),
-    EqualityEntry(10, 43, "p,q!=0,r=0", "support {gamma_3,gamma_5}", "42"),
-    EqualityEntry(11, 46, "p=5", "support {alpha'_1} or {alpha'_3}", "13"),
-    EqualityEntry(12, 49, "", "support {alpha'_1} or {alpha'_p}", "28"),
-)
-
-
 # ---------------------------------------------------------------------------
 # small vector helpers
 

@@ -463,8 +463,8 @@ def positive_dependence(
 
     By Stiemke's lemma exactly one of the two exists, where s = sum_k v_k.
     ``basis`` is the ``span_basis`` of a prefix of ``vectors`` (None: of
-    all of them); the vectors past the prefix need a basis of Q^dim and
-    enter through its ``inverse``, a unit -e_j as row j with no arithmetic.
+    all of them); the vectors past the prefix need a basis of Q^dim, and
+    a vector v there has coordinates sum_j v_j inverse[j] over den.
     In the coordinates u = B y (Davis 1954) the basis vectors' condition is
     u >= 0, so one LP over the basis's columns decides: max s.u subject to
     W.u >= 0 for each vector off the basis, with W its coordinates, and
@@ -483,14 +483,11 @@ def positive_dependence(
     extra = vectors[prefix:]
     if extra and rank < dim:
         raise ValueError(f"a basis of rank {rank} < {dim} gives no coordinates past it")
-    # one row -W (over den) per vector off the basis; -e_j has W = -inverse[j]
+    # one row -W (over den) per vector off the basis; past the prefix W = sum_j v_j inverse[j]
     a = [[-x for x in w] for w in basis.coords]
     for v in extra:
         if len(v) != dim:
             raise ValueError(f"vectors must have {dim} entries")
-        if -1 in v and v.count(0) == dim - 1:
-            a.append(inverse[v.index(-1)])
-            continue
         row = [0] * rank
         for j, x in enumerate(v):
             if x:

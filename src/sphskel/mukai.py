@@ -100,27 +100,3 @@ def enumerate_minimal_complete_supports(
             elif y is not None:
                 separated.append(frozenset(j for j, yj in enumerate(y) if yj <= 0))
     return found
-
-
-def duplicate_shift_check(
-    sk: SphericalSkeleton, boundary_name: str
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(P before, P after, shift) when duplicating a boundary divisor.
-
-    Requires an equality case with a unique maximizer; asserts the exact
-    drop P(R') = P(R) + <rho(D), theta> with <rho(D), theta> < 0.
-    """
-    verdict = check_conjecture(sk)
-    if verdict.relation != EQUAL or not verdict.theta_unique:
-        raise ValueError("duplicate_shift_check needs an equality case with unique theta")
-    div = next((d for d in sk.boundary if d.name == boundary_name), None)
-    if div is None:
-        raise ValueError(f"no boundary divisor named {boundary_name!r}")
-    shift = sum(Fraction(v) * t for v, t in zip(div.rho, verdict.theta))
-    doubled = sk_mod.duplicate_boundary(sk, boundary_name)
-    after = check_conjecture(doubled).p_value
-    if after is None or after != verdict.p_value + shift or not after < verdict.p_value:
-        raise AssertionError(
-            f"duplication shift mismatch: {verdict.p_value} -> {after}, shift {shift}"
-        )
-    return verdict.p_value, after, shift

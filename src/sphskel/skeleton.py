@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -237,16 +237,6 @@ def multiplicities(sk: SphericalSkeleton) -> tuple[int, ...]:
     return sk.system.multiplicities + (1,) * len(sk.boundary)
 
 
-def support(sk: SphericalSkeleton) -> frozenset[int]:
-    """Indices of the spherical roots hit by some boundary divisor."""
-    out = set()
-    for div in sk.boundary:
-        for j, v in enumerate(div.rho):
-            if v < 0:
-                out.add(j)
-    return frozenset(out)
-
-
 def completeness_witness(
     sk: SphericalSkeleton,
 ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
@@ -274,46 +264,6 @@ def is_complete(sk: SphericalSkeleton) -> bool:
     return completeness_witness(sk)[0] is not None
 
 
-def is_elementary(sk: SphericalSkeleton) -> bool:
-    for div in sk.boundary:
-        if any(v not in (0, -1) for v in div.rho):
-            return False
-        if sum(1 for v in div.rho if v == -1) > 1:
-            return False
-    return True
-
-
-def is_reduced(sk: SphericalSkeleton) -> bool:
-    if not is_elementary(sk):
-        return False
-    for j in range(len(sk.system.sigma)):
-        if sum(1 for div in sk.boundary if div.rho[j] == -1) > 1:
-            return False
-    return True
-
-
-def _unit_boundary(nsig: int, j: int, name: str) -> BoundaryDivisor:
-    return BoundaryDivisor(name=name, rho=tuple([-1 if t == j else 0 for t in range(nsig)]))
-
-
-def to_elementary(sk: SphericalSkeleton) -> SphericalSkeleton:
-    """Split Gamma into unit divisors, one per unit of -<rho(D), gamma>."""
-    nsig = len(sk.system.sigma)
-    gamma = []
-    for j in range(nsig):
-        total = -sum(div.rho[j] for div in sk.boundary)
-        for t in range(total):
-            gamma.append(_unit_boundary(nsig, j, f"E{j + 1}.{t + 1}"))
-    return replace(sk, boundary=tuple(gamma))
-
-
-def to_reduced(sk: SphericalSkeleton) -> SphericalSkeleton:
-    """Keep one unit divisor per supported spherical root (elementary input)."""
-    if not is_elementary(sk):
-        raise ValueError("to_reduced requires an elementary skeleton")
-    return with_boundary_support(sk.system, support(sk))
-
-
 def with_boundary_support(
     system: SphericalSystem, indices: Iterable[int], combined: bool = False
 ) -> SphericalSkeleton:
@@ -331,56 +281,9 @@ def with_boundary_support(
         rho = tuple([-1 if j in idx else 0 for j in range(nsig)])
         gamma: tuple[BoundaryDivisor, ...] = (BoundaryDivisor(name="E", rho=rho),)
     else:
-        gamma = tuple([_unit_boundary(nsig, j, f"E{j + 1}") for j in idx])
+        units = [tuple([-1 if t == j else 0 for t in range(nsig)]) for j in idx]
+        gamma = tuple([BoundaryDivisor(name=f"E{j + 1}", rho=u) for j, u in zip(idx, units)])
     return SphericalSkeleton(system, gamma)
-
-
-def product(sk1: SphericalSkeleton, sk2: SphericalSkeleton) -> SphericalSkeleton:
-    """Direct product: block-diagonal root systems, pairings and Gamma."""
-    sys1, sys2 = sk1.system, sk2.system
-    rs = rootsys.build_root_system(sys1.root_system.components + sys2.root_system.components)
-    r1 = sys1.root_system.rank
-    n1, n2 = len(sys1.sigma), len(sys2.sigma)
-    pad1 = (0,) * sys2.root_system.rank
-    sigma = tuple([g + pad1 for g in sys1.sigma] + [(0,) * r1 + g for g in sys2.sigma])
-    sp = frozenset(sys1.sp) | frozenset(r1 + j for j in sys2.sp)
-    used = {div.name for div in sk1.divisors}
-
-    def rename(name: str) -> str:
-        while name in used:
-            name += "'"
-        used.add(name)
-        return name
-
-    colors = [replace(c, rho=tuple(c.rho) + (0,) * n2) for c in sys1.colors]
-    for c in sys2.colors:
-        coroot = (c.coroot[0] + r1, c.coroot[1]) if c.coroot else None
-        colors.append(
-            Color(
-                name=rename(c.name),
-                rho=(0,) * n1 + tuple(c.rho),
-                moved_by=tuple([r1 + j for j in c.moved_by]),
-                coroot=coroot,
-            )
-        )
-    boundary = [replace(d, rho=tuple(d.rho) + (0,) * n2) for d in sk1.boundary]
-    boundary += [
-        BoundaryDivisor(name=rename(d.name), rho=(0,) * n1 + tuple(d.rho))
-        for d in sk2.boundary
-    ]
-    return SphericalSkeleton(
-        SphericalSystem(root_system=rs, sp=sp, sigma=sigma, colors=tuple(colors)),
-        tuple(boundary),
-    )
-
-
-def duplicate_boundary(sk: SphericalSkeleton, name: str) -> SphericalSkeleton:
-    """Gamma gains one copy of the named boundary divisor."""
-    for div in sk.boundary:
-        if div.name == name:
-            copy = BoundaryDivisor(name=f"{name}*", rho=div.rho)
-            return replace(sk, boundary=sk.boundary + (copy,))
-    raise ValueError(f"no boundary divisor named {name!r}")
 
 
 def _certificate_colors(
@@ -413,8 +316,8 @@ def check_distinguished_certificate(
 
     True iff sum c_D rho(D) over Delta' is >= 0 on every spherical root and
     strictly positive exactly on Sigma'.  A valid certificate implies every
-    reduced elementary skeleton with support inside Sigma' is not complete,
-    which callers cross-check against is_complete.
+    reduced elementary skeleton with support inside Sigma' is not complete;
+    the tests cross-check that against is_complete.
     """
     chosen, strict = _certificate_colors(system, delta_prime, sigma_prime)
     weights = list(c)

@@ -1,11 +1,14 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent brute-force oracles and reference data for the test suite.
 
 Deliberately self-contained: these use their own Fraction elimination code
-so they share nothing with the simplex path they are checking.
+so they share nothing with the simplex path they are checking, and the
+equality registry sits apart from the catalog whose expected relations it
+checks.  Nothing here imports ``sphskel``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -223,3 +226,39 @@ def oracle_certificate_check(a, b, c, status, primal, value, dual, ray) -> bool:
                 return False
         return sum(c[j] * r[j] for j in range(n)) > 0
     return False
+
+
+@dataclass(frozen=True)
+class EqualityEntry:
+    """One bullet of the equality classification, with its module tag.
+
+    ``list_l`` is the number of the matching spherical-module skeleton in
+    the standard List L of spherical-module data.  An option of the case
+    ``(family, sub_case)`` lies in this bullet exactly when its
+    ``expected_relation`` is Equal.
+    """
+
+    bullet: int
+    family: int
+    sub_case: str
+    description: str
+    list_l: str
+
+
+EQUALITY_REGISTRY: tuple[EqualityEntry, ...] = (
+    EqualityEntry(0, 31, "", "support {gamma_1} or {gamma_{2p-1}}", "24"),
+    EqualityEntry(1, 32, "", "p = 2, support {gamma_1}", "38 (n=2)"),
+    EqualityEntry(2, 34, "", "support {gamma_1}", "16"),
+    EqualityEntry(3, 35, "", "support {gamma}", "15"),
+    EqualityEntry(4, 36, "", "support {gamma_2}", "38 (n>2)"),
+    EqualityEntry(5, 38, "", "any support of cardinality 2", "20"),
+    EqualityEntry(6, 41, "", "support {gamma}", "18"),
+    EqualityEntry(7, 42, "p=0", "support {gamma_2}", "10"),
+    EqualityEntry(8, 43, "p=q=r=0", "any support of cardinality 2", "35"),
+    EqualityEntry(
+        9, 43, "p!=0,q=r=0", "support {gamma_1,gamma_4} or {gamma_2,gamma_4}", "40"
+    ),
+    EqualityEntry(10, 43, "p,q!=0,r=0", "support {gamma_3,gamma_5}", "42"),
+    EqualityEntry(11, 46, "p=5", "support {alpha'_1} or {alpha'_3}", "13"),
+    EqualityEntry(12, 49, "", "support {alpha'_1} or {alpha'_p}", "28"),
+)

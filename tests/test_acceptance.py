@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_positive_span, oracle_solve
+import lemmas
+from oracles import EQUALITY_REGISTRY, oracle_positive_span, oracle_solve
 from sphskel import catalog, cli, exactlp, mukai, skeleton as sk
 from sphskel.mukai import EQUAL, STRICTLY_LESS
 from sphskel.skeleton import BoundaryDivisor, SphericalSkeleton
@@ -196,7 +197,7 @@ def test_criterion_1_exact_p_values(sweep):
 
 def test_criterion_2_equality_classification(sweep):
     """relation = Equal appears exactly on the 13 registered bullets."""
-    bullet_of = {(e.family, e.sub_case): e.bullet for e in catalog.EQUALITY_REGISTRY}
+    bullet_of = {(e.family, e.sub_case): e.bullet for e in EQUALITY_REGISTRY}
     got_equal = set()
     expected_equal = set()
     bullets = set()
@@ -210,8 +211,8 @@ def test_criterion_2_equality_classification(sweep):
         assert verdict.relation != "Violation", key
     assert got_equal == expected_equal
     assert bullets == set(range(13))
-    assert len(catalog.EQUALITY_REGISTRY) == 13
-    assert [e.list_l for e in catalog.EQUALITY_REGISTRY] == [
+    assert len(EQUALITY_REGISTRY) == 13
+    assert [e.list_l for e in EQUALITY_REGISTRY] == [
         "24", "38 (n=2)", "16", "15", "38 (n>2)", "20", "18", "10",
         "35", "40", "42", "13", "28",
     ]
@@ -273,7 +274,7 @@ def test_criterion_4_equality_structure(monkeypatch):
             for j in opt.indices:
                 assert verdict.theta[j] == 1, (inst.label, opt.key, j)
             for div in skel.boundary:
-                before, after, shift = mukai.duplicate_shift_check(skel, div.name)
+                before, after, shift = lemmas.duplicate_shift_check(skel, div.name)
                 assert shift == sum(
                     F(v) * t for v, t in zip(div.rho, verdict.theta)
                 )
@@ -473,11 +474,11 @@ def test_criterion_8_property_suite(sweep):
                 rho[rng.randrange(nsig)] = -1
             gamma.append(BoundaryDivisor(f"R{g}", tuple(rho)))
         skel = SphericalSkeleton(system, tuple(gamma))
-        elem = sk.to_elementary(skel)
-        red = sk.to_reduced(elem)
-        assert sk.support(skel) == sk.support(elem) == sk.support(red)
-        assert sk.is_elementary(elem) and sk.is_reduced(red)
-        again = sk.to_reduced(sk.to_elementary(red))
+        elem = lemmas.to_elementary(skel)
+        red = lemmas.to_reduced(elem)
+        assert lemmas.support(skel) == lemmas.support(elem) == lemmas.support(red)
+        assert lemmas.is_elementary(elem) and lemmas.is_reduced(red)
+        again = lemmas.to_reduced(lemmas.to_elementary(red))
         assert [d.rho for d in again.boundary] == [d.rho for d in red.boundary]
         p0 = mukai.check_conjecture(skel).p_value
         p1 = mukai.check_conjecture(elem).p_value
@@ -499,7 +500,7 @@ def test_criterion_8_property_suite(sweep):
         a = i1.support_skeleton(i1.option(k1))
         b = i2.support_skeleton(i2.option(k2))
         va, vb = mukai.check_conjecture(a), mukai.check_conjecture(b)
-        vp = mukai.check_conjecture(sk.product(a, b))
+        vp = mukai.check_conjecture(lemmas.product(a, b))
         assert vp.p_value == va.p_value + vb.p_value
         assert vp.budget == va.budget + vb.budget
         assert vp.complete == (va.complete and vb.complete)
@@ -507,7 +508,7 @@ def test_criterion_8_property_suite(sweep):
     i35 = catalog.instantiate(35)
     good = i35.support_skeleton(i35.option("gamma"))
     bad = SphericalSkeleton(catalog.instantiate(36, p=2).system, ())  # colors only, not complete
-    mixed = mukai.check_conjecture(sk.product(good, bad))
+    mixed = mukai.check_conjecture(lemmas.product(good, bad))
     assert not mixed.complete
     assert mixed.budget == 6 + 8
     print(f"ACCEPTANCE 8 (property suite): PASS "

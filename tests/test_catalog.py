@@ -6,7 +6,8 @@ import pytest
 
 from sphskel import catalog, cli, mukai, skeleton as sk
 from sphskel.rootsys import build_root_system
-from sphskel.catalog import EQUALITY_REGISTRY, FAMILIES
+from oracles import EQUALITY_REGISTRY
+from sphskel.catalog import FAMILIES
 
 F = Fraction
 

@@ -353,8 +353,8 @@ def test_span_basis_of_a_rank_deficient_set():
 
 def test_positive_dependence_past_a_basis():
     # the vectors past the basis's prefix enter through its inverse; the verdict
-    # is the one over a basis of all of them, and (1, -2) and (1, -1, -1) are
-    # not a unit -e_j, though the first sums to -1 and the second has a -1
+    # is the one over a basis of all of them, for a unit -e_j as for a vector
+    # near one, such as (1, -2), which sums to -1, or (1, -1, -1), which has a -1
     e2 = [[1, 0], [0, 1]]
     e3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     cases = [

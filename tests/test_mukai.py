@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import lemmas
 from oracles import oracle_positive_span
 from sphskel import catalog, exactlp, mukai, rootsys, skeleton as sk
 from sphskel.mukai import EQUAL, STRICTLY_LESS
@@ -197,20 +198,20 @@ def test_pruned_enumeration_matches_unpruned(monkeypatch):
 
 def test_duplicate_shift_case_41():
     skel = support_skel(case(41), "gamma")
-    before, after, shift = mukai.duplicate_shift_check(skel, skel.boundary[0].name)
+    before, after, shift = lemmas.duplicate_shift_check(skel, skel.boundary[0].name)
     assert (before, after, shift) == (5, 4, -1)
 
 
 def test_duplicate_shift_case_34():
     skel = support_skel(case(34), "gamma_1")
-    before, after, shift = mukai.duplicate_shift_check(skel, skel.boundary[0].name)
+    before, after, shift = lemmas.duplicate_shift_check(skel, skel.boundary[0].name)
     assert (before, after, shift) == (13, 12, -1)
 
 
 def test_duplicate_shift_rejects_strict_cases():
     skel = support_skel(case(37, p=2), "gamma_2")
     with pytest.raises(ValueError):
-        mukai.duplicate_shift_check(skel, skel.boundary[0].name)
+        lemmas.duplicate_shift_check(skel, skel.boundary[0].name)
 
 
 def test_reduction_monotonicity_small():
@@ -219,8 +220,8 @@ def test_reduction_monotonicity_small():
     gamma = (sk.BoundaryDivisor("X", (-2, -1, 0)), sk.BoundaryDivisor("Y", (0, -1, 0)))
     skel = SphericalSkeleton(system, gamma)
     p0 = mukai.check_conjecture(skel).p_value
-    p1 = mukai.check_conjecture(sk.to_elementary(skel)).p_value
-    p2 = mukai.check_conjecture(sk.to_reduced(sk.to_elementary(skel))).p_value
+    p1 = mukai.check_conjecture(lemmas.to_elementary(skel)).p_value
+    p2 = mukai.check_conjecture(lemmas.to_reduced(lemmas.to_elementary(skel))).p_value
     assert p0 <= p1 <= p2
 
 
@@ -228,7 +229,7 @@ def test_product_additivity():
     inst35, inst41 = case(35), case(41)
     s35 = support_skel(inst35, "gamma")
     s41 = support_skel(inst41, "gamma")
-    prod = sk.product(s35, s41)
+    prod = lemmas.product(s35, s41)
     v = mukai.check_conjecture(prod)
     assert v.p_value == 6 + 5
     assert v.budget == 11

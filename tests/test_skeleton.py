@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import lemmas
 from oracles import _rank
 from sphskel import catalog, cli, exactlp, mukai, rootsys, skeleton as sk
 from sphskel.skeleton import (
@@ -162,9 +163,9 @@ def test_completeness_in_span_coordinates_matches_rank_oracle():
 
 def test_support():
     inst = case(34)
-    assert sk.support(SphericalSkeleton(inst.system, ())) == frozenset()
+    assert lemmas.support(SphericalSkeleton(inst.system, ())) == frozenset()
     skel = inst.support_skeleton(inst.option("gamma_1"))
-    assert sk.support(skel) == {0}
+    assert lemmas.support(skel) == {0}
     two = SphericalSkeleton(
         inst.system,
         (
@@ -172,7 +173,7 @@ def test_support():
             BoundaryDivisor("E2", (-2, -1)),
         ),
     )
-    assert sk.support(two) == {0, 1}
+    assert lemmas.support(two) == {0, 1}
 
 
 def _with_gamma(system, rows):
@@ -185,40 +186,40 @@ def _with_gamma(system, rows):
 def test_to_elementary():
     system = case(34).system
     skel = _with_gamma(system, [(-2, 0)])
-    elem = sk.to_elementary(skel)
+    elem = lemmas.to_elementary(skel)
     assert [d.rho for d in elem.boundary] == [(-1, 0), (-1, 0)]
-    assert sk.is_elementary(elem)
+    assert lemmas.is_elementary(elem)
 
     skel = _with_gamma(system, [(-1, -1)])
-    elem = sk.to_elementary(skel)
+    elem = lemmas.to_elementary(skel)
     assert sorted(d.rho for d in elem.boundary) == [(-1, 0), (0, -1)]
 
     already = _with_gamma(system, [(-1, 0)])
-    assert [d.rho for d in sk.to_elementary(already).boundary] == [(-1, 0)]
+    assert [d.rho for d in lemmas.to_elementary(already).boundary] == [(-1, 0)]
 
 
 def test_to_reduced():
     system = case(34).system
     elem = _with_gamma(system, [(-1, 0), (-1, 0), (0, -1)])
-    red = sk.to_reduced(elem)
+    red = lemmas.to_reduced(elem)
     assert sorted(d.rho for d in red.boundary) == [(-1, 0), (0, -1)]
-    assert sk.is_reduced(red)
-    assert [d.rho for d in sk.to_reduced(red).boundary] == [
+    assert lemmas.is_reduced(red)
+    assert [d.rho for d in lemmas.to_reduced(red).boundary] == [
         d.rho for d in red.boundary
     ]
     empty = _with_gamma(system, [])
-    assert sk.to_reduced(empty).boundary == ()
+    assert lemmas.to_reduced(empty).boundary == ()
     with pytest.raises(ValueError):
-        sk.to_reduced(_with_gamma(system, [(-2, 0)]))
+        lemmas.to_reduced(_with_gamma(system, [(-2, 0)]))
 
 
 def test_reduction_preserves_support_and_idempotent():
     system = case(38).system
     skel = _with_gamma(system, [(-2, -1, 0), (0, -1, 0)])
-    elem = sk.to_elementary(skel)
-    red = sk.to_reduced(elem)
-    assert sk.support(skel) == sk.support(elem) == sk.support(red) == {0, 1}
-    again = sk.to_reduced(sk.to_elementary(red))
+    elem = lemmas.to_elementary(skel)
+    red = lemmas.to_reduced(elem)
+    assert lemmas.support(skel) == lemmas.support(elem) == lemmas.support(red) == {0, 1}
+    again = lemmas.to_reduced(lemmas.to_elementary(red))
     assert [d.rho for d in again.boundary] == [d.rho for d in red.boundary]
 
 
@@ -226,7 +227,7 @@ def test_product_structure():
     inst35, inst41 = case(35), case(41)
     s35 = inst35.support_skeleton(inst35.option("gamma"))
     s41 = inst41.support_skeleton(inst41.option("gamma"))
-    prod = sk.product(s35, s41)
+    prod = lemmas.product(s35, s41)
     assert prod.system.root_system.components == (("B", 3), ("G", 2))
     assert prod.system.budget == 6 + 5 == 11
     a = sk.pairing_matrix(prod)
@@ -240,7 +241,7 @@ def test_product_with_empty_skeleton_is_identity_like():
     empty = SphericalSkeleton(SphericalSystem(rs, frozenset({0}), (), ()), ())
     inst = case(41)
     s41 = inst.support_skeleton(inst.option("gamma"))
-    prod = sk.product(s41, empty)
+    prod = lemmas.product(s41, empty)
     assert mukai.check_conjecture(prod).p_value == 5
     assert prod.system.budget == 5  # the A1 factor lies in S^p
 
@@ -323,7 +324,7 @@ def test_certificate_helpers_reject_inexact_weights_and_repeated_colors():
 @pytest.mark.parametrize("combined", [False, True])
 def test_boundary_support_indices_checked(combined):
     system = case(41).system  # one spherical root
-    assert sk.support(sk.with_boundary_support(system, [0], combined=combined)) == {0}
+    assert lemmas.support(sk.with_boundary_support(system, [0], combined=combined)) == {0}
     with pytest.raises(ValueError, match=r"\[5, -1, 0\.0\]"):
         sk.with_boundary_support(system, [0, 5, -1, 0.0], combined=combined)
     with pytest.raises(ValueError, match=r"\[-1\]"):
@@ -333,12 +334,12 @@ def test_boundary_support_indices_checked(combined):
 def test_duplicate_boundary():
     inst = case(41)
     skel = inst.support_skeleton(inst.option("gamma"))
-    doubled = sk.duplicate_boundary(skel, skel.boundary[0].name)
+    doubled = lemmas.duplicate_boundary(skel, skel.boundary[0].name)
     assert len(doubled.boundary) == 2
     assert doubled.boundary[0].rho == doubled.boundary[1].rho
-    assert sk.support(doubled) == sk.support(skel)
+    assert lemmas.support(doubled) == lemmas.support(skel)
     with pytest.raises(ValueError):
-        sk.duplicate_boundary(skel, "nope")
+        lemmas.duplicate_boundary(skel, "nope")
 
 
 def test_invariant_violations():
@@ -555,8 +556,8 @@ def test_system_checks_run_once_per_system(monkeypatch):
     instances = catalog.sweep_instances(family=31)
     for inst in instances:
         for opt in inst.options:
-            elem = sk.to_elementary(inst.support_skeleton(opt))
-            sk.duplicate_boundary(elem, elem.boundary[0].name)
+            elem = lemmas.to_elementary(inst.support_skeleton(opt))
+            lemmas.duplicate_boundary(elem, elem.boundary[0].name)
         assert mukai.enumerate_minimal_complete_supports(inst.system, 3)
     assert len(instances) == 5
     assert checks == [inst.system for inst in instances]
