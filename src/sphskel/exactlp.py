@@ -11,10 +11,14 @@ improving ray.
 The tableau holds Python ints only (Edmonds 1967, Bareiss 1968): each row
 of ``[A | b]`` and c is scaled by the lcm of its denominators, which scales
 only its slack, so Bland's path and the pivot count are those of the
-rational tableau.  The certificate checks run on integer numerators
-(x = X/dx, y = Y/dy).  Only a caller's own LPs and the face LP of
-``unique_optimum`` can reach phase 1: the skeleton LP and
-``positive_dependence``'s one LP over a basis of the span both have b >= 0.
+rational tableau.  A pivot p with |p| = d, the common denominator
+(nearly every pivot of the skeleton LPs), turns the step
+``(x * p - f * q) // d`` into ``x - f * q // d``: only the pivot row's
+non-zero columns change, so only those are updated.  The certificate
+checks run on integer numerators (x = X/dx, y = Y/dy).  Only a caller's
+own LPs and the face LP of ``unique_optimum`` can reach phase 1: the
+skeleton LP and ``positive_dependence``'s one LP over a basis of the span
+both have b >= 0.
 The rank and that basis share one fraction-free Gauss-Jordan loop.
 """
 
@@ -110,19 +114,30 @@ def _bareiss_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
     """One fraction-free Gauss-Jordan step on ``rows[r][c]`` of a tableau of
     ints over d > 0 (Bareiss 1968): every other row's column c becomes 0,
     and ``(x * p - f * q) // d`` divides exactly.  A negative pivot negates
-    row r first, the same tableau over d > 0.  Returns the new d, |p|."""
+    row r first, the same tableau over d > 0.  At p = d the update is
+    ``x - f * q // d`` (d divides f * q), so a row with f != 0 changes, in
+    place, only where row r is not 0; else every row is rebuilt.  The rows
+    must be lists the caller owns.  Returns the new d, |p|."""
     prow = rows[r]
     p = prow[c]
     if p < 0:
         prow = rows[r] = [-q for q in prow]
         p = -p
+    if p == d:
+        nonzero = [(j, q) for j, q in enumerate(prow) if q]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j, q in nonzero:
+                    row[j] -= f * q // d
+        return p
     for i, row in enumerate(rows):
         if i == r:
             continue
         f = row[c]
         if f:
             rows[i] = [(x * p - f * q) // d for x, q in zip(row, prow)]
-        elif p != d:
+        else:
             rows[i] = [x * p // d for x in row]
     return p
 
@@ -137,7 +152,9 @@ class _Simplex:
     of -1.  ``z`` is d times the objective row for ``L_c c``, value last.
     A pivot on p leaves d the absolute basis determinant, so the update
     ``(x * p - f * q) // d`` divides exactly (Bareiss), and negates the
-    tableau when p < 0 (the phase-1 aux pivot and its exit pivot).
+    tableau when p < 0 (the phase-1 aux pivot and its exit pivot).  At
+    |p| = d it is ``x - f * q // d``, made in place on the pivot row's
+    non-zero columns only; the rows and z are the solver's own lists.
     ``Fraction`` is built only by ``obj``, ``primal_point`` and ``ray``.
     """
 
@@ -406,7 +423,8 @@ def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     The number of pivots of ``_gauss_jordan`` on the rows scaled to ints.
     ValueError for an entry of another type or for rows of different lengths.
     """
-    work = [_integer_row(row)[0] for row in rows]
+    # a copy: an all-int row comes back from the gate as the caller's own
+    work = [[*_integer_row(row)[0]] for row in rows]
     if len({len(row) for row in work}) > 1:
         raise ValueError("matrix rows have different lengths")
     return len(_gauss_jordan(work, len(work[0]) if work else 0)[0])

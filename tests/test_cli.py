@@ -76,6 +76,18 @@ def test_pin_below_least_value(capsys):
     assert "checked 78 reports: 78 match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, param, pivots", [("31", "p=48", 4514), ("49", "p=48", 4560)])
+def test_verify_at_the_rank_limit(capsys, case, param, pivots):
+    # rank 96, near the total-rank limit of 100: nearly every main-LP pivot
+    # has |p| = d, so a change of pivot path shows in the pivot total
+    assert cli.main(["verify", "--case", case, "--param", param, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 49 and all(row["match"] for row in rows)
+    assert sum(row["solve_stats"]["pivots"] for row in rows) == pivots
+    assert "checked 49 reports: 49 match, 0 mismatch" in err
+
+
 def test_verify_json_exact_fractions_round_trip():
     res = run_cli("verify", "--case", "34", "--format", "json")
     row = json.loads(res.stdout.splitlines()[0])

@@ -522,7 +522,21 @@ def test_deterministic_pivoting():
     assert first.pivots == second.pivots
 
 
-def test_random_instances_match_oracle():
+@pytest.fixture
+def branches(monkeypatch):
+    """How many steps of _bareiss_pivot had |p| = d (True) or not (False)."""
+    counts = {True: 0, False: 0}
+    real = exactlp._bareiss_pivot
+
+    def step(rows, r, c, d):
+        counts[abs(rows[r][c]) == d] += 1
+        return real(rows, r, c, d)
+
+    monkeypatch.setattr(exactlp, "_bareiss_pivot", step)
+    return counts
+
+
+def test_random_instances_match_oracle(branches):
     # the acceptance suite runs >= 1000; keep a fast slice here
     rng = random.Random(20240817)
     optimal = unbounded = infeasible = 0
@@ -550,6 +564,7 @@ def test_random_instances_match_oracle():
         else:
             unbounded += 1
     assert optimal and unbounded and infeasible
+    assert branches[True] and branches[False]
 
 
 def _pivot_path_lps(seed, count):
@@ -609,7 +624,7 @@ def _fraction_rank(rows):
     return rank
 
 
-def test_matrix_rank():
+def test_matrix_rank(branches):
     assert matrix_rank([]) == 0
     assert matrix_rank([[0, 0]]) == 0
     assert matrix_rank([[], []]) == 0
@@ -641,3 +656,63 @@ def test_matrix_rank():
         ranks.append(matrix_rank(rows))
         assert ranks[-1] == _fraction_rank(rows), rows
     assert len(set(ranks)) == 7
+    assert branches[True] and branches[False]
+
+
+def _dense_step(rows, r, c, d):
+    """A dense fraction-free step, the reference for _bareiss_pivot: new rows
+    (row r negated when its pivot is negative), every quotient checked exact."""
+    sign = -1 if rows[r][c] < 0 else 1
+    prow = [sign * q for q in rows[r]]
+    p = prow[c]
+    out = []
+    for i, row in enumerate(rows):
+        if i == r:
+            out.append(prow)
+            continue
+        new = [x * p - row[c] * q for x, q in zip(row, prow)]
+        assert all(v % d == 0 for v in new)
+        out.append([v // d for v in new])
+    return out, p
+
+
+def test_bareiss_step_matches_dense_reference():
+    # seeded walks of pivots on int tableaux, each step against the dense
+    # reference; at |p| = d the rows with f != 0 are updated in place (the
+    # sparse branch), at |p| != d they are rebuilt (the dense one)
+    rng = random.Random(1968)
+    seen = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        spread = rng.choice((1, 2, 5))
+        rows = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(m)]
+        d = 1
+        for _ in range(rng.randint(1, 6)):
+            cells = [(i, j) for i in range(m) for j in range(n) if rows[i][j]]
+            if not cells:
+                break
+            r, c = rng.choice(cells)
+            want, want_d = _dense_step(rows, r, c, d)
+            sparse = abs(rows[r][c]) == d
+            seen.add((sparse, rows[r][c] < 0))
+            before = list(rows)
+            updated = [i for i in range(m) if i != r and rows[i][c]]
+            got_d = exactlp._bareiss_pivot(rows, r, c, d)
+            assert (got_d, rows) == (want_d, want)
+            assert all((rows[i] is before[i]) == sparse for i in updated)
+            d = got_d
+    # p = d and p != d, each with a positive and a negative pivot
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_rank_and_basis_leave_caller_rows_alone():
+    # an all-int row passes the gate as given; the first pivot is 1 = d, the
+    # in-place step, so only a copy keeps the caller's rows as they were
+    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 10], [2, 4, 6]]
+    kept = [list(row) for row in rows]
+    assert matrix_rank(rows) == 3
+    basis = exactlp.span_basis(rows, 3)
+    assert rows == kept
+    as_tuples = tuple(tuple(row) for row in rows)
+    assert matrix_rank(as_tuples) == 3
+    assert exactlp.span_basis(as_tuples, 3) == basis
