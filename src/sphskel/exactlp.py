@@ -2,8 +2,8 @@
 
 Canonical form: maximize c.x subject to A x <= b, x >= 0, every entry an
 ``int`` or a ``fractions.Fraction``.  The solver is a two-phase primal
-simplex with Bland's rule (entering: smallest index with negative reduced
-cost; leaving: smallest basic index among the minimum ratios), so it
+simplex with Bland's rule (entering: smallest label with negative reduced
+cost; leaving: smallest basic label among the minimum ratios), so it
 terminates and every run is deterministic.  Optimal solutions carry the
 exact dual vector read off the slack columns; unbounded ones carry an
 improving ray.
@@ -11,15 +11,18 @@ improving ray.
 The tableau holds Python ints only (Edmonds 1967, Bareiss 1968): each row
 of ``[A | b]`` and c is scaled by the lcm of its denominators, which scales
 only its slack, so Bland's path and the pivot count are those of the
-rational tableau.  A pivot p with |p| = d, the common denominator
-(nearly every pivot of the skeleton LPs), turns the step
+rational tableau.  It is condensed (Tucker 1960): a basic column is d e_i,
+d the common denominator, so only the nonbasic columns are kept, each under
+its variable's label, and one exchange step swaps the entering column for
+the leaving one.  Each entry is the full tableau's, int for int.  A pivot
+p with |p| = d (nearly every pivot of the skeleton LPs) turns the step
 ``(x * p - f * q) // d`` into ``x - f * q // d``: only the pivot row's
 non-zero columns change, so only those are updated.  The certificate
 checks run on integer numerators (x = X/dx, y = Y/dy).  Only a caller's
 own LPs and the face LP of ``unique_optimum`` can reach phase 1: the
 skeleton LP and ``positive_dependence``'s one LP over a basis of the span
 both have b >= 0.
-The rank and that basis share one fraction-free Gauss-Jordan loop.
+The rank and that basis share one Gauss-Jordan loop of the same step.
 """
 
 from __future__ import annotations
@@ -110,24 +113,32 @@ class LpSolution:
     pivots: int = 0
 
 
-def _bareiss_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
-    """One fraction-free Gauss-Jordan step on ``rows[r][c]`` of a tableau of
-    ints over d > 0 (Bareiss 1968): every other row's column c becomes 0,
-    and ``(x * p - f * q) // d`` divides exactly.  A negative pivot negates
-    row r first, the same tableau over d > 0.  At p = d the update is
-    ``x - f * q // d`` (d divides f * q), so a row with f != 0 changes, in
-    place, only where row r is not 0; else every row is rebuilt.  The rows
-    must be lists the caller owns.  Returns the new d, |p|."""
+def _exchange(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """One fraction-free exchange step on ``rows[r][c]`` of a condensed
+    tableau of ints over d > 0 (Tucker 1960, Edmonds 1967): the rows hold the
+    nonbasic columns only, since a basic one is d e_i.  Column c's variable
+    enters in row r, and column c becomes the leaving variable's: d in row r
+    (-d once a negative pivot has negated row r) and 0 elsewhere.  Every
+    column then takes the Bareiss update ``(x * p - f * q) // d``, f a row's
+    old entry in column c, which divides exactly; so row i's entry in column
+    c ends as -f or f.  At p = d the update is ``x - f * q // d``, so a row
+    with f != 0 changes, in place, only where row r is not 0; else every row
+    is rebuilt.  The rows must be lists the caller owns.  Returns the new d,
+    |p|."""
     prow = rows[r]
     p = prow[c]
     if p < 0:
         prow = rows[r] = [-q for q in prow]
         p = -p
+        prow[c] = -d
+    else:
+        prow[c] = d
     if p == d:
         nonzero = [(j, q) for j, q in enumerate(prow) if q]
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
+                row[c] = 0
                 for j, q in nonzero:
                     row[j] -= f * q // d
         return p
@@ -136,6 +147,7 @@ def _bareiss_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
             continue
         f = row[c]
         if f:
+            row[c] = 0
             rows[i] = [(x * p - f * q) // d for x, q in zip(row, prow)]
         else:
             rows[i] = [x * p // d for x in row]
@@ -143,35 +155,31 @@ def _bareiss_pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
 
 
 class _Simplex:
-    """Dense tableau of ints over one common denominator ``d > 0``.
+    """Condensed tableau of ints over one common denominator ``d > 0``.
 
-    The rows are ``d * B^-1 [LA | I | Lb]``, where ``problem.scaled`` gives
-    row i of A and b scaled by L_i, the lcm of its denominators, and L_c c;
-    the tableau never gates an entry again.  x keeps the problem's units,
-    slack i is s'_i = L_i s_i, and phase 1's aux column holds -L_i, the image
-    of -1.  ``z`` is d times the objective row for ``L_c c``, value last.
-    A pivot on p leaves d the absolute basis determinant, so the update
-    ``(x * p - f * q) // d`` divides exactly (Bareiss), and negates the
-    tableau when p < 0 (the phase-1 aux pivot and its exit pivot).  At
-    |p| = d it is ``x - f * q // d``, made in place on the pivot row's
-    non-zero columns only; the rows and z are the solver's own lists.
+    Variables carry labels: x_j is j, slack i is n + i and phase 1's aux is
+    n + m.  ``basis`` labels the rows and ``nonbasic`` the columns; the rows
+    are ``d * B^-1 [LA | I | Lb]`` restricted to the nonbasic columns and the
+    rhs, since a basic column is d e_i (Tucker 1960).  ``problem.scaled``
+    gives row i of A and b scaled by L_i, the lcm of its denominators, and
+    L_c c; the tableau never gates an entry again.  x keeps the problem's
+    units, slack i is s'_i = L_i s_i, and the aux column holds -L_i, the
+    image of -1.  ``z`` is d times the objective row for ``L_c c`` on the
+    same columns, value last.  A pivot is one ``_exchange`` step: d stays
+    the absolute basis determinant, and every entry equals the full
+    tableau's, so Bland's rule on labels takes the full tableau's path.
     ``Fraction`` is built only by ``obj``, ``primal_point`` and ``ray``.
     """
 
     def __init__(self, problem: LpProblem):
         m, n = problem.m, problem.n
         self.m, self.n = m, n
-        self.width = n + m  # structural + slack columns; aux column may follow
-        self.rows: list[list[int]] = []
-        self.row_scale: list[int] = []
         *rows, (self.cost, self.cost_scale) = problem.scaled
-        for i, (scaled, scale) in enumerate(rows):
-            row = [*scaled[:n], *[0] * m, scaled[n]]
-            row[n + i] = 1
-            self.rows.append(row)
-            self.row_scale.append(scale)
+        self.rows: list[list[int]] = [[*scaled] for scaled, _ in rows]
+        self.row_scale = [scale for _, scale in rows]
         self.b = problem.b
         self.basis = [n + i for i in range(m)]
+        self.nonbasic = list(range(n))
         self.d = 1
         self.z: list[int] = []
         self.pivots = 0
@@ -179,21 +187,18 @@ class _Simplex:
     def pivot(self, r: int, c: int) -> None:
         self.pivots += 1
         self.rows.append(self.z)  # z takes the same step as a row
-        self.d = _bareiss_pivot(self.rows, r, c, self.d)
+        self.d = _exchange(self.rows, r, c, self.d)
         self.z = self.rows.pop()
-        self.basis[r] = c
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
     def run(self) -> int | None:
         """Bland iterations; None once optimal, else the unbounded column."""
+        nonbasic = self.nonbasic
         while True:
-            enter = -1
-            z = self.z
-            for j in range(self.width):
-                if z[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
+            negative = [k for k, x in zip(nonbasic, self.z) if x < 0]
+            if not negative:
                 return None
+            enter = nonbasic.index(min(negative))
             leave, best_rhs, best_coef = -1, 0, 1
             for i, row in enumerate(self.rows):
                 coef = row[enter]
@@ -209,44 +214,49 @@ class _Simplex:
             self.pivot(leave, enter)
 
     def set_objective(self, c: Sequence[int]) -> None:
-        """Objective row for the current basis (integer c over all columns)."""
-        z = [-self.d * x for x in c] + [0]
-        for i in range(self.m):
-            ck = c[self.basis[i]]
+        """Objective row for the current basis (integer c over all labels)."""
+        z = [-self.d * c[k] for k in self.nonbasic] + [0]
+        for row, k in zip(self.rows, self.basis):
+            ck = c[k]
             if ck:
-                z = [a + ck * p for a, p in zip(z, self.rows[i])]
+                z = [a + ck * p for a, p in zip(z, row)]
         self.z = z
 
     def phase1(self) -> None:
         """One-artificial-variable phase 1; raises LpInfeasibleError."""
-        aux = self.width
-        self.width += 1
+        aux = self.n + self.m
         for row, scale in zip(self.rows, self.row_scale):
-            row.insert(aux, -scale)
+            row.insert(-1, -scale)
+        self.nonbasic.append(aux)
         # the worst row on the unscaled b, so the path is the unscaled one
         worst = min(range(self.m), key=lambda i: (self.b[i], self.basis[i]))
-        c = [0] * self.width
+        c = [0] * (aux + 1)
         c[aux] = -1
         self.set_objective(c)
-        self.pivot(worst, aux)
+        self.pivot(worst, len(self.nonbasic) - 1)
         self.run()  # bounded by construction: -x0 <= 0
         if self.z[-1] < 0:
             raise LpInfeasibleError("empty feasible region")
         if aux in self.basis:
             # x0 basic at 0: pivot it out; its slack columns hold a row of B^-1, never 0
             r = self.basis.index(aux)
-            self.pivot(r, next(j for j in range(aux) if self.rows[r][j] != 0))
+            nonzero = [k for k, x in zip(self.nonbasic, self.rows[r]) if x]
+            self.pivot(r, self.nonbasic.index(min(nonzero)))
+        j = self.nonbasic.index(aux)
         for row in self.rows:
-            del row[aux]
-        self.width -= 1
+            del row[j]
+        del self.nonbasic[j]
 
     @cached_property
     def obj(self) -> tuple[Fraction, ...]:
-        """The duals (in the units of the unscaled slacks s_i), then the
-        value; read it only once the solve is over."""
+        """The duals (in the units of the unscaled slacks s_i; 0 for a basic
+        slack), then the value; read it only once the solve is over."""
+        n, z = self.n, self.z
         scale = self.d * self.cost_scale
-        z = self.z
-        obj = [Fraction(s * x, scale) for s, x in zip(self.row_scale, z[self.n:-1])]
+        obj = [_ZERO] * self.m
+        for k, x in zip(self.nonbasic, z):
+            if k >= n and x:
+                obj[k - n] = Fraction(self.row_scale[k - n] * x, scale)
         obj.append(Fraction(z[-1], scale))
         return tuple(obj)
 
@@ -260,11 +270,11 @@ class _Simplex:
     def ray(self, col: int) -> tuple[Fraction, ...]:
         """The improving ray on x when column ``col`` enters unbounded: a
         slack s'_k = L_k s_k enters at L_k per unit of s_k."""
-        n = self.n
-        scale = self.row_scale[col - n] if col >= n else 1
+        n, e = self.n, self.nonbasic[col]
+        scale = self.row_scale[e - n] if e >= n else 1
         ray = [_ZERO] * n
-        if col < n:
-            ray[col] = _ONE
+        if e < n:
+            ray[e] = _ONE
         for i, k in enumerate(self.basis):
             if k < n:
                 ray[k] = Fraction(-self.rows[i][col] * scale, self.d)
@@ -276,8 +286,7 @@ def solve_max(problem: LpProblem) -> LpSolution:
     simplex = _Simplex(problem)
     if any(bi < 0 for bi in problem.b):
         simplex.phase1()
-    n = problem.n
-    simplex.set_objective([*simplex.cost, *[0] * (simplex.width - n)])
+    simplex.set_objective([*simplex.cost, *[0] * problem.m])
     unbounded_col = simplex.run()
     if unbounded_col is not None:
         return LpSolution(
@@ -286,7 +295,7 @@ def solve_max(problem: LpProblem) -> LpSolution:
             ray=simplex.ray(unbounded_col),
             pivots=simplex.pivots,
         )
-    # dual components live on the slack columns (slack i is column n+i)
+    # the duals are the slacks' reduced costs (slack i has label n+i; 0 when basic)
     return LpSolution(
         status="optimal",
         primal=simplex.primal_point(),
@@ -397,9 +406,11 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
 
 def _gauss_jordan(rows: list[list[int]], count: int) -> tuple[list[int], list[int], int]:
     """Fraction-free Gauss-Jordan (Bareiss 1968) over the first ``count``
-    columns of int ``rows``, in place: each column pivots on the first row not
-    yet pivoted with a non-zero entry there.  Returns the pivot columns, their
-    rows and the last pivot d (1 if none); d is every pivot entry at the end."""
+    columns of int ``rows``, in place, by ``_exchange`` steps on the rows as
+    a condensed tableau whose basis is one unit column per row: each column
+    pivots on the first row not yet pivoted with a non-zero entry there, and
+    then holds the column of that row's unit vector.  Returns the pivot
+    columns, their rows and the last pivot d (1 if none), the denominator."""
     free = list(range(len(rows)))
     cols: list[int] = []
     pivot_rows: list[int] = []
@@ -410,7 +421,7 @@ def _gauss_jordan(rows: list[list[int]], count: int) -> tuple[list[int], list[in
         r = next((i for i in free if rows[i][c]), None)
         if r is None:
             continue
-        d = _bareiss_pivot(rows, r, c, d)
+        d = _exchange(rows, r, c, d)
         free.remove(r)
         cols.append(c)
         pivot_rows.append(r)
@@ -451,24 +462,26 @@ class SpanBasis:
 def span_basis(vectors: Sequence[Sequence[int | Fraction]], dim: int) -> SpanBasis:
     """The basis of the span of ``vectors`` (each with ``dim`` entries).
 
-    ``_gauss_jordan`` on [V^T | I], scaled to ints: its pivot columns are the
-    greedy choice, and pivot row k ends as d times [the k-th coordinate of
-    every vector | row k of P].  den is the least that makes them all ints.
-    ValueError as ``matrix_rank``.
+    ``_gauss_jordan`` on V^T, scaled to ints by ``scale``: its pivot columns
+    are the greedy choice, and pivot row k ends as d times the k-th
+    coordinate of every vector.  The pivot columns then hold the unit
+    vectors' columns, so d times row k of P is ``scale`` times pivot row k's
+    entry in the column of e_j (0 for a row never pivoted).  den is the least
+    that makes them all ints.  ValueError as ``matrix_rank``.
     """
     count = len(vectors)
     if any(len(v) != dim for v in vectors):
         raise ValueError(f"vectors must have {dim} entries")
     flat, scale = _integer_row([x for v in vectors for x in v])
-    rows = [
-        [*flat[i::dim], *[scale if j == i else 0 for j in range(dim)]] for i in range(dim)
-    ]
+    rows = [flat[i::dim] for i in range(dim)]
     basis, pivot_rows, d = _gauss_jordan(rows, count)
     picked = set(basis)
     others = [c for c in range(count) if c not in picked]
     ordered = [rows[r] for r in pivot_rows]
-    g = gcd(d, *[x for row in ordered for x in (*row[count:], *[row[c] for c in others])])
-    inverse = tuple([tuple([row[count + j] // g for row in ordered]) for j in range(dim)])
+    at = dict(zip(pivot_rows, basis))  # e_j's column, for each pivot row j
+    p = [[scale * row[at[j]] if j in at else 0 for j in range(dim)] for row in ordered]
+    g = gcd(d, *[x for row in p for x in row], *[row[c] for row in ordered for c in others])
+    inverse = tuple([tuple([row[j] // g for row in p]) for j in range(dim)])
     coords = tuple([tuple([row[c] // g for row in ordered]) for c in others])
     return SpanBasis(tuple(basis), inverse, coords, d // g)
 

@@ -365,8 +365,8 @@ class SkeletonParseError(ValueError):
 
 def frac_str(x: Fraction | int) -> str:
     """A rational as a reduced fraction string, "n" or "n/d"."""
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    n, d = x.numerator, x.denominator  # an int or a Fraction is already reduced
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _object(data, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):

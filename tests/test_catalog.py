@@ -245,6 +245,19 @@ def test_catalog_system_data_pinned():
         assert digest.hexdigest() == expected, label
 
 
+def test_span_bases_pinned():
+    # the SpanBasis of every deep-profile system: the greedy colors, the
+    # inverse read off the pivot columns, the other colors' coordinates and
+    # den, pinned to the digest of the [V^T | I] elimination they replaced
+    instances = catalog.sweep_instances(profile=cli.load_sweep_profile("deep"))
+    digest = hashlib.sha256()
+    for inst in instances:
+        b = inst.system.basis
+        digest.update(repr((b.indices, b.inverse, b.coords, b.den)).encode())
+    assert len(instances) == 676
+    assert digest.hexdigest() == "8ded64e31c4071bd8580b0279d63bffff66ce3d51faf4efd8f1909797904bc11"
+
+
 def test_sigma_labels_derived():
     assert catalog.instantiate(43, "p=q=r=0").sigma_labels == (
         "alpha_1", "alpha'_1", "alpha''_1",

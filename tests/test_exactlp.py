@@ -524,15 +524,15 @@ def test_deterministic_pivoting():
 
 @pytest.fixture
 def branches(monkeypatch):
-    """How many steps of _bareiss_pivot had |p| = d (True) or not (False)."""
+    """How many exchange steps had |p| = d (True) or not (False)."""
     counts = {True: 0, False: 0}
-    real = exactlp._bareiss_pivot
+    real = exactlp._exchange
 
     def step(rows, r, c, d):
         counts[abs(rows[r][c]) == d] += 1
         return real(rows, r, c, d)
 
-    monkeypatch.setattr(exactlp, "_bareiss_pivot", step)
+    monkeypatch.setattr(exactlp, "_exchange", step)
     return counts
 
 
@@ -608,6 +608,31 @@ def test_pivot_path_pinned():
     assert digest == "961f462949f8f1d3f8136c49140bb3dc9e3bb36fb505a96bb3672fd6ef0db757"
 
 
+def _dense_lps(seed, count):
+    """Seeded dense LPs of the size of the benchmark's: n and m in 4..12, A
+    and c in -9..9, and b = A x0 plus -3..3 with x0 in 0..1, so some need
+    phase 1 and some are infeasible."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randint(4, 12), rng.randint(4, 12)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        x0 = [rng.randint(0, 1) for _ in range(n)]
+        b = [sum(map(mul, row, x0)) + rng.randint(-3, 3) for row in a]
+        yield a, b, [rng.randint(-9, 9) for _ in range(n)]
+
+
+def test_dense_pivot_path_pinned(branches):
+    # every field of 200 larger solves, where most steps have |p| != d,
+    # pinned to the digest of the full tableau this solver replaced
+    outcomes = [_outcome(LpProblem.make(a, b, c)) for a, b, c in _dense_lps(1960, 200)]
+    statuses = [o.partition("|")[0] for o in outcomes]
+    counts = {s: statuses.count(s) for s in ("infeasible", "optimal", "unbounded")}
+    assert counts == {"infeasible": 43, "optimal": 70, "unbounded": 87}
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "1d9cf6bd78767ebff75b74461bd4c6901d3fe4fdc21b2193533b7d3bc68ef502"
+    assert branches == {True: 208, False: 1896}
+
+
 def _fraction_rank(rows):
     """Rank by plain Gaussian elimination over Fractions."""
     work = [[F(x) for x in row] for row in rows]
@@ -660,8 +685,9 @@ def test_matrix_rank(branches):
 
 
 def _dense_step(rows, r, c, d):
-    """A dense fraction-free step, the reference for _bareiss_pivot: new rows
-    (row r negated when its pivot is negative), every quotient checked exact."""
+    """A dense fraction-free step on a full tableau, the reference for the
+    exchange step: new rows (row r negated when its pivot is negative),
+    every quotient checked exact."""
     sign = -1 if rows[r][c] < 0 else 1
     prow = [sign * q for q in rows[r]]
     p = prow[c]
@@ -676,29 +702,45 @@ def _dense_step(rows, r, c, d):
     return out, p
 
 
-def test_bareiss_step_matches_dense_reference():
-    # seeded walks of pivots on int tableaux, each step against the dense
-    # reference; at |p| = d the rows with f != 0 are updated in place (the
-    # sparse branch), at |p| != d they are rebuilt (the dense one)
+def _full(rows, basis, nonbasic, d):
+    """The full tableau of condensed rows: column nonbasic[j] from column j,
+    and the basic unit columns, d in row i at label basis[i], put back."""
+    full = []
+    for i, row in enumerate(rows):
+        out = [0] * (len(basis) + len(nonbasic))
+        for k, x in zip(nonbasic, row):
+            out[k] = x
+        out[basis[i]] = d
+        full.append(out)
+    return full
+
+
+def test_exchange_step_matches_dense_reference():
+    # seeded walks of pivots on condensed int tableaux: after each exchange
+    # step, the condensed rows with the unit columns put back are the dense
+    # step's full tableau; at |p| = d the rows with f != 0 are updated in
+    # place, at |p| != d they are rebuilt
     rng = random.Random(1968)
     seen = set()
     for _ in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 7)
         spread = rng.choice((1, 2, 5))
         rows = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(m)]
+        nonbasic, basis = list(range(n)), list(range(n, n + m))
         d = 1
         for _ in range(rng.randint(1, 6)):
             cells = [(i, j) for i in range(m) for j in range(n) if rows[i][j]]
             if not cells:
                 break
             r, c = rng.choice(cells)
-            want, want_d = _dense_step(rows, r, c, d)
+            want, want_d = _dense_step(_full(rows, basis, nonbasic, d), r, nonbasic[c], d)
             sparse = abs(rows[r][c]) == d
             seen.add((sparse, rows[r][c] < 0))
             before = list(rows)
             updated = [i for i in range(m) if i != r and rows[i][c]]
-            got_d = exactlp._bareiss_pivot(rows, r, c, d)
-            assert (got_d, rows) == (want_d, want)
+            got_d = exactlp._exchange(rows, r, c, d)
+            basis[r], nonbasic[c] = nonbasic[c], basis[r]
+            assert (got_d, _full(rows, basis, nonbasic, got_d)) == (want_d, want)
             assert all((rows[i] is before[i]) == sparse for i in updated)
             d = got_d
     # p = d and p != d, each with a positive and a negative pivot
