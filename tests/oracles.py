@@ -35,7 +35,8 @@ def _solve_square(rows, rhs):
     return tuple(work[i][n] / work[i][i] for i in range(n))
 
 
-def _rank(rows):
+def oracle_rank(rows):
+    """Rank by plain Gaussian elimination over Fractions."""
     if not rows:
         return 0
     work = [[F(x) for x in row] for row in rows]
@@ -99,7 +100,7 @@ def oracle_positive_span(vectors, dim) -> bool:
     if dim == 0:
         return True
     vectors = [tuple(F(x) for x in v) for v in vectors]
-    if _rank(vectors) != dim:
+    if oracle_rank(vectors) != dim:
         return False
     for subset in combinations(range(len(vectors)), dim - 1):
         normal = _nullspace_line([vectors[i] for i in subset], dim)

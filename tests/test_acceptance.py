@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each printing a PASS line, and
+the pinned outputs of the commands, one digest each in ``PINNED_OUTPUTS``.
 
 Every expected number asserted here is frozen in this file (hand-evaluated
 from the printed closed forms), so the checks are independent of the
@@ -14,7 +15,6 @@ and by anchored neighbouring computations, and are flagged in the entries'
 from __future__ import annotations
 
 import hashlib
-import io
 import random
 import re
 import time
@@ -542,55 +542,58 @@ def test_minimal_supports_match_catalog():
     print(f"ACCEPTANCE (minimal supports = catalog): PASS [{supports} supports]")
 
 
-# sha256 of `sphskel verify --case all --format json` with the timings
-# removed; any change to a report's keys, values or order changes it
-VERIFY_JSON_SHA256 = "509bc5c1f7679c608dca30f29387b36452bfe67b9057146475572c6526e8f7e8"
-
-
-def test_verify_json_output_identity(sweep_reports):
-    """The default sweep's JSON reports are byte-identical to the pinned ones."""
-    buf = io.StringIO()
-    cli.print_reports(sweep_reports, "json", buf)
-    text = re.sub(r', "wall_ms": [0-9.e-]+', "", buf.getvalue())
-    assert text.count("\n") == 577
-    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_JSON_SHA256
-
-
-# sha256 of the `sphskel verify --case all` text table
-VERIFY_TEXT_SHA256 = "3c81bead395045c5a8a90e050ada0c66aa818642499e0a9f726705214e5ba8e2"
-
-
-def test_verify_text_output_identity(sweep_reports):
-    """The default sweep's text table is byte-identical to the pinned one."""
-    buf = io.StringIO()
-    cli.print_reports(sweep_reports, "text", buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == VERIFY_TEXT_SHA256
-
-
-# sha256 of `sphskel supports --case all --sweep smoke --format json`: the
-# minimal supports, their verdicts and the certificates of every family
-SUPPORTS_SMOKE_JSON_SHA256 = "304766c568bcc19de03a75f982f1c8689cfdc5a8f75ea35299f9ef85d303c6cb"
-
-
-def test_supports_smoke_json_output_identity(capsys):
-    """Every family's smoke-sweep supports are byte-identical to the pinned ones."""
-    argv = ["supports", "--case", "all", "--sweep", "smoke", "--format", "json"]
-    assert cli.main(argv) == 0
-    text = capsys.readouterr().out
-    assert text.count("\n") == len(catalog.FAMILIES) == 31
-    assert hashlib.sha256(text.encode()).hexdigest() == SUPPORTS_SMOKE_JSON_SHA256
-
-
-# sha256 of `sphskel supports --case all` on stdout, as JSON and as text
-SUPPORTS_SHA256 = {
-    "json": "46bc8241e18d0b6ca06fc3ada227c78fab670bf6e8b1e89dd4e18ed8ac4d2746",
-    "text": "1a7534319d73ac2da1e4507ddb77cc00bc089f53cdb7cf2f68efd4ba62fb4db8",
+# sha256 of each command's stdout, `wall_ms` removed: any change to a
+# report's keys, values or order changes it.  Each command exits 0, so every
+# verify report matches the catalog.
+PINNED_OUTPUTS = {
+    "verify --case all": "3c81bead395045c5a8a90e050ada0c66aa818642499e0a9f726705214e5ba8e2",
+    "verify --case all --format json":
+        "509bc5c1f7679c608dca30f29387b36452bfe67b9057146475572c6526e8f7e8",
+    # 1604 reports with every range extended, where the fractions in P,
+    # theta and pivots grow
+    "verify --case all --sweep deep --format json":
+        "365c2b75625ba908e1a197780f99b33e1132cdf98e59f1662f7a21b539935cfb",
+    # A_96 (|Sigma| 95, 49 reports), near the total-rank limit of 100: its
+    # budget 4656 is |R+| from the component type, and nearly every one of
+    # its 4514 main-LP pivots has |p| = d
+    "verify --case 31 --param p=48 --format json":
+        "c47618d788bb6985a5485e6d55cfcbb3bb5149b4d1fe912ba109422a97aa3d0c",
+    # the other family at |Sigma| 95 (49 reports, 4560 main-LP pivots), where
+    # completeness is decided in the colors' basis: one LP over 95 columns
+    "verify --case 49 --param p=48 --format json":
+        "635878f0dd653c1d07d2507f03930e0f8a219c0c1c447e503dfa4a054eefa548",
+    # both parities, B_24 x D_24 and B_23 x D_24 (48 reports), past the deep
+    # profile's q=15: the colors' chain rule at large q
+    "verify --case 50 --param q=24 --format json":
+        "9257906d73c9d3517c6e0594731ecd6dcec04c3313d58f50e000ff71af5cc200",
+    # all four sub-cases that take p, each laid out by the A_1/C_{k+1} block
+    # rule (39 reports), past the deep profile
+    "verify --case 43 --param p=30 --format json":
+        "bc81042a4ae59ded828b244a016789a7cc65b36c2d646d83024c568b99d1002b",
+    # both sub-cases, p = 0 an A_1 block and p >= 1 a C_{p+1} block
+    # (12 reports), past the deep profile
+    "verify --case 47 --param q=40 --format json":
+        "d5ce4b74837dd1d94412d3bbd4695c51ea8fb99e08eb4ed47d0bc53d84ca794c",
+    # 676 systems and 1483 minimal supports (696/443/344 of sizes 1/2/3)
+    "supports --case all --sweep deep --format json":
+        "2fbcf9b59dff4f8a6cd447c127e153068f3f74ffc191b227d33713190fd471c5",
+    "supports --case all --format json":
+        "46bc8241e18d0b6ca06fc3ada227c78fab670bf6e8b1e89dd4e18ed8ac4d2746",
+    "supports --case all": "1a7534319d73ac2da1e4507ddb77cc00bc089f53cdb7cf2f68efd4ba62fb4db8",
+    # the minimal supports, their verdicts and the certificates of every family
+    "supports --case all --sweep smoke --format json":
+        "304766c568bcc19de03a75f982f1c8689cfdc5a8f75ea35299f9ef85d303c6cb",
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(SUPPORTS_SHA256))
-def test_supports_output_identity(capsys, fmt):
-    """The default sweep's minimal supports are byte-identical to the pinned ones."""
-    assert cli.main(["supports", "--case", "all", "--format", fmt]) == 0
-    text = capsys.readouterr().out
-    assert hashlib.sha256(text.encode()).hexdigest() == SUPPORTS_SHA256[fmt]
+def _command_id(command):
+    """``verify --case 31 --param p=48 --format json`` -> ``verify-31-p=48-json``."""
+    return "-".join(word for word in command.split() if not word.startswith("--"))
+
+
+@pytest.mark.parametrize("command", PINNED_OUTPUTS, ids=_command_id)
+def test_pinned_output(capsys, command):
+    """The command's stdout is byte-identical to the pinned one."""
+    assert cli.main(command.split()) == 0
+    text = re.sub(r', "wall_ms": [0-9.e-]+', "", capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OUTPUTS[command]

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     oracle_certificate_check,
     oracle_positive_span,
+    oracle_rank,
     oracle_solve,
     oracle_unique,
 )
@@ -334,7 +335,7 @@ def test_span_basis_of_a_rank_deficient_set():
             vectors.append([x - F(1, 3) * y for x, y in zip(u, v)])
         basis = exactlp.span_basis(vectors, dim)
         rank = len(basis.indices)
-        assert rank == _fraction_rank(vectors) and basis.den > 0, vectors
+        assert rank == oracle_rank(vectors) and basis.den > 0, vectors
         deficient += rank < dim
         rows = [vectors[i] for i in basis.indices]
         p = [[F(basis.inverse[j][k], basis.den) for j in range(dim)] for k in range(rank)]
@@ -633,22 +634,6 @@ def test_dense_pivot_path_pinned(branches):
     assert branches == {True: 208, False: 1896}
 
 
-def _fraction_rank(rows):
-    """Rank by plain Gaussian elimination over Fractions."""
-    work = [[F(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(work[0]) if work else 0):
-        r = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if r is None:
-            continue
-        work[rank], work[r] = work[r], work[rank]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col] / work[rank][col]
-            work[i] = [x - f * p for x, p in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
 def test_matrix_rank(branches):
     assert matrix_rank([]) == 0
     assert matrix_rank([[0, 0]]) == 0
@@ -679,7 +664,7 @@ def test_matrix_rank(branches):
             u, v = rng.choice(rows), rng.choice(rows)
             rows.insert(rng.randrange(len(rows)), [x - F(2, 3) * y for x, y in zip(u, v)])
         ranks.append(matrix_rank(rows))
-        assert ranks[-1] == _fraction_rank(rows), rows
+        assert ranks[-1] == oracle_rank(rows), rows
     assert len(set(ranks)) == 7
     assert branches[True] and branches[False]
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import lemmas
-from oracles import _rank
+from oracles import oracle_rank
 from sphskel import catalog, cli, exactlp, mukai, rootsys, skeleton as sk
 from sphskel.skeleton import (
     BoundaryDivisor,
@@ -148,7 +148,7 @@ def test_completeness_in_span_coordinates_matches_rank_oracle():
         for skel in skeletons:
             rows = [div.rho for div in skel.divisors]
             lam, y = sk.completeness_witness(skel)
-            if _rank(rows) < nsig:
+            if oracle_rank(rows) < nsig:
                 assert (lam, y) == (None, None), (inst.label, skel.boundary)
             elif lam is not None:
                 assert y is None and len(lam) == len(rows)

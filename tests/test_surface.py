@@ -5,8 +5,9 @@ what a user or the benchmark runs: ``cli.main``, ``sphskel.__all__``, every
 identifier ``perfbench/*.py`` uses, and the entry points the README documents
 that have no caller in the package.  A definition reaches whatever its body
 names, through the package's own imports.  Code that only the tests call
-lives under ``tests/`` (the paper's lemmas in ``lemmas.py``).  The sources
-are read with ``ast`` alone; nothing here imports ``sphskel``.
+lives under ``tests/`` (the paper's lemmas in ``lemmas.py``).  The texts
+``perfbench/selftest.py`` plants its faults on must stay in the sources.  The
+sources are read with ``ast`` alone; nothing here imports ``sphskel``.
 """
 
 from __future__ import annotations
@@ -88,11 +89,12 @@ def _perfbench_identifiers() -> set[str]:
     return out
 
 
-def _all_names() -> list[str]:
-    for stmt in _parse(SRC / "__init__.py").body:
-        if "__all__" in _defined(stmt):
+def _literal(path: pathlib.Path, name: str):
+    """The literal a module assigns to ``name`` at top level."""
+    for stmt in _parse(path).body:
+        if name in _defined(stmt):
             return ast.literal_eval(stmt.value)
-    raise AssertionError("sphskel/__init__.py has no __all__")
+    raise AssertionError(f"{path.relative_to(ROOT)} has no {name}")
 
 
 def test_every_public_definition_is_reached():
@@ -102,7 +104,7 @@ def test_every_public_definition_is_reached():
         assert key in uses, f"documented entry point {key} is not defined"
     perf = _perfbench_identifiers()
     roots = [("cli", "main"), *DOCUMENTED]
-    roots += [("__init__", name) for name in _all_names()]
+    roots += [("__init__", name) for name in _literal(SRC / "__init__.py", "__all__")]
     roots += [(mod, name) for mod, names in defs.items() for name in names if name in perf]
     roots += [(mod, None) for mod in defs]
     reached, todo = set(), list(roots)
@@ -134,3 +136,11 @@ def test_oracles_import_nothing_from_sphskel():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sphskel":
             found.append(node.module)
     assert not found, f"tests/oracles.py imports {found}"
+
+
+def test_benchmark_plants_find_their_text():
+    # the self-test plants each fault by replacing this text in a copy of the
+    # source, and fails when the text is gone
+    plants = _literal(ROOT / "perfbench" / "selftest.py", "PLANTS")
+    for name, (filename, text, _, _) in plants.items():
+        assert text in (SRC / filename).read_text(encoding="utf-8"), (name, filename, text)
