@@ -574,6 +574,18 @@ PINNED_OUTPUTS = {
     # (12 reports), past the deep profile
     "verify --case 47 --param q=40 --format json":
         "d5ce4b74837dd1d94412d3bbd4695c51ea8fb99e08eb4ed47d0bc53d84ca794c",
+    # both sub-cases, p = 0 on A_1 x C_{q+1} and p >= 1 on C_{p+1} x C_{q+1}
+    # (6 reports), past the deep profile
+    "verify --case 42 --param q=40 --format json":
+        "8544be1a6b84711953163b95a69932258d07a73fd5a4aa08dcacd9029c8bc770",
+    # A_49 x A_1 (3 reports), past the deep profile: the chain
+    # alpha_2 + ... + alpha_47 and its two forced colors
+    "verify --case 44 --param p=48 --format json":
+        "d98519bb4bf0dbb8278ca1fb5070823cc6d29c3accb4687ef622da2694d2e13f",
+    # all three sub-cases, p = 1, p = 2 and p >= 3 (20 reports), past the
+    # deep profile
+    "verify --case 45 --param q=40 --format json":
+        "695504a319a057eda5b3e027c2a8d81b47c0de78cf3598af95530eba935e8d93",
     # 676 systems and 1483 minimal supports (696/443/344 of sizes 1/2/3)
     "supports --case all --sweep deep --format json":
         "2fbcf9b59dff4f8a6cd447c127e153068f3f74ffc191b227d33713190fd471c5",

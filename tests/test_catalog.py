@@ -82,6 +82,8 @@ def test_parameter_validation():
         (43, "p!=0,q=r=0", {"p": 1, "q": 3}),
         (43, "p=q=r=0", {"r": 2}),
         (47, "p=0", {"q": 1, "p": 2}),
+        (42, "p=0", {"q": 1, "p": 1}),
+        (45, "p=2", {"q": 1, "p": 3}),
     ]:
         with pytest.raises(ValueError):
             catalog.instantiate(family, sub_case, **params)
@@ -223,11 +225,15 @@ def test_exportability_of_every_family(tmp_path):
 
 def test_catalog_system_data_pinned():
     # every color's name, position, rho, moved_by and coroot, and every sigma
-    # label, over the default and the deep sweep (family 50 up to q=15), and
-    # over families 43 at p=30 and 47 at q=40, past deep, where the A_1/C_{k+1}
-    # block rule lays out every sub-case; P alone misses a changed name or mover
+    # label, over the default and the deep sweep (family 50 up to q=15), over
+    # families 43 at p=30 and 47 at q=40, past deep, where the A_1/C_{k+1}
+    # block rule lays out every sub-case, and over every sub-case of 42, 44
+    # and 45 past deep; P alone misses a changed name or mover
     blocks = catalog.sweep_instances(family=43, overrides={"p": 30})
     blocks += catalog.sweep_instances(family=47, overrides={"q": 40})
+    small = catalog.sweep_instances(family=42, overrides={"q": 40})
+    small += catalog.sweep_instances(family=44, overrides={"p": 48})
+    small += catalog.sweep_instances(family=45, overrides={"q": 40})
     for label, instances, count, expected in [
         ("default", catalog.sweep_instances(profile=cli.load_sweep_profile("default")), 309,
          "d52a1e923c0c21a08a2b371562f6521275edb5b2acd470fe544c8f8c6cf22aa7"),
@@ -235,6 +241,8 @@ def test_catalog_system_data_pinned():
          "27d5841b9fd2f56b7cdb88e6b722e22a76bc3960b7da50eac1e9cfc3ae5b8e07"),
         ("43 p=30, 47 q=40", blocks, 37,
          "6919eefa5a3fa4f230b1841bf176b344a332eca1ebb3a15a6530aee64cd1ba70"),
+        ("42 q=40, 44 p=48, 45 q=40", small, 14,
+         "01ef41ffc3f4705c5c3335804ddeafa4bcc0176cb2e52f4c63133f725c006743"),
     ]:
         digest = hashlib.sha256()
         for inst in instances:
