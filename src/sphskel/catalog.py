@@ -15,9 +15,13 @@ derives the rest.  Family 50 states its colors by one chain rule for both
 parities (see ``_build_50``): p = 2q - 1 takes the colors of p = 2q from D2
 on, renumbered down by one, with the chain one node later on the B side and
 the end colors' signs on alpha'_{q-1}, alpha'_q flipped.  Families 43 and
-47, and 45 at p = 1, 2, lay out their systems by one block rule (see
+47, and 45 at p = 1, lay out their systems by one block rule (see
 ``_c_blocks``): a parameter k is a block A_1 when k = 0 and C_{k+1}
-otherwise, so one builder serves all sub-cases of 43 and of 47.  The
+otherwise, so one builder serves all sub-cases of 43 and of 47.  Families
+42, 44 and 45 (p >= 2) have one builder each too, the small sub-case being
+the general rule at its least p: 42 at p = 0 has A_1 for C_{p+1}, and 44
+and 45 at p = 2 only trade the chain's two forced colors for the type-a
+pair on alpha_2 (see ``_chain_colors``).  The
 registry ``FAMILIES`` states each family's number, sub-case and sweep
 ranges, whose starts are the free parameters' least values.
 ``FamilySpec.build`` puts an instance together; it hands the builder only
@@ -611,65 +615,52 @@ def _build_41(params: dict) -> dict:
     )
 
 
-def _build_42_p0(params: dict) -> dict:
-    q = params["q"]
-    rs = build_root_system([("A", 1), ("C", q + 1)])
+def _build_42(params: dict) -> dict:
+    p, q = params.get("p", 0), params["q"]
+    # at p = 0 the first component is A_1, with no C-type root and no D2, and
+    # the color alpha_1 shares with alpha'_1 is named D'1
+    rs = build_root_system([("A", 1) if p == 0 else ("C", p + 1), ("C", q + 1)])
     n = rs.rank
-    sigma = [
-        tuple(1 if j in (0, 1) else 0 for j in range(n)),
-        _ctype(n, 1, q + 1),
-    ]
-    system = _spherical_system(rs, range(3, q + 2), sigma, [("D'1", 1), ("D'2", 2)])
-    options = (
-        SupportOption(
+    off = p + 1
+    sigma = [tuple(1 if j in (0, off) else 0 for j in range(n))]
+    if p > 0:
+        sigma.append(_ctype(n, 0, p))
+    sigma.append(_ctype(n, off, off + q))
+    sp = [*range(2, p + 1), *range(off + 2, off + q + 1)]
+    colors = [("D'1", off)] if p == 0 else [("D1", 0), ("D2", 1)]
+    system = _spherical_system(rs, sp, sigma, [*colors, ("D'2", off + 1)])
+    if p == 0:
+        option = SupportOption(
             indices=(1,),
             expected_p=F(4 * q + 1),
             expected_relation=EQUAL,
             expected_theta=(F(2 * q + 1), F(1)),
-        ),
-    )
-    return dict(
-        params=(("p", 0), ("q", q)),
-        system=system,
-        options=options,
-        certificates=(Certificate(("D'1",), (0,)),),
-        expected_budget=4 * q + 1,
-    )
-
-
-def _build_42_p1(params: dict) -> dict:
-    p, q = params["p"], params["q"]
-    rs = build_root_system([("C", p + 1), ("C", q + 1)])
-    n = rs.rank
-    off = p + 1
-    sigma = [
-        tuple(1 if j in (0, off) else 0 for j in range(n)),
-        _ctype(n, 0, p),
-        _ctype(n, off, off + q),
-    ]
-    sp = list(range(2, p + 1)) + list(range(off + 2, off + q + 1))
-    system = _spherical_system(rs, sp, sigma, [("D1", 0), ("D2", 1), ("D'2", off + 1)])
-    options = (
-        SupportOption(
+        )
+        certs = (Certificate(("D'1",), (0,)),)
+        budget, typo_fixes = 4 * q + 1, ()
+    else:
+        option = SupportOption(
             indices=(1, 2),
             expected_p=F(2 * p + 2 * q - 1),
             expected_relation=STRICTLY_LESS,
-        ),
-    )
-    certs = (
-        Certificate(("D1", "D2"), (0, 1)),
-        Certificate(("D1", "D'2"), (0, 2)),
-    )
-    return dict(
-        params=(("p", p), ("q", q)),
-        system=system,
-        options=options,
-        certificates=certs,
-        typo_fixes=(
+        )
+        certs = (
+            Certificate(("D1", "D2"), (0, 1)),
+            Certificate(("D1", "D'2"), (0, 2)),
+        )
+        budget = None
+        typo_fixes = (
             "printed value 2(p+q-1) implies m_D = 1 for the color of the joined "
             "root gamma_1, but the p=0 sub-case (an equality case) forces m_D = 2; "
             "the engine asserts 2p+2q-1",
-        ),
+        )
+    return dict(
+        params=(("p", p), ("q", q)),
+        system=system,
+        options=(option,),
+        certificates=certs,
+        expected_budget=budget,
+        typo_fixes=typo_fixes,
     )
 
 
@@ -785,43 +776,23 @@ def _build_43(params: dict) -> dict:
     )
 
 
-def _build_44_p2(params: dict) -> dict:
-    rs = build_root_system([("A", 3), ("A", 1)])
-    sigma = [_unit(4, j) for j in range(4)]
-    colors = [
-        ("D+", {0: 1, 1: -1, 2: 1, 3: -1}),
-        ("D2+", {0: -1, 1: 1}),
-        ("D2-", {1: 1, 2: -1}),
-        ("D'", {0: 1, 2: -1, 3: 1}),
-        ("D''", {0: -1, 2: 1, 3: 1}),
-    ]
-    system = _spherical_system(rs, (), sigma, colors)
-    options = tuple(
-        SupportOption(
-            indices=(j,),
-            expected_p=F(v),
-            expected_relation=STRICTLY_LESS,
-        )
-        for j, v in ((0, 6), (1, 4), (2, 6))
-    )
-    return dict(
-        params=(("p", 2),),
-        system=system,
-        options=options,
-        certificates=(Certificate(("D'", "D''"), (3,)),),
-        expected_budget=7,
-    )
+def _chain_colors(p: int) -> list:
+    """The colors of 44 and 45 on the chain alpha_2 + ... + alpha_{p-1}, the
+    second root of Sigma: a forced one on each end root, or at p = 2, where
+    the chain is the simple root alpha_2 of type a, its two colors."""
+    if p == 2:
+        return [("D2+", {0: -1, 1: 1}), ("D2-", {1: 1, 2: -1})]
+    return [("D2", 1), ("Dp", p - 1)]
 
 
-def _build_44_p3(params: dict) -> dict:
-    p = params["p"]
+def _build_44(params: dict) -> dict:
+    p = params.get("p", 2)
     rs = build_root_system([("A", p + 1), ("A", 1)])
     n = rs.rank
     sigma = [_unit(n, 0), _chain(n, 1, p - 1), _unit(n, p), _unit(n, p + 1)]
     colors = [
         ("D+", {0: 1, 1: -1, 2: 1, 3: -1}),
-        ("D2", 1),
-        ("Dp", p - 1),
+        *_chain_colors(p),
         ("D'", {0: 1, 2: -1, 3: 1}),
         ("D''", {0: -1, 2: 1, 3: 1}),
     ]
@@ -874,42 +845,8 @@ def _build_45_p1(params: dict) -> dict:
     )
 
 
-def _build_45_p2(params: dict) -> dict:
-    q = params["q"]
-    rs, sigma, sp, _, (forced,) = _c_blocks([("A", 3)], (q,))
-    colors = [
-        ("D1+", {0: 1, 1: -1, 2: 1, 3: -1}),
-        ("D1-", {0: 1, 2: -1, 3: 1}),
-        ("D2+", {0: -1, 1: 1}),
-        ("D2-", {1: 1, 2: -1}),
-        ("D3-", {0: -1, 2: 1, 3: 1}),
-        ("D'", forced),
-    ]
-    system = _spherical_system(rs, sp, sigma, colors)
-    options = tuple(
-        SupportOption(
-            indices=(j, 4),
-            expected_p=F(v),
-            expected_relation=STRICTLY_LESS,
-        )
-        for j, v in ((0, 2 * q + 2), (1, 2 * q - 1), (2, 2 * q + 2))
-    )
-    certs = (
-        Certificate(("D1-", "D3-", "D'"), (3, 4)),
-        Certificate(("D1+", "D1-", "D2+", "D2-", "D3-"), (0, 1, 2, 3)),
-    )
-    return dict(
-        params=(("p", 2), ("q", q)),
-        system=system,
-        options=options,
-        certificates=certs,
-        expected_budget=6 + 4 * q,
-        typo_fixes=("gamma_3 printed as 'alpha_3' without the Greek letter; read alpha_3",),
-    )
-
-
-def _build_45_p3(params: dict) -> dict:
-    p, q = params["p"], params["q"]
+def _build_45(params: dict) -> dict:
+    p, q = params.get("p", 2), params["q"]
     rs = build_root_system([("A", p + 1), ("C", q + 1)])
     n = rs.rank
     off = p + 1
@@ -920,12 +857,13 @@ def _build_45_p3(params: dict) -> dict:
         _unit(n, off),
         _ctype(n, off, off + q),
     ]
+    chain = _chain_colors(p)
+    last = "D3-" if p == 2 else "Dp1-"
     colors = [
         ("D1+", {0: 1, 1: -1, 2: 1, 3: -1}),
         ("D1-", {0: 1, 2: -1, 3: 1}),
-        ("D2", 1),
-        ("Dp", p - 1),
-        ("Dp1-", {0: -1, 2: 1, 3: 1}),
+        *chain,
+        (last, {0: -1, 2: 1, 3: 1}),
         ("D'", off + 1),
     ]
     sp = list(range(2, p - 1)) + list(range(off + 2, off + q + 1))
@@ -943,18 +881,17 @@ def _build_45_p3(params: dict) -> dict:
         )
     )
     certs = (
-        Certificate(("D1-", "Dp1-", "D'"), (3, 4)),
-        Certificate(("D1+", "D1-", "D2", "Dp", "Dp1-"), (0, 1, 2, 3)),
+        Certificate(("D1-", last, "D'"), (3, 4)),
+        Certificate(("D1+", "D1-", *(name for name, _ in chain), last), (0, 1, 2, 3)),
     )
+    alpha = "alpha_3" if p == 2 else "alpha_{p+1}"
     return dict(
         params=(("p", p), ("q", q)),
         system=system,
         options=options,
         certificates=certs,
         expected_budget=4 * p + 4 * q - 2,
-        typo_fixes=(
-            "gamma_3 printed as 'alpha_{p+1}' without the Greek letter; read alpha_{p+1}",
-        ),
+        typo_fixes=(f"gamma_3 printed as '{alpha}' without the Greek letter; read {alpha}",),
     )
 
 
@@ -1353,19 +1290,19 @@ FAMILIES: dict[tuple[int, str], FamilySpec] = {
         FamilySpec(38, "", {}, _build_38),
         FamilySpec(39, "", {}, _build_39),
         FamilySpec(41, "", {}, _build_41),
-        FamilySpec(42, "p=0", {"q": range(1, 6)}, _build_42_p0),
-        FamilySpec(42, "p>=1", {"p": range(1, 6), "q": range(1, 6)}, _build_42_p1),
+        FamilySpec(42, "p=0", {"q": range(1, 6)}, _build_42),
+        FamilySpec(42, "p>=1", {"p": range(1, 6), "q": range(1, 6)}, _build_42),
         FamilySpec(43, "p=q=r=0", {}, _build_43),
         FamilySpec(43, "p!=0,q=r=0", {"p": range(1, 6)}, _build_43),
         FamilySpec(43, "p,q!=0,r=0", {"p": range(1, 6), "q": range(1, 6)}, _build_43),
         FamilySpec(
             43, "p,q,r!=0", {"p": range(1, 6), "q": range(1, 6), "r": range(1, 6)}, _build_43
         ),
-        FamilySpec(44, "p=2", {}, _build_44_p2),
-        FamilySpec(44, "p>=3", {"p": range(3, 8)}, _build_44_p3),
+        FamilySpec(44, "p=2", {}, _build_44),
+        FamilySpec(44, "p>=3", {"p": range(3, 8)}, _build_44),
         FamilySpec(45, "p=1", {"q": range(1, 6)}, _build_45_p1),
-        FamilySpec(45, "p=2", {"q": range(1, 6)}, _build_45_p2),
-        FamilySpec(45, "p>=3", {"p": range(3, 8), "q": range(1, 6)}, _build_45_p3),
+        FamilySpec(45, "p=2", {"q": range(1, 6)}, _build_45),
+        FamilySpec(45, "p>=3", {"p": range(3, 8), "q": range(1, 6)}, _build_45),
         FamilySpec(46, "p=4", {}, _build_46_p4),
         FamilySpec(46, "p=5", {}, _build_46_p5),
         FamilySpec(46, "p=6", {}, _build_46_p6),

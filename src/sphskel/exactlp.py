@@ -528,13 +528,11 @@ def positive_dependence(
     s = [den - t for t in map(sum, zip(*a))] if a else [den] * rank
     sol = solve_max(LpProblem.make([*a, s], [0] * len(a) + [1], s))
     if sol.value:
-        u = [(k, x) for k, x in enumerate(sol.primal) if x]
-        scale = lcm(*[x.denominator for _, x in u])
-        u = [(k, x.numerator * (scale // x.denominator)) for k, x in u]
+        u, scale = _integer_row(sol.primal)
+        u = [(k, x) for k, x in enumerate(u) if x]
         return None, tuple([Fraction(sum(row[k] * x for k, x in u), scale) for row in inverse])
-    mu = sol.dual[:-1]
-    scale = lcm(*[x.denominator for x in mu])
-    off = [x.numerator * (scale // x.denominator) + scale for x in mu]
+    mu, scale = _integer_row(sol.dual[:-1])
+    off = [x + scale for x in mu]
     on = [Fraction(sum(map(mul, col, off)), scale * den) for col in zip(*a)]
     picked = dict(zip(basis.indices, on))
     rest = iter([Fraction(x, scale) for x in off])
