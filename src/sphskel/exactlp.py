@@ -17,8 +17,10 @@ its variable's label, and one exchange step swaps the entering column for
 the leaving one.  Each entry is the full tableau's, int for int.  A pivot
 p with |p| = d (nearly every pivot of the skeleton LPs) turns the step
 ``(x * p - f * q) // d`` into ``x - f * q // d``: only the pivot row's
-non-zero columns change, so only those are updated.  The certificate
-checks run on integer numerators (x = X/dx, y = Y/dy).  Only a caller's
+non-zero columns change, so only those are updated.  A solve keeps the
+primal, the dual and the ray as the integer numerators of its final tableau
+(x = X/dx, y = Y/dy, a ray R) and builds their Fractions only when a caller
+reads them; the certificate checks run on the numerators.  Only a caller's
 own LPs and the face LP of ``unique_optimum`` can reach phase 1: the
 skeleton LP and ``positive_dependence``'s one LP over a basis of the span
 both have b >= 0.
@@ -27,7 +29,7 @@ The rank and that basis share one Gauss-Jordan loop of the same step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -35,7 +37,6 @@ from operator import mul
 from typing import Sequence
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LpInfeasibleError(ValueError):
@@ -103,13 +104,59 @@ class LpProblem:
         return len(self.c)
 
 
+class _Numerators:
+    """A vector ``ints / den`` (den > 0, not always the least) as a solve's
+    tableau holds it; ``fractions`` builds its Fractions on the first call."""
+
+    __slots__ = ("ints", "den", "_built")
+
+    def __init__(self, ints: Sequence[int], den: int):
+        self.ints, self.den, self._built = ints, den, None
+
+    def fractions(self) -> tuple[Fraction, ...]:
+        if self._built is None:
+            den = self.den
+            self._built = tuple([Fraction(v, den) if v else _ZERO for v in self.ints])
+        return self._built
+
+
+class _Vector:
+    """A vector field of ``LpSolution``, stored under ``"_" + name``; it
+    reads as a tuple of Fractions or None.  A solve stores ``_Numerators``,
+    whose Fractions are built on the first read; anything else is kept as
+    given.  Assigning the field drops the solve's numerators, so no check
+    reads stale ones."""
+
+    def __init__(self, default=MISSING):
+        self.default = default
+
+    def __set_name__(self, owner, name: str):
+        self.slot = "_" + name
+
+    def __get__(self, sol, owner=None):
+        if sol is None:  # the dataclass reads the default here
+            if self.default is MISSING:
+                raise AttributeError(self.slot[1:])
+            return self.default
+        v = sol.__dict__[self.slot]
+        return v.fractions() if type(v) is _Numerators else v
+
+    def __set__(self, sol, v) -> None:
+        sol.__dict__[self.slot] = v
+
+
 @dataclass
 class LpSolution:
+    """An optimum (primal, value, dual) or an unbounded LP (primal, ray), and
+    the pivots of the solve.  ``solve_max`` keeps primal, dual and ray as the
+    integer numerators of its final tableau and builds their Fractions only
+    when a caller reads them; ``value`` is built at once."""
+
     status: str  # "optimal" | "unbounded"
-    primal: tuple[Fraction, ...]
+    primal: tuple[Fraction, ...] = _Vector()
     value: Fraction | None = None
-    dual: tuple[Fraction, ...] | None = None
-    ray: tuple[Fraction, ...] | None = None
+    dual: tuple[Fraction, ...] | None = _Vector(None)
+    ray: tuple[Fraction, ...] | None = _Vector(None)
     pivots: int = 0
 
 
@@ -168,7 +215,9 @@ class _Simplex:
     same columns, value last.  A pivot is one ``_exchange`` step: d stays
     the absolute basis determinant, and every entry equals the full
     tableau's, so Bland's rule on labels takes the full tableau's path.
-    ``Fraction`` is built only by ``obj``, ``primal_point`` and ``ray``.
+    The one ``Fraction`` a solve builds is the value, in ``obj``;
+    ``primal_point``, ``dual`` and ``ray`` return numerators, and
+    ``LpSolution`` builds their Fractions when a caller reads them.
     """
 
     def __init__(self, problem: LpProblem):
@@ -248,37 +297,40 @@ class _Simplex:
         del self.nonbasic[j]
 
     @cached_property
-    def obj(self) -> tuple[Fraction, ...]:
-        """The duals (in the units of the unscaled slacks s_i; 0 for a basic
-        slack), then the value; read it only once the solve is over."""
+    def obj(self) -> tuple:
+        """The dual numerators Y over ``d * cost_scale`` (in the units of the
+        unscaled slacks s_i; 0 for a basic slack), then the value as a
+        Fraction; read it only once the solve is over."""
         n, z = self.n, self.z
-        scale = self.d * self.cost_scale
-        obj = [_ZERO] * self.m
+        obj = [0] * self.m
         for k, x in zip(self.nonbasic, z):
             if k >= n and x:
-                obj[k - n] = Fraction(self.row_scale[k - n] * x, scale)
-        obj.append(Fraction(z[-1], scale))
+                obj[k - n] = self.row_scale[k - n] * x
+        obj.append(Fraction(z[-1], self.d * self.cost_scale))
         return tuple(obj)
 
-    def primal_point(self) -> tuple[Fraction, ...]:
-        x = [_ZERO] * self.n
-        for i in range(self.m):
-            if self.basis[i] < self.n:
-                x[self.basis[i]] = Fraction(self.rows[i][-1], self.d)
-        return tuple(x)
+    def dual(self) -> _Numerators:
+        return _Numerators(self.obj[:-1], self.d * self.cost_scale)
 
-    def ray(self, col: int) -> tuple[Fraction, ...]:
+    def primal_point(self) -> _Numerators:
+        x = [0] * self.n
+        for i, k in enumerate(self.basis):
+            if k < self.n:
+                x[k] = self.rows[i][-1]
+        return _Numerators(x, self.d)
+
+    def ray(self, col: int) -> _Numerators:
         """The improving ray on x when column ``col`` enters unbounded: a
         slack s'_k = L_k s_k enters at L_k per unit of s_k."""
         n, e = self.n, self.nonbasic[col]
         scale = self.row_scale[e - n] if e >= n else 1
-        ray = [_ZERO] * n
+        ray = [0] * n
         if e < n:
-            ray[e] = _ONE
+            ray[e] = self.d
         for i, k in enumerate(self.basis):
             if k < n:
-                ray[k] = Fraction(-self.rows[i][col] * scale, self.d)
-        return tuple(ray)
+                ray[k] = -self.rows[i][col] * scale
+        return _Numerators(ray, self.d)
 
 
 def solve_max(problem: LpProblem) -> LpSolution:
@@ -300,13 +352,18 @@ def solve_max(problem: LpProblem) -> LpSolution:
         status="optimal",
         primal=simplex.primal_point(),
         value=simplex.obj[-1],
-        dual=simplex.obj[:-1],
+        dual=simplex.dual(),
         pivots=simplex.pivots,
     )
 
 
-def _numerators(v) -> tuple[list[int], int] | None:
-    """``_integer_row(v)``, or None for a missing or inexact vector."""
+def _read_numerators(sol: LpSolution, name: str) -> tuple[Sequence[int], int] | None:
+    """``(V, dv)`` with V/dv the field ``name`` of ``sol`` as a caller reads
+    it: a solve's own numerators, or ``_integer_row`` of what a caller
+    assigned; None for a missing or inexact vector."""
+    v = sol.__dict__["_" + name]
+    if type(v) is _Numerators:
+        return v.ints, v.den
     if v is None:
         return None
     try:
@@ -331,13 +388,15 @@ def _transpose_dot(a: Sequence[Sequence], y: Sequence[int], n: int) -> list:
 def verify_certificates(problem: LpProblem, sol: LpSolution) -> bool:
     """Re-check every optimality/unboundedness invariant from scratch.
 
-    The checks run on integer numerators: the primal is x = X/dx and the
-    dual y = Y/dy over their least denominators, so ``A x <= b`` reads
-    ``A X <= b dx``, and a ray needs no denominator at all.  A vector or a
-    value whose entries are not int or Fraction fails the check.
+    The checks run on integer numerators: the primal is x = X/dx, the dual
+    y = Y/dy and the value vn/vd, over the solve's own denominators or, for
+    a vector a caller assigned, its least one.  So ``A x <= b`` reads
+    ``A X <= b dx``, c.x = value reads ``c.X vd = vn dx``, and a ray needs
+    no denominator at all.  A vector or a value whose entries are not int
+    or Fraction fails the check.
     """
     a, b, c, m, n = problem.a, problem.b, problem.c, problem.m, problem.n
-    if (primal := _numerators(sol.primal)) is None:
+    if (primal := _read_numerators(sol, "primal")) is None:
         return False
     x, dx = primal
     if len(x) != n or any(xj < 0 for xj in x):
@@ -346,16 +405,17 @@ def verify_certificates(problem: LpProblem, sol: LpSolution) -> bool:
         return False
     if sol.status == "optimal":
         value = sol.value
-        if (dual := _numerators(sol.dual)) is None or type(value) not in _EXACT:
+        if (dual := _read_numerators(sol, "dual")) is None or type(value) not in _EXACT:
             return False
         y, dy = dual
         if len(y) != m or any(yi < 0 for yi in y):
             return False
         if any(s < cj * dy for s, cj in zip(_transpose_dot(a, y, n), c)):
             return False
-        return _dot(c, x) == value * dx and _dot(b, y) == value * dy
+        vn, vd = value.numerator, value.denominator
+        return _dot(c, x) * vd == vn * dx and _dot(b, y) * vd == vn * dy
     if sol.status == "unbounded":
-        if (ray := _numerators(sol.ray)) is None:
+        if (ray := _read_numerators(sol, "ray")) is None:
             return False
         r = ray[0]
         if len(r) != n or any(rj < 0 for rj in r):
@@ -380,8 +440,8 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     if sol.status != "optimal" or not verify_certificates(problem, sol):
         raise ValueError("uniqueness needs an optimal solution with a valid dual")
     a, b, c, n = problem.a, problem.b, problem.c, problem.n
-    x, dx = _integer_row(sol.primal)
-    y, dy = _integer_row(sol.dual)
+    x, dx = _read_numerators(sol, "primal")
+    y, dy = _read_numerators(sol, "dual")
     tight = [_dot(row, x) == bi * dx for row, bi in zip(a, b)]
     # with the unit rows of x's zeros, rank n iff full rank on x's support
     support = [j for j in range(n) if x[j]]
@@ -505,6 +565,27 @@ def positive_dependence(
     ValueError when the prefix is longer than ``vectors`` or vectors pass a
     basis that does not span Q^dim.
     """
+    sol, a, basis = _dependence_lp(vectors, basis)
+    inverse, den = basis.inverse, basis.den
+    if sol.value:
+        u, scale = _read_numerators(sol, "primal")
+        u = [(k, x) for k, x in enumerate(u) if x]
+        return None, tuple([Fraction(sum(row[k] * x for k, x in u), scale) for row in inverse])
+    mu, scale = _read_numerators(sol, "dual")
+    off = [x + scale for x in mu[:-1]]
+    on = [Fraction(sum(map(mul, col, off)), scale * den) for col in zip(*a)]
+    picked = dict(zip(basis.indices, on))
+    rest = iter([Fraction(x, scale) for x in off])
+    prefix = len(basis.indices) + len(basis.coords)
+    lam = [picked[k] if k in picked else next(rest) for k in range(prefix)]
+    lam.extend(rest)
+    return tuple(lam), None
+
+
+def _dependence_lp(
+    vectors: Sequence[Sequence[int | Fraction]], basis: SpanBasis | None
+) -> tuple[LpSolution, list[list[int]], SpanBasis]:
+    """The solved LP of ``positive_dependence``, its rows -W and the basis."""
     if basis is None:
         basis = span_basis(vectors, len(vectors[0]) if vectors else 0)
     inverse, den, rank = basis.inverse, basis.den, len(basis.indices)
@@ -526,16 +607,12 @@ def positive_dependence(
         a.append(row)
     # s is den (the basis vectors' u_k) plus the sum of the W
     s = [den - t for t in map(sum, zip(*a))] if a else [den] * rank
-    sol = solve_max(LpProblem.make([*a, s], [0] * len(a) + [1], s))
-    if sol.value:
-        u, scale = _integer_row(sol.primal)
-        u = [(k, x) for k, x in enumerate(u) if x]
-        return None, tuple([Fraction(sum(row[k] * x for k, x in u), scale) for row in inverse])
-    mu, scale = _integer_row(sol.dual[:-1])
-    off = [x + scale for x in mu]
-    on = [Fraction(sum(map(mul, col, off)), scale * den) for col in zip(*a)]
-    picked = dict(zip(basis.indices, on))
-    rest = iter([Fraction(x, scale) for x in off])
-    lam = [picked[k] if k in picked else next(rest) for k in range(prefix)]
-    lam.extend(rest)
-    return tuple(lam), None
+    return solve_max(LpProblem.make([*a, s], [0] * len(a) + [1], s)), a, basis
+
+
+def positively_dependent(
+    vectors: Sequence[Sequence[int | Fraction]], basis: SpanBasis | None = None
+) -> bool:
+    """Whether ``positive_dependence(vectors, basis)`` finds lam, read off
+    the value of the same LP alone (0: lam, 1: y); no witness is built."""
+    return not _dependence_lp(vectors, basis)[0].value

@@ -32,14 +32,12 @@ class MukaiVerdict:
     pivots: int  # simplex pivots of the main LP
 
 
-def skeleton_lp(sk: SphericalSkeleton) -> tuple[LpProblem, Fraction]:
+def skeleton_lp(sk: SphericalSkeleton) -> tuple[LpProblem, int]:
     """The LP of a skeleton plus the additive constant sum_D (m_D - 1)."""
     a = sk_mod.pairing_matrix(sk)
     b = sk_mod.multiplicities(sk)
-    nsig = len(sk.system.sigma)
-    c = [-sum(row[j] for row in a) for j in range(nsig)]
-    constant = sum(b) - len(b)
-    return LpProblem.make(a, b, c), Fraction(constant)
+    c = [-t for t in map(sum, zip(*a))] if a else [0] * len(sk.system.sigma)
+    return LpProblem.make(a, b, c), sum(b) - len(b)
 
 
 def check_conjecture(sk: SphericalSkeleton) -> MukaiVerdict:

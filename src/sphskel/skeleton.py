@@ -237,6 +237,18 @@ def multiplicities(sk: SphericalSkeleton) -> tuple[int, ...]:
     return sk.system.multiplicities + (1,) * len(sk.boundary)
 
 
+def _completeness_basis(sk: SphericalSkeleton) -> tuple[list, exactlp.SpanBasis | None]:
+    """The rho(D) over ``sk.divisors`` and the basis their completeness LP
+    is taken in, None when they do not span."""
+    rows = [div.rho for div in sk.divisors]
+    nsig, basis = len(sk.system.sigma), sk.system.basis
+    if len(basis.indices) < nsig:
+        basis = exactlp.span_basis(rows, nsig)
+        if len(basis.indices) < nsig:
+            return rows, None
+    return rows, basis
+
+
 def completeness_witness(
     sk: SphericalSkeleton,
 ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
@@ -250,18 +262,17 @@ def completeness_witness(
     ``basis`` serves when its colors span; otherwise a basis of all the
     rho(D) does, if they span.
     """
-    rows = [div.rho for div in sk.divisors]
-    nsig, basis = len(sk.system.sigma), sk.system.basis
-    if len(basis.indices) < nsig:
-        basis = exactlp.span_basis(rows, nsig)
-        if len(basis.indices) < nsig:
-            return None, None
+    rows, basis = _completeness_basis(sk)
+    if basis is None:
+        return None, None
     return exactlp.positive_dependence(rows, basis)
 
 
 def is_complete(sk: SphericalSkeleton) -> bool:
-    """Whether the rho(D) positively span the dual of span(Sigma)."""
-    return completeness_witness(sk)[0] is not None
+    """Whether the rho(D) positively span the dual of span(Sigma): whether
+    ``completeness_witness`` sets lam, decided by the value of its LP alone."""
+    rows, basis = _completeness_basis(sk)
+    return basis is not None and exactlp.positively_dependent(rows, basis)
 
 
 def with_boundary_support(

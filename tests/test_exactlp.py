@@ -93,9 +93,19 @@ def test_degenerate_phase1_exit():
     assert verify_certificates(p, sol)
 
 
+def _tampered(problem, changes):
+    """A fresh solve of ``problem`` with ``changes`` assigned in place: the
+    check must read them, not the numerators the solve kept."""
+    sol = solve_max(problem)
+    for name, v in changes.items():
+        setattr(sol, name, v)
+    return sol
+
+
 def test_verify_rejects_tampering():
     # each tampered field breaks exactly one check: value 2 has the dual face
-    # y1 + y2 = 1, y3 = 0, and the ray (1, 1, 0) is one of many
+    # y1 + y2 = 1, y3 = 0, and the ray (1, 1, 0) is one of many; a field is
+    # tampered with both in a copy and in place
     bounded = LpProblem.make([[1, 1], [1, 1], [1, 0]], [2, 2, 1], [1, 1])
     unbounded = LpProblem.make([[1, -1, 1]], [1], [1, 0, 0])
     opt, unb = solve_max(bounded), solve_max(unbounded)
@@ -114,6 +124,7 @@ def test_verify_rejects_tampering():
         {"status": "infeasible"},
     ):
         assert not verify_certificates(bounded, replace(opt, **changes)), changes
+        assert not verify_certificates(bounded, _tampered(bounded, changes)), changes
     for changes in (
         {"ray": None},
         {"ray": (F(1), F(2), F(-1))},
@@ -122,6 +133,7 @@ def test_verify_rejects_tampering():
         {"status": "infeasible"},
     ):
         assert not verify_certificates(unbounded, replace(unb, **changes)), changes
+        assert not verify_certificates(unbounded, _tampered(unbounded, changes)), changes
 
 
 def _certificate_lps(rng):

@@ -135,7 +135,8 @@ def test_completeness_in_span_coordinates_matches_rank_oracle():
     # every option skeleton of the default sweep, the empty Gamma and every
     # support of size 1 and 2: the LP over the colors' basis leaves both
     # witnesses unset exactly when the oracle's rank of the rho(D) is below
-    # |Sigma|, and each witness it gives is checked by dot products
+    # |Sigma|, each witness it gives is checked by dot products, and
+    # is_complete, which reads the LP's value alone, agrees with lam
     count = complete = 0
     for inst in catalog.sweep_instances():
         system = inst.system
@@ -148,6 +149,7 @@ def test_completeness_in_span_coordinates_matches_rank_oracle():
         for skel in skeletons:
             rows = [div.rho for div in skel.divisors]
             lam, y = sk.completeness_witness(skel)
+            assert sk.is_complete(skel) == (lam is not None), (inst.label, skel.boundary)
             if oracle_rank(rows) < nsig:
                 assert (lam, y) == (None, None), (inst.label, skel.boundary)
             elif lam is not None:
@@ -159,6 +161,34 @@ def test_completeness_in_span_coordinates_matches_rank_oracle():
                 assert any(y) and all(_pairing(row, y) >= 0 for row in rows)
             count += 1
     assert (count, complete) == (6418, 1696)
+
+
+def test_is_complete_builds_no_fraction_but_each_lp_value(monkeypatch):
+    # on the option skeletons of the default sweep the decision builds no
+    # witness and no LP vector: each Fraction() call is an LP's value.
+    # CPython 3.12 and later build arithmetic results without __new__, so
+    # only a count of explicit constructions holds across versions.
+    skeletons = [inst.support_skeleton(opt)
+                 for inst in catalog.sweep_instances() for opt in inst.options]
+    built = solved = 0
+    real_new, real_solve = Fraction.__new__, exactlp.solve_max
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real_new(cls, *args, **kwargs)
+
+    def counting_solve(problem):
+        nonlocal solved
+        solved += 1
+        return real_solve(problem)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(exactlp, "solve_max", counting_solve)
+    complete = sum(sk.is_complete(skel) for skel in skeletons)
+    monkeypatch.undo()
+    assert (len(skeletons), complete, solved) == (577, 577, 577)
+    assert built == solved
 
 
 def test_support():
