@@ -566,14 +566,12 @@ def positive_dependence(
     basis that does not span Q^dim.
     """
     sol, a, basis = _dependence_lp(vectors, basis)
-    inverse, den = basis.inverse, basis.den
     if sol.value:
-        u, scale = _read_numerators(sol, "primal")
-        u = [(k, x) for k, x in enumerate(u) if x]
-        return None, tuple([Fraction(sum(row[k] * x for k, x in u), scale) for row in inverse])
+        y, scale = _separator_numerators(sol, basis)
+        return None, tuple([Fraction(x, scale) for x in y])
     mu, scale = _read_numerators(sol, "dual")
     off = [x + scale for x in mu[:-1]]
-    on = [Fraction(sum(map(mul, col, off)), scale * den) for col in zip(*a)]
+    on = [Fraction(sum(map(mul, col, off)), scale * basis.den) for col in zip(*a)]
     picked = dict(zip(basis.indices, on))
     rest = iter([Fraction(x, scale) for x in off])
     prefix = len(basis.indices) + len(basis.coords)
@@ -584,7 +582,7 @@ def positive_dependence(
 
 def _dependence_lp(
     vectors: Sequence[Sequence[int | Fraction]], basis: SpanBasis | None
-) -> tuple[LpSolution, list[list[int]], SpanBasis]:
+) -> tuple[LpSolution, list[Sequence[int]], SpanBasis]:
     """The solved LP of ``positive_dependence``, its rows -W and the basis."""
     if basis is None:
         basis = span_basis(vectors, len(vectors[0]) if vectors else 0)
@@ -600,6 +598,9 @@ def _dependence_lp(
     for v in extra:
         if len(v) != dim:
             raise ValueError(f"vectors must have {dim} entries")
+        if v.count(0) == dim - 1 and -1 in v:  # -e_j: its row is inverse[j] as it stands
+            a.append(inverse[v.index(-1)])
+            continue
         row = [0] * rank
         for j, x in enumerate(v):
             if x:
@@ -610,9 +611,18 @@ def _dependence_lp(
     return solve_max(LpProblem.make([*a, s], [0] * len(a) + [1], s)), a, basis
 
 
-def positively_dependent(
+def _separator_numerators(sol: LpSolution, basis: SpanBasis) -> tuple[list[int], int]:
+    """``(Y, scale)`` with y = Y/scale, scale > 0, the y of a dependence LP
+    solved at value 1: y = den P^T u, read on u's numerators."""
+    u, scale = _read_numerators(sol, "primal")
+    return [sum(map(mul, row, u)) for row in basis.inverse], scale
+
+
+def separator(
     vectors: Sequence[Sequence[int | Fraction]], basis: SpanBasis | None = None
-) -> bool:
-    """Whether ``positive_dependence(vectors, basis)`` finds lam, read off
-    the value of the same LP alone (0: lam, 1: y); no witness is built."""
-    return not _dependence_lp(vectors, basis)[0].value
+) -> list[int] | None:
+    """None when ``positive_dependence(vectors, basis)`` finds lam, read off
+    the value of the same LP; else the numerators of its y over a positive
+    denominator, so their signs are y's.  No Fraction is built."""
+    sol, _, basis = _dependence_lp(vectors, basis)
+    return _separator_numerators(sol, basis)[0] if sol.value else None

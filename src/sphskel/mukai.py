@@ -77,6 +77,9 @@ def enumerate_minimal_complete_supports(
     support already found.  A failed candidate's separating y pairs
     nonnegatively with the colors and with -e_j for every j where y_j <= 0;
     any T inside that set fails too (Stiemke 1915) and is skipped unsolved.
+    ``skeleton.support_separation`` decides each candidate and reads that
+    set from the system's basis alone; only a complete candidate is built
+    as a skeleton, for its verdict.
     """
     # max_card stays only because perfbench/workloads.py passes 3 positionally
     if max_card < 1:
@@ -88,13 +91,13 @@ def enumerate_minimal_complete_supports(
     for card in range(1, max_card + 1):
         for combo in combinations(range(nsig), card):
             t = frozenset(combo)
-            if any(prev <= t for prev in minimal) or any(t <= sep for sep in separated):
+            if any(map(t.issuperset, minimal)) or any(map(t.issubset, separated)):
                 continue
-            candidate = sk_mod.with_boundary_support(system, combo)
-            lam, y = sk_mod.completeness_witness(candidate)
-            if lam is not None:
+            sep = sk_mod.support_separation(system, combo)
+            if sep is None:
                 minimal.append(t)
+                candidate = sk_mod.with_boundary_support(system, combo)
                 found.append((combo, _verdict(candidate, True)))
-            elif y is not None:
-                separated.append(frozenset(j for j, yj in enumerate(y) if yj <= 0))
+            else:
+                separated.append(sep)
     return found

@@ -237,16 +237,15 @@ def multiplicities(sk: SphericalSkeleton) -> tuple[int, ...]:
     return sk.system.multiplicities + (1,) * len(sk.boundary)
 
 
-def _completeness_basis(sk: SphericalSkeleton) -> tuple[list, exactlp.SpanBasis | None]:
-    """The rho(D) over ``sk.divisors`` and the basis their completeness LP
-    is taken in, None when they do not span."""
-    rows = [div.rho for div in sk.divisors]
-    nsig, basis = len(sk.system.sigma), sk.system.basis
+def _completeness_basis(system: SphericalSystem, rows: list) -> exactlp.SpanBasis | None:
+    """The basis the completeness LP of the rho(D) ``rows`` over ``system``,
+    colors first, is taken in; None when they do not span."""
+    nsig, basis = len(system.sigma), system.basis
     if len(basis.indices) < nsig:
         basis = exactlp.span_basis(rows, nsig)
         if len(basis.indices) < nsig:
-            return rows, None
-    return rows, basis
+            return None
+    return basis
 
 
 def completeness_witness(
@@ -262,7 +261,8 @@ def completeness_witness(
     ``basis`` serves when its colors span; otherwise a basis of all the
     rho(D) does, if they span.
     """
-    rows, basis = _completeness_basis(sk)
+    rows = [div.rho for div in sk.divisors]
+    basis = _completeness_basis(sk.system, rows)
     if basis is None:
         return None, None
     return exactlp.positive_dependence(rows, basis)
@@ -271,8 +271,40 @@ def completeness_witness(
 def is_complete(sk: SphericalSkeleton) -> bool:
     """Whether the rho(D) positively span the dual of span(Sigma): whether
     ``completeness_witness`` sets lam, decided by the value of its LP alone."""
-    rows, basis = _completeness_basis(sk)
-    return basis is not None and exactlp.positively_dependent(rows, basis)
+    rows = [div.rho for div in sk.divisors]
+    basis = _completeness_basis(sk.system, rows)
+    return basis is not None and exactlp.separator(rows, basis) is None
+
+
+def support_separation(system: SphericalSystem, indices: Iterable[int]) -> frozenset[int] | None:
+    """None when ``with_boundary_support(system, indices)`` is complete, else
+    the set {j : y_j <= 0} of its ``completeness_witness`` y (empty when the
+    rho(D) do not span), from the same LP on the same rows.  It builds no
+    skeleton and no witness Fraction.  ValueError as ``with_boundary_support``.
+    """
+    units = _unit_rows(len(system.sigma), _support(system, indices))
+    rows = [c.rho for c in system.colors] + units
+    basis = _completeness_basis(system, rows)
+    if basis is None:
+        return frozenset()
+    y = exactlp.separator(rows, basis)
+    return None if y is None else frozenset([j for j, x in enumerate(y) if x <= 0])
+
+
+def _support(system: SphericalSystem, indices: Iterable[int]) -> list[int]:
+    """The support's indices, sorted and once each; ValueError names every
+    index that is not an int naming a spherical root."""
+    indices = list(indices)
+    nsig = len(system.sigma)
+    bad = [j for j in indices if type(j) is not int or not 0 <= j < nsig]
+    if bad:
+        raise ValueError(f"support indices {bad} name no spherical root of {nsig}")
+    return sorted(set(indices))
+
+
+def _unit_rows(nsig: int, idx: list[int]) -> list[tuple[int, ...]]:
+    """rho = -e_j of the boundary divisor E_{j+1} for each j in ``idx``."""
+    return [tuple([-1 if t == j else 0 for t in range(nsig)]) for j in idx]
 
 
 def with_boundary_support(
@@ -282,17 +314,13 @@ def with_boundary_support(
 
     ValueError names every index that is not an int naming a spherical root.
     """
-    indices = list(indices)
+    idx = _support(system, indices)
     nsig = len(system.sigma)
-    bad = [j for j in indices if type(j) is not int or not 0 <= j < nsig]
-    if bad:
-        raise ValueError(f"support indices {bad} name no spherical root of {nsig}")
-    idx = sorted(set(indices))
     if combined:
         rho = tuple([-1 if j in idx else 0 for j in range(nsig)])
         gamma: tuple[BoundaryDivisor, ...] = (BoundaryDivisor(name="E", rho=rho),)
     else:
-        units = [tuple([-1 if t == j else 0 for t in range(nsig)]) for j in idx]
+        units = _unit_rows(nsig, idx)
         gamma = tuple([BoundaryDivisor(name=f"E{j + 1}", rho=u) for j, u in zip(idx, units)])
     return SphericalSkeleton(system, gamma)
 

@@ -367,13 +367,15 @@ def test_span_basis_of_a_rank_deficient_set():
 def test_positive_dependence_past_a_basis():
     # the vectors past the basis's prefix enter through its inverse; the verdict
     # is the one over a basis of all of them, for a unit -e_j as for a vector
-    # near one, such as (1, -2), which sums to -1, or (1, -1, -1), which has a -1
+    # near one, such as (1, -2), which sums to -1, or (1, -1, -1), which has a -1;
+    # separator reads the same LP and gives y's signs
     e2 = [[1, 0], [0, 1]]
     e3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     cases = [
         (e2, [[1, -2]], False),
         (e2, [[1, -2], [-2, 1]], True),
         (e2, [[-1, 0], [0, -1]], True),
+        (e2, [[F(-1), 0], [0, F(-1, 2)]], True),
         (e3, [[1, -1, -1], [-2, 1, 1]], True),
         (e3, [[-1, 0, 0], [0, -1, 0]], False),
         ([[2, 1], [1, 1], [3, 2]], [[-1, 0], [0, -1]], True),
@@ -385,6 +387,11 @@ def test_positive_dependence_past_a_basis():
         assert (lam is not None) == dependent, vectors
         assert _witness_ok(vectors, lam, y), vectors
         assert (positive_dependence(vectors)[0] is not None) == dependent, vectors
+        signs = exactlp.separator(vectors, basis)
+        if dependent:
+            assert signs is None, vectors
+        else:
+            assert [(x > 0) - (x < 0) for x in signs] == [(x > 0) - (x < 0) for x in y]
 
 
 def test_positive_dependence_rejects_a_basis_that_does_not_fit():

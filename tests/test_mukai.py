@@ -177,8 +177,8 @@ def test_pruned_enumeration_matches_unpruned(monkeypatch):
     small = [i for i in catalog.sweep_instances() if len(i.system.sigma) <= 4]
     sample = random.Random(1954).sample(small, 30)
     solved = []
-    witness = sk.completeness_witness
-    monkeypatch.setattr(sk, "completeness_witness", lambda s: solved.append(s) or witness(s))
+    decide = sk.support_separation
+    monkeypatch.setattr(sk, "support_separation", lambda s, t: solved.append(t) or decide(s, t))
     candidates = lps = 0
     for inst in sample:
         nsig = len(inst.system.sigma)
@@ -194,6 +194,76 @@ def test_pruned_enumeration_matches_unpruned(monkeypatch):
             assert verdict == full, (inst.label, t)
     # the separating y skips candidates the unpruned search has to decide
     assert (lps, candidates) == (89, 152)
+
+
+def test_support_separation_matches_witness(monkeypatch):
+    # every candidate the enumeration decides on the default sweep: the
+    # decision from the system's basis is complete iff the skeleton's
+    # witness sets lam, and a failed one's set is {j : y_j <= 0} of its y
+    decided = []
+    decide = sk.support_separation
+    monkeypatch.setattr(
+        sk, "support_separation", lambda s, t: decided.append((s, t)) or decide(s, t)
+    )
+    systems = [inst.system for inst in catalog.sweep_instances()]
+    assert len(systems) == 309
+    found = sum(len(mukai.enumerate_minimal_complete_supports(s, 3)) for s in systems)
+    monkeypatch.undo()
+    assert (len(decided), found) == (1693, 527)
+    failed = 0
+    for system, t in decided:
+        lam, y = sk.completeness_witness(sk.with_boundary_support(system, t))
+        sep = sk.support_separation(system, t)
+        if lam is not None:
+            assert sep is None, t
+        else:
+            failed += 1
+            assert sep == frozenset(j for j, yj in enumerate(y) if yj <= 0), t
+    assert failed == 1693 - 527
+
+
+def test_enumeration_on_colors_that_do_not_span():
+    # no catalog system has such colors, so only these run the enumeration
+    # through the span basis of all rho(D) and past supports whose rho(D)
+    # do not span: 1 color on 3 roots, and 2 colors on a line of the plane
+    a1 = ("A", 1)
+    systems = [
+        SphericalSystem(
+            rootsys.build_root_system([a1, a1, a1]),
+            frozenset(),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            (Color(name="D", rho=(1, 1, 1), moved_by=(0,)),),
+        ),
+        SphericalSystem(
+            rootsys.build_root_system([a1, a1, a1]),
+            frozenset(),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            (
+                Color(name="D1", rho=(1, 1, 0), moved_by=(0,)),
+                Color(name="D2", rho=(0, 1, 1), moved_by=(1,)),
+            ),
+        ),
+        SphericalSystem(
+            rootsys.build_root_system([a1, a1]),
+            frozenset(),
+            ((1, 0), (0, 1)),
+            (
+                Color(name="D1", rho=(1, -1), moved_by=(0,)),
+                Color(name="D2", rho=(-1, 1), moved_by=(1,)),
+            ),
+        ),
+    ]
+    assert sk.support_separation(systems[0], (0,)) == frozenset()  # rank 2 < 3
+    for system in systems:
+        nsig = len(system.sigma)
+        assert len(system.basis.indices) < nsig
+        found = mukai.enumerate_minimal_complete_supports(system, nsig)
+        expect, _ = _unpruned_minimal_supports(system, nsig)
+        assert [t for t, _ in found] == expect
+        for t, verdict in found:
+            full = mukai.check_conjecture(sk.with_boundary_support(system, t))
+            assert verdict.complete and verdict == full, t
+    assert [len(_unpruned_minimal_supports(s, len(s.sigma))[0]) for s in systems] == [1, 1, 0]
 
 
 def test_duplicate_shift_case_41():

@@ -361,6 +361,13 @@ def test_boundary_support_indices_checked(combined):
         sk.with_boundary_support(system, [-1], combined=combined)
 
 
+def test_support_separation_indices_checked():
+    system = case(41).system  # one spherical root, and {0} is complete
+    assert sk.support_separation(system, [0, 0]) is None
+    with pytest.raises(ValueError, match=r"\[5, -1, 0\.0\]"):
+        sk.support_separation(system, [0, 5, -1, 0.0])
+
+
 def test_duplicate_boundary():
     inst = case(41)
     skel = inst.support_skeleton(inst.option("gamma"))

@@ -25,6 +25,7 @@ SRC = ROOT / "src" / "sphskel"
 DOCUMENTED = (
     ("catalog", "instantiate"),
     ("skeleton", "check_distinguished_certificate"),
+    ("skeleton", "completeness_witness"),
     ("skeleton", "find_certificate_multipliers"),
 )
 
