@@ -87,11 +87,11 @@ class CaseInstance:
     def __post_init__(self):
         # the one place an option's key and minimal flag are stated
         plain = [set(opt.indices) for opt in self.options if not opt.combined]
-        derived = tuple(
+        derived = tuple([
             replace(opt, key=self.support_key(opt.indices, opt.combined),
                     minimal=not opt.combined and not any(s < {*opt.indices} for s in plain))
             for opt in self.options
-        )
+        ])
         object.__setattr__(self, "options", derived)
 
     def support_skeleton(self, option: SupportOption) -> SphericalSkeleton:
@@ -149,12 +149,12 @@ class FamilySpec:
 
 
 def _unit(rank: int, idx: int) -> tuple[int, ...]:
-    return tuple(1 if j == idx else 0 for j in range(rank))
+    return tuple([1 if j == idx else 0 for j in range(rank)])
 
 
 def _chain(rank: int, lo: int, hi: int) -> tuple[int, ...]:
     """alpha_lo + ... + alpha_hi over global 0-based indices, inclusive."""
-    return tuple(1 if lo <= j <= hi else 0 for j in range(rank))
+    return tuple([1 if lo <= j <= hi else 0 for j in range(rank)])
 
 
 def _ctype(rank: int, lo: int, hi: int) -> tuple[int, ...]:
@@ -235,14 +235,14 @@ def _spherical_system(rs, sp, sigma, colors) -> SphericalSystem:
     for name, data in colors:
         forced = type(data) is int
         if not forced:
-            rho2 = tuple(2 * data.get(j, 0) for j in range(nsig))
+            rho2 = tuple([2 * data.get(j, 0) for j in range(nsig)])
         elif data in halved:
             rho2 = alpha_vee[data]
         else:
-            rho2 = tuple(2 * v for v in alpha_vee[data])
-        rho = tuple(F(v, 2) for v in rho2)
+            rho2 = tuple([2 * v for v in alpha_vee[data]])
+        rho = tuple([F(v, 2) if v % 2 else v // 2 for v in rho2])
         if not forced or data in a_pos:
-            moved = tuple(i for i, j in sorted(a_pos.items()) if rho2[j] == 2)
+            moved = tuple([i for i, j in sorted(a_pos.items()) if rho2[j] == 2])
             if not moved or max(rho2) > 2 or rho2.count(2) != len(moved):
                 raise SkeletonInvariantError(
                     "spherical-system-a1",
@@ -293,7 +293,7 @@ def _sigma_labels(system: SphericalSystem) -> tuple[str, ...]:
         return tuple(labels)
     if len(sigma) == 1:
         return ("gamma",)
-    return tuple(f"gamma_{j}" for j in range(1, len(sigma) + 1))
+    return tuple([f"gamma_{j}" for j in range(1, len(sigma) + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +314,9 @@ def _build_31(params: dict) -> dict:
         if k in (1, p):
             theta = None
             if k == p:
-                theta = tuple(
+                theta = tuple([
                     F((2 * p - j) * (2 * p - j + 1), 2) for j in range(1, 2 * p)
-                )
+                ])
             options.append(
                 SupportOption(
                     indices=(idx,),
@@ -344,8 +344,8 @@ def _build_31(params: dict) -> dict:
         )
     )
     cert = Certificate(
-        delta_prime=tuple(f"D{i}" for i in range(2, 2 * p)),
-        sigma_prime=tuple(2 * k - 1 for k in range(1, p)),
+        delta_prime=tuple([f"D{i}" for i in range(2, 2 * p)]),
+        sigma_prime=tuple([2 * k - 1 for k in range(1, p)]),
     )
     return dict(
         params=inst_params,
@@ -383,8 +383,8 @@ def _build_32(params: dict) -> dict:
                 )
             )
     cert = Certificate(
-        delta_prime=tuple(f"D{i}" for i in range(2, p)) + ("Dp+",),
-        sigma_prime=tuple(2 * k - 1 for k in range(1, p // 2 + 1)),
+        delta_prime=tuple([f"D{i}" for i in range(2, p)]) + ("Dp+",),
+        sigma_prime=tuple([2 * k - 1 for k in range(1, p // 2 + 1)]),
     )
     return dict(
         params=(("p", p),),
@@ -399,7 +399,7 @@ def _build_33(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("B", p)])
     sigma = [_chain(p, i, i + 1) for i in range(p - 1)]
-    sigma.append(tuple(2 if j == p - 1 else 0 for j in range(p)))
+    sigma.append(tuple([2 if j == p - 1 else 0 for j in range(p)]))
     system = _spherical_system(rs, (), sigma, [(f"D{i + 1}", i) for i in range(p)])
     options = [
         SupportOption(
@@ -417,8 +417,8 @@ def _build_33(params: dict) -> dict:
             )
         )
     cert = Certificate(
-        delta_prime=tuple(f"D{i}" for i in range(2, p + 1)),
-        sigma_prime=tuple(2 * k - 1 for k in range(1, p // 2 + 1)),
+        delta_prime=tuple([f"D{i}" for i in range(2, p + 1)]),
+        sigma_prime=tuple([2 * k - 1 for k in range(1, p // 2 + 1)]),
     )
     return dict(
         params=(("p", p),),
@@ -497,7 +497,7 @@ def _build_36(params: dict) -> dict:
 def _build_37(params: dict) -> dict:
     p = params["p"]
     rs = build_root_system([("C", p + 1)])
-    sigma = [tuple(2 if j == 0 else 0 for j in range(p + 1)), _ctype(p + 1, 0, p)]
+    sigma = [tuple([2 if j == 0 else 0 for j in range(p + 1)]), _ctype(p + 1, 0, p)]
     system = _spherical_system(rs, range(2, p + 1), sigma, [("D1", 0), ("D2", 1)])
     options = (
         SupportOption(
@@ -577,14 +577,14 @@ def _build_39(params: dict) -> dict:
         ("D5", 4),
     ]
     system = _spherical_system(rs, (2,), sigma, colors)
-    options = tuple(
+    options = tuple([
         SupportOption(
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((0, 12), (1, 18), (2, 18))
-    )
+    ])
     return dict(
         params=(),
         system=system,
@@ -622,7 +622,7 @@ def _build_42(params: dict) -> dict:
     rs = build_root_system([("A", 1) if p == 0 else ("C", p + 1), ("C", q + 1)])
     n = rs.rank
     off = p + 1
-    sigma = [tuple(1 if j in (0, off) else 0 for j in range(n))]
+    sigma = [tuple([1 if j in (0, off) else 0 for j in range(n)])]
     if p > 0:
         sigma.append(_ctype(n, 0, p))
     sigma.append(_ctype(n, off, off + q))
@@ -797,14 +797,14 @@ def _build_44(params: dict) -> dict:
         ("D''", {0: -1, 2: 1, 3: 1}),
     ]
     system = _spherical_system(rs, range(2, p - 1), sigma, colors)
-    options = tuple(
+    options = tuple([
         SupportOption(
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((0, 3 * p), (1, 4 * (p - 1)), (2, 3 * p))
-    )
+    ])
     return dict(
         params=(("p", p),),
         system=system,
@@ -825,14 +825,14 @@ def _build_45_p1(params: dict) -> dict:
         ("D'", forced),
     ]
     system = _spherical_system(rs, sp, sigma, colors)
-    options = tuple(
+    options = tuple([
         SupportOption(
             indices=(j, 3),
             expected_p=F(2 * q + 1),
             expected_relation=STRICTLY_LESS,
         )
         for j in (0, 1)
-    )
+    ])
     certs = (
         Certificate(("D1+", "D2-", "D'"), (2, 3)),
         Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1, 2)),
@@ -868,7 +868,7 @@ def _build_45(params: dict) -> dict:
     ]
     sp = list(range(2, p - 1)) + list(range(off + 2, off + q + 1))
     system = _spherical_system(rs, sp, sigma, colors)
-    options = tuple(
+    options = tuple([
         SupportOption(
             indices=(j, 4),
             expected_p=F(v),
@@ -879,7 +879,7 @@ def _build_45(params: dict) -> dict:
             (1, 2 * p + 2 * q - 5),
             (2, 2 * (p + q - 1)),
         )
-    )
+    ])
     certs = (
         Certificate(("D1-", last, "D'"), (3, 4)),
         Certificate(("D1+", "D1-", *(name for name, _ in chain), last), (0, 1, 2, 3)),
@@ -905,14 +905,14 @@ def _build_46_p4(params: dict) -> dict:
         ("D2-", {0: -1, 1: 1, 2: -1, 3: 1}),
     ]
     system = _spherical_system(rs, (), sigma, colors)
-    options = tuple(
+    options = tuple([
         SupportOption(
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((0, 3), (1, 0))
-    )
+    ])
     return dict(
         params=(("p", 4),),
         system=system,
@@ -977,14 +977,14 @@ def _build_46_p6(params: dict) -> dict:
         ("D3-", {1: -1, 2: 1, 3: -1, 5: 1}),
     ]
     system = _spherical_system(rs, (), sigma, colors)
-    options = tuple(
+    options = tuple([
         SupportOption(
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((0, 5), (1, 2), (2, 3))
-    )
+    ])
     return dict(
         params=(("p", 6),),
         system=system,
@@ -1027,14 +1027,14 @@ def _build_47(params: dict) -> dict:
             Certificate(("D1+", "D1-", "D2+", "D2-", "D'"), (0, 1, 2, 3, 4)),
         )
         budget = 4 * (p + q + 1)
-    options = tuple(
+    options = tuple([
         SupportOption(
             indices=(j, *ctypes),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in values
-    )
+    ])
     return dict(
         params=(("p", p), ("q", q)),
         system=system,
@@ -1055,14 +1055,14 @@ def _build_48_p1(params: dict) -> dict:
         ("D'2+", {0: -1, 3: 1, 4: -1}),
     ]
     system = _spherical_system(rs, (), sigma, colors)
-    options = tuple(
+    options = tuple([
         SupportOption(
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((2, 1), (3, 4), (4, 8))
-    )
+    ])
     return dict(
         params=(("p", 1),),
         system=system,
@@ -1093,14 +1093,14 @@ def _build_48_pge1(params: dict) -> dict:
         ("D'4", 5),
     ]
     system = _spherical_system(rs, range(6, p + 4), sigma, colors)
-    options = tuple(
+    options = tuple([
         SupportOption(
             indices=(j,),
             expected_p=F(v),
             expected_relation=STRICTLY_LESS,
         )
         for j, v in ((2, 2 * p - 2), (3, 2 * p + 1), (4, 2 * p + 6), (5, 8 * p - 1))
-    )
+    ])
     return dict(
         params=(("p", p),),
         system=system,
@@ -1144,9 +1144,9 @@ def _build_49(params: dict) -> dict:
         ]))
     system = _spherical_system(rs, (), sigma, colors)
     options = []
-    theta_last = tuple(F(i * (i + 1)) for i in range(1, p)) + tuple(
+    theta_last = tuple([F(i * (i + 1)) for i in range(1, p)]) + tuple([
         F((p + 1 - j) ** 2) for j in range(1, p + 1)
-    )
+    ])
     for k in range(1, p + 1):
         idx = p - 1 + k - 1
         if k in (1, p):
@@ -1177,12 +1177,12 @@ def _build_49(params: dict) -> dict:
             expected_relation=STRICTLY_LESS,
         )
     )
-    cert_colors = tuple(
+    cert_colors = tuple([
         name
         for i in range(1, p + 1)
         for name in (f"D{i}+", f"D{i}-")
         if name not in ("D1+", f"D{p}-")
-    )
+    ])
     return dict(
         params=(("p", p),),
         system=system,
@@ -1256,12 +1256,12 @@ def _build_50(params: dict, even: bool) -> dict:
             )
         )
     sigma_prime = (
-        tuple(primed(i) for i in range(1, q + 1))
+        tuple([primed(i) for i in range(1, q + 1)])
         if even
-        else tuple(unprimed(i) for i in range(1, nb + 1))
+        else tuple([unprimed(i) for i in range(1, nb + 1)])
     )
     cert = Certificate(
-        delta_prime=tuple(f"D{i}" for i in range(2, p + 1)),
+        delta_prime=tuple([f"D{i}" for i in range(2, p + 1)]),
         sigma_prime=sigma_prime,
     )
     return dict(

@@ -63,7 +63,8 @@ class SphericalSystem:
     simple root lies in Sigma or (1/2)Sigma, otherwise
     <alpha^vee, 2rho_S - 2rho_{S^p}> = 2 - <alpha^vee, 2rho_{S^p}> for the
     moving root alpha (several movers must agree); and the budget |R+| minus
-    |R+_{S^p}|, the count of the closure over S^p that sums 2rho_{S^p}.
+    |R+_{S^p}|.  2rho_{S^p} and |R+_{S^p}| come from the types of the S^p
+    components (``rootsys.positive_in_span``).
     It stores the ``exactlp.SpanBasis`` of the colors' rho as ``basis``, in
     whose coordinates completeness is decided.
     """
@@ -223,8 +224,12 @@ class SphericalSkeleton:
 def coroot_rho(
     rs: RootSystem, sigma: Sequence[tuple[int, ...]], index: int, scale: Fraction | int = 1
 ) -> tuple:
-    """scale * alpha_index^vee restricted to sigma (integers for an int scale)."""
-    return tuple([scale * rootsys.coroot_pairing(rs, index, g) for g in sigma])
+    """scale * alpha_index^vee restricted to sigma (integers for an integral
+    scale), each pairing over the at most four non-zeros of Cartan row ``index``."""
+    if scale.denominator == 1:
+        scale = scale.numerator
+    row = rootsys.cartan_row(rs, index)
+    return tuple([scale * sum([c * g[j] for j, c in row]) for g in sigma])
 
 
 def pairing_matrix(sk: SphericalSkeleton) -> list[list[int | Fraction]]:

@@ -229,6 +229,51 @@ def oracle_certificate_check(a, b, c, status, primal, value, dual, ray) -> bool:
     return False
 
 
+def oracle_positive_roots(cartan):
+    """Every positive root of the system with Cartan matrix ``cartan``
+    (``cartan[i][j] = <alpha_i^vee, alpha_j>``), by the closure algorithm:
+    grow root strings upward from the simple roots.  beta + alpha_i is a root
+    iff the alpha_i-string through beta reaches p > <alpha_i^vee, beta> steps
+    down (Humphreys, Introduction to Lie Algebras, section 10)."""
+    rank = len(cartan)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
+    simple = [tuple([1 if j == i else 0 for j in range(rank)]) for i in range(rank)]
+    known = set(simple)
+    level = list(simple)
+    while level:
+        nxt = []
+        for beta in level:
+            for i, row in enumerate(rows):
+                down = list(beta)
+                p = 0
+                while down[i]:
+                    down[i] -= 1
+                    if tuple(down) not in known:
+                        break
+                    p += 1
+                if p > sum(c * beta[j] for j, c in row):
+                    up = list(beta)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in known:
+                        known.add(cand)
+                        nxt.append(cand)
+        level = nxt
+    return list(known)
+
+
+def oracle_positive_in_span(cartan, subset):
+    """``(2rho_subset, |R+_subset|)`` from the closure run on the principal
+    Cartan submatrix on ``subset`` alone, in the coordinates of ``cartan``."""
+    idx = sorted(set(subset))
+    roots = oracle_positive_roots([[cartan[i][j] for j in idx] for i in idx])
+    total = [0] * len(cartan)
+    for root in roots:
+        for j, x in zip(idx, root):
+            total[j] += x
+    return tuple(total), len(roots)
+
+
 @dataclass(frozen=True)
 class EqualityEntry:
     """One bullet of the equality classification, with its module tag.

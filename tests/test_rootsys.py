@@ -1,12 +1,14 @@
-import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from oracles import oracle_positive_in_span, oracle_positive_roots
 
-from sphskel import catalog, rootsys
+from sphskel import catalog, cli
 from sphskel.rootsys import (
     RootSystemError,
     build_root_system,
+    cartan_row,
     coroot_pairing,
     positive_in_span,
 )
@@ -15,7 +17,7 @@ from sphskel.rootsys import (
 def test_rank_one_cartan():
     rs = build_root_system([("A", 1)])
     assert rs.cartan == ((2,),)
-    assert rootsys._enumerate_positive(rs.cartan) == [(1,)]
+    assert oracle_positive_roots(rs.cartan) == [(1,)]
 
 
 def test_g2_orientation_alpha1_short():
@@ -23,7 +25,7 @@ def test_g2_orientation_alpha1_short():
     # orientation the catalog's G2 case forces
     rs = build_root_system([("G", 2)])
     assert rs.cartan == ((2, -3), (-1, 2))
-    assert set(rootsys._enumerate_positive(rs.cartan)) == {
+    assert set(oracle_positive_roots(rs.cartan)) == {
         (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2),
     }
     assert positive_in_span(rs, [0, 1])[0] == (10, 6)
@@ -68,7 +70,7 @@ def test_invalid_specs_rejected(spec):
 )
 def test_positive_root_counts(series, rank, count):
     rs = build_root_system([(series, rank)])
-    roots = rootsys._enumerate_positive(rs.cartan)
+    roots = oracle_positive_roots(rs.cartan)
     assert len(roots) == count
     assert len(set(roots)) == count
     for root in roots:
@@ -77,12 +79,12 @@ def test_positive_root_counts(series, rank, count):
 
 def test_counts_add_over_products():
     rs = build_root_system([("B", 4), ("A", 2), ("G", 2)])
-    assert len(rootsys._enumerate_positive(rs.cartan)) == 16 + 3 + 6
+    assert len(oracle_positive_roots(rs.cartan)) == 16 + 3 + 6
 
 
 def test_simple_roots_are_positive_roots():
     rs = build_root_system([("D", 5)])
-    roots = set(rootsys._enumerate_positive(rs.cartan))
+    roots = set(oracle_positive_roots(rs.cartan))
     for i in range(5):
         assert tuple(1 if j == i else 0 for j in range(5)) in roots
 
@@ -92,7 +94,7 @@ def test_root_strings_have_no_gaps():
     # contiguous in k for beta + k alpha_i
     for spec in ([("B", 4)], [("C", 4)], [("D", 4)], [("G", 2)]):
         rs = build_root_system(spec)
-        roots = set(rootsys._enumerate_positive(rs.cartan))
+        roots = set(oracle_positive_roots(rs.cartan))
         for beta in roots:
             for i in range(rs.rank):
                 up = list(beta)
@@ -153,18 +155,18 @@ def test_two_rho_pairing_is_two():
 def test_positive_count_in_span_examples():
     b4 = build_root_system([("B", 4)])
     assert positive_in_span(b4, [1, 2])[1] == 3
-    assert len(rootsys._enumerate_positive(b4.cartan)) - positive_in_span(b4, [1, 2])[1] == 13
+    assert len(oracle_positive_roots(b4.cartan)) - positive_in_span(b4, [1, 2])[1] == 13
     assert positive_in_span(b4, [])[1] == 0
     b3 = build_root_system([("B", 3)])
     assert positive_in_span(b3, [0, 1])[1] == 3
-    assert len(rootsys._enumerate_positive(b3.cartan)) - positive_in_span(b3, [0, 1])[1] == 6
+    assert len(oracle_positive_roots(b3.cartan)) - positive_in_span(b3, [0, 1])[1] == 6
 
 
 def test_positive_count_monotone_and_full():
     rs = build_root_system([("C", 4)])
     counts = [positive_in_span(rs, range(k))[1] for k in range(5)]
     assert counts == sorted(counts)
-    assert counts[-1] == len(rootsys._enumerate_positive(rs.cartan)) == 16
+    assert counts[-1] == len(oracle_positive_roots(rs.cartan)) == 16
 
 
 @pytest.mark.parametrize(
@@ -177,15 +179,15 @@ def test_positive_count_monotone_and_full():
 )
 def test_positive_count_matches_closure(spec):
     rs = build_root_system(spec)
-    assert rs.positive_count == len(rootsys._enumerate_positive(rs.cartan))
+    assert rs.positive_count == len(oracle_positive_roots(rs.cartan))
 
 
-def _filtered_span(rs, subset):
-    """The reference: filter the closure of the full system by support."""
+def _filtered_span(roots, subset):
+    """The reference: filter the closure ``roots`` of the full system by support."""
     inside = set(subset)
-    total = [0] * rs.rank
+    total = [0] * len(roots[0])
     count = 0
-    for root in rootsys._enumerate_positive(rs.cartan):
+    for root in roots:
         if all(j in inside for j, x in enumerate(root) if x):
             count += 1
             total = [t + x for t, x in zip(total, root)]
@@ -195,20 +197,29 @@ def _filtered_span(rs, subset):
 @pytest.mark.parametrize(
     "spec",
     [
-        [("A", 6)], [("B", 5)], [("C", 5)], [("D", 6)], [("G", 2)],
+        [("A", 6)], [("B", 5)], [("C", 5)], [("C", 3)], [("B", 2)], [("C", 2)],
+        *([("D", n)] for n in range(3, 8)), [("G", 2)],
         [("B", 3), ("A", 2), ("G", 2)], [("D", 4), ("C", 3), ("A", 1)],
     ],
 )
 def test_positive_in_span_matches_filtered_closure(spec):
+    # every subset: each connected subdiagram of each type, in each position
     rs = build_root_system(spec)
-    rng = random.Random(20261019)
-    # every other index skips one; the two ends span every component of a
-    # product; a repeated index counts once
-    subsets = [[], list(range(rs.rank)), list(range(0, rs.rank, 2)), [rs.rank - 1, 0],
-               [rs.rank - 1] * 3 + [0]]
-    subsets += [rng.sample(range(rs.rank), rng.randint(1, rs.rank)) for _ in range(12)]
-    for subset in subsets:
-        assert positive_in_span(rs, subset) == _filtered_span(rs, subset), subset
+    roots = oracle_positive_roots(rs.cartan)
+    for size in range(rs.rank + 1):
+        for subset in combinations(range(rs.rank), size):
+            assert positive_in_span(rs, subset) == _filtered_span(roots, subset), subset
+    # a repeated index counts once
+    assert positive_in_span(rs, [rs.rank - 1] * 3 + [0]) == _filtered_span(roots, [0, rs.rank - 1])
+
+
+def test_cartan_rows_are_near_the_diagonal():
+    # cartan_row reads only the entries at most two places from the diagonal
+    for spec in ([("D", 7)], [("B", 3), ("A", 2), ("G", 2)], [("D", 4), ("C", 3), ("A", 1)],
+                 [("A", 1), ("D", 3), ("C", 2)]):
+        rs = build_root_system(spec)
+        for i, row in enumerate(rs.cartan):
+            assert cartan_row(rs, i) == [(j, c) for j, c in enumerate(row) if c], (spec, i)
 
 
 @pytest.mark.parametrize("bad", [-1, 4, 10**30, 1.0, True, "0", None])
@@ -218,17 +229,33 @@ def test_positive_in_span_rejects_bad_index(bad):
         positive_in_span(rs, [0, bad])
 
 
-def test_catalog_closes_over_sp_only(monkeypatch):
-    # A_96 at 31/p=48: the closure never runs on the full Cartan matrix
-    sizes = []
-    closure = rootsys._enumerate_positive
+def _sp_instances():
+    """Every default and deep instance, and every pinned one past the deep
+    profile."""
+    instances = []
+    for profile in ("default", "deep"):
+        instances += catalog.sweep_instances(profile=cli.load_sweep_profile(profile))
+    for family, overrides in [(31, {"p": 48}), (49, {"p": 48}), (43, {"p": 30}),
+                              (47, {"q": 40}), (42, {"q": 40}), (44, {"p": 48}),
+                              (45, {"q": 40})]:
+        instances += catalog.sweep_instances(family=family, overrides=overrides)
+    return instances
 
-    def recorded(cartan):
-        sizes.append(len(cartan))
-        return closure(cartan)
 
-    monkeypatch.setattr(rootsys, "_enumerate_positive", recorded)
+def test_positive_in_span_matches_closure_on_every_catalog_sp():
+    instances = _sp_instances()
+    assert len(instances) == 309 + 676 + 53
+    for inst in instances:
+        rs, sp = inst.system.root_system, inst.system.sp
+        expected = oracle_positive_in_span(rs.cartan, sp)
+        assert positive_in_span(rs, sp) == expected, inst.label
+        assert inst.system.budget == rs.positive_count - expected[1], inst.label
+
+
+def test_catalog_sp_span_at_rank_96():
+    # A_96 at 31/p=48, near the total-rank limit
     (inst,) = catalog.sweep_instances(family=31, overrides={"p": 48})
-    assert inst.system.root_system.rank == 96
-    assert sizes == [len(inst.system.sp)]
+    rs, sp = inst.system.root_system, inst.system.sp
+    assert rs.rank == 96
+    assert positive_in_span(rs, sp) == oracle_positive_in_span(rs.cartan, sp)
     assert inst.system.budget == 96 * 97 // 2 == inst.expected_budget
