@@ -8,34 +8,36 @@ supports.  Data entry follows the printed tables; the few readings that
 had to be corrected are flagged per entry in ``typo_fixes`` and asserted
 by the test suite.
 
-A builder returns only its case data; its ``params`` state every fixed and
-derived parameter, and its system states only Luna's data (S^p, Sigma, the
-color names in order and the type-a values), from which ``_spherical_system``
-derives the rest.  Family 50 states its colors by one chain rule for both
-parities (see ``_build_50``): p = 2q - 1 takes the colors of p = 2q from D2
-on, renumbered down by one, with the chain one node later on the B side and
-the end colors' signs on alpha'_{q-1}, alpha'_q flipped.  Families 43 and
-47, and 45 at p = 1, lay out their systems by one block rule (see
-``_c_blocks``): a parameter k is a block A_1 when k = 0 and C_{k+1}
-otherwise, so one builder serves all sub-cases of 43 and of 47.  Families
-42, 44 and 45 (p >= 2) have one builder each too, the small sub-case being
-the general rule at its least p: 42 at p = 0 has A_1 for C_{p+1}, and 44
-and 45 at p = 2 only trade the chain's two forced colors for the type-a
-pair on alpha_2 (see ``_chain_colors``).  The
-registry ``FAMILIES`` states each family's number, sub-case and sweep
-ranges, whose starts are the free parameters' least values.
-``FamilySpec.build`` puts an instance together; it hands the builder only
-the free parameters, so a builder never reads a fixed one a caller passes
-(``instantiate`` then rejects it as a mismatch).  The sigma labels are read
-off the system, every option's key off its indices and those labels, and its
-minimal flag off the indices of the case's other options.
+A builder returns only its case data, and its system states only Luna's data
+(S^p, Sigma, the color names in order and the type-a values), from which
+``_spherical_system`` derives the rest.  Family 50 states its colors by one
+chain rule for both parities (see ``_build_50``): p = 2q - 1 takes the
+colors of p = 2q from D2 on, renumbered down by one, with the chain one node
+later on the B side and the end colors' signs on alpha'_{q-1}, alpha'_q
+flipped.  Families 43 and 47, and 45 at p = 1, lay out their systems by one
+block rule (see ``_c_blocks``): a parameter k is a block A_1 when k = 0 and
+C_{k+1} otherwise, so one builder serves all sub-cases of 43 and of 47.
+Families 42, 44 and 45 (p >= 2) have one builder each too, the small
+sub-case being the general rule at its least p: 42 at p = 0 has A_1 for
+C_{p+1}, and 44 and 45 at p = 2 only trade the chain's two forced colors for
+the type-a pair on alpha_2 (see ``_chain_colors``).  The registry
+``FAMILIES`` states each family's number, sub-case and sweep ranges, whose
+starts are the free parameters' least values; the sub-case key states the
+others (see ``_key_clauses``).  ``FamilySpec.build`` hands the builder the
+free values and the key's, never a caller's value for a stated one, and sets
+``params``; ``instantiate`` and ``sweep_instances`` check a caller's values
+before building.  The sigma labels are read off the system, every option's
+key off its indices and those labels, and its minimal flag off the indices
+of the case's other options.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Callable, Iterable
 
@@ -115,20 +117,43 @@ class CaseInstance:
         return f"{self.family}{sub}"
 
 
+@cache
+def _key_clauses(sub_case: str) -> tuple[tuple, tuple]:
+    """((name, N), ...) fixed and ((a, k, b, c), ...) derived by a sub-case
+    key's clauses: a=N or a=b=...=N fixes each name to N, a=kb or a=kb+-c
+    derives a = k b + c, and a, a!=N or a>=N fix nothing."""
+    fixed, derived = [], []
+    for clause in sub_case.split(",") if sub_case else ():
+        if m := re.fullmatch(r"((?:[a-z]=)+)(\d+)", clause):
+            fixed += [(name, int(m[2])) for name in m[1].split("=")[:-1]]
+        elif m := re.fullmatch(r"([a-z])=(\d+)([a-z])([+-]\d+)?", clause):
+            derived.append((m[1], int(m[2]), m[3], int(m[4] or 0)))
+        elif not re.fullmatch(r"[a-z]([!>]=\d+)?", clause):
+            raise ValueError(f"sub-case key {sub_case!r}: {clause!r} is not a parameter clause")
+    return tuple(fixed), tuple(derived)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     family: int
-    sub_case: str
+    sub_case: str  # its clauses state the fixed and derived parameters
     ranges: dict[str, range]  # default sweep; the keys are the free parameters
-    builder: Callable[[dict], dict]  # the CaseInstance fields after sub_case
+    builder: Callable[[dict], dict]  # the CaseInstance fields after params
 
     @property
     def key(self) -> tuple[int, str]:
         return (self.family, self.sub_case)
 
+    def stated(self, params: dict) -> dict[str, int]:
+        """Free (read from ``params``) and fixed values by name, then derived."""
+        fixed, derived = _key_clauses(self.sub_case)
+        out = dict(sorted([*((name, params[name]) for name in self.ranges), *fixed]))
+        return out | {a: k * out[b] + c for a, k, b, c in derived}
+
     def build(self, params: dict) -> CaseInstance:
-        # only the free parameters: a builder never reads a fixed one
-        fields = self.builder({name: params[name] for name in self.ranges})
+        # the builder reads the key's fixed and derived values, never a caller's
+        stated = self.stated(params)
+        fields = {"params": tuple(stated.items()), **self.builder(stated)}
         labels = _sigma_labels(fields["system"])
         return CaseInstance(self.family, self.sub_case, sigma_labels=labels, **fields)
 
@@ -306,7 +331,6 @@ def _build_31(params: dict) -> dict:
     n = rs.rank
     sigma = [_chain(n, i, i + 1) for i in range(0, 2 * p - 1)]
     system = _spherical_system(rs, (), sigma, [(f"D{i + 1}", i) for i in range(2 * p)])
-    inst_params = (("p", p),)
     top = F(2 * p * p + p)
     options = []
     for k in range(1, p + 1):
@@ -348,7 +372,6 @@ def _build_31(params: dict) -> dict:
         sigma_prime=tuple([2 * k - 1 for k in range(1, p)]),
     )
     return dict(
-        params=inst_params,
         system=system,
         options=tuple(options),
         certificates=(cert,),
@@ -387,7 +410,6 @@ def _build_32(params: dict) -> dict:
         sigma_prime=tuple([2 * k - 1 for k in range(1, p // 2 + 1)]),
     )
     return dict(
-        params=(("p", p),),
         system=system,
         options=tuple(options),
         certificates=(cert,),
@@ -421,7 +443,6 @@ def _build_33(params: dict) -> dict:
         sigma_prime=tuple([2 * k - 1 for k in range(1, p // 2 + 1)]),
     )
     return dict(
-        params=(("p", p),),
         system=system,
         options=tuple(options),
         certificates=(cert,),
@@ -442,7 +463,6 @@ def _build_34(params: dict) -> dict:
         ),
     )
     return dict(
-        params=(),
         system=system,
         options=options,
         certificates=(Certificate(("D4",), (1,)),),
@@ -463,7 +483,6 @@ def _build_35(params: dict) -> dict:
         ),
     )
     return dict(
-        params=(),
         system=system,
         options=options,
         certificates=(),
@@ -486,7 +505,6 @@ def _build_36(params: dict) -> dict:
         ),
     )
     return dict(
-        params=(("p", p),),
         system=system,
         options=options,
         certificates=(Certificate(("D1+", "D1-"), (0,)),),
@@ -507,7 +525,6 @@ def _build_37(params: dict) -> dict:
         ),
     )
     return dict(
-        params=(("p", p),),
         system=system,
         options=options,
         certificates=(Certificate(("D1",), (0,)),),
@@ -553,7 +570,6 @@ def _build_38(params: dict) -> dict:
         Certificate(("D1", "D3"), (0,)),
     )
     return dict(
-        params=(),
         system=system,
         options=tuple(options),
         certificates=certs,
@@ -586,7 +602,6 @@ def _build_39(params: dict) -> dict:
         for j, v in ((0, 12), (1, 18), (2, 18))
     ])
     return dict(
-        params=(),
         system=system,
         options=options,
         certificates=(Certificate(("D4", "D5"), (3,)),),
@@ -607,7 +622,6 @@ def _build_41(params: dict) -> dict:
         ),
     )
     return dict(
-        params=(),
         system=system,
         options=options,
         certificates=(),
@@ -616,7 +630,7 @@ def _build_41(params: dict) -> dict:
 
 
 def _build_42(params: dict) -> dict:
-    p, q = params.get("p", 0), params["q"]
+    p, q = params["p"], params["q"]
     # at p = 0 the first component is A_1, with no C-type root and no D2, and
     # the color alpha_1 shares with alpha'_1 is named D'1
     rs = build_root_system([("A", 1) if p == 0 else ("C", p + 1), ("C", q + 1)])
@@ -655,7 +669,6 @@ def _build_42(params: dict) -> dict:
             "the engine asserts 2p+2q-1",
         )
     return dict(
-        params=(("p", p), ("q", q)),
         system=system,
         options=(option,),
         certificates=certs,
@@ -665,7 +678,7 @@ def _build_42(params: dict) -> dict:
 
 
 def _build_43(params: dict) -> dict:
-    p, q, r = (params.get(name, 0) for name in "pqr")
+    p, q, r = params["p"], params["q"], params["r"]
     rs, sigma, sp, firsts, forced = _c_blocks([], sorted((p, q, r), key=bool))
     colors = [
         (name, dict(zip(firsts, signs)))
@@ -768,7 +781,6 @@ def _build_43(params: dict) -> dict:
         )
         budget = None
     return dict(
-        params=(("p", p), ("q", q), ("r", r)),
         system=system,
         options=tuple(options),
         certificates=certs,
@@ -786,7 +798,7 @@ def _chain_colors(p: int) -> list:
 
 
 def _build_44(params: dict) -> dict:
-    p = params.get("p", 2)
+    p = params["p"]
     rs = build_root_system([("A", p + 1), ("A", 1)])
     n = rs.rank
     sigma = [_unit(n, 0), _chain(n, 1, p - 1), _unit(n, p), _unit(n, p + 1)]
@@ -806,7 +818,6 @@ def _build_44(params: dict) -> dict:
         for j, v in ((0, 3 * p), (1, 4 * (p - 1)), (2, 3 * p))
     ])
     return dict(
-        params=(("p", p),),
         system=system,
         options=options,
         certificates=(Certificate(("D'", "D''"), (3,)),),
@@ -838,7 +849,6 @@ def _build_45_p1(params: dict) -> dict:
         Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1, 2)),
     )
     return dict(
-        params=(("p", 1), ("q", q)),
         system=system,
         options=options,
         certificates=certs,
@@ -846,7 +856,7 @@ def _build_45_p1(params: dict) -> dict:
 
 
 def _build_45(params: dict) -> dict:
-    p, q = params.get("p", 2), params["q"]
+    p, q = params["p"], params["q"]
     rs = build_root_system([("A", p + 1), ("C", q + 1)])
     n = rs.rank
     off = p + 1
@@ -886,7 +896,6 @@ def _build_45(params: dict) -> dict:
     )
     alpha = "alpha_3" if p == 2 else "alpha_{p+1}"
     return dict(
-        params=(("p", p), ("q", q)),
         system=system,
         options=options,
         certificates=certs,
@@ -914,7 +923,6 @@ def _build_46_p4(params: dict) -> dict:
         for j, v in ((0, 3), (1, 0))
     ])
     return dict(
-        params=(("p", 4),),
         system=system,
         options=options,
         certificates=(Certificate(("D1+", "D2+", "D2-"), (2, 3)),),
@@ -957,7 +965,6 @@ def _build_46_p5(params: dict) -> dict:
         ),
     )
     return dict(
-        params=(("p", 5),),
         system=system,
         options=options,
         certificates=(Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1)),),
@@ -986,7 +993,6 @@ def _build_46_p6(params: dict) -> dict:
         for j, v in ((0, 5), (1, 2), (2, 3))
     ])
     return dict(
-        params=(("p", 6),),
         system=system,
         options=options,
         certificates=(
@@ -1000,7 +1006,7 @@ def _build_46_p6(params: dict) -> dict:
 
 
 def _build_47(params: dict) -> dict:
-    p, q = params.get("p", 0), params["q"]
+    p, q = params["p"], params["q"]
     rs, sigma, sp, (f1, f2), forced = _c_blocks([("B", 2)], (p, q))
     colors = [
         ("D1+", {0: 1, 1: -1, f1: 1, f2: 1}),
@@ -1036,7 +1042,6 @@ def _build_47(params: dict) -> dict:
         for j, v in values
     ])
     return dict(
-        params=(("p", p), ("q", q)),
         system=system,
         options=options,
         certificates=certs,
@@ -1064,7 +1069,6 @@ def _build_48_p1(params: dict) -> dict:
         for j, v in ((2, 1), (3, 4), (4, 8))
     ])
     return dict(
-        params=(("p", 1),),
         system=system,
         options=options,
         certificates=(Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1)),),
@@ -1102,7 +1106,6 @@ def _build_48_pge1(params: dict) -> dict:
         for j, v in ((2, 2 * p - 2), (3, 2 * p + 1), (4, 2 * p + 6), (5, 8 * p - 1))
     ])
     return dict(
-        params=(("p", p),),
         system=system,
         options=options,
         certificates=(Certificate(("D1+", "D1-", "D2+", "D2-"), (0, 1)),),
@@ -1184,7 +1187,6 @@ def _build_49(params: dict) -> dict:
         if name not in ("D1+", f"D{p}-")
     ])
     return dict(
-        params=(("p", p),),
         system=system,
         options=tuple(options),
         certificates=(Certificate(cert_colors, tuple(range(p - 1))),),
@@ -1196,9 +1198,9 @@ def _build_49(params: dict) -> dict:
     )
 
 
-def _build_50(params: dict, even: bool) -> dict:
-    q = params["q"]
-    p = 2 * q if even else 2 * q - 1
+def _build_50(params: dict) -> dict:
+    q, p = params["q"], params["p"]
+    even = p == 2 * q
     nb = q if even else q - 1  # rank of the B component (the unprimed side)
     rs = build_root_system([("B", nb), ("D", q)])
     n = rs.rank
@@ -1255,17 +1257,11 @@ def _build_50(params: dict, even: bool) -> dict:
                 expected_relation=STRICTLY_LESS,
             )
         )
-    sigma_prime = (
-        tuple([primed(i) for i in range(1, q + 1)])
-        if even
-        else tuple([unprimed(i) for i in range(1, nb + 1)])
-    )
-    cert = Certificate(
+    cert = Certificate(  # Sigma' is the D side when p is even, else the B side
         delta_prime=tuple([f"D{i}" for i in range(2, p + 1)]),
-        sigma_prime=sigma_prime,
+        sigma_prime=tuple(range(nb, n) if even else range(nb)),
     )
     return dict(
-        params=(("q", q), ("p", p)),
         system=system,
         options=tuple(options),
         certificates=(cert,),
@@ -1312,8 +1308,8 @@ FAMILIES: dict[tuple[int, str], FamilySpec] = {
         # printed p >= 1; the data degenerates below p = 2
         FamilySpec(48, "p>=1", {"p": range(2, 7)}, _build_48_pge1),
         FamilySpec(49, "", {"p": range(2, 7)}, _build_49),
-        FamilySpec(50, "p=2q-1", {"q": range(4, 8)}, lambda d: _build_50(d, even=False)),
-        FamilySpec(50, "p=2q", {"q": range(4, 8)}, lambda d: _build_50(d, even=True)),
+        FamilySpec(50, "p=2q-1", {"q": range(4, 8)}, _build_50),
+        FamilySpec(50, "p=2q", {"q": range(4, 8)}, _build_50),
     )
 }
 
@@ -1346,10 +1342,10 @@ def instantiate(family: int, sub_case: str = "", **params: int) -> CaseInstance:
     problem = spec.below_least(params)
     if problem:
         raise ValueError(problem)
-    inst = spec.build(params)
-    if params.items() - dict(inst.params).items():
-        raise ValueError(f"{where}: parameters {params}, but the case states {dict(inst.params)}")
-    return inst
+    stated = spec.stated(params)
+    if params.items() - stated.items():
+        raise ValueError(f"{where}: parameters {params}, but the case states {stated}")
+    return spec.build(params)
 
 
 def parse_case_key(text: str) -> tuple[int, str | None]:
@@ -1423,9 +1419,9 @@ def sweep_instances(
     Each family sweeps the product of its ``ranges``.  ``profile`` maps
     "family" or "family/sub_case" keys to {param: [values]} that replace
     those ranges (a sub-case entry over a family entry); ``overrides`` pin
-    named parameters to one value each, inside the ranges or not, and drop
-    the instances whose fixed parameters differ.  A pin below a free
-    parameter's least value skips the family.
+    named parameters to one value each, inside the ranges or not, and skip
+    unbuilt the instances whose fixed or derived parameters differ.  A pin
+    below a free parameter's least value skips the family.
     """
     overrides = overrides or {}
     swept_by = _profile_ranges({} if profile is None else profile)
@@ -1439,7 +1435,7 @@ def sweep_instances(
             **{name: [v] for name, v in overrides.items() if name in spec.ranges},
         }
         for values in product(*swept.values()):
-            inst = spec.build(dict(zip(swept, values)))
-            if all(dict(inst.params).get(k, v) == v for k, v in overrides.items()):
-                out.append(inst)
+            stated = spec.stated(dict(zip(swept, values)))
+            if all(stated.get(k, v) == v for k, v in overrides.items()):
+                out.append(spec.build(stated))
     return out

@@ -152,17 +152,18 @@ class SphericalSystem:
                         f"{color.name}: stored rho {color.rho}"
                         f" != {scale}*alpha_{idx}^vee {expect}",
                     )
-            rho = tuple([v.numerator if v.denominator == 1 else v for v in color.rho])
-            canonical.append(Color(color.name, rho, color.moved_by, color.coroot))
+            if any(type(v) is Fraction and v.denominator == 1 for v in color.rho):
+                rho = tuple([v.numerator if v.denominator == 1 else v for v in color.rho])
+                color = Color(color.name, rho, color.moved_by, color.coroot)
+            canonical.append(color)
         object.__setattr__(self, "colors", tuple(canonical))
         object.__setattr__(self, "basis", exactlp.span_basis([c.rho for c in canonical], nsig))
         inside, count = rootsys.positive_in_span(rs, self.sp)
         object.__setattr__(self, "budget", rs.positive_count - count)
-        sigma_set = set(sigma)
+        in_sigma = {g.index(v) for g in sigma for v in (1, 2) if g.count(0) == rank - 1 and v in g}
         ms = []
         for color in colors:
-            alphas = [tuple([int(j == idx) for j in range(rank)]) for idx in color.moved_by]
-            if any(a in sigma_set or tuple([2 * v for v in a]) in sigma_set for a in alphas):
+            if in_sigma.intersection(color.moved_by):
                 ms.append(1)
                 continue
             values = {2 - rootsys.coroot_pairing(rs, idx, inside) for idx in color.moved_by}

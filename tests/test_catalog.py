@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -345,3 +346,134 @@ def test_luna_identification_of_shared_colors():
     with pytest.raises(sk.SkeletonInvariantError) as err:
         catalog._spherical_system(rs, (), [(1, 1)], [("D", 0), ("D'", 1)])
     assert err.value.invariant == "spherical-system-movers"
+
+
+# The parameters each sub-case key states, at its free parameters' least
+# values: free and fixed sorted by name, then derived.
+STATED_AT_LEAST = {
+    (31, ""): (("p", 2),),
+    (32, ""): (("p", 2),),
+    (33, ""): (("p", 2),),
+    (34, ""): (),
+    (35, ""): (),
+    (36, ""): (("p", 2),),
+    (37, ""): (("p", 2),),
+    (38, ""): (),
+    (39, ""): (),
+    (41, ""): (),
+    (42, "p=0"): (("p", 0), ("q", 1)),
+    (42, "p>=1"): (("p", 1), ("q", 1)),
+    (43, "p!=0,q=r=0"): (("p", 1), ("q", 0), ("r", 0)),
+    (43, "p,q!=0,r=0"): (("p", 1), ("q", 1), ("r", 0)),
+    (43, "p,q,r!=0"): (("p", 1), ("q", 1), ("r", 1)),
+    (43, "p=q=r=0"): (("p", 0), ("q", 0), ("r", 0)),
+    (44, "p=2"): (("p", 2),),
+    (44, "p>=3"): (("p", 3),),
+    (45, "p=1"): (("p", 1), ("q", 1)),
+    (45, "p=2"): (("p", 2), ("q", 1)),
+    (45, "p>=3"): (("p", 3), ("q", 1)),
+    (46, "p=4"): (("p", 4),),
+    (46, "p=5"): (("p", 5),),
+    (46, "p=6"): (("p", 6),),
+    (47, "p=0"): (("p", 0), ("q", 1)),
+    (47, "p>=1"): (("p", 1), ("q", 1)),
+    (48, "p=1"): (("p", 1),),
+    (48, "p>=1"): (("p", 2),),
+    (49, ""): (("p", 2),),
+    (50, "p=2q"): (("q", 4), ("p", 8)),
+    (50, "p=2q-1"): (("q", 4), ("p", 7)),
+}
+
+
+def test_key_states_the_parameters():
+    assert STATED_AT_LEAST.keys() == FAMILIES.keys()
+    for key, expected in STATED_AT_LEAST.items():
+        spec = FAMILIES[key]
+        least = {name: values.start for name, values in spec.ranges.items()}
+        assert tuple(spec.stated(least).items()) == expected, key
+        assert spec.build(least).params == expected, key
+    # a caller's value for a stated parameter is not read
+    assert FAMILIES[(45, "p=1")].stated({"p": 9, "q": 1}) == {"p": 1, "q": 1}
+    # p>=1 and p,q,r!=0 fix nothing: the stated parameters are the free ones
+    assert FAMILIES[(48, "p>=1")].stated({"p": 2}) == {"p": 2}
+    free = {"p": 1, "q": 2, "r": 3}
+    assert FAMILIES[(43, "p,q,r!=0")].stated(free) == free
+
+
+@pytest.mark.parametrize(
+    "key", ["p<3", "p=q", "p=2q-", "p=", "p=-1", "p=2*q", "P=1", "p=1,", "p,,q"]
+)
+def test_key_outside_the_grammar_is_rejected(key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        catalog.FamilySpec(99, key, {}, dict).stated({})
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The keys of the specs ``FamilySpec.build`` is called on, in order."""
+    calls = []
+    build = catalog.FamilySpec.build
+
+    def counted(spec, params):
+        calls.append(spec.key)
+        return build(spec, params)
+
+    monkeypatch.setattr(catalog.FamilySpec, "build", counted)
+    return calls
+
+
+# (label, params) of sweep_instances(overrides={"p": 30}), as kept when every
+# combination was built and the ones a pin contradicts were dropped
+PINNED_P30 = [
+    ("31", (("p", 30),)), ("32", (("p", 30),)), ("33", (("p", 30),)), ("34", ()), ("35", ()),
+    ("36", (("p", 30),)), ("37", (("p", 30),)), ("38", ()), ("39", ()), ("41", ()),
+    *[("42/p>=1", (("p", 30), ("q", q))) for q in range(1, 6)],
+    ("43/p!=0,q=r=0", (("p", 30), ("q", 0), ("r", 0))),
+    *[("43/p,q!=0,r=0", (("p", 30), ("q", q), ("r", 0))) for q in range(1, 6)],
+    *[("43/p,q,r!=0", (("p", 30), ("q", q), ("r", r))) for q in range(1, 6) for r in range(1, 6)],
+    ("44/p>=3", (("p", 30),)),
+    *[("45/p>=3", (("p", 30), ("q", q))) for q in range(1, 6)],
+    *[("47/p>=1", (("p", 30), ("q", q))) for q in range(1, 6)],
+    ("48/p>=1", (("p", 30),)), ("49", (("p", 30),)),
+]
+
+
+def test_a_pin_builds_only_what_it_keeps(builds):
+    kept = catalog.sweep_instances(overrides={"p": 30})
+    assert [(inst.label, inst.params) for inst in kept] == PINNED_P30
+    assert len(builds) == len(kept) == 59
+    # a pin on a parameter a key derives or fixes skips the other values unbuilt
+    for overrides, count in (({"p": 5}, 60), ({"q": 3}, 99), ({"p": 7}, 60)):
+        builds.clear()
+        kept = catalog.sweep_instances(overrides=overrides)
+        assert len(builds) == len(kept) == count, overrides
+    builds.clear()
+    only = catalog.sweep_instances(family=50, overrides={"p": 9})
+    assert [(i.label, i.params) for i in only] == [("50/p=2q-1", (("q", 5), ("p", 9)))]
+    assert builds == [(50, "p=2q-1")]
+
+
+def test_rejected_instantiate_builds_nothing(builds):
+    for family, sub_case, params, error in [
+        (31, "", {"p": 1}, ValueError),
+        (48, "p>=1", {"p": 1}, ValueError),
+        (40, "", {}, KeyError),
+        (43, "bogus", {}, KeyError),
+        (31, "", {"p": 2, "q": 9}, ValueError),
+        (34, "", {"p": 5}, ValueError),
+        (44, "p=2", {"p": 3}, ValueError),
+        (50, "p=2q-1", {"q": 4, "p": 8}, ValueError),
+        (31, "", {}, ValueError),
+        (43, "p!=0,q=r=0", {"p": True}, ValueError),
+        (31, "", {"p": 3.0}, ValueError),
+        (43, "p!=0,q=r=0", {"p": 1, "q": 3}, ValueError),
+        (43, "p=q=r=0", {"r": 2}, ValueError),
+        (47, "p=0", {"q": 1, "p": 2}, ValueError),
+        (42, "p=0", {"q": 1, "p": 1}, ValueError),
+        (45, "p=2", {"q": 1, "p": 3}, ValueError),
+    ]:
+        with pytest.raises(error):
+            catalog.instantiate(family, sub_case, **params)
+    assert builds == []
+    catalog.instantiate(50, "p=2q-1", q=4, p=7)
+    assert builds == [(50, "p=2q-1")]
