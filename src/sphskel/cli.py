@@ -185,6 +185,13 @@ def _select_instances(args) -> list[CaseInstance]:
     family, sub = parse_selector(args.case)
     overrides = parse_params(args.param)
     profile = load_sweep_profile(args.sweep, args.sweep_config)
+    specs = catalog.named(family, sub)
+    # the names a selected case states: its free, fixed and derived parameters
+    known = {name for spec in specs for name in spec.stated(dict.fromkeys(spec.ranges, 0))}
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        where = "the catalog" if family is None else f"case {family}"
+        raise UsageError(f"{where} takes no parameter {unknown[0]!r}")
     try:
         instances = catalog.sweep_instances(
             family=family, sub_case=sub, overrides=overrides, profile=profile
@@ -192,12 +199,8 @@ def _select_instances(args) -> list[CaseInstance]:
     except RootSystemError as exc:  # a parameter too large for its root system
         raise UsageError(str(exc)) from exc
     if not instances:
-        below = (spec.below_least(overrides) for spec in catalog.named(family, sub))
+        below = (spec.below_least(overrides) for spec in specs)
         raise UsageError(next(filter(None, below), "selection matches no catalog instance"))
-    unknown = sorted(set(overrides) - {name for inst in instances for name, _ in inst.params})
-    if unknown:
-        where = "the catalog" if family is None else f"case {family}"
-        raise UsageError(f"{where} takes no parameter {unknown[0]!r}")
     return instances
 
 

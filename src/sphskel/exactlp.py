@@ -17,10 +17,10 @@ its variable's label, and one exchange step swaps the entering column for
 the leaving one.  Each entry is the full tableau's, int for int.  A pivot
 p with |p| = d (nearly every pivot of the skeleton LPs) turns the step
 ``(x * p - f * q) // d`` into ``x - f * q // d``: only the pivot row's
-non-zero columns change, so only those are updated.  A solve keeps the
-primal, the dual and the ray as the integer numerators of its final tableau
-(x = X/dx, y = Y/dy, a ray R) and builds their Fractions only when a caller
-reads them; the certificate checks run on the numerators.  Only a caller's
+non-zero columns change, so only those are updated.  A solve's result is
+a frozen record of its final tableau's integer numerators (x = X/d, a ray
+R/d, y = Y/dy); it builds their Fractions only when a caller reads them,
+and the certificate checks run on the numerators.  Only a caller's
 own LPs and the face LP of ``unique_optimum`` can reach phase 1: the
 skeleton LP and ``positive_dependence``'s one LP over a basis of the span
 both have b >= 0.
@@ -29,7 +29,7 @@ The rank and that basis share one Gauss-Jordan loop of the same step.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -104,60 +104,39 @@ class LpProblem:
         return len(self.c)
 
 
-class _Numerators:
-    """A vector ``ints / den`` (den > 0, not always the least) as a solve's
-    tableau holds it; ``fractions`` builds its Fractions on the first call."""
-
-    __slots__ = ("ints", "den", "_built")
-
-    def __init__(self, ints: Sequence[int], den: int):
-        self.ints, self.den, self._built = ints, den, None
-
-    def fractions(self) -> tuple[Fraction, ...]:
-        if self._built is None:
-            den = self.den
-            self._built = tuple([Fraction(v, den) if v else _ZERO for v in self.ints])
-        return self._built
+def _fractions(ints: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
-class _Vector:
-    """A vector field of ``LpSolution``, stored under ``"_" + name``; it
-    reads as a tuple of Fractions or None.  A solve stores ``_Numerators``,
-    whose Fractions are built on the first read; anything else is kept as
-    given.  Assigning the field drops the solve's numerators, so no check
-    reads stale ones."""
-
-    def __init__(self, default=MISSING):
-        self.default = default
-
-    def __set_name__(self, owner, name: str):
-        self.slot = "_" + name
-
-    def __get__(self, sol, owner=None):
-        if sol is None:  # the dataclass reads the default here
-            if self.default is MISSING:
-                raise AttributeError(self.slot[1:])
-            return self.default
-        v = sol.__dict__[self.slot]
-        return v.fractions() if type(v) is _Numerators else v
-
-    def __set__(self, sol, v) -> None:
-        sol.__dict__[self.slot] = v
-
-
-@dataclass
+@dataclass(frozen=True)
 class LpSolution:
-    """An optimum (primal, value, dual) or an unbounded LP (primal, ray), and
-    the pivots of the solve.  ``solve_max`` keeps primal, dual and ray as the
-    integer numerators of its final tableau and builds their Fractions only
-    when a caller reads them; ``value`` is built at once."""
+    """An optimum (value, primal, dual) or an unbounded LP (primal, ray), and
+    the pivots of the solve, as the final tableau holds them: x = X/d and a
+    ray R/d over the tableau's d, y = Y/dy over dy = d L_c, ints over
+    denominators > 0 that need not be the least.  ``value`` is the one
+    Fraction a solve builds; ``primal``, ``dual`` and ``ray`` build theirs on
+    each read.  A field the status does not use is None."""
 
     status: str  # "optimal" | "unbounded"
-    primal: tuple[Fraction, ...] = _Vector()
-    value: Fraction | None = None
-    dual: tuple[Fraction, ...] | None = _Vector(None)
-    ray: tuple[Fraction, ...] | None = _Vector(None)
-    pivots: int = 0
+    pivots: int
+    value: Fraction | None
+    x: Sequence[int]
+    r: Sequence[int] | None
+    d: int
+    y: Sequence[int] | None
+    dy: int | None
+
+    @property
+    def primal(self) -> tuple[Fraction, ...]:
+        return _fractions(self.x, self.d)
+
+    @property
+    def dual(self) -> tuple[Fraction, ...] | None:
+        return None if self.y is None else _fractions(self.y, self.dy)
+
+    @property
+    def ray(self) -> tuple[Fraction, ...] | None:
+        return None if self.r is None else _fractions(self.r, self.d)
 
 
 def _exchange(rows: list[list[int]], r: int, c: int, d: int) -> int:
@@ -216,8 +195,8 @@ class _Simplex:
     the absolute basis determinant, and every entry equals the full
     tableau's, so Bland's rule on labels takes the full tableau's path.
     The one ``Fraction`` a solve builds is the value, in ``obj``;
-    ``primal_point``, ``dual`` and ``ray`` return numerators, and
-    ``LpSolution`` builds their Fractions when a caller reads them.
+    ``primal_point``, ``ray`` and ``obj`` give the numerators that
+    ``LpSolution`` keeps.
     """
 
     def __init__(self, problem: LpProblem):
@@ -309,19 +288,17 @@ class _Simplex:
         obj.append(Fraction(z[-1], self.d * self.cost_scale))
         return tuple(obj)
 
-    def dual(self) -> _Numerators:
-        return _Numerators(self.obj[:-1], self.d * self.cost_scale)
-
-    def primal_point(self) -> _Numerators:
+    def primal_point(self) -> list[int]:
+        """The numerators of x over d."""
         x = [0] * self.n
         for i, k in enumerate(self.basis):
             if k < self.n:
                 x[k] = self.rows[i][-1]
-        return _Numerators(x, self.d)
+        return x
 
-    def ray(self, col: int) -> _Numerators:
-        """The improving ray on x when column ``col`` enters unbounded: a
-        slack s'_k = L_k s_k enters at L_k per unit of s_k."""
+    def ray(self, col: int) -> list[int]:
+        """The numerators over d of the improving ray on x when column ``col``
+        enters unbounded: a slack s'_k = L_k s_k enters at L_k per unit of s_k."""
         n, e = self.n, self.nonbasic[col]
         scale = self.row_scale[e - n] if e >= n else 1
         ray = [0] * n
@@ -330,7 +307,7 @@ class _Simplex:
         for i, k in enumerate(self.basis):
             if k < n:
                 ray[k] = -self.rows[i][col] * scale
-        return _Numerators(ray, self.d)
+        return ray
 
 
 def solve_max(problem: LpProblem) -> LpSolution:
@@ -343,33 +320,31 @@ def solve_max(problem: LpProblem) -> LpSolution:
     if unbounded_col is not None:
         return LpSolution(
             status="unbounded",
-            primal=simplex.primal_point(),
-            ray=simplex.ray(unbounded_col),
             pivots=simplex.pivots,
+            value=None,
+            x=simplex.primal_point(),
+            r=simplex.ray(unbounded_col),
+            d=simplex.d,
+            y=None,
+            dy=None,
         )
     # the duals are the slacks' reduced costs (slack i has label n+i; 0 when basic)
     return LpSolution(
         status="optimal",
-        primal=simplex.primal_point(),
-        value=simplex.obj[-1],
-        dual=simplex.dual(),
         pivots=simplex.pivots,
+        value=simplex.obj[-1],
+        x=simplex.primal_point(),
+        r=None,
+        d=simplex.d,
+        y=simplex.obj[:-1],
+        dy=simplex.d * simplex.cost_scale,
     )
 
 
-def _read_numerators(sol: LpSolution, name: str) -> tuple[Sequence[int], int] | None:
-    """``(V, dv)`` with V/dv the field ``name`` of ``sol`` as a caller reads
-    it: a solve's own numerators, or ``_integer_row`` of what a caller
-    assigned; None for a missing or inexact vector."""
-    v = sol.__dict__["_" + name]
-    if type(v) is _Numerators:
-        return v.ints, v.den
-    if v is None:
-        return None
-    try:
-        return _integer_row(v)
-    except ValueError:
-        return None
+def _exact(ints: Sequence[int] | None, den) -> bool:
+    """Whether ``ints`` over ``den`` is a vector a check can read: int
+    numerators over an int denominator > 0."""
+    return ints is not None and type(den) is int and den > 0 and {*map(type, ints)} <= _INT
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -388,26 +363,23 @@ def _transpose_dot(a: Sequence[Sequence], y: Sequence[int], n: int) -> list:
 def verify_certificates(problem: LpProblem, sol: LpSolution) -> bool:
     """Re-check every optimality/unboundedness invariant from scratch.
 
-    The checks run on integer numerators: the primal is x = X/dx, the dual
-    y = Y/dy and the value vn/vd, over the solve's own denominators or, for
-    a vector a caller assigned, its least one.  So ``A x <= b`` reads
+    The checks run on the record's integer numerators: the primal is
+    x = X/dx, the dual y = Y/dy and the value vn/vd.  So ``A x <= b`` reads
     ``A X <= b dx``, c.x = value reads ``c.X vd = vn dx``, and a ray needs
-    no denominator at all.  A vector or a value whose entries are not int
-    or Fraction fails the check.
+    no denominator at all.  A numerator that is not an int, a denominator
+    that is not an int > 0, or a value that is not an int or a Fraction
+    fails the check.
     """
     a, b, c, m, n = problem.a, problem.b, problem.c, problem.m, problem.n
-    if (primal := _read_numerators(sol, "primal")) is None:
-        return False
-    x, dx = primal
-    if len(x) != n or any(xj < 0 for xj in x):
+    x, dx = sol.x, sol.d
+    if not _exact(x, dx) or len(x) != n or any(xj < 0 for xj in x):
         return False
     if any(_dot(row, x) > bi * dx for row, bi in zip(a, b)):
         return False
     if sol.status == "optimal":
-        value = sol.value
-        if (dual := _read_numerators(sol, "dual")) is None or type(value) not in _EXACT:
+        y, dy, value = sol.y, sol.dy, sol.value
+        if not _exact(y, dy) or type(value) not in _EXACT:
             return False
-        y, dy = dual
         if len(y) != m or any(yi < 0 for yi in y):
             return False
         if any(s < cj * dy for s, cj in zip(_transpose_dot(a, y, n), c)):
@@ -415,10 +387,8 @@ def verify_certificates(problem: LpProblem, sol: LpSolution) -> bool:
         vn, vd = value.numerator, value.denominator
         return _dot(c, x) * vd == vn * dx and _dot(b, y) * vd == vn * dy
     if sol.status == "unbounded":
-        if (ray := _read_numerators(sol, "ray")) is None:
-            return False
-        r = ray[0]
-        if len(r) != n or any(rj < 0 for rj in r):
+        r = sol.r
+        if not _exact(r, dx) or len(r) != n or any(rj < 0 for rj in r):
             return False
         if any(_dot(row, r) > 0 for row in a):
             return False
@@ -440,8 +410,7 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     if sol.status != "optimal" or not verify_certificates(problem, sol):
         raise ValueError("uniqueness needs an optimal solution with a valid dual")
     a, b, c, n = problem.a, problem.b, problem.c, problem.n
-    x, dx = _read_numerators(sol, "primal")
-    y, dy = _read_numerators(sol, "dual")
+    x, dx, y, dy = sol.x, sol.d, sol.y, sol.dy
     tight = [_dot(row, x) == bi * dx for row, bi in zip(a, b)]
     # with the unit rows of x's zeros, rank n iff full rank on x's support
     support = [j for j in range(n) if x[j]]
@@ -569,7 +538,7 @@ def positive_dependence(
     if sol.value:
         y, scale = _separator_numerators(sol, basis)
         return None, tuple([Fraction(x, scale) for x in y])
-    mu, scale = _read_numerators(sol, "dual")
+    mu, scale = sol.y, sol.dy
     off = [x + scale for x in mu[:-1]]
     on = [Fraction(sum(map(mul, col, off)), scale * basis.den) for col in zip(*a)]
     picked = dict(zip(basis.indices, on))
@@ -614,8 +583,7 @@ def _dependence_lp(
 def _separator_numerators(sol: LpSolution, basis: SpanBasis) -> tuple[list[int], int]:
     """``(Y, scale)`` with y = Y/scale, scale > 0, the y of a dependence LP
     solved at value 1: y = den P^T u, read on u's numerators."""
-    u, scale = _read_numerators(sol, "primal")
-    return [sum(map(mul, row, u)) for row in basis.inverse], scale
+    return [sum(map(mul, row, sol.x)) for row in basis.inverse], sol.d
 
 
 def separator(

@@ -477,3 +477,12 @@ def test_rejected_instantiate_builds_nothing(builds):
     assert builds == []
     catalog.instantiate(50, "p=2q-1", q=4, p=7)
     assert builds == [(50, "p=2q-1")]
+
+
+def test_unknown_param_name_builds_nothing(builds, capsys):
+    # the names come from the selected specs, so the CLI rejects a name no
+    # selected case takes before it builds a single instance
+    for case, name, where in (("all", "x", "the catalog"), ("31", "q", "case 31")):
+        assert cli.main(["verify", "--case", case, "--param", f"{name}=3"]) == 2
+        assert capsys.readouterr().err == f"error: {where} takes no parameter {name!r}\n"
+        assert builds == []

@@ -1,8 +1,9 @@
 import hashlib
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import pytest
@@ -93,47 +94,66 @@ def test_degenerate_phase1_exit():
     assert verify_certificates(p, sol)
 
 
-def _tampered(problem, changes):
-    """A fresh solve of ``problem`` with ``changes`` assigned in place: the
-    check must read them, not the numerators the solve kept."""
-    sol = solve_max(problem)
-    for name, v in changes.items():
-        setattr(sol, name, v)
-    return sol
+def _common(*vectors):
+    """The numerators of Fraction vectors over their least common denominator."""
+    den = lcm(*[F(v).denominator for vec in vectors for v in vec])
+    return [[int(F(v) * den) for v in vec] for vec in vectors], den
+
+
+def _moved(sol, field, v):
+    """``sol`` as a new record whose Fraction vector ``field`` ("primal",
+    "dual" or "ray") reads ``v``: the dual over its own dy, the primal and
+    the ray over the d they share."""
+    if field == "dual":
+        (y,), dy = _common(v)
+        return replace(sol, y=y, dy=dy)
+    primal, ray = (v, sol.ray) if field == "primal" else (sol.primal, v)
+    (x, r), d = _common(primal, ray or ())
+    return replace(sol, x=x, r=None if ray is None else r, d=d)
 
 
 def test_verify_rejects_tampering():
-    # each tampered field breaks exactly one check: value 2 has the dual face
-    # y1 + y2 = 1, y3 = 0, and the ray (1, 1, 0) is one of many; a field is
-    # tampered with both in a copy and in place
+    # each tampered vector, value or status breaks exactly one check: value 2
+    # has the dual face y1 + y2 = 1, y3 = 0, and the ray (1, 1, 0) is one of
+    # many; a denominator must be an int > 0.  A record is frozen, so each
+    # tampering is a new record
     bounded = LpProblem.make([[1, 1], [1, 1], [1, 0]], [2, 2, 1], [1, 1])
     unbounded = LpProblem.make([[1, -1, 1]], [1], [1, 0, 0])
     opt, unb = solve_max(bounded), solve_max(unbounded)
     assert opt.status == "optimal" and opt.value == 2
     assert unb.status == "unbounded" and unb.ray == (F(1), F(1), F(0))
     assert verify_certificates(bounded, opt) and verify_certificates(unbounded, unb)
-    for changes in (
-        {"primal": opt.primal + (F(0),)},
-        {"primal": (F(-1), F(3))},
-        {"primal": (F(2), F(0))},  # x1 <= 1 fails
-        {"dual": None},
-        {"dual": opt.dual + (F(0),)},
-        {"dual": (F(2), F(-1), F(0))},
-        {"dual": (F(0), F(0), F(2))},  # A^T y >= c fails on x2
-        {"value": opt.value + 1},
-        {"status": "infeasible"},
+    with pytest.raises(FrozenInstanceError):
+        opt.y = None
+    for tampered in (
+        _moved(opt, "primal", opt.primal + (F(0),)),
+        _moved(opt, "primal", (F(-1), F(3))),
+        _moved(opt, "primal", (F(2), F(0))),  # x1 <= 1 fails
+        replace(opt, y=None),
+        _moved(opt, "dual", opt.dual + (F(0),)),
+        _moved(opt, "dual", (F(2), F(-1), F(0))),
+        _moved(opt, "dual", (F(0), F(0), F(2))),  # A^T y >= c fails on x2
+        replace(opt, value=opt.value + 1),
+        replace(opt, status="infeasible"),
+        replace(opt, d=0),
+        replace(opt, d=-opt.d),
+        replace(opt, d=F(opt.d)),
+        replace(opt, dy=0),
+        replace(opt, dy=-opt.dy),
+        replace(opt, dy=float(opt.dy)),
     ):
-        assert not verify_certificates(bounded, replace(opt, **changes)), changes
-        assert not verify_certificates(bounded, _tampered(bounded, changes)), changes
-    for changes in (
-        {"ray": None},
-        {"ray": (F(1), F(2), F(-1))},
-        {"ray": (F(1), F(0), F(0))},  # A r <= 0 fails
-        {"ray": (F(0), F(1), F(0))},  # c.r = 0
-        {"status": "infeasible"},
+        assert not verify_certificates(bounded, tampered), tampered
+    for tampered in (
+        replace(unb, r=None),
+        _moved(unb, "ray", (F(1), F(2), F(-1))),
+        _moved(unb, "ray", (F(1), F(0), F(0))),  # A r <= 0 fails
+        _moved(unb, "ray", (F(0), F(1), F(0))),  # c.r = 0
+        replace(unb, status="infeasible"),
+        replace(unb, d=0),
+        replace(unb, d=-unb.d),
+        replace(unb, d=F(unb.d)),
     ):
-        assert not verify_certificates(unbounded, replace(unb, **changes)), changes
-        assert not verify_certificates(unbounded, _tampered(unbounded, changes)), changes
+        assert not verify_certificates(unbounded, tampered), tampered
 
 
 def _certificate_lps(rng):
@@ -155,7 +175,7 @@ def _certificate_lps(rng):
 
 def _tamperings(sol, rng):
     """One entry of the primal, the dual and the ray, and the value, each
-    moved by a seeded +-1/1, 1/2 or 1/3."""
+    moved by a seeded +-1/1, 1/2 or 1/3, as new records."""
     def moved(v):
         k = rng.randrange(len(v))
         step = F(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
@@ -163,7 +183,7 @@ def _tamperings(sol, rng):
 
     for field in ("primal", "dual", "ray"):
         if getattr(sol, field):
-            yield replace(sol, **{field: moved(getattr(sol, field))})
+            yield _moved(sol, field, moved(getattr(sol, field)))
     if sol.value is not None:
         yield replace(sol, value=moved((sol.value,))[0])
 
@@ -202,12 +222,14 @@ def test_certificate_check_matches_fraction_oracle():
             not_unique += not verdicts[0]
     assert (solved, accepted, rejected) == (430, 170, 857)
     assert (unique, not_unique) == (64, 9)
-    # a certificate must be exact: a float or a bool entry fails the check
+    # a certificate must be exact: a float or a bool numerator, or a float
+    # value, fails the check
     problem = LpProblem.make([[1, 1]], [2], [1, 1])
     sol = solve_max(problem)
     assert (sol.primal, sol.dual, sol.value) == ((2, 0), (1,), 2)
-    for changes in ({"primal": (2.0, F(0))}, {"dual": (True,)}, {"value": 2.0}):
-        assert not verify_certificates(problem, replace(sol, **changes)), changes
+    assert (sol.x, sol.d, sol.y, sol.dy) == ([2, 0], 1, (1,), 1)
+    for tampered in (replace(sol, x=[2.0, 0]), replace(sol, y=(True,)), replace(sol, value=2.0)):
+        assert not verify_certificates(problem, tampered), tampered
 
 
 @pytest.fixture
@@ -252,13 +274,12 @@ def test_unique_optimum_unbounded_face():
 def test_unique_optimum_rejects_non_vertex_and_bad_dual():
     # x = 1/2 is optimal for max 0 over [0, 1] but is no vertex
     segment = LpProblem.make([[1]], [1], [0])
-    midpoint = LpSolution("optimal", (F(1, 2),), value=F(0), dual=(F(0),))
+    midpoint = LpSolution(status="optimal", pivots=0, value=F(0), x=[1], r=None, d=2, y=[0], dy=1)
     assert verify_certificates(segment, midpoint)
     with pytest.raises(ValueError):
         unique_optimum(segment, midpoint)
     corner = LpProblem.make([[1, 0], [1, 1]], [1, 1], [1, 0])
-    sol = solve_max(corner)
-    sol.dual = (F(2), F(0))
+    sol = _moved(solve_max(corner), "dual", (F(2), F(0)))
     with pytest.raises(ValueError):
         unique_optimum(corner, sol)
     unbounded = LpProblem.make([[0]], [1], [1])

@@ -4,6 +4,7 @@ import json
 import pathlib
 import random
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -189,6 +190,30 @@ def test_is_complete_builds_no_fraction_but_each_lp_value(monkeypatch):
     monkeypatch.undo()
     assert (len(skeletons), complete, solved) == (577, 577, 577)
     assert built == solved
+
+
+def test_verify_pass_builds_its_fractions_on_read(monkeypatch):
+    # one pass over the 577 reports of the default sweep builds the LP
+    # values, theta and each P: an LP vector read nowhere is never built.
+    # CPython 3.12 and later build arithmetic results (P = value + constant)
+    # without __new__, so the count of all constructions holds before 3.12
+    # and the count of those made outside the fractions module on every one
+    items = [(inst, opt) for inst in catalog.sweep_instances() for opt in inst.options]
+    built = explicit = 0
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built, explicit
+        built += 1
+        explicit += sys._getframe(1).f_globals["__name__"] != "fractions"
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    reports = [cli.evaluate_option(inst, opt) for inst, opt in items]
+    monkeypatch.undo()
+    assert (len(reports), explicit) == (577, 2623)
+    if sys.version_info < (3, 12):
+        assert built == 3200
 
 
 def test_support():
