@@ -8,32 +8,34 @@ terminates and every run is deterministic.  Optimal solutions carry the
 exact dual vector read off the slack columns; unbounded ones carry an
 improving ray.
 
-The tableau holds Python ints only (Edmonds 1967, Bareiss 1968): each row
-of ``[A | b]`` and c is scaled by the lcm of its denominators, which scales
-only its slack, so Bland's path and the pivot count are those of the
-rational tableau.  It is condensed (Tucker 1960): a basic column is d e_i,
-d the common denominator, so only the nonbasic columns are kept, each under
-its variable's label, and one exchange step swaps the entering column for
-the leaving one.  Each entry is the full tableau's, int for int.  A pivot
-p with |p| = d (nearly every pivot of the skeleton LPs) turns the step
-``(x * p - f * q) // d`` into ``x - f * q // d``: only the pivot row's
-non-zero columns change, so only those are updated.  A solve's result is
-a frozen record of its final tableau's integer numerators (x = X/d, a ray
-R/d, y = Y/dy); it builds their Fractions only when a caller reads them,
-and the certificate checks run on the numerators.  Only a caller's
-own LPs and the face LP of ``unique_optimum`` can reach phase 1: the
-skeleton LP and ``positive_dependence``'s one LP over a basis of the span
-both have b >= 0.
-The rank and that basis share one Gauss-Jordan loop of the same step.
+The tableau holds Python ints only (Edmonds 1967, Bareiss 1968).  One pass
+reads the type of every entry: an all-int LP starts the tableau as it
+stands; otherwise each row of ``[A | b]`` and c is scaled by the lcm of its
+denominators, which scales only its slack, so Bland's path and the pivot
+count are those of the rational tableau.  It is condensed (Tucker 1960): a
+basic column is d e_i, d the common denominator, so only the nonbasic
+columns are kept, each under its variable's label, and one exchange step
+swaps the entering column for the leaving one.  Each entry is the full
+tableau's, int for int.  A pivot p with |p| = d (nearly every pivot of the
+skeleton LPs) turns the step ``(x * p - f * q) // d`` into
+``x - f * q // d``: only the pivot row's non-zero columns change, so only
+those are updated.  A solve's result is a frozen record of its final
+tableau's integer numerators (x = X/d, a ray R/d, y = Y/dy); it builds
+their Fractions only when a caller reads them, and the certificate checks
+run on the numerators.  Only a caller's own LPs and the face LP of
+``unique_optimum`` can reach phase 1: the skeleton LP and
+``positive_dependence``'s one LP over a basis of the span both have b >= 0,
+and they start at the slack basis with the cost row alone.  The rank and
+that basis share one Gauss-Jordan loop of the same step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import countOf, mul, neg
 from typing import Sequence
 
 _ZERO = Fraction(0)
@@ -70,38 +72,34 @@ class LpProblem:
     """max c.x  s.t.  a x <= b,  x >= 0.
 
     Every entry must be an ``int`` or a ``Fraction`` (ValueError otherwise),
-    however the problem is built; ``make`` keeps them as given, so an
-    integral LP is solved without building a single ``Fraction``.  Each row of
-    ``[a | b]``, then c, passes the gate once; ``scaled`` keeps the output,
-    ``(L_i [a_i | b_i], L_i)`` per row and ``(L_c c, L_c)``, for the tableau.
+    however the problem is built; ``make`` keeps them as given.  One pass
+    reads every entry's type: an all-int LP keeps ``scaled`` None, and the
+    tableau starts from a, b and c without a ``Fraction`` or a scaled copy.
+    Otherwise each row of ``[a | b]``, then c, passes the gate once, and
+    ``scaled`` keeps the rows ``L_i [a_i | b_i]``, the L_i, ``L_c c`` and L_c.
     """
 
     a: tuple[tuple[int | Fraction, ...], ...]
     b: tuple[int | Fraction, ...]
     c: tuple[int | Fraction, ...]
-    scaled: tuple = field(init=False, compare=False, repr=False)
+    scaled: tuple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.a) != len(self.b):
+        m, n = len(self.b), len(self.c)
+        if len(self.a) != m:
             raise ValueError("row count of A does not match b")
-        for row in self.a:
-            if len(row) != len(self.c):
-                raise ValueError("column count of A does not match c")
-        rows = [_integer_row((*row, bi)) for row, bi in zip(self.a, self.b)]
-        object.__setattr__(self, "scaled", (*rows, _integer_row(self.c)))
+        if countOf(map(len, self.a), n) != m:
+            raise ValueError("column count of A does not match c")
+        scaled = None
+        if countOf(map(type, chain(self.b, self.c, *self.a)), int) != m + n + m * n:
+            rows = [_integer_row((*row, bi)) for row, bi in zip(self.a, self.b)]
+            scaled = ([row for row, _ in rows], [L for _, L in rows], *_integer_row(self.c))
+        object.__setattr__(self, "scaled", scaled)
 
     @staticmethod
     def make(a, b, c) -> "LpProblem":
         # tuples from lists, not generators (see _integer_row)
-        return LpProblem(a=tuple([tuple(row) for row in a]), b=tuple(b), c=tuple(c))
-
-    @property
-    def m(self) -> int:
-        return len(self.b)
-
-    @property
-    def n(self) -> int:
-        return len(self.c)
+        return LpProblem(tuple([tuple(row) for row in a]), tuple(b), tuple(c))
 
 
 def _fractions(ints: Sequence[int], den: int) -> tuple[Fraction, ...]:
@@ -186,30 +184,32 @@ class _Simplex:
     Variables carry labels: x_j is j, slack i is n + i and phase 1's aux is
     n + m.  ``basis`` labels the rows and ``nonbasic`` the columns; the rows
     are ``d * B^-1 [LA | I | Lb]`` restricted to the nonbasic columns and the
-    rhs, since a basic column is d e_i (Tucker 1960).  ``problem.scaled``
-    gives row i of A and b scaled by L_i, the lcm of its denominators, and
-    L_c c; the tableau never gates an entry again.  x keeps the problem's
-    units, slack i is s'_i = L_i s_i, and the aux column holds -L_i, the
-    image of -1.  ``z`` is d times the objective row for ``L_c c`` on the
-    same columns, value last.  A pivot is one ``_exchange`` step: d stays
-    the absolute basis determinant, and every entry equals the full
-    tableau's, so Bland's rule on labels takes the full tableau's path.
+    rhs, since a basic column is d e_i (Tucker 1960).  Row i starts as
+    ``L_i [a_i | b_i]`` and the cost as ``L_c c``, from ``problem.scaled``
+    (every L is 1 in an all-int LP).  x keeps the problem's units, slack i
+    is s'_i = L_i s_i, and the aux column holds -L_i, the image of -1.
+    ``z`` is d times the objective row for ``L_c c`` on the same columns,
+    value last: ``[-L_c c | 0]`` at the start.  A pivot is one ``_exchange``
+    step: d stays the absolute basis determinant, and every entry equals the
+    full tableau's, so Bland's rule on labels takes the full tableau's path.
     The one ``Fraction`` a solve builds is the value, in ``obj``;
     ``primal_point``, ``ray`` and ``obj`` give the numerators that
     ``LpSolution`` keeps.
     """
 
     def __init__(self, problem: LpProblem):
-        m, n = problem.m, problem.n
-        self.m, self.n = m, n
-        *rows, (self.cost, self.cost_scale) = problem.scaled
-        self.rows: list[list[int]] = [[*scaled] for scaled, _ in rows]
-        self.row_scale = [scale for _, scale in rows]
-        self.b = problem.b
-        self.basis = [n + i for i in range(m)]
+        self.b = b = problem.b
+        self.m, self.n = m, n = len(b), len(problem.c)
+        if problem.scaled is None:
+            self.rows: list[list[int]] = [[*row, bi] for row, bi in zip(problem.a, b)]
+            self.row_scale, self.cost, self.cost_scale = [1] * m, problem.c, 1
+        else:
+            rows, self.row_scale, self.cost, self.cost_scale = problem.scaled
+            self.rows = [[*row] for row in rows]
+        self.basis = list(range(n, n + m))
         self.nonbasic = list(range(n))
         self.d = 1
-        self.z: list[int] = []
+        self.z = [*map(neg, self.cost), 0]
         self.pivots = 0
 
     def pivot(self, r: int, c: int) -> None:
@@ -251,7 +251,8 @@ class _Simplex:
         self.z = z
 
     def phase1(self) -> None:
-        """One-artificial-variable phase 1; raises LpInfeasibleError."""
+        """One-artificial-variable phase 1, then z for the cost; raises
+        LpInfeasibleError."""
         aux = self.n + self.m
         for row, scale in zip(self.rows, self.row_scale):
             row.insert(-1, -scale)
@@ -274,19 +275,19 @@ class _Simplex:
         for row in self.rows:
             del row[j]
         del self.nonbasic[j]
+        self.set_objective([*self.cost, *[0] * self.m])
 
-    @cached_property
-    def obj(self) -> tuple:
-        """The dual numerators Y over ``d * cost_scale`` (in the units of the
-        unscaled slacks s_i; 0 for a basic slack), then the value as a
-        Fraction; read it only once the solve is over."""
+    def read_obj(self) -> None:
+        """Sets ``obj``: the dual numerators Y over ``d * cost_scale`` (in the
+        units of the unscaled slacks s_i; 0 for a basic slack), then the
+        value as a Fraction; call it once, when the solve is optimal."""
         n, z = self.n, self.z
         obj = [0] * self.m
         for k, x in zip(self.nonbasic, z):
             if k >= n and x:
                 obj[k - n] = self.row_scale[k - n] * x
         obj.append(Fraction(z[-1], self.d * self.cost_scale))
-        return tuple(obj)
+        self.obj = tuple(obj)
 
     def primal_point(self) -> list[int]:
         """The numerators of x over d."""
@@ -313,9 +314,8 @@ class _Simplex:
 def solve_max(problem: LpProblem) -> LpSolution:
     """Solve max c.x, Ax <= b, x >= 0 exactly; Infeasible is an error."""
     simplex = _Simplex(problem)
-    if any(bi < 0 for bi in problem.b):
+    if min(problem.b, default=0) < 0:
         simplex.phase1()
-    simplex.set_objective([*simplex.cost, *[0] * problem.m])
     unbounded_col = simplex.run()
     if unbounded_col is not None:
         return LpSolution(
@@ -329,6 +329,7 @@ def solve_max(problem: LpProblem) -> LpSolution:
             dy=None,
         )
     # the duals are the slacks' reduced costs (slack i has label n+i; 0 when basic)
+    simplex.read_obj()
     return LpSolution(
         status="optimal",
         pivots=simplex.pivots,
@@ -370,7 +371,8 @@ def verify_certificates(problem: LpProblem, sol: LpSolution) -> bool:
     that is not an int > 0, or a value that is not an int or a Fraction
     fails the check.
     """
-    a, b, c, m, n = problem.a, problem.b, problem.c, problem.m, problem.n
+    a, b, c = problem.a, problem.b, problem.c
+    m, n = len(b), len(c)
     x, dx = sol.x, sol.d
     if not _exact(x, dx) or len(x) != n or any(xj < 0 for xj in x):
         return False
@@ -409,7 +411,8 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     """
     if sol.status != "optimal" or not verify_certificates(problem, sol):
         raise ValueError("uniqueness needs an optimal solution with a valid dual")
-    a, b, c, n = problem.a, problem.b, problem.c, problem.n
+    a, b, c = problem.a, problem.b, problem.c
+    n = len(c)
     x, dx, y, dy = sol.x, sol.d, sol.y, sol.dy
     tight = [_dot(row, x) == bi * dx for row, bi in zip(a, b)]
     # with the unit rows of x's zeros, rank n iff full rank on x's support

@@ -553,6 +553,10 @@ PINNED_OUTPUTS = {
     # theta and pivots grow
     "verify --case all --sweep deep --format json":
         "365c2b75625ba908e1a197780f99b33e1132cdf98e59f1662f7a21b539935cfb",
+    # the limit profile: every family at its largest common parameter value
+    # under total rank 100 (31 instances, 363 reports)
+    "verify --case all --sweep limit --format json":
+        "2eaa85130ba7065bee7fabed6c514706879c07482d2433d801e7522a87699414",
     # A_96 (|Sigma| 95, 49 reports), near the total-rank limit of 100: its
     # budget 4656 is |R+| from the component type, and nearly every one of
     # its 4514 main-LP pivots has |p| = d

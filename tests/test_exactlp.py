@@ -16,7 +16,7 @@ from oracles import (
     oracle_unique,
 )
 from test_catalog import smallest_instances
-from sphskel import exactlp, skeleton as sk
+from sphskel import catalog, cli, exactlp, mukai, skeleton as sk
 from sphskel.exactlp import (
     LpInfeasibleError,
     LpProblem,
@@ -480,22 +480,91 @@ def _direct(a, b, c):
 
 
 def test_each_row_passes_the_gate_once(monkeypatch):
-    # LpProblem gates each row of [a | b] and then c; the tableau starts from
-    # that output, so a solve, and a second solve, gate nothing
+    # one pass reads every entry's type: an all-int LP never reaches the gate,
+    # and an LP with a Fraction gates each row of [a | b] and then c once; the
+    # tableau starts from that output, so a solve, and a second solve, gate
+    # nothing
     seen = []
     gate = exactlp._integer_row
     monkeypatch.setattr(exactlp, "_integer_row", lambda v: seen.append(tuple(v)) or gate(v))
-    for a, b, c in (
-        ([[1, 2], [F(1, 2), 1], [3, F(2, 3)]], [4, F(5, 2), 6], [1, F(1, 3)]),
-        ([[1, 1], [-1, -1]], [2, -1], [1, 0]),  # phase 1
+    for a, b, c, gates in (
+        ([[1, 2], [F(1, 2), 1], [3, F(2, 3)]], [4, F(5, 2), 6], [1, F(1, 3)], True),
+        ([[1, 1], [-1, -1]], [2, F(-1)], [1, 0], True),  # phase 1
+        ([[1, 1], [-1, -1]], [2, -1], [1, 0], False),  # phase 1, all int
+        ([[1, 2], [3, 4]], [5, 6], [1, 1], False),
     ):
-        gated = [(*row, bi) for row, bi in zip(a, b)] + [tuple(c)]
+        gated = [(*row, bi) for row, bi in zip(a, b)] + [tuple(c)] if gates else []
         seen.clear()
         problem = LpProblem.make(a, b, c)
         assert seen == gated
         first, again = solve_max(problem), solve_max(problem)
         assert seen == gated
         assert first == again and first.status == "optimal"
+
+
+def test_degenerate_shapes():
+    # no rows, no columns, or an empty row: the start reads b and c alone
+    for args, want in (
+        (([], [], [1]), LpSolution("unbounded", 0, None, [0], [1], 1, None, None)),
+        (([], [], []), LpSolution("optimal", 0, F(0), [], None, 1, (), 1)),
+        (([[]], [1], []), LpSolution("optimal", 0, F(0), [], None, 1, (0,), 1)),
+        (([[0]], [0], [1]), LpSolution("unbounded", 0, None, [0], [1], 1, None, None)),
+    ):
+        problem = LpProblem.make(*args)
+        sol = solve_max(problem)
+        assert sol == want and verify_certificates(problem, sol), args
+    with pytest.raises(LpInfeasibleError):
+        solve_max(LpProblem.make([[]], [-1], []))
+
+
+def _ints(v):
+    return "-" if v is None else " ".join(map(str, v))
+
+
+def _raw_records(monkeypatch, run):
+    """The count of solve_max's records while ``run()`` runs, their pivot
+    total and a digest of every field as it is kept (the numerators over d
+    and dy, not their Fractions).  Every LP must be all int."""
+    records, pivots = [], 0
+    real = exactlp.solve_max
+
+    def solve(problem):
+        nonlocal pivots
+        assert problem.scaled is None  # all int: the tableau reads a, b and c
+        try:
+            sol = real(problem)
+        except LpInfeasibleError:
+            records.append("infeasible")
+            raise
+        pivots += sol.pivots
+        records.append("|".join((
+            sol.status, str(sol.pivots), repr(sol.value), _ints(sol.x), _ints(sol.r),
+            repr(sol.d), _ints(sol.y), repr(sol.dy),
+        )))
+        return sol
+
+    monkeypatch.setattr(exactlp, "solve_max", solve)
+    run()
+    monkeypatch.undo()
+    return len(records), pivots, hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+def test_catalog_lp_records_pinned(monkeypatch):
+    # every LP of a default verify pass and of the default supports pass, each
+    # record pinned raw: a d or a dy that moves with the same Fractions shows
+    instances = catalog.sweep_instances()
+    verify = _raw_records(monkeypatch, lambda: [
+        cli.evaluate_option(inst, opt) for inst in instances for opt in inst.options
+    ])
+    supports = _raw_records(monkeypatch, lambda: [
+        mukai.enumerate_minimal_complete_supports(inst.system) for inst in instances
+    ])
+    assert verify == (
+        1154, 1956, "cf7dfce7ae637b270e86f094251562186295b5b0ef35c52225bf3a33af691c4b"
+    )
+    assert supports == (
+        2220, 4384, "ae023b307469e411d352c4444152edc9392180ed4e3a9436c0de80a0a0d281d6"
+    )
 
 
 def test_row_scaling_invariance():
