@@ -74,12 +74,14 @@ def enumerate_minimal_complete_supports(
     elementary skeleton is complete, each with its verdict.
 
     Candidates go by size, so a complete one is minimal unless it contains a
-    support already found.  A failed candidate's separating y pairs
-    nonnegatively with the colors and with -e_j for every j where y_j <= 0;
-    any T inside that set fails too (Stiemke 1915) and is skipped unsolved.
-    ``skeleton.support_separation`` decides each candidate and reads that
-    set from the system's basis alone; only a complete candidate is built
-    as a skeleton, for its verdict.
+    support already found.  A y that pairs nonnegatively with the colors
+    pairs so with -e_j for every j where y_j <= 0; any T inside that set is
+    not complete (Stiemke 1915) and is skipped unsolved.  The search starts
+    from the sets of ``skeleton.basis_separations``, the columns of the
+    colors' basis inverse that separate the colors, and adds the set of each
+    failed candidate's y.  ``skeleton.support_separation`` decides each
+    candidate left, in the system's basis alone; only a complete candidate
+    is built as a skeleton, for its verdict.
     """
     # max_card stays only because perfbench/workloads.py passes 3 positionally
     if max_card < 1:
@@ -87,7 +89,8 @@ def enumerate_minimal_complete_supports(
     nsig = len(system.sigma)
     found: list[tuple[tuple[int, ...], MukaiVerdict]] = []
     minimal: list[frozenset[int]] = []
-    separated: list[frozenset[int]] = []  # {j : y_j <= 0} per failed candidate
+    # {j : y_j <= 0} per separating y: the basis columns', then failed candidates'
+    separated = sk_mod.basis_separations(system)
     for card in range(1, max_card + 1):
         for combo in combinations(range(nsig), card):
             t = frozenset(combo)

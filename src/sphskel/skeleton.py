@@ -297,6 +297,26 @@ def support_separation(system: SphericalSystem, indices: Iterable[int]) -> froze
     return None if y is None else frozenset([j for j, x in enumerate(y) if x <= 0])
 
 
+def basis_separations(system: SphericalSystem) -> list[frozenset[int]]:
+    """The set {j : y_j <= 0} of each column y of ``basis.inverse`` that
+    separates the colors, with no LP; [] when the colors do not span.
+
+    Column k is the y = den P^T e_k: the k-th basis color pairs with it to
+    den, every other basis color to 0 and an off-basis color to its k-th
+    coordinate.  So y separates the colors exactly when column k of
+    ``coords`` is >= 0, and then y is nonzero and no support inside its set
+    is complete (Stiemke 1915), as for a set of ``support_separation``.
+    """
+    basis, nsig = system.basis, len(system.sigma)
+    if len(basis.indices) < nsig:
+        return []
+    return [
+        frozenset([j for j, row in enumerate(basis.inverse) if row[k] <= 0])
+        for k in range(nsig)
+        if all(w[k] >= 0 for w in basis.coords)
+    ]
+
+
 def _support(system: SphericalSystem, indices: Iterable[int]) -> list[int]:
     """The support's indices, sorted and once each; ValueError names every
     index that is not an int naming a spherical root."""

@@ -596,6 +596,10 @@ PINNED_OUTPUTS = {
     "supports --case all --format json":
         "46bc8241e18d0b6ca06fc3ada227c78fab670bf6e8b1e89dd4e18ed8ac4d2746",
     "supports --case all": "1a7534319d73ac2da1e4507ddb77cc00bc089f53cdb7cf2f68efd4ba62fb4db8",
+    # the 31 largest systems, under total rank 100 (353 minimal supports),
+    # where the colors' basis columns skip the fewest candidates
+    "supports --case all --sweep limit --format json":
+        "f3882b16cfebdf747d13ea7159127a25a57dccc4b18bd15d7e2a5bacaad49eb2",
     # the minimal supports, their verdicts and the certificates of every family
     "supports --case all --sweep smoke --format json":
         "304766c568bcc19de03a75f982f1c8689cfdc5a8f75ea35299f9ef85d303c6cb",

@@ -563,7 +563,7 @@ def test_catalog_lp_records_pinned(monkeypatch):
         1154, 1956, "cf7dfce7ae637b270e86f094251562186295b5b0ef35c52225bf3a33af691c4b"
     )
     assert supports == (
-        2220, 4384, "ae023b307469e411d352c4444152edc9392180ed4e3a9436c0de80a0a0d281d6"
+        1059, 1819, "a5c5c1c66c39cdac2095125a8ca30de5c27ea303c7e097836405b1377018cd50"
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import lemmas
 from oracles import oracle_positive_span
-from sphskel import catalog, exactlp, mukai, rootsys, skeleton as sk
+from sphskel import catalog, cli, exactlp, mukai, rootsys, skeleton as sk
 from sphskel.mukai import EQUAL, STRICTLY_LESS
 from sphskel.skeleton import Color, SphericalSkeleton, SphericalSystem
 
@@ -192,34 +192,119 @@ def test_pruned_enumeration_matches_unpruned(monkeypatch):
             assert verdict.complete
             full = mukai.check_conjecture(sk.with_boundary_support(inst.system, t))
             assert verdict == full, (inst.label, t)
-    # the separating y skips candidates the unpruned search has to decide
-    assert (lps, candidates) == (89, 152)
+    # the basis columns and the separating y skip candidates the unpruned
+    # search has to decide
+    assert (lps, candidates) == (49, 152)
 
 
-def test_support_separation_matches_witness(monkeypatch):
-    # every candidate the enumeration decides on the default sweep: the
-    # decision from the system's basis is complete iff the skeleton's
-    # witness sets lam, and a failed one's set is {j : y_j <= 0} of its y
-    decided = []
-    decide = sk.support_separation
-    monkeypatch.setattr(
-        sk, "support_separation", lambda s, t: decided.append((s, t)) or decide(s, t)
-    )
+def test_support_separation_matches_witness():
+    # every candidate of the unpruned search on the default sweep, each T with
+    # |T| <= 3 that contains no minimal support: the decision from the
+    # system's basis is complete iff the skeleton's witness sets lam, and a
+    # failed one's set is {j : y_j <= 0} of its y
     systems = [inst.system for inst in catalog.sweep_instances()]
     assert len(systems) == 309
-    found = sum(len(mukai.enumerate_minimal_complete_supports(s, 3)) for s in systems)
-    monkeypatch.undo()
-    assert (len(decided), found) == (1693, 527)
-    failed = 0
-    for system, t in decided:
-        lam, y = sk.completeness_witness(sk.with_boundary_support(system, t))
-        sep = sk.support_separation(system, t)
-        if lam is not None:
-            assert sep is None, t
-        else:
-            failed += 1
-            assert sep == frozenset(j for j, yj in enumerate(y) if yj <= 0), t
-    assert failed == 1693 - 527
+    candidates = found = 0
+    for system in systems:
+        minimal = []
+        for card in range(1, 4):
+            for t in combinations(range(len(system.sigma)), card):
+                if any(set(prev) <= set(t) for prev in minimal):
+                    continue
+                candidates += 1
+                lam, y = sk.completeness_witness(sk.with_boundary_support(system, t))
+                sep = sk.support_separation(system, t)
+                if lam is not None:
+                    assert sep is None, t
+                    minimal.append(t)
+                else:
+                    assert sep == frozenset(j for j, yj in enumerate(y) if yj <= 0), t
+        found += len(minimal)
+    assert (candidates, found) == (8232, 527)
+
+
+def _sweep_systems(name):
+    return [inst.system for inst in catalog.sweep_instances(profile=cli.load_sweep_profile(name))]
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@pytest.mark.parametrize(
+    "sweep, systems, used, unused", [("default", 309, 1555, 72), ("deep", 676, 3747, 287)]
+)
+def test_basis_separations_separate_the_colors(sweep, systems, used, unused):
+    # each y_k, column k of the colors' basis inverse, read here and checked
+    # by its own pairings: it is used exactly when every color pairs with it
+    # >= 0, and then its set is {j : y_k[j] <= 0}
+    found = _sweep_systems(sweep)
+    assert len(found) == systems
+    counts = [0, 0]
+    for system in found:
+        inverse, nsig = system.basis.inverse, len(system.sigma)
+        expect = []
+        for k in range(nsig):
+            y = [row[k] for row in inverse]
+            assert any(y), (system, k)
+            separates = all(_dot(color.rho, y) >= 0 for color in system.colors)
+            counts[separates] += 1
+            if separates:
+                expect.append(frozenset(j for j, yj in enumerate(y) if yj <= 0))
+        assert sk.basis_separations(system) == expect
+    assert counts == [unused, used]
+
+
+def test_basis_separations_skip_no_complete_support():
+    # every candidate |T| <= 3 a basis column skips, on the |Sigma| <= 5
+    # systems of the deep sweep, is not complete by the hyperplane oracle
+    skipped = 0
+    for system in _sweep_systems("deep"):
+        nsig = len(system.sigma)
+        if nsig > 5:
+            continue
+        sets = sk.basis_separations(system)
+        for card in range(1, 4):
+            for t in combinations(range(nsig), card):
+                if any(map(set(t).issubset, sets)):
+                    skipped += 1
+                    rows = [div.rho for div in sk.with_boundary_support(system, t).divisors]
+                    assert not oracle_positive_span(rows, nsig), t
+    assert skipped == 3432
+
+
+def test_basis_separations_leave_out_a_column_a_color_opposes():
+    # the colors (1, 0), (0, 1) are the basis; (-1, 1) pairs -1 with y_0 =
+    # (1, 0), so only y_1 = (0, 1) is used.  y_0 would skip {1}, which is
+    # complete: (1, 0) + (-1, 1) + 2 (0, -1) + (0, 1) = 0
+    a1 = ("A", 1)
+    system = SphericalSystem(
+        rootsys.build_root_system([a1, a1]),
+        frozenset(),
+        ((1, 0), (0, 1)),
+        (
+            Color(name="D1", rho=(1, 0), moved_by=(0,)),
+            Color(name="D2", rho=(0, 1), moved_by=(1,)),
+            Color(name="D3", rho=(-1, 1), moved_by=(0,)),
+        ),
+    )
+    assert system.basis.indices == (0, 1) and system.basis.coords == ((-1, 1),)
+    assert sk.basis_separations(system) == [frozenset({0})]
+    found = mukai.enumerate_minimal_complete_supports(system, 2)
+    expect, _ = _unpruned_minimal_supports(system, 2)
+    assert [t for t, _ in found] == expect == [(1,)]
+
+
+@pytest.mark.parametrize("sweep, lps, found", [("default", 532, 527), ("deep", 1496, 1483)])
+def test_search_completeness_lps_pinned(monkeypatch, sweep, lps, found):
+    # the candidates the search decides with an LP, |T| <= 3: the basis
+    # columns skip the rest (1693 and 3831 with only the failed candidates' y)
+    systems = _sweep_systems(sweep)
+    decided = []
+    decide = sk.support_separation
+    monkeypatch.setattr(sk, "support_separation", lambda s, t: decided.append(t) or decide(s, t))
+    supports = sum(len(mukai.enumerate_minimal_complete_supports(s)) for s in systems)
+    assert (len(decided), supports) == (lps, found)
 
 
 def test_enumeration_on_colors_that_do_not_span():
