@@ -25,8 +25,10 @@ their Fractions only when a caller reads them, and the certificate checks
 run on the numerators.  Only a caller's own LPs and the face LP of
 ``unique_optimum`` can reach phase 1: the skeleton LP and
 ``positive_dependence``'s one LP over a basis of the span both have b >= 0,
-and they start at the slack basis with the cost row alone.  The rank and
-that basis share one Gauss-Jordan loop of the same step.
+and they start at the slack basis with the cost row alone.  At c <= 0 as
+well that basis is optimal, and the solve returns its record at 0 pivots
+without building a tableau.  The rank and that basis share one Gauss-Jordan
+loop of the same step.
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ class LpSolution:
     """An optimum (value, primal, dual) or an unbounded LP (primal, ray), and
     the pivots of the solve, as the final tableau holds them: x = X/d and a
     ray R/d over the tableau's d, y = Y/dy over dy = d L_c, ints over
-    denominators > 0 that need not be the least.  ``value`` is the one
-    Fraction a solve builds; ``primal``, ``dual`` and ``ray`` build theirs on
-    each read.  A field the status does not use is None."""
+    denominators > 0 that need not be the least.  ``value`` is the only
+    Fraction a solve builds (none at 0 pivots); ``primal``, ``dual`` and
+    ``ray`` build theirs on each read.  A field the status omits is None."""
 
     status: str  # "optimal" | "unbounded"
     pivots: int
@@ -312,34 +314,27 @@ class _Simplex:
 
 
 def solve_max(problem: LpProblem) -> LpSolution:
-    """Solve max c.x, Ax <= b, x >= 0 exactly; Infeasible is an error."""
+    """Solve max c.x, Ax <= b, x >= 0 exactly; Infeasible is an error.
+
+    At b >= 0 and c <= 0 the slack basis is optimal, so the record of its
+    tableau at 0 pivots is returned without building one."""
+    phase1 = min(problem.b, default=0) < 0
+    if not phase1 and max(problem.c, default=0) <= 0:
+        n, m = len(problem.c), len(problem.b)
+        dy = 1 if problem.scaled is None else problem.scaled[3]
+        return LpSolution("optimal", 0, _ZERO, [0] * n, None, 1, (0,) * m, dy)
     simplex = _Simplex(problem)
-    if min(problem.b, default=0) < 0:
+    if phase1:
         simplex.phase1()
     unbounded_col = simplex.run()
     if unbounded_col is not None:
-        return LpSolution(
-            status="unbounded",
-            pivots=simplex.pivots,
-            value=None,
-            x=simplex.primal_point(),
-            r=simplex.ray(unbounded_col),
-            d=simplex.d,
-            y=None,
-            dy=None,
-        )
+        x, ray = simplex.primal_point(), simplex.ray(unbounded_col)
+        return LpSolution("unbounded", simplex.pivots, None, x, ray, simplex.d, None, None)
     # the duals are the slacks' reduced costs (slack i has label n+i; 0 when basic)
     simplex.read_obj()
-    return LpSolution(
-        status="optimal",
-        pivots=simplex.pivots,
-        value=simplex.obj[-1],
-        x=simplex.primal_point(),
-        r=None,
-        d=simplex.d,
-        y=simplex.obj[:-1],
-        dy=simplex.d * simplex.cost_scale,
-    )
+    return LpSolution("optimal", simplex.pivots, x=simplex.primal_point(), r=None, d=simplex.d,
+                      value=simplex.obj[-1],
+                      y=simplex.obj[:-1], dy=simplex.d * simplex.cost_scale)
 
 
 def _exact(ints: Sequence[int] | None, den) -> bool:

@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import countOf
 from typing import Iterable, Sequence
 
 from sphskel import exactlp, rootsys
@@ -192,29 +193,32 @@ class SphericalSkeleton:
     def __post_init__(self):
         nsig = len(self.system.sigma)
         for div in self.boundary:
-            if len(div.rho) != nsig:
+            rho = div.rho
+            # one scan of each kind passes a valid divisor; any other (or the
+            # empty rho of nsig = 0) meets the checks below in their order
+            typed = len(rho) == nsig and countOf(map(type, rho), int) == nsig
+            if typed and max(rho, default=1) <= 0 and min(rho) < 0:
+                continue
+            if len(rho) != nsig:
                 raise SkeletonInvariantError(
                     "boundary-rho-length", f"{div.name}: expected {nsig} values"
                 )
-            if any(type(v) is not int for v in div.rho):
+            if any(type(v) is not int for v in rho):
                 raise SkeletonInvariantError(
                     "boundary-rho-integer", f"{div.name}: pairings must be integers"
                 )
-            if any(v > 0 for v in div.rho):
+            if any(v > 0 for v in rho):
                 raise SkeletonInvariantError(
                     "boundary-nonpositive", f"{div.name}: pairing must be <= 0"
                 )
-            if nsig and all(v == 0 for v in div.rho):
+            if nsig and all(v == 0 for v in rho):
                 raise SkeletonInvariantError(
                     "boundary-rho-nonzero", f"{div.name}: rho vanishes on sigma"
                 )
-        seen = set()
-        for div in self.divisors:
-            if div.name in seen:
-                raise SkeletonInvariantError(
-                    "divisor-names-unique", f"{div.name!r} names two divisors"
-                )
-            seen.add(div.name)
+        names = [div.name for div in self.divisors]
+        if len(set(names)) != len(names):
+            twice = next(x for i, x in enumerate(names) if x in names[:i])
+            raise SkeletonInvariantError("divisor-names-unique", f"{twice!r} names two divisors")
 
     @property
     def divisors(self) -> tuple:

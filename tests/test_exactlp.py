@@ -1,7 +1,7 @@
 import hashlib
 import random
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -515,6 +515,48 @@ def test_degenerate_shapes():
         assert sol == want and verify_certificates(problem, sol), args
     with pytest.raises(LpInfeasibleError):
         solve_max(LpProblem.make([[]], [-1], []))
+
+
+def _types(sol):
+    """The type of each field of a record, and of each entry of a vector."""
+    return [
+        (type(v), None if v is None or not isinstance(v, (list, tuple)) else [*map(type, v)])
+        for v in (getattr(sol, f.name) for f in fields(sol))
+    ]
+
+
+def test_optimal_start_record_is_the_tableaus():
+    # at b >= 0 and c <= 0 the slack basis is optimal, and solve_max answers
+    # without a tableau: its record must be the one a tableau reads at that
+    # basis, field for field and type for type
+    rng = random.Random(1960)
+    shapes = [([], [], []), ([[]], [1], []), ([[0]], [0], [0]), ([], [], [0, -1])]
+    problems = [LpProblem.make(*args) for args in shapes]
+    for k in range(120):
+        m, n = rng.randint(0, 5), rng.randint(0, 6)
+        dens = (1, 2, 3, 6) if k % 2 else (1,)  # odd k: Fraction entries
+
+        def entry(lo, hi):
+            v = F(rng.randint(lo, hi), rng.choice(dens))
+            return v if v.denominator > 1 else v.numerator
+
+        a = [[entry(-4, 4) for _ in range(n)] for _ in range(m)]
+        problems.append(LpProblem.make(a, [entry(0, 5) for _ in range(m)],
+                                       [entry(-4, 0) for _ in range(n)]))
+    scaled = 0
+    for problem in problems:
+        simplex = exactlp._Simplex(problem)
+        assert simplex.run() is None
+        simplex.read_obj()
+        obj, d = simplex.obj, simplex.d
+        want = LpSolution("optimal", simplex.pivots, obj[-1], simplex.primal_point(), None, d,
+                          obj[:-1], d * simplex.cost_scale)
+        sol = solve_max(problem)
+        assert sol == want and _types(sol) == _types(want), problem
+        assert verify_certificates(problem, sol)
+        assert unique_optimum(problem, sol) == unique_optimum(problem, want)
+        scaled += sol.dy != 1
+    assert scaled >= 20  # Fraction costs whose scale L_c is not 1
 
 
 def _ints(v):

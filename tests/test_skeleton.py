@@ -166,7 +166,8 @@ def test_completeness_in_span_coordinates_matches_rank_oracle():
 
 def test_is_complete_builds_no_fraction_but_each_lp_value(monkeypatch):
     # on the option skeletons of the default sweep the decision builds no
-    # witness and no LP vector: each Fraction() call is an LP's value.
+    # witness and no LP vector: each Fraction() call is the value of an LP
+    # that pivots, since one optimal at its start basis reads a shared 0.
     # CPython 3.12 and later build arithmetic results without __new__, so
     # only a count of explicit constructions holds across versions.
     skeletons = [inst.support_skeleton(opt)
@@ -189,12 +190,13 @@ def test_is_complete_builds_no_fraction_but_each_lp_value(monkeypatch):
     complete = sum(sk.is_complete(skel) for skel in skeletons)
     monkeypatch.undo()
     assert (len(skeletons), complete, solved) == (577, 577, 577)
-    assert built == solved
+    assert built == 261  # the completeness LPs that pivot
 
 
 def test_verify_pass_builds_its_fractions_on_read(monkeypatch):
-    # one pass over the 577 reports of the default sweep builds the LP
-    # values, theta and each P: an LP vector read nowhere is never built.
+    # one pass over the 577 reports of the default sweep builds the values
+    # of the LPs that pivot, theta and each P: an LP vector read nowhere is
+    # never built, nor the value 0 of an LP optimal at its start basis.
     # CPython 3.12 and later build arithmetic results (P = value + constant)
     # without __new__, so the count of all constructions holds before 3.12
     # and the count of those made outside the fractions module on every one
@@ -211,9 +213,9 @@ def test_verify_pass_builds_its_fractions_on_read(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     reports = [cli.evaluate_option(inst, opt) for inst, opt in items]
     monkeypatch.undo()
-    assert (len(reports), explicit) == (577, 2623)
+    assert (len(reports), explicit) == (577, 2068)
     if sys.version_info < (3, 12):
-        assert built == 3200
+        assert built == 2645
 
 
 def test_support():
@@ -456,6 +458,39 @@ def test_invariant_violations():
         with pytest.raises(SkeletonInvariantError) as err:
             replace(system, **changes)
         assert err.value.invariant == invariant
+
+
+def test_boundary_checks_name_the_first_broken_invariant():
+    # a valid divisor passes one combined scan; any other falls through to
+    # the checks in their order, so a divisor that breaks two names the first
+    rs = rootsys.build_root_system([("A", 2)])
+    color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,), coroot=(0, F(1)))
+    system = SphericalSystem(rs, frozenset(), ((1, 0), (0, 1)), (color,))
+    for rho, invariant in (
+        ((F(-1),), "boundary-rho-length"),  # the wrong length and not an int
+        ((F(-1, 2), 1), "boundary-rho-integer"),  # a Fraction and a positive entry
+        ((-1, True), "boundary-rho-integer"),  # True == 1 would read as positive
+        ((False, -1), "boundary-rho-integer"),  # False == 0 would read as valid
+        ((0, 1), "boundary-nonpositive"),
+        ((0, 0), "boundary-rho-nonzero"),
+    ):
+        with pytest.raises(SkeletonInvariantError) as err:
+            SphericalSkeleton(system, (BoundaryDivisor("E", (-1, 0)), BoundaryDivisor("X", rho)))
+        assert err.value.invariant == invariant, rho
+    # valid rows and the empty rho over an empty Sigma pass; a repeated name
+    # is named once every row has passed
+    valid = (BoundaryDivisor("E", (-2, 0)), BoundaryDivisor("F", (0, -1)))
+    assert SphericalSkeleton(system, valid).boundary == valid
+    empty = SphericalSystem(rootsys.build_root_system([("A", 1)]), frozenset(), (),
+                            (Color(name="D", rho=(), moved_by=(0,)),))
+    assert SphericalSkeleton(empty, (BoundaryDivisor("E", ()),)).boundary[0].rho == ()
+    for boundary, name in (
+        ((BoundaryDivisor("E", (-1, 0)), BoundaryDivisor("E", (0, -1))), "'E'"),
+        ((BoundaryDivisor("D1", (-1, 0)),), "'D1'"),
+    ):
+        with pytest.raises(SkeletonInvariantError, match=name) as err:
+            SphericalSkeleton(system, boundary)
+        assert err.value.invariant == "divisor-names-unique"
 
 
 FUZZ_VALUES = (None, True, 0, -1, 3, 1.5, "1/2", "x", "1/0", [], {}, 10**30)
