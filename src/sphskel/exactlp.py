@@ -77,14 +77,16 @@ class LpProblem:
     however the problem is built; ``make`` keeps them as given.  One pass
     reads every entry's type: an all-int LP keeps ``scaled`` None, and the
     tableau starts from a, b and c without a ``Fraction`` or a scaled copy.
-    Otherwise each row of ``[a | b]``, then c, passes the gate once, and
-    ``scaled`` keeps the rows ``L_i [a_i | b_i]``, the L_i, ``L_c c`` and L_c.
+    Otherwise each row of ``[a | b]``, then c, passes the gate once,
+    ``scaled`` keeps the rows ``L_i [a_i | b_i]``, the L_i and ``L_c c``, and
+    ``cost_scale`` is L_c (1 for an all-int LP).
     """
 
     a: tuple[tuple[int | Fraction, ...], ...]
     b: tuple[int | Fraction, ...]
     c: tuple[int | Fraction, ...]
     scaled: tuple | None = field(init=False, compare=False, repr=False)
+    cost_scale: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m, n = len(self.b), len(self.c)
@@ -92,11 +94,13 @@ class LpProblem:
             raise ValueError("row count of A does not match b")
         if countOf(map(len, self.a), n) != m:
             raise ValueError("column count of A does not match c")
-        scaled = None
+        scaled, cost_scale = None, 1
         if countOf(map(type, chain(self.b, self.c, *self.a)), int) != m + n + m * n:
             rows = [_integer_row((*row, bi)) for row, bi in zip(self.a, self.b)]
-            scaled = ([row for row, _ in rows], [L for _, L in rows], *_integer_row(self.c))
+            cost, cost_scale = _integer_row(self.c)
+            scaled = ([row for row, _ in rows], [L for _, L in rows], cost)
         object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "cost_scale", cost_scale)
 
     @staticmethod
     def make(a, b, c) -> "LpProblem":
@@ -202,11 +206,12 @@ class _Simplex:
     def __init__(self, problem: LpProblem):
         self.b = b = problem.b
         self.m, self.n = m, n = len(b), len(problem.c)
+        self.cost_scale = problem.cost_scale
         if problem.scaled is None:
             self.rows: list[list[int]] = [[*row, bi] for row, bi in zip(problem.a, b)]
-            self.row_scale, self.cost, self.cost_scale = [1] * m, problem.c, 1
+            self.row_scale, self.cost = [1] * m, problem.c
         else:
-            rows, self.row_scale, self.cost, self.cost_scale = problem.scaled
+            rows, self.row_scale, self.cost = problem.scaled
             self.rows = [[*row] for row in rows]
         self.basis = list(range(n, n + m))
         self.nonbasic = list(range(n))
@@ -261,9 +266,7 @@ class _Simplex:
         self.nonbasic.append(aux)
         # the worst row on the unscaled b, so the path is the unscaled one
         worst = min(range(self.m), key=lambda i: (self.b[i], self.basis[i]))
-        c = [0] * (aux + 1)
-        c[aux] = -1
-        self.set_objective(c)
+        self.set_objective([0] * aux + [-1])
         self.pivot(worst, len(self.nonbasic) - 1)
         self.run()  # bounded by construction: -x0 <= 0
         if self.z[-1] < 0:
@@ -314,15 +317,11 @@ class _Simplex:
 
 
 def solve_max(problem: LpProblem) -> LpSolution:
-    """Solve max c.x, Ax <= b, x >= 0 exactly; Infeasible is an error.
-
-    At b >= 0 and c <= 0 the slack basis is optimal, so the record of its
-    tableau at 0 pivots is returned without building one."""
+    """Solve max c.x, Ax <= b, x >= 0 exactly; Infeasible is an error."""
     phase1 = min(problem.b, default=0) < 0
-    if not phase1 and max(problem.c, default=0) <= 0:
+    if not phase1 and max(problem.c, default=0) <= 0:  # the slack basis's record, no tableau
         n, m = len(problem.c), len(problem.b)
-        dy = 1 if problem.scaled is None else problem.scaled[3]
-        return LpSolution("optimal", 0, _ZERO, [0] * n, None, 1, (0,) * m, dy)
+        return LpSolution("optimal", 0, _ZERO, [0] * n, None, 1, (0,) * m, problem.cost_scale)
     simplex = _Simplex(problem)
     if phase1:
         simplex.phase1()
@@ -332,8 +331,9 @@ def solve_max(problem: LpProblem) -> LpSolution:
         return LpSolution("unbounded", simplex.pivots, None, x, ray, simplex.d, None, None)
     # the duals are the slacks' reduced costs (slack i has label n+i; 0 when basic)
     simplex.read_obj()
-    return LpSolution("optimal", simplex.pivots, x=simplex.primal_point(), r=None, d=simplex.d,
+    return LpSolution("optimal", simplex.pivots,
                       value=simplex.obj[-1],
+                      x=simplex.primal_point(), r=None, d=simplex.d,
                       y=simplex.obj[:-1], dy=simplex.d * simplex.cost_scale)
 
 

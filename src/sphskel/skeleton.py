@@ -194,24 +194,20 @@ class SphericalSkeleton:
         nsig = len(self.system.sigma)
         for div in self.boundary:
             rho = div.rho
-            # one scan of each kind passes a valid divisor; any other (or the
-            # empty rho of nsig = 0) meets the checks below in their order
-            typed = len(rho) == nsig and countOf(map(type, rho), int) == nsig
-            if typed and max(rho, default=1) <= 0 and min(rho) < 0:
-                continue
             if len(rho) != nsig:
                 raise SkeletonInvariantError(
                     "boundary-rho-length", f"{div.name}: expected {nsig} values"
                 )
-            if any(type(v) is not int for v in rho):
+            # type(True) is bool, so a bool is no int here
+            if countOf(map(type, rho), int) != nsig:
                 raise SkeletonInvariantError(
                     "boundary-rho-integer", f"{div.name}: pairings must be integers"
                 )
-            if any(v > 0 for v in rho):
+            if max(rho, default=0) > 0:
                 raise SkeletonInvariantError(
                     "boundary-nonpositive", f"{div.name}: pairing must be <= 0"
                 )
-            if nsig and all(v == 0 for v in rho):
+            if nsig and min(rho) == 0:  # every entry is <= 0 here
                 raise SkeletonInvariantError(
                     "boundary-rho-nonzero", f"{div.name}: rho vanishes on sigma"
                 )

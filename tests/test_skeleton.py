@@ -461,8 +461,8 @@ def test_invariant_violations():
 
 
 def test_boundary_checks_name_the_first_broken_invariant():
-    # a valid divisor passes one combined scan; any other falls through to
-    # the checks in their order, so a divisor that breaks two names the first
+    # the checks run in a fixed order, so a divisor that breaks two names
+    # the first
     rs = rootsys.build_root_system([("A", 2)])
     color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,), coroot=(0, F(1)))
     system = SphericalSystem(rs, frozenset(), ((1, 0), (0, 1)), (color,))
