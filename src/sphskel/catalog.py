@@ -276,8 +276,7 @@ def _spherical_system(rs, sp, sigma, colors) -> SphericalSystem:
                 )
         else:
             moved = tuple(sorted({data, shared.get(data, data)}))
-        coroot = (data, F(1, 2) if data in halved else F(1)) if forced else None
-        built.append(Color(name, rho, moved, coroot))
+        built.append(Color(name, rho, moved))
         twice.append(rho2)
     movers: dict[int, list[int]] = {i: [] for i in range(rank) if i not in sp}
     for k, color in enumerate(built):

@@ -5,8 +5,8 @@ linearly independent spherically closed spherical roots Sigma and the colors
 Delta (each with its functional rho restricted to Sigma).  A skeleton is a
 system plus the boundary divisors Gamma (nonpositive integer pairings), so
 every Gamma over one system shares the system's checks.  All values are
-exact; the functional of a color is stored explicitly, with an optional
-coroot reference kept purely as a consistency cross-check.
+exact; the functional of a color is stored explicitly, and a color moved by
+a simple root of type b or 2a must store the one Sigma forces.
 """
 
 from __future__ import annotations
@@ -34,17 +34,16 @@ class SkeletonInvariantError(ValueError):
 class Color:
     """A color D with its functional rho(D) restricted to Sigma.
 
-    ``coroot`` optionally records that rho(D) = scale * alpha_idx^vee; the
-    explicit ``rho`` vector stays authoritative and the reference is only
-    validated against it.  ``moved_by`` lists the simple roots alpha with
-    D in Delta(alpha); it drives the anticanonical multiplicity m_D.  In a
-    ``SphericalSystem`` an integral value of ``rho`` is an ``int``.
+    ``moved_by`` lists the simple roots alpha with D in Delta(alpha); it
+    drives the anticanonical multiplicity m_D.  In a ``SphericalSystem`` a
+    mover alpha outside S^p and Sigma forces rho(D) = alpha^vee on Sigma
+    (half of it when 2 alpha is in Sigma), and an integral value of ``rho``
+    is an ``int``.
     """
 
     name: str
     rho: tuple[int | Fraction, ...]
     moved_by: tuple[int, ...]
-    coroot: tuple[int, Fraction] | None = None
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,10 @@ class BoundaryDivisor:
 class SphericalSystem:
     """A spherical system (S^p, Sigma, Delta) on a root system (Luna 2001).
 
-    Construction checks every invariant that does not involve Gamma and
-    stores each color with the integral values of its rho as ``int``, so the
-    LPs built on an integral system hold no ``Fraction``.  It also stores
+    Construction checks every invariant that does not involve Gamma, among
+    them that each color stores the rho its movers force, and stores each
+    color with the integral values of its rho as ``int``, so the LPs built
+    on an integral system hold no ``Fraction``.  It also stores
     m_D over the colors as ``multiplicities``: m_D is 1 when some moving
     simple root lies in Sigma or (1/2)Sigma, otherwise
     <alpha^vee, 2rho_S - 2rho_{S^p}> = 2 - <alpha^vee, 2rho_{S^p}> for the
@@ -94,13 +94,6 @@ class SphericalSystem:
                 raise SkeletonInvariantError(
                     "moved-by-integer", f"{color.name}: simple-root indices must be int"
                 )
-            if color.coroot is not None:
-                idx, scale = color.coroot
-                if type(idx) is not int or type(scale) not in (int, Fraction):
-                    raise SkeletonInvariantError(
-                        "coroot-exact",
-                        f"{color.name}: coroot index must be int, scale int or Fraction",
-                    )
         names = [color.name for color in colors]
         if len(set(names)) != len(names):
             repeated = next(name for name in names if names.count(name) > 1)
@@ -117,6 +110,10 @@ class SphericalSystem:
                 raise SkeletonInvariantError("sigma-length", f"{g} has wrong length")
         if nsig and exactlp.matrix_rank(sigma) != nsig:
             raise SkeletonInvariantError("sigma-independent", "sigma is linearly dependent")
+        # the simple roots alpha with alpha (type a) or 2 alpha (type 2a) in Sigma
+        lone = [g for g in sigma if g.count(0) == rank - 1]
+        type_a = {g.index(1) for g in lone if 1 in g}
+        type_2a = {g.index(2) for g in lone if 2 in g}
         canonical = []
         for color in colors:
             if len(color.rho) != nsig:
@@ -140,28 +137,26 @@ class SphericalSystem:
                 raise SkeletonInvariantError(
                     "moved-by-distinct", f"{color.name}: a simple root is listed twice"
                 )
-            if color.coroot is not None:
-                idx, scale = color.coroot
-                if not 0 <= idx < rank:
-                    raise SkeletonInvariantError(
-                        "coroot-range", f"{color.name}: coroot index {idx} out of range"
-                    )
+            for idx in color.moved_by:
+                if idx in self.sp or idx in type_a:
+                    continue
+                scale = Fraction(1, 2) if idx in type_2a else 1
                 expect = coroot_rho(rs, sigma, idx, scale)
                 if tuple(color.rho) != expect:
                     raise SkeletonInvariantError(
-                        "color-coroot-consistent",
-                        f"{color.name}: stored rho {color.rho}"
-                        f" != {scale}*alpha_{idx}^vee {expect}",
+                        "color-forced",
+                        f"{color.name}: rho ({', '.join(map(frac_str, color.rho))}),"
+                        f" but its mover {idx} forces ({', '.join(map(frac_str, expect))})",
                     )
             if any(type(v) is Fraction and v.denominator == 1 for v in color.rho):
                 rho = tuple([v.numerator if v.denominator == 1 else v for v in color.rho])
-                color = Color(color.name, rho, color.moved_by, color.coroot)
+                color = Color(color.name, rho, color.moved_by)
             canonical.append(color)
         object.__setattr__(self, "colors", tuple(canonical))
         object.__setattr__(self, "basis", exactlp.span_basis([c.rho for c in canonical], nsig))
         inside, count = rootsys.positive_in_span(rs, self.sp)
         object.__setattr__(self, "budget", rs.positive_count - count)
-        in_sigma = {g.index(v) for g in sigma for v in (1, 2) if g.count(0) == rank - 1 and v in g}
+        in_sigma = type_a | type_2a
         ms = []
         for color in colors:
             if in_sigma.intersection(color.moved_by):
@@ -495,11 +490,6 @@ def to_dict(sk: SphericalSkeleton) -> dict:
                 "name": c.name,
                 "rho": [frac_str(v) for v in c.rho],
                 "moved_by": list(c.moved_by),
-                **(
-                    {"coroot": {"index": c.coroot[0], "scale": frac_str(c.coroot[1])}}
-                    if c.coroot
-                    else {}
-                ),
             }
             for c in system.colors
         ],
@@ -528,21 +518,13 @@ def from_dict(data: dict) -> SphericalSkeleton:
     sp = frozenset(sp_list)
     colors = []
     for c in _list(data.get("colors", []), "colors"):
-        c = _object(c, "color", ("name", "rho", "moved_by"), ("coroot",))
+        c = _object(c, "color", ("name", "rho", "moved_by"))
         where = f"color {_str(c['name'], 'color name')}"
-        coroot = None
-        if "coroot" in c:
-            ref = _object(c["coroot"], f"{where} coroot", ("index",), ("scale",))
-            coroot = (
-                _int(ref["index"], f"{where} coroot index"),
-                _frac(ref.get("scale", "1"), f"{where} coroot scale"),
-            )
         colors.append(
             Color(
                 name=c["name"],
                 rho=tuple([_frac(v, f"{where} rho") for v in _list(c["rho"], f"{where} rho")]),
                 moved_by=_ints(c["moved_by"], f"{where} moved_by"),
-                coroot=coroot,
             )
         )
     boundary = []

@@ -88,13 +88,11 @@ def product(sk1: SphericalSkeleton, sk2: SphericalSkeleton) -> SphericalSkeleton
 
     colors = [replace(c, rho=tuple(c.rho) + (0,) * n2) for c in sys1.colors]
     for c in sys2.colors:
-        coroot = (c.coroot[0] + r1, c.coroot[1]) if c.coroot else None
         colors.append(
             Color(
                 name=rename(c.name),
                 rho=(0,) * n1 + tuple(c.rho),
                 moved_by=tuple([r1 + j for j in c.moved_by]),
-                coroot=coroot,
             )
         )
     boundary = [replace(d, rho=tuple(d.rho) + (0,) * n2) for d in sk1.boundary]

@@ -145,21 +145,25 @@ def test_equality_registry():
 
 
 def test_coroot_attachments_consistent():
-    # stored rho of every coroot-attached color equals the recomputed pairing
+    # the stored rho of every color moved by a root alpha of type b (alpha,
+    # 2 alpha not in Sigma, alpha not in S^p) or 2a is alpha^vee on Sigma,
+    # half of it for 2a, recomputed root by root
     from sphskel.rootsys import coroot_pairing
 
     checked = 0
     for inst in smallest_instances():
-        for color in inst.system.colors:
-            if color.coroot is None:
-                continue
-            idx, scale = color.coroot
-            expect = tuple(
-                scale * coroot_pairing(inst.system.root_system, idx, g)
-                for g in inst.system.sigma
-            )
-            assert color.rho == expect
-            checked += 1
+        system = inst.system
+        for color in system.colors:
+            for idx in color.moved_by:
+                alpha = tuple(int(j == idx) for j in range(system.root_system.rank))
+                if idx in system.sp or alpha in system.sigma:
+                    continue
+                scale = F(1, 2) if tuple(2 * v for v in alpha) in system.sigma else 1
+                expect = tuple(
+                    scale * coroot_pairing(system.root_system, idx, g) for g in system.sigma
+                )
+                assert color.rho == expect, (inst.label, color.name, idx)
+                checked += 1
     assert checked > 20
 
 
@@ -225,7 +229,7 @@ def test_exportability_of_every_family(tmp_path):
 
 
 def test_catalog_system_data_pinned():
-    # every color's name, position, rho, moved_by and coroot, and every sigma
+    # every color's name, position, rho and moved_by, and every sigma
     # label, over the default and the deep sweep (family 50 up to q=15), over
     # families 43 at p=30 and 47 at q=40, past deep, where the A_1/C_{k+1}
     # block rule lays out every sub-case, and over every sub-case of 42, 44
@@ -237,13 +241,13 @@ def test_catalog_system_data_pinned():
     small += catalog.sweep_instances(family=45, overrides={"q": 40})
     for label, instances, count, expected in [
         ("default", catalog.sweep_instances(profile=cli.load_sweep_profile("default")), 309,
-         "d52a1e923c0c21a08a2b371562f6521275edb5b2acd470fe544c8f8c6cf22aa7"),
+         "090b58c9e9a7cb9a3a2bf326997c8a4d45c571bd10623fe586b5ad82e42c768b"),
         ("deep", catalog.sweep_instances(profile=cli.load_sweep_profile("deep")), 676,
-         "27d5841b9fd2f56b7cdb88e6b722e22a76bc3960b7da50eac1e9cfc3ae5b8e07"),
+         "6b949b687390b9c26d379fb1d742acb1f2a8a95ddc7311349a89a48eaf8a1a79"),
         ("43 p=30, 47 q=40", blocks, 37,
-         "6919eefa5a3fa4f230b1841bf176b344a332eca1ebb3a15a6530aee64cd1ba70"),
+         "90a3723b0fd1e9399891c5c8c5002975d9f3a41c789eb4e6f7ea5db576a2a750"),
         ("42 q=40, 44 p=48, 45 q=40", small, 14,
-         "01ef41ffc3f4705c5c3335804ddeafa4bcc0176cb2e52f4c63133f725c006743"),
+         "2ca7e7903823eb28b909817c6feaba0c4420fd34fe8f919cad1fb5ca49404d07"),
     ]:
         digest = hashlib.sha256()
         for inst in instances:
@@ -287,6 +291,8 @@ COLORS_43 = [
 ]
 A4_CHAINS = (build_root_system([("A", 4)]), (), [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
 COLORS_31 = [(f"D{i + 1}", i) for i in range(4)]
+A4_SIGMA2_BROKEN = (build_root_system([("A", 4)]), (), [(1, 0, 1, 0), (0, 0, 0, 1)])
+COLORS_SIGMA2_BROKEN = [("D1", 0), ("D2", 1), ("D4+", {1: 1}), ("D4-", {0: -1, 1: 1})]
 CASE_39 = (build_root_system([("D", 5)]), (2,), [
     (1, 0, 0, 0, 0), (0, 1, 1, 1, 0), (0, 1, 1, 0, 1), (0, 0, 1, 1, 1),
 ])
@@ -324,6 +330,9 @@ def test_spherical_system_reproduces_the_catalog():
         (A4_CHAINS, COLORS_31 + COLORS_31[:1], "spherical-system-movers"),
         # a forced color of a root in S^p
         ((A4_CHAINS[0], (3,), A4_CHAINS[2]), COLORS_31, "spherical-system-movers"),
+        # Sigma2 broken: D1, shared by the orthogonal alpha_1 and alpha_3 of type
+        # b, stores alpha_1^vee = (2, 0), where alpha_3^vee is (2, -1)
+        (A4_SIGMA2_BROKEN, COLORS_SIGMA2_BROKEN, "color-forced"),
     ],
 )
 def test_spherical_system_rejects_what_luna_forbids(data, colors, invariant):
@@ -336,10 +345,10 @@ def test_luna_identification_of_shared_colors():
     # orthogonal alpha, beta of type b with alpha + beta in Sigma share one color
     for q in range(1, 6):
         first = catalog.instantiate(42, "p=0", q=q).system.colors[0]
-        assert (first.name, first.moved_by, first.coroot) == ("D'1", (0, 1), (1, F(1)))
+        assert (first.name, first.moved_by) == ("D'1", (0, 1))
         for p in range(1, 6):
             first = catalog.instantiate(42, "p>=1", p=p, q=q).system.colors[0]
-            assert (first.name, first.moved_by, first.coroot) == ("D1", (0, p + 1), (0, F(1)))
+            assert (first.name, first.moved_by) == ("D1", (0, p + 1))
     rs = build_root_system([("A", 1), ("A", 1)])
     shared = catalog._spherical_system(rs, (), [(1, 1)], [("D", 0)])
     assert shared.colors[0].moved_by == (0, 1)

@@ -154,7 +154,7 @@ def test_export_verify_round_trip_identical(tmp_path):
 
 # sha256 over the files `sphskel export --sweep smoke` writes for every family
 # in sorted key order, the bare system (Gamma empty) first and then each option
-EXPORT_SMOKE_SHA256 = "7fdd591fb8dcd8ea45fbae4e37cfa3e8f9ddedf81e5f549c3f49a91afff9b31a"
+EXPORT_SMOKE_SHA256 = "7b84fcb0871e298c4d3e6d0ef84e7901504787f3fbe6d29413af2b300ebf6696"
 
 
 def test_export_smoke_files_identity(tmp_path):
@@ -326,9 +326,7 @@ VALID_DOC = {
     "root_system": [{"series": "A", "rank": 2}],
     "sp": [],
     "sigma": [[1, 1]],
-    "colors": [
-        {"name": "D", "rho": ["1"], "moved_by": [0], "coroot": {"index": 0, "scale": "1"}}
-    ],
+    "colors": [{"name": "D", "rho": ["1"], "moved_by": [0]}],
     "boundary": [{"name": "E", "rho": [-1]}],
 }
 
@@ -351,8 +349,6 @@ def _color(doc):
         pytest.param(lambda d: d.update(sigma=[[1.0, 1]]), 2, "parse error", id="sigma-float"),
         pytest.param(lambda d: _color(d).update(moved_by=["0"]), 2, "parse error",
                      id="moved-by-string"),
-        pytest.param(lambda d: _color(d)["coroot"].update(index=False), 2, "parse error",
-                     id="coroot-index-bool"),
         pytest.param(lambda d: _color(d).update(rho=[1.0]), 2, "parse error",
                      id="color-rho-float"),
         pytest.param(lambda d: _color(d).update(name=7), 2, "parse error", id="name-number"),
@@ -370,31 +366,28 @@ def _color(doc):
                      id="color-rho-exponent"),
         pytest.param(lambda d: _color(d).update(rho=[" 1"]), 2, "bad rational",
                      id="color-rho-space"),
-        pytest.param(lambda d: _color(d)["coroot"].update(scale="1_0"), 2, "bad rational",
-                     id="coroot-scale-underscore"),
-        pytest.param(lambda d: _color(d)["coroot"].update(scale="2/\u0662"), 2, "bad rational",
-                     id="coroot-scale-arabic-indic-digit"),
-        pytest.param(lambda d: _color(d)["coroot"].update(scale="1/0"), 2, "bad rational",
-                     id="coroot-scale-zero-denominator"),
         pytest.param(lambda d: _color(d).update(rho=[1]), 0, "", id="color-rho-json-int"),
-        pytest.param(lambda d: _color(d)["coroot"].update(scale=1), 0, "",
-                     id="coroot-scale-json-int"),
         pytest.param(lambda d: d.update(boundry=[]), 2, "unknown key 'boundry'",
                      id="unknown-top-level-key"),
         pytest.param(lambda d: d["root_system"][0].update(serie="A"), 2, "parse error",
                      id="unknown-component-key"),
         pytest.param(lambda d: _color(d).update(moved=[0]), 2, "parse error",
                      id="unknown-color-key"),
-        pytest.param(lambda d: _color(d)["coroot"].update(scal="1"), 2, "parse error",
-                     id="unknown-coroot-key"),
+        # older files carried a coroot reference, which Sigma now forces
+        pytest.param(lambda d: _color(d).update(coroot={"index": 0, "scale": "1"}), 2,
+                     "unknown key 'coroot'", id="coroot-key-rejected"),
         pytest.param(lambda d: d["boundary"][0].update(mult=1), 2, "parse error",
                      id="unknown-boundary-key"),
         pytest.param(lambda d: d["boundary"][0].update(name="D"), 3,
                      "[divisor-names-unique]", id="color-and-boundary-share-a-name"),
         pytest.param(lambda d: d["boundary"].append({"name": "E", "rho": [-1]}), 3,
                      "[divisor-names-unique]", id="boundary-divisors-share-a-name"),
-        pytest.param(lambda d: _color(d)["coroot"].update(index=-1), 3, "[coroot-range]",
-                     id="coroot-index-out-of-range"),
+        # alpha_1^vee is 1 on alpha_1 + alpha_2: rho(D1) = 3 would read as
+        # P = 5 over the budget 3, a Violation
+        pytest.param(lambda d: d.update(colors=[
+            {"name": "D1", "rho": ["3"], "moved_by": [0]},
+            {"name": "D2", "rho": ["1"], "moved_by": [1]},
+        ]), 3, "[color-forced]", id="color-rho-not-forced"),
         # a repeated index would otherwise read as one
         pytest.param(lambda d: d.update(sp=[1, 1]), 2, "parse error", id="sp-repeated"),
         # refused before a 10^30 x 10^30 Cartan matrix is allocated

@@ -409,7 +409,7 @@ def test_duplicate_boundary():
 def test_invariant_violations():
     rs = rootsys.build_root_system([("A", 2)])
     sigma = ((1, 0), (0, 1))
-    color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,), coroot=(0, F(1)))
+    color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,))
     system = SphericalSystem(rs, frozenset(), sigma, (color,))
     with pytest.raises(SkeletonInvariantError) as err:
         SphericalSkeleton(system, (BoundaryDivisor("E", (1, 0)),))
@@ -420,14 +420,6 @@ def test_invariant_violations():
     with pytest.raises(SkeletonInvariantError) as err:
         SphericalSystem(rs, frozenset(), ((1, 0), (2, 0)), ())
     assert err.value.invariant == "sigma-independent"
-    with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSystem(
-            rs,
-            frozenset(),
-            sigma,
-            (Color(name="D", rho=(F(1), F(1)), moved_by=(0,), coroot=(0, F(1))),),
-        )
-    assert err.value.invariant == "color-coroot-consistent"
     with pytest.raises(SkeletonInvariantError) as err:
         SphericalSystem(
             rs, frozenset(), sigma, (Color(name="D", rho=(F(1), F(0)), moved_by=()),)
@@ -464,7 +456,7 @@ def test_boundary_checks_name_the_first_broken_invariant():
     # the checks run in a fixed order, so a divisor that breaks two names
     # the first
     rs = rootsys.build_root_system([("A", 2)])
-    color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,), coroot=(0, F(1)))
+    color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,))
     system = SphericalSystem(rs, frozenset(), ((1, 0), (0, 1)), (color,))
     for rho, invariant in (
         ((F(-1),), "boundary-rho-length"),  # the wrong length and not an int
@@ -548,14 +540,28 @@ GOOD_A2 = dict(
     root_system=RS_A2,
     sp=frozenset(),
     sigma=SIGMA_A2,
-    colors=(Color(name="D", rho=(F(1),), moved_by=(0,), coroot=(0, F(1))),),
+    colors=(Color(name="D", rho=(F(1),), moved_by=(0,)),),
 )
 GAMMA_A2 = (BoundaryDivisor("E", (-1,)),)
+# A_3 with Sigma = {2 alpha_1, alpha_1 + alpha_2}: the colors alpha_1, alpha_2
+# and alpha_3 force, the first half of alpha_1^vee.  An odd pairing of a type
+# 2a coroot breaks Luna's axiom Sigma1, which no check here reads; it is the
+# only way a forced value is half-integral
+HALF_A3 = dict(
+    root_system=rootsys.build_root_system([("A", 3)]),
+    sp=frozenset(),
+    sigma=((2, 0, 0), (1, 1, 0)),
+    colors=(
+        Color(name="D", rho=(F(2), F(1, 2)), moved_by=(0,)),
+        Color(name="D'", rho=(F(-2), F(1)), moved_by=(1,)),
+        Color(name="D''", rho=(F(0), F(-1)), moved_by=(2,)),
+    ),
+)
 
 
 def _a2_with_color(**changes):
-    """GOOD_A2 with its color changed (and its coroot reference dropped)."""
-    color = replace(GOOD_A2["colors"][0], coroot=None, **changes)
+    """GOOD_A2 with its color changed."""
+    color = replace(GOOD_A2["colors"][0], **changes)
     return SphericalSystem(**{**GOOD_A2, "colors": (color,)})
 
 
@@ -589,37 +595,27 @@ def test_unreached_invariants(invariant):
 def test_system_stores_integral_values_as_int():
     # one representation of rho: an integral value becomes an int, so the LPs
     # built on the system hold ints; a half-integral one stays a Fraction
-    colors = (
-        Color(name="D", rho=(F(2),), moved_by=(0,)),
-        Color(name="D'", rho=(F(1, 2),), moved_by=(1,)),
-    )
-    system = SphericalSystem(**{**GOOD_A2, "colors": colors})
-    assert system.colors == colors
-    whole, half = (color.rho[0] for color in system.colors)
+    system = SphericalSystem(**HALF_A3)
+    assert system.colors == HALF_A3["colors"]
+    whole, half = system.colors[0].rho
     assert (whole, type(whole)) == (2, int)
     assert (half, type(half)) == (F(1, 2), F)
-    assert system.multiplicities == (2, 2)
-    assert [type(m) for m in system.multiplicities] == [int, int]
-    assert system.budget == 3
-    loaded = sk.from_dict(sk.to_dict(SphericalSkeleton(system, GAMMA_A2))).system
-    assert [type(color.rho[0]) for color in loaded.colors] == [int, F]
-    # the first color is the basis B = (2); B^-1 = 1/2 and the other color's
-    # coordinate 1/4 share the denominator 4
+    assert system.multiplicities == (1, 2, 2)
+    assert [type(m) for m in system.multiplicities] == [int, int, int]
+    assert system.budget == 6
+    skel = SphericalSkeleton(system, (BoundaryDivisor("E", (-1, 0)),))
+    loaded = sk.from_dict(sk.to_dict(skel)).system
+    types = [[type(v) for v in color.rho] for color in loaded.colors]
+    assert types == [[int, F], [int, int], [int, int]]
+    # the first two colors are the basis B; B^-1 = (1/3)[[1, -1/2], [2, 2]]
+    # and the third color's coordinates -2/3, -2/3 share the denominator 6
     basis = system.basis
-    assert basis == exactlp.SpanBasis(indices=(0,), inverse=((2,),), coords=((1,),), den=4)
+    assert basis == exactlp.SpanBasis(
+        indices=(0, 1), inverse=((2, -1), (4, 4)), coords=((-4, -4),), den=6
+    )
     values = [*basis.indices, *(x for row in basis.inverse + basis.coords for x in row)]
     assert {type(x) for x in values} == {int} and type(basis.den) is int and basis.den > 0
     assert loaded.basis == basis
-
-
-@pytest.mark.parametrize("coroot", [(True, 1), (0, True), (0, 1.0), (0.0, 1)])
-def test_coroot_reference_must_be_exact(coroot):
-    # each equals a valid reference, (1, 1) or (0, 1), so the consistency
-    # check passes it; save would write "index": true, which the reader rejects
-    color = replace(GOOD_A2["colors"][0], coroot=coroot)
-    with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSystem(**{**GOOD_A2, "colors": (color,)})
-    assert err.value.invariant == "coroot-exact"
 
 
 def _save_load(skel, path):
@@ -628,13 +624,9 @@ def _save_load(skel, path):
 
 
 def test_api_built_systems_survive_a_file_round_trip(tmp_path):
-    # an int coroot scale, an integral rho given as a Fraction, a half one
-    colors = (
-        Color(name="D", rho=(F(1),), moved_by=(0,), coroot=(0, 1)),
-        Color(name="D'", rho=(F(1, 2),), moved_by=(1,), coroot=(1, F(1, 2))),
-    )
-    skel = SphericalSkeleton(SphericalSystem(**{**GOOD_A2, "colors": colors}), GAMMA_A2)
-    assert _save_load(skel, tmp_path / "a2.json") == skel
+    # integral rho values given as a Fraction, a half one
+    skel = SphericalSkeleton(SphericalSystem(**HALF_A3), (BoundaryDivisor("E", (-1, 0)),))
+    assert _save_load(skel, tmp_path / "a3.json") == skel
     # the catalog builds its systems through the same API
     for inst in catalog.sweep_instances(profile=cli.load_sweep_profile("smoke")):
         skel = SphericalSkeleton(inst.system, ())
@@ -669,11 +661,9 @@ def test_file_round_trip(tmp_path):
     assert loaded.system.sigma == skel.system.sigma
     assert [c.rho for c in loaded.system.colors] == [c.rho for c in skel.system.colors]
     assert mukai.check_conjecture(loaded) == mukai.check_conjecture(skel)
-    # the half-coroot scale survives as a reduced fraction string
+    # a color is written as its name, rho and movers alone
     data = json.loads(path.read_text())
-    dp = next(c for c in data["colors"] if c["name"] == "Dp+")
-    assert dp["coroot"]["scale"] == "1/2"
-    assert loaded.system.colors[-1].coroot == (2, F(1, 2))
+    assert all(list(c) == ["name", "rho", "moved_by"] for c in data["colors"])
 
 
 def test_parse_errors(tmp_path):
@@ -704,15 +694,54 @@ BAD_A2_SYSTEMS = {
     # 2rho_S - 2rho_{S^p} = (2, 0) pairs to -2 with alpha_2^vee
     "multiplicity-positive": {
         "sp": frozenset({1}),
-        "colors": (Color(name="D", rho=(F(1),), moved_by=(1,), coroot=(1, F(1))),),
+        "colors": (Color(name="D", rho=(F(1),), moved_by=(1,)),),
     },
-    "color-coroot-consistent": {
-        "colors": (Color(name="D", rho=(F(5),), moved_by=(0,), coroot=(0, F(1))),),
+    # alpha_1^vee is 1 on alpha_1 + alpha_2, yet D1 stores 3: compute would
+    # read P = 5 over the budget 3 as a Violation
+    "color-forced": {
+        "colors": (
+            Color(name="D1", rho=(F(3),), moved_by=(0,)),
+            Color(name="D2", rho=(F(1),), moved_by=(1,)),
+        ),
     },
     "sp-range": {"sp": frozenset({5})},
     # a certificate helper, which takes a system, would read the last "D"
     "divisor-names-unique": {"colors": GOOD_A2["colors"] * 2},
 }
+
+
+def _rank(series, rank):
+    return rootsys.build_root_system([(series, rank)])
+
+
+# the movers color-forced reads past type b (BAD_A2_SYSTEMS): (root system,
+# S^p, Sigma, the one color's rho and movers, invariant or None)
+FORCED_COLORS = {
+    "type-2a-half": (_rank("A", 1), (), ((2,),), (2,), (0,), None),
+    "type-2a-whole": (_rank("A", 1), (), ((2,),), (4,), (0,), "color-forced"),
+    # a type-a color takes 1 on its root, half of alpha^vee: A2 binds the
+    # pair of them, not this rule
+    "type-a-free": (_rank("A", 1), (), ((1,),), (1,), (0,), None),
+    # alpha_2 in S^p forces nothing; 2rho_{S^p} = alpha_2 gives m_D = 0
+    "mover-in-sp-free": (_rank("A", 2), (1,), ((1, 1),), (5,), (1,), "multiplicity-positive"),
+    # a shared color answers to both movers: alpha_1^vee is (2, 0) and
+    # alpha_3^vee is (2, -1) on Sigma, so no rho passes
+    "shared-sigma2-broken": (
+        _rank("A", 4), (), ((1, 0, 1, 0), (0, 0, 0, 1)), (2, 0), (0, 2), "color-forced"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FORCED_COLORS))
+def test_color_forced_by_each_mover(name):
+    rs, sp, sigma, rho, moved_by, invariant = FORCED_COLORS[name]
+    args = (rs, frozenset(sp), sigma, (Color("D", rho, moved_by),))
+    if invariant is None:
+        assert SphericalSystem(*args).colors[0].rho == rho
+    else:
+        with pytest.raises(SkeletonInvariantError) as err:
+            SphericalSystem(*args)
+        assert err.value.invariant == invariant
 
 
 @pytest.mark.parametrize("invariant", sorted(BAD_A2_SYSTEMS))
@@ -741,5 +770,15 @@ def test_every_invariant_is_documented():
     for path in (root / "src" / "sphskel").glob("*.py"):
         names |= set(re.findall(r'SkeletonInvariantError\(\s*"([^"]+)"', path.read_text()))
     readme = (root / "README.md").read_text()
-    assert len(names) == 25
+    assert len(names) == 23
     assert sorted(name for name in names if f"`{name}`" not in readme) == []
+
+
+def test_readme_file_format_example_loads():
+    # the documented format is the one the reader takes and the writer writes
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Skeleton file format", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    skel = sk.from_dict(doc)
+    assert sk.to_dict(skel) == doc
+    assert (skel.system.multiplicities, skel.system.budget) == ((4,), 13)
