@@ -220,10 +220,8 @@ class SphericalSkeleton:
 def coroot_rho(
     rs: RootSystem, sigma: Sequence[tuple[int, ...]], index: int, scale: Fraction | int = 1
 ) -> tuple:
-    """scale * alpha_index^vee restricted to sigma (integers for an integral
+    """scale * alpha_index^vee restricted to sigma (integers for an int
     scale), each pairing over the at most four non-zeros of Cartan row ``index``."""
-    if scale.denominator == 1:
-        scale = scale.numerator
     row = rootsys.cartan_row(rs, index)
     return tuple([scale * sum([c * g[j] for j, c in row]) for g in sigma])
 
