@@ -335,6 +335,11 @@ def _color(doc):
     return doc["colors"][0]
 
 
+def _old_coroot(doc, **fields):
+    """Give the first color the coroot object of the older file format."""
+    _color(doc)["coroot"] = {"index": 0, "scale": "1", **fields}
+
+
 @pytest.mark.parametrize(
     "mutate, code, message",
     [
@@ -373,9 +378,24 @@ def _color(doc):
                      id="unknown-component-key"),
         pytest.param(lambda d: _color(d).update(moved=[0]), 2, "parse error",
                      id="unknown-color-key"),
-        # older files carried a coroot reference, which Sigma now forces
-        pytest.param(lambda d: _color(d).update(coroot={"index": 0, "scale": "1"}), 2,
-                     "unknown key 'coroot'", id="coroot-key-rejected"),
+        # older files carried a coroot reference, which Sigma now forces: a
+        # coroot object is refused at parse time, well-formed or not
+        pytest.param(lambda d: _old_coroot(d), 2, "unknown key 'coroot'",
+                     id="coroot-key-rejected"),
+        pytest.param(lambda d: _old_coroot(d, index=False), 2, "unknown key 'coroot'",
+                     id="coroot-index-bool"),
+        pytest.param(lambda d: _old_coroot(d, index=-1), 2, "unknown key 'coroot'",
+                     id="coroot-index-out-of-range"),
+        pytest.param(lambda d: _old_coroot(d, scale="2/\u0662"), 2, "unknown key 'coroot'",
+                     id="coroot-scale-arabic-indic-digit"),
+        pytest.param(lambda d: _old_coroot(d, scale=1), 2, "unknown key 'coroot'",
+                     id="coroot-scale-json-int"),
+        pytest.param(lambda d: _old_coroot(d, scale="1_0"), 2, "unknown key 'coroot'",
+                     id="coroot-scale-underscore"),
+        pytest.param(lambda d: _old_coroot(d, scale="1/0"), 2, "unknown key 'coroot'",
+                     id="coroot-scale-zero-denominator"),
+        pytest.param(lambda d: _old_coroot(d, scal="1"), 2, "unknown key 'coroot'",
+                     id="unknown-coroot-key"),
         pytest.param(lambda d: d["boundary"][0].update(mult=1), 2, "parse error",
                      id="unknown-boundary-key"),
         pytest.param(lambda d: d["boundary"][0].update(name="D"), 3,
