@@ -227,10 +227,11 @@ def _spherical_system(rs, sp, sigma, colors) -> SphericalSystem:
     in Sigma, and half of it for type 2a and for the two equal colors of a
     type-a root.  Or it maps sigma positions to the values of a type-a
     color, which the simple roots of Sigma where it takes 1 move.  Raises
-    SkeletonInvariantError unless every type-a color takes 1 on some root of
-    Sigma and, past those simple roots, less than 1 (A1), every type-a root
-    has two movers summing to alpha^vee on Sigma (A2), and every other simple
-    root outside S^p has one.
+    SkeletonInvariantError unless every halved alpha^vee is integral on
+    Sigma (Sigma1), every type-a color takes 1 on some root of Sigma and,
+    past those simple roots, less than 1 (A1), every type-a root has two
+    movers summing to alpha^vee on Sigma (A2), and every other simple root
+    outside S^p has one.
     """
     sp, sigma, rank = frozenset(sp), tuple(sigma), rs.rank
     nsig = len(sigma)
@@ -265,7 +266,13 @@ def _spherical_system(rs, sp, sigma, colors) -> SphericalSystem:
             rho2 = alpha_vee[data]
         else:
             rho2 = tuple([2 * v for v in alpha_vee[data]])
-        rho = tuple([F(v, 2) if v % 2 else v // 2 for v in rho2])
+        if any(v % 2 for v in rho2):
+            raise SkeletonInvariantError(
+                "color-rho-integer",
+                f"{name}: half of alpha_{data}^vee takes ({', '.join(map(str, rho2))})/2"
+                " on Sigma, which is not integral as Luna's axiom Sigma1 requires",
+            )
+        rho = tuple([v // 2 for v in rho2])
         if not forced or data in a_pos:
             moved = tuple([i for i, j in sorted(a_pos.items()) if rho2[j] == 2])
             if not moved or max(rho2) > 2 or rho2.count(2) != len(moved):

@@ -1,26 +1,23 @@
 """Exact rational linear programming with certificates.
 
 Canonical form: maximize c.x subject to A x <= b, x >= 0, every entry an
-``int`` or a ``fractions.Fraction``.  The solver is a two-phase primal
-simplex with Bland's rule (entering: smallest label with negative reduced
-cost; leaving: smallest basic label among the minimum ratios), so it
-terminates and every run is deterministic.  Optimal solutions carry the
-exact dual vector read off the slack columns; unbounded ones carry an
-improving ray.
+``int``: a divisor's pairings with Sigma are integers (Luna 2001), and so
+is every LP built on them.  The solver is a two-phase primal simplex with
+Bland's rule (entering: smallest label with negative reduced cost; leaving:
+smallest basic label among the minimum ratios), so it terminates and every
+run is deterministic.  Optimal solutions carry the exact dual vector read
+off the slack columns; unbounded ones carry an improving ray.
 
-The tableau holds Python ints only (Edmonds 1967, Bareiss 1968).  One pass
-reads the type of every entry: an all-int LP starts the tableau as it
-stands; otherwise each row of ``[A | b]`` and c is scaled by the lcm of its
-denominators, which scales only its slack, so Bland's path and the pivot
-count are those of the rational tableau.  It is condensed (Tucker 1960): a
-basic column is d e_i, d the common denominator, so only the nonbasic
-columns are kept, each under its variable's label, and one exchange step
-swaps the entering column for the leaving one.  Each entry is the full
-tableau's, int for int.  A pivot p with |p| = d (nearly every pivot of the
-skeleton LPs) turns the step ``(x * p - f * q) // d`` into
-``x - f * q // d``: only the pivot row's non-zero columns change, so only
-those are updated.  A solve's result is a frozen record of its final
-tableau's integer numerators (x = X/d, a ray R/d, y = Y/dy); it builds
+The tableau holds Python ints only (Edmonds 1967, Bareiss 1968) and starts
+from A, b and c as they stand, once one pass has read the type of every
+entry.  It is condensed (Tucker 1960): a basic column is d e_i, d the
+common denominator, so only the nonbasic columns are kept, each under its
+variable's label, and one exchange step swaps the entering column for the
+leaving one.  Each entry is the full tableau's, int for int.  A pivot p
+with |p| = d (nearly every pivot of the skeleton LPs) turns the step
+``(x * p - f * q) // d`` into ``x - f * q // d``: only the pivot row's
+non-zero columns change, so only those are updated.  A solve's result is a frozen record of its final
+tableau's integer numerators (x = X/d, a ray R/d, y = Y/d); it builds
 their Fractions only when a caller reads them, and the certificate checks
 run on the numerators.  Only a caller's own LPs and the face LP of
 ``unique_optimum`` can reach phase 1: the skeleton LP and
@@ -33,10 +30,10 @@ loop of the same step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import countOf, mul, neg
 from typing import Sequence
 
@@ -47,46 +44,31 @@ class LpInfeasibleError(ValueError):
     """The feasible region {x >= 0 : Ax <= b} is empty."""
 
 
-_EXACT = {int, Fraction}
 _INT = {int}
 
 
-def _integer_row(v) -> tuple[Sequence[int], int]:
-    """``(L*v, L)`` for the least L > 0 that makes every entry an int (v itself
-    if all are); the one exact-entry gate, ValueError names the first entry
-    not an int or a Fraction (Fraction(0.1) is not 1/10, True would read as 1)."""
-    types = {*map(type, v)}
-    if types <= _INT:
-        return v, 1
-    if not types <= _EXACT:
-        bad = next(x for x in v if type(x) not in _EXACT)
-        raise ValueError(f"entries must be int or Fraction, not {bad!r}")
-    pairs = [x.as_integer_ratio() for x in v]
-    # star-args from a list, not a generator: tuple() of a generator resizes
-    # its result, and CPython's tuple free lists then keep up to 2000 stranded
-    # tuples of each small size, so peak memory grew with every LP solved
-    scale = lcm(*[q for _, q in pairs])
-    return [p * (scale // q) for p, q in pairs], scale
+def _check_ints(entries: Sequence) -> None:
+    """The one exact-entry gate: one pass over the types of ``entries``, and
+    ValueError names the first that is not an int (a rational, a float, or
+    True, which would read as 1)."""
+    if countOf(map(type, entries), int) != len(entries):
+        bad = next(x for x in entries if type(x) is not int)
+        raise ValueError(f"entries must be int, not {bad!r}")
 
 
 @dataclass(frozen=True)
 class LpProblem:
     """max c.x  s.t.  a x <= b,  x >= 0.
 
-    Every entry must be an ``int`` or a ``Fraction`` (ValueError otherwise),
-    however the problem is built; ``make`` keeps them as given.  One pass
-    reads every entry's type: an all-int LP keeps ``scaled`` None, and the
-    tableau starts from a, b and c without a ``Fraction`` or a scaled copy.
-    Otherwise each row of ``[a | b]``, then c, passes the gate once,
-    ``scaled`` keeps the rows ``L_i [a_i | b_i]``, the L_i and ``L_c c``, and
-    ``cost_scale`` is L_c (1 for an all-int LP).
+    Every entry must be an ``int``, however the problem is built; ``make``
+    keeps them as given.  One pass reads every entry's type, and ValueError
+    names the first entry of another type, in the rows of ``[a | b]`` and
+    then c.  The tableau starts from a, b and c as they stand.
     """
 
-    a: tuple[tuple[int | Fraction, ...], ...]
-    b: tuple[int | Fraction, ...]
-    c: tuple[int | Fraction, ...]
-    scaled: tuple | None = field(init=False, compare=False, repr=False)
-    cost_scale: int = field(init=False, compare=False, repr=False)
+    a: tuple[tuple[int, ...], ...]
+    b: tuple[int, ...]
+    c: tuple[int, ...]
 
     def __post_init__(self):
         m, n = len(self.b), len(self.c)
@@ -94,17 +76,15 @@ class LpProblem:
             raise ValueError("row count of A does not match b")
         if countOf(map(len, self.a), n) != m:
             raise ValueError("column count of A does not match c")
-        scaled, cost_scale = None, 1
+        # one pass in any order; on a miss the gate names the first bad entry
         if countOf(map(type, chain(self.b, self.c, *self.a)), int) != m + n + m * n:
-            rows = [_integer_row((*row, bi)) for row, bi in zip(self.a, self.b)]
-            cost, cost_scale = _integer_row(self.c)
-            scaled = ([row for row, _ in rows], [L for _, L in rows], cost)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "cost_scale", cost_scale)
+            _check_ints([*chain(*[(*row, bi) for row, bi in zip(self.a, self.b)], self.c)])
 
     @staticmethod
     def make(a, b, c) -> "LpProblem":
-        # tuples from lists, not generators (see _integer_row)
+        # tuples from lists, not generators: tuple() of a generator resizes its
+        # result, and CPython's tuple free lists then keep up to 2000 stranded
+        # tuples of each small size, so peak memory grew with every LP solved
         return LpProblem(tuple([tuple(row) for row in a]), tuple(b), tuple(c))
 
 
@@ -115,9 +95,10 @@ def _fractions(ints: Sequence[int], den: int) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class LpSolution:
     """An optimum (value, primal, dual) or an unbounded LP (primal, ray), and
-    the pivots of the solve, as the final tableau holds them: x = X/d and a
-    ray R/d over the tableau's d, y = Y/dy over dy = d L_c, ints over
-    denominators > 0 that need not be the least.  ``value`` is the only
+    the pivots of the solve, as the final tableau holds them: x = X/d, a ray
+    R/d and y = Y/dy over the tableau's d, ints over denominators > 0 that
+    need not be the least.  A record that ``solve_max`` builds has dy = d; a
+    caller's record may put y over its own dy.  ``value`` is the only
     Fraction a solve builds (none at 0 pivots); ``primal``, ``dual`` and
     ``ray`` build theirs on each read.  A field the status omits is None."""
 
@@ -189,30 +170,22 @@ class _Simplex:
 
     Variables carry labels: x_j is j, slack i is n + i and phase 1's aux is
     n + m.  ``basis`` labels the rows and ``nonbasic`` the columns; the rows
-    are ``d * B^-1 [LA | I | Lb]`` restricted to the nonbasic columns and the
+    are ``d * B^-1 [A | I | b]`` restricted to the nonbasic columns and the
     rhs, since a basic column is d e_i (Tucker 1960).  Row i starts as
-    ``L_i [a_i | b_i]`` and the cost as ``L_c c``, from ``problem.scaled``
-    (every L is 1 in an all-int LP).  x keeps the problem's units, slack i
-    is s'_i = L_i s_i, and the aux column holds -L_i, the image of -1.
-    ``z`` is d times the objective row for ``L_c c`` on the same columns,
-    value last: ``[-L_c c | 0]`` at the start.  A pivot is one ``_exchange``
-    step: d stays the absolute basis determinant, and every entry equals the
-    full tableau's, so Bland's rule on labels takes the full tableau's path.
+    ``[a_i | b_i]``, and the aux column holds -1.  ``z`` is d times the
+    objective row on the same columns, value last: ``[-c | 0]`` at the
+    start.  A pivot is one ``_exchange`` step: d stays the absolute basis
+    determinant, and every entry equals the full tableau's, so Bland's rule
+    on labels takes the full tableau's path.
     The one ``Fraction`` a solve builds is the value, in ``obj``;
     ``primal_point``, ``ray`` and ``obj`` give the numerators that
     ``LpSolution`` keeps.
     """
 
     def __init__(self, problem: LpProblem):
-        self.b = b = problem.b
-        self.m, self.n = m, n = len(b), len(problem.c)
-        self.cost_scale = problem.cost_scale
-        if problem.scaled is None:
-            self.rows: list[list[int]] = [[*row, bi] for row, bi in zip(problem.a, b)]
-            self.row_scale, self.cost = [1] * m, problem.c
-        else:
-            rows, self.row_scale, self.cost = problem.scaled
-            self.rows = [[*row] for row in rows]
+        self.m, self.n = m, n = len(problem.b), len(problem.c)
+        self.rows: list[list[int]] = [[*row, bi] for row, bi in zip(problem.a, problem.b)]
+        self.cost = problem.c
         self.basis = list(range(n, n + m))
         self.nonbasic = list(range(n))
         self.d = 1
@@ -261,11 +234,11 @@ class _Simplex:
         """One-artificial-variable phase 1, then z for the cost; raises
         LpInfeasibleError."""
         aux = self.n + self.m
-        for row, scale in zip(self.rows, self.row_scale):
-            row.insert(-1, -scale)
+        # the worst row, the first of the least b_i: the least slack label
+        worst = min(range(self.m), key=lambda i: self.rows[i][-1])
+        for row in self.rows:
+            row.insert(-1, -1)
         self.nonbasic.append(aux)
-        # the worst row on the unscaled b, so the path is the unscaled one
-        worst = min(range(self.m), key=lambda i: (self.b[i], self.basis[i]))
         self.set_objective([0] * aux + [-1])
         self.pivot(worst, len(self.nonbasic) - 1)
         self.run()  # bounded by construction: -x0 <= 0
@@ -283,15 +256,15 @@ class _Simplex:
         self.set_objective([*self.cost, *[0] * self.m])
 
     def read_obj(self) -> None:
-        """Sets ``obj``: the dual numerators Y over ``d * cost_scale`` (in the
-        units of the unscaled slacks s_i; 0 for a basic slack), then the
-        value as a Fraction; call it once, when the solve is optimal."""
+        """Sets ``obj``: the dual numerators Y over d (0 for a basic slack),
+        then the value as a Fraction; call it once, when the solve is
+        optimal."""
         n, z = self.n, self.z
         obj = [0] * self.m
         for k, x in zip(self.nonbasic, z):
-            if k >= n and x:
-                obj[k - n] = self.row_scale[k - n] * x
-        obj.append(Fraction(z[-1], self.d * self.cost_scale))
+            if k >= n:
+                obj[k - n] = x
+        obj.append(Fraction(z[-1], self.d))
         self.obj = tuple(obj)
 
     def primal_point(self) -> list[int]:
@@ -304,15 +277,14 @@ class _Simplex:
 
     def ray(self, col: int) -> list[int]:
         """The numerators over d of the improving ray on x when column ``col``
-        enters unbounded: a slack s'_k = L_k s_k enters at L_k per unit of s_k."""
+        enters unbounded."""
         n, e = self.n, self.nonbasic[col]
-        scale = self.row_scale[e - n] if e >= n else 1
         ray = [0] * n
         if e < n:
             ray[e] = self.d
         for i, k in enumerate(self.basis):
             if k < n:
-                ray[k] = -self.rows[i][col] * scale
+                ray[k] = -self.rows[i][col]
         return ray
 
 
@@ -321,7 +293,7 @@ def solve_max(problem: LpProblem) -> LpSolution:
     phase1 = min(problem.b, default=0) < 0
     if not phase1 and max(problem.c, default=0) <= 0:  # the slack basis's record, no tableau
         n, m = len(problem.c), len(problem.b)
-        return LpSolution("optimal", 0, _ZERO, [0] * n, None, 1, (0,) * m, problem.cost_scale)
+        return LpSolution("optimal", 0, _ZERO, [0] * n, None, 1, (0,) * m, 1)
     simplex = _Simplex(problem)
     if phase1:
         simplex.phase1()
@@ -334,7 +306,7 @@ def solve_max(problem: LpProblem) -> LpSolution:
     return LpSolution("optimal", simplex.pivots,
                       value=simplex.obj[-1],
                       x=simplex.primal_point(), r=None, d=simplex.d,
-                      y=simplex.obj[:-1], dy=simplex.d * simplex.cost_scale)
+                      y=simplex.obj[:-1], dy=simplex.d)
 
 
 def _exact(ints: Sequence[int] | None, den) -> bool:
@@ -375,7 +347,7 @@ def verify_certificates(problem: LpProblem, sol: LpSolution) -> bool:
         return False
     if sol.status == "optimal":
         y, dy, value = sol.y, sol.dy, sol.value
-        if not _exact(y, dy) or type(value) not in _EXACT:
+        if not _exact(y, dy) or type(value) not in (int, Fraction):
             return False
         if len(y) != m or any(yi < 0 for yi in y):
             return False
@@ -423,16 +395,16 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
         return True
     # the sum over Z is obj.x plus a constant, since s_i = b_i - a_i.x
     obj = [int(j in z_x) - sum(row[j] for row in z_s) for j in range(n)]
-    face_a = list(a) + [[-cj for cj in c]]
-    # an integral optimum enters as an int, so the face LP of an int LP is one
-    value = sol.value
-    face_b = list(b) + [-value.numerator if value.denominator == 1 else -value]
+    # the face row c.x >= vn/vd as ints: -vd c.x <= -vn
+    vn, vd = sol.value.numerator, sol.value.denominator
+    face_a = [*a, [-vd * cj for cj in c]]
+    face_b = [*b, -vn]
     best = solve_max(LpProblem.make(face_a, face_b, obj))
     return best.status == "optimal" and best.value * dx == _dot(obj, x)
 
 
 def _gauss_jordan(rows: list[list[int]], count: int) -> tuple[list[int], list[int], int]:
-    """Fraction-free Gauss-Jordan (Bareiss 1968) over the first ``count``
+    """Bareiss's fraction-free Gauss-Jordan (1968) over the first ``count``
     columns of int ``rows``, in place, by ``_exchange`` steps on the rows as
     a condensed tableau whose basis is one unit column per row: each column
     pivots on the first row not yet pivoted with a non-zero entry there, and
@@ -455,14 +427,13 @@ def _gauss_jordan(rows: list[list[int]], count: int) -> tuple[list[int], list[in
     return cols, pivot_rows, d
 
 
-def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank of a matrix of ints and Fractions over the rationals.
-
-    The number of pivots of ``_gauss_jordan`` on the rows scaled to ints.
-    ValueError for an entry of another type or for rows of different lengths.
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a matrix of ints over the rationals: the number of pivots of
+    ``_gauss_jordan``.  ValueError names the first entry that is not an int,
+    as for ``LpProblem``, and rejects rows of different lengths.
     """
-    # a copy: an all-int row comes back from the gate as the caller's own
-    work = [[*_integer_row(row)[0]] for row in rows]
+    work = [[*row] for row in rows]  # a copy: _gauss_jordan pivots in place
+    _check_ints([x for row in work for x in row])
     if len({len(row) for row in work}) > 1:
         raise ValueError("matrix rows have different lengths")
     return len(_gauss_jordan(work, len(work[0]) if work else 0)[0])
@@ -486,27 +457,27 @@ class SpanBasis:
     den: int
 
 
-def span_basis(vectors: Sequence[Sequence[int | Fraction]], dim: int) -> SpanBasis:
-    """The basis of the span of ``vectors`` (each with ``dim`` entries).
+def span_basis(vectors: Sequence[Sequence[int]], dim: int) -> SpanBasis:
+    """The basis of the span of ``vectors`` (each with ``dim`` int entries).
 
-    ``_gauss_jordan`` on V^T, scaled to ints by ``scale``: its pivot columns
-    are the greedy choice, and pivot row k ends as d times the k-th
-    coordinate of every vector.  The pivot columns then hold the unit
-    vectors' columns, so d times row k of P is ``scale`` times pivot row k's
-    entry in the column of e_j (0 for a row never pivoted).  den is the least
-    that makes them all ints.  ValueError as ``matrix_rank``.
+    ``_gauss_jordan`` on V^T: its pivot columns are the greedy choice, and
+    pivot row k ends as d times the k-th coordinate of every vector.  The
+    pivot columns then hold the unit vectors' columns, so d times row k of P
+    is pivot row k's entry in the column of e_j (0 for a row never pivoted).
+    den is the least that makes them all ints.  ValueError as ``matrix_rank``.
     """
     count = len(vectors)
     if any(len(v) != dim for v in vectors):
         raise ValueError(f"vectors must have {dim} entries")
-    flat, scale = _integer_row([x for v in vectors for x in v])
+    flat = [x for v in vectors for x in v]
+    _check_ints(flat)
     rows = [flat[i::dim] for i in range(dim)]
     basis, pivot_rows, d = _gauss_jordan(rows, count)
     picked = set(basis)
     others = [c for c in range(count) if c not in picked]
     ordered = [rows[r] for r in pivot_rows]
     at = dict(zip(pivot_rows, basis))  # e_j's column, for each pivot row j
-    p = [[scale * row[at[j]] if j in at else 0 for j in range(dim)] for row in ordered]
+    p = [[row[at[j]] if j in at else 0 for j in range(dim)] for row in ordered]
     g = gcd(d, *[x for row in p for x in row], *[row[c] for row in ordered for c in others])
     inverse = tuple([tuple([row[j] // g for row in p]) for j in range(dim)])
     coords = tuple([tuple([row[c] // g for row in ordered]) for c in others])
@@ -514,7 +485,7 @@ def span_basis(vectors: Sequence[Sequence[int | Fraction]], dim: int) -> SpanBas
 
 
 def positive_dependence(
-    vectors: Sequence[Sequence[int | Fraction]], basis: SpanBasis | None = None
+    vectors: Sequence[Sequence[int]], basis: SpanBasis | None = None
 ) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
     """``(lam, None)`` with lam >= 1 and sum_k lam_k vectors[k] = 0, or
     ``(None, y)`` with <v_k, y> >= 0 for every k and s.y = 1.
@@ -529,8 +500,9 @@ def positive_dependence(
     s.u <= 1.  Its rows are the numerators over den, and b >= 0 needs no
     phase 1.  At 1 its primal gives y = den P^T u; at 0 its dual mu gives
     lam_W = mu_W + 1 off the basis, and on it lam = -sum_W lam_W W >= 1.
-    ValueError when the prefix is longer than ``vectors`` or vectors pass a
-    basis that does not span Q^dim.
+    ValueError when the prefix is longer than ``vectors``, when vectors pass
+    a basis that does not span Q^dim, or as ``matrix_rank`` for an entry past
+    the prefix.
     """
     sol, a, basis = _dependence_lp(vectors, basis)
     if sol.value:
@@ -548,7 +520,7 @@ def positive_dependence(
 
 
 def _dependence_lp(
-    vectors: Sequence[Sequence[int | Fraction]], basis: SpanBasis | None
+    vectors: Sequence[Sequence[int]], basis: SpanBasis | None
 ) -> tuple[LpSolution, list[Sequence[int]], SpanBasis]:
     """The solved LP of ``positive_dependence``, its rows -W and the basis."""
     if basis is None:
@@ -560,6 +532,7 @@ def _dependence_lp(
     extra = vectors[prefix:]
     if extra and rank < dim:
         raise ValueError(f"a basis of rank {rank} < {dim} gives no coordinates past it")
+    _check_ints([x for v in extra for x in v])  # a -e_j below skips the LP's own gate
     # one row -W (over den) per vector off the basis; past the prefix W = sum_j v_j inverse[j]
     a = [[-x for x in w] for w in basis.coords]
     for v in extra:
@@ -585,7 +558,7 @@ def _separator_numerators(sol: LpSolution, basis: SpanBasis) -> tuple[list[int],
 
 
 def separator(
-    vectors: Sequence[Sequence[int | Fraction]], basis: SpanBasis | None = None
+    vectors: Sequence[Sequence[int]], basis: SpanBasis | None = None
 ) -> list[int] | None:
     """None when ``positive_dependence(vectors, basis)`` finds lam, read off
     the value of the same LP; else the numerators of its y over a positive

@@ -4,9 +4,9 @@ A spherical system bundles a root system, the parabolic subset S^p, the
 linearly independent spherically closed spherical roots Sigma and the colors
 Delta (each with its functional rho restricted to Sigma).  A skeleton is a
 system plus the boundary divisors Gamma (nonpositive integer pairings), so
-every Gamma over one system shares the system's checks.  All values are
-exact; the functional of a color is stored explicitly, and a color moved by
-a simple root of type b or 2a must store the one Sigma forces.
+every Gamma over one system shares the system's checks.  Every pairing is
+an int; the functional of a color is stored explicitly, and a color moved
+by a simple root of type b or 2a must store the one Sigma forces.
 """
 
 from __future__ import annotations
@@ -35,14 +35,15 @@ class Color:
     """A color D with its functional rho(D) restricted to Sigma.
 
     ``moved_by`` lists the simple roots alpha with D in Delta(alpha); it
-    drives the anticanonical multiplicity m_D.  In a ``SphericalSystem`` a
-    mover alpha outside S^p and Sigma forces rho(D) = alpha^vee on Sigma
-    (half of it when 2 alpha is in Sigma), and an integral value of ``rho``
-    is an ``int``.
+    drives the anticanonical multiplicity m_D.  In a ``SphericalSystem``
+    every value of ``rho`` is an ``int`` (a color's functional is integral
+    on the lattice of Sigma, Luna 2001), no mover lies in S^p, and a mover
+    alpha outside Sigma forces rho(D) = alpha^vee on Sigma (half of it when
+    2 alpha is in Sigma, which Luna's axiom Sigma1 makes integral).
     """
 
     name: str
-    rho: tuple[int | Fraction, ...]
+    rho: tuple[int, ...]
     moved_by: tuple[int, ...]
 
 
@@ -57,9 +58,9 @@ class SphericalSystem:
     """A spherical system (S^p, Sigma, Delta) on a root system (Luna 2001).
 
     Construction checks every invariant that does not involve Gamma, among
-    them that each color stores the rho its movers force, and stores each
-    color with the integral values of its rho as ``int``, so the LPs built
-    on an integral system hold no ``Fraction``.  It also stores
+    them that every value of a color's rho is an ``int``, so every LP built
+    on the system is an int LP, that no simple root of S^p moves a color,
+    and that each color stores the rho its movers force.  It also stores
     m_D over the colors as ``multiplicities``: m_D is 1 when some moving
     simple root lies in Sigma or (1/2)Sigma, otherwise
     <alpha^vee, 2rho_S - 2rho_{S^p}> = 2 - <alpha^vee, 2rho_{S^p}> for the
@@ -86,9 +87,10 @@ class SphericalSystem:
             if any(type(v) is not int for v in g):
                 raise SkeletonInvariantError("sigma-integer", f"{g}: entries must be int")
         for color in colors:
-            if any(type(v) not in (int, Fraction) for v in color.rho):
+            bad = [v for v in color.rho if type(v) is not int]
+            if bad:
                 raise SkeletonInvariantError(
-                    "color-rho-rational", f"{color.name}: values must be int or Fraction"
+                    "color-rho-integer", f"{color.name}: values must be int, not {bad[0]!r}"
                 )
             if any(type(idx) is not int for idx in color.moved_by):
                 raise SkeletonInvariantError(
@@ -114,16 +116,10 @@ class SphericalSystem:
         lone = [g for g in sigma if g.count(0) == rank - 1]
         type_a = {g.index(1) for g in lone if 1 in g}
         type_2a = {g.index(2) for g in lone if 2 in g}
-        canonical = []
         for color in colors:
             if len(color.rho) != nsig:
                 raise SkeletonInvariantError(
                     "color-rho-length", f"{color.name}: expected {nsig} values"
-                )
-            if any(v.denominator not in (1, 2) for v in color.rho):
-                raise SkeletonInvariantError(
-                    "color-rho-denominator",
-                    f"{color.name}: values must be integral or half-integral",
                 )
             if not color.moved_by:
                 raise SkeletonInvariantError(
@@ -138,22 +134,24 @@ class SphericalSystem:
                     "moved-by-distinct", f"{color.name}: a simple root is listed twice"
                 )
             for idx in color.moved_by:
-                if idx in self.sp or idx in type_a:
+                if idx in self.sp:
+                    raise SkeletonInvariantError(
+                        "spherical-system-movers",
+                        f"{color.name}: alpha_{idx} is no simple root outside S^p",
+                    )
+                if idx in type_a:
                     continue
-                scale = Fraction(1, 2) if idx in type_2a else 1
-                expect = coroot_rho(rs, sigma, idx, scale)
-                if tuple(color.rho) != expect:
+                # a type-2a mover forces half of alpha^vee: 2 rho is compared with it
+                twice = idx in type_2a
+                got = tuple([2 * v for v in color.rho]) if twice else tuple(color.rho)
+                expect = coroot_rho(rs, sigma, idx)
+                if got != expect:
                     raise SkeletonInvariantError(
                         "color-forced",
-                        f"{color.name}: rho ({', '.join(map(frac_str, color.rho))}),"
-                        f" but its mover {idx} forces ({', '.join(map(frac_str, expect))})",
+                        f"{color.name}: {'2 ' * twice}rho ({', '.join(map(str, got))}),"
+                        f" but its mover {idx} forces ({', '.join(map(str, expect))})",
                     )
-            if any(type(v) is Fraction and v.denominator == 1 for v in color.rho):
-                rho = tuple([v.numerator if v.denominator == 1 else v for v in color.rho])
-                color = Color(color.name, rho, color.moved_by)
-            canonical.append(color)
-        object.__setattr__(self, "colors", tuple(canonical))
-        object.__setattr__(self, "basis", exactlp.span_basis([c.rho for c in canonical], nsig))
+        object.__setattr__(self, "basis", exactlp.span_basis([c.rho for c in colors], nsig))
         inside, count = rootsys.positive_in_span(rs, self.sp)
         object.__setattr__(self, "budget", rs.positive_count - count)
         in_sigma = type_a | type_2a
@@ -217,16 +215,14 @@ class SphericalSkeleton:
         return self.system.colors + self.boundary
 
 
-def coroot_rho(
-    rs: RootSystem, sigma: Sequence[tuple[int, ...]], index: int, scale: Fraction | int = 1
-) -> tuple:
-    """scale * alpha_index^vee restricted to sigma (integers for an int
-    scale), each pairing over the at most four non-zeros of Cartan row ``index``."""
+def coroot_rho(rs: RootSystem, sigma: Sequence[tuple[int, ...]], index: int) -> tuple[int, ...]:
+    """alpha_index^vee restricted to sigma, each pairing over the at most four
+    non-zeros of Cartan row ``index``."""
     row = rootsys.cartan_row(rs, index)
-    return tuple([scale * sum([c * g[j] for j, c in row]) for g in sigma])
+    return tuple([sum([c * g[j] for j, c in row]) for g in sigma])
 
 
-def pairing_matrix(sk: SphericalSkeleton) -> list[list[int | Fraction]]:
+def pairing_matrix(sk: SphericalSkeleton) -> list[list[int]]:
     """A[D][gamma] = -<rho(D), gamma> over D in ``sk.divisors``."""
     return [[-v for v in div.rho] for div in sk.divisors]
 
@@ -462,7 +458,10 @@ def _ints(values, where: str) -> tuple[int, ...]:
     return tuple([_int(v, where) for v in _list(values, where)])
 
 
-def _frac(value, where: str) -> Fraction:
+def _frac(value, where: str) -> int | Fraction:
+    """A fraction string or a JSON integer as an int when it is integral;
+    otherwise as the Fraction, which ``SphericalSystem`` rejects
+    (``color-rho-integer``)."""
     if type(value) is not int and not isinstance(value, str):
         raise SkeletonParseError(f"{where}: expected a fraction string, got {value!r}")
     try:
@@ -470,9 +469,10 @@ def _frac(value, where: str) -> Fraction:
         # "٣" as 3, "1.5" as 3/2 and " 1" as 1
         if isinstance(value, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value, re.ASCII):
             raise ValueError(value)
-        return Fraction(value)
+        x = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SkeletonParseError(f"{where}: bad rational {value!r}") from exc
+    return x.numerator if x.denominator == 1 else x
 
 
 def to_dict(sk: SphericalSkeleton) -> dict:

@@ -293,6 +293,10 @@ A4_CHAINS = (build_root_system([("A", 4)]), (), [(1, 1, 0, 0), (0, 1, 1, 0), (0,
 COLORS_31 = [(f"D{i + 1}", i) for i in range(4)]
 A4_SIGMA2_BROKEN = (build_root_system([("A", 4)]), (), [(1, 0, 1, 0), (0, 0, 0, 1)])
 COLORS_SIGMA2_BROKEN = [("D1", 0), ("D2", 1), ("D4+", {1: 1}), ("D4-", {0: -1, 1: 1})]
+# Sigma1 broken: alpha_1^vee is 1 on alpha_1 + alpha_2, so the color of the
+# type-2a alpha_1 would take half of it, (2, 1/2)
+A3_SIGMA1_BROKEN = (build_root_system([("A", 3)]), (), [(2, 0, 0), (1, 1, 0)])
+COLORS_SIGMA1_BROKEN = [("D", 0), ("D'", 1), ("D''", 2)]
 CASE_39 = (build_root_system([("D", 5)]), (2,), [
     (1, 0, 0, 0, 0), (0, 1, 1, 1, 0), (0, 1, 1, 0, 1), (0, 0, 1, 1, 1),
 ])
@@ -333,12 +337,15 @@ def test_spherical_system_reproduces_the_catalog():
         # Sigma2 broken: D1, shared by the orthogonal alpha_1 and alpha_3 of type
         # b, stores alpha_1^vee = (2, 0), where alpha_3^vee is (2, -1)
         (A4_SIGMA2_BROKEN, COLORS_SIGMA2_BROKEN, "color-forced"),
+        (A3_SIGMA1_BROKEN, COLORS_SIGMA1_BROKEN, "color-rho-integer"),
     ],
 )
 def test_spherical_system_rejects_what_luna_forbids(data, colors, invariant):
     with pytest.raises(sk.SkeletonInvariantError) as err:
         catalog._spherical_system(*data, colors)
     assert err.value.invariant == invariant
+    if invariant == "color-rho-integer":
+        assert "Sigma1" in str(err.value)
 
 
 def test_luna_identification_of_shared_colors():

@@ -372,6 +372,9 @@ def _old_coroot(doc, **fields):
         pytest.param(lambda d: _color(d).update(rho=[" 1"]), 2, "bad rational",
                      id="color-rho-space"),
         pytest.param(lambda d: _color(d).update(rho=[1]), 0, "", id="color-rho-json-int"),
+        # a color's functional is integral on Sigma: "1/2" reads, and is refused
+        pytest.param(lambda d: _color(d).update(rho=["1/2"]), 3, "[color-rho-integer]",
+                     id="color-rho-half"),
         pytest.param(lambda d: d.update(boundry=[]), 2, "unknown key 'boundry'",
                      id="unknown-top-level-key"),
         pytest.param(lambda d: d["root_system"][0].update(serie="A"), 2, "parse error",

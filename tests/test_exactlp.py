@@ -31,12 +31,9 @@ from sphskel.exactlp import (
 F = Fraction
 
 
-class _Half(Fraction):
-    """A Fraction subclass: exact, but not of type Fraction."""
-
-
-# after valid ints in a row, each must still be rejected by name
-BAD_ENTRIES = (True, 2.5, None, _Half(1, 2))
+# after valid ints in a row, each must still be rejected by name: an LP
+# entry is an int, so a Fraction is refused even when it is integral
+BAD_ENTRIES = (True, 2.5, None, F(1, 2), F(2))
 
 
 def test_zero_objective_is_zero():
@@ -100,6 +97,12 @@ def _common(*vectors):
     return [[int(F(v) * den) for v in vec] for vec in vectors], den
 
 
+def _integral(v):
+    """A rational vector scaled by the lcm of its denominators, as ints."""
+    (ints,), _ = _common(v)
+    return ints
+
+
 def _moved(sol, field, v):
     """``sol`` as a new record whose Fraction vector ``field`` ("primal",
     "dual" or "ray") reads ``v``: the dual over its own dy, the primal and
@@ -143,6 +146,11 @@ def test_verify_rejects_tampering():
         replace(opt, dy=float(opt.dy)),
     ):
         assert not verify_certificates(bounded, tampered), tampered
+    # all-zero records: only the denominator 0 is wrong with x = 0 and y = 0,
+    # where every product reads 0; the optimum of this LP is 8, not 999
+    corner = LpProblem.make([[1, 1], [1, 0]], [4, 3], [2, 2])
+    assert solve_max(corner).value == 8
+    assert not verify_certificates(corner, LpSolution("optimal", 0, 999, [0, 0], None, 0, (0, 0), 0))
     for tampered in (
         replace(unb, r=None),
         _moved(unb, "ray", (F(1), F(2), F(-1))),
@@ -152,25 +160,21 @@ def test_verify_rejects_tampering():
         replace(unb, d=0),
         replace(unb, d=-unb.d),
         replace(unb, d=F(unb.d)),
+        LpSolution("unbounded", 0, None, [0, 0, 0], [0, 0, 0], 0, None, None),
+        # x = 0 over d = 0 with the solver's own ray: only d is wrong
+        replace(unb, x=[0, 0, 0], d=0),
     ):
         assert not verify_certificates(unbounded, tampered), tampered
 
 
 def _certificate_lps(rng):
-    """300 seeded int LPs, each followed by its all-Fraction twin, then 100
-    LPs with half-integral entries (twin None)."""
-    for count, entry in ((300, lambda: rng.randint(-6, 6)),
-                         (100, lambda: F(rng.randint(-9, 9), 2))):
+    """400 seeded int LPs: 300 with entries in -6..6, then 100 in -9..9."""
+    for count, bound in ((300, 6), (100, 9)):
         for _ in range(count):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
-            a = [[entry() for _ in range(n)] for _ in range(m)]
-            b, c = [entry() for _ in range(m)], [entry() for _ in range(n)]
-            twin = None
-            if count == 300:
-                twin = LpProblem.make(
-                    [[F(x) for x in row] for row in a], [F(x) for x in b], [F(x) for x in c]
-                )
-            yield LpProblem.make(a, b, c), twin
+            a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+            b = [rng.randint(-bound, bound) for _ in range(m)]
+            yield LpProblem.make(a, b, [rng.randint(-bound, bound) for _ in range(n)])
 
 
 def _tamperings(sol, rng):
@@ -190,38 +194,34 @@ def _tamperings(sol, rng):
 
 def test_certificate_check_matches_fraction_oracle():
     # the integer-numerator check accepts every solve_max result and gives
-    # a plain Fraction check's verdict on seeded tamperings; an int LP and
-    # its Fraction twin give the same uniqueness verdict
+    # a plain Fraction check's verdict on seeded tamperings, and uniqueness
+    # is decided at every optimum
     rng = random.Random(2011)
     solved = accepted = rejected = unique = not_unique = 0
-    for given, twin in _certificate_lps(rng):
-        verdicts = []
-        for problem in (given, twin) if twin else (given,):
-            try:
-                sol = solve_max(problem)
-            except LpInfeasibleError:
-                continue
-            solved += 1
-            for candidate in (sol, *_tamperings(sol, rng)):
-                got = verify_certificates(problem, candidate)
-                want = oracle_certificate_check(
-                    problem.a, problem.b, problem.c, candidate.status, candidate.primal,
-                    candidate.value, candidate.dual, candidate.ray,
-                )
-                assert got == want, (problem, candidate)
-                if candidate is sol:
-                    assert got, (problem, sol)
-                else:
-                    accepted += got
-                    rejected += not got
-            if sol.status == "optimal":
-                verdicts.append(unique_optimum(problem, sol))
-        if twin and verdicts:
-            assert verdicts[0] == verdicts[1], given
-            unique += verdicts[0]
-            not_unique += not verdicts[0]
-    assert (solved, accepted, rejected) == (430, 170, 857)
-    assert (unique, not_unique) == (64, 9)
+    for problem in _certificate_lps(rng):
+        try:
+            sol = solve_max(problem)
+        except LpInfeasibleError:
+            continue
+        solved += 1
+        for candidate in (sol, *_tamperings(sol, rng)):
+            got = verify_certificates(problem, candidate)
+            want = oracle_certificate_check(
+                problem.a, problem.b, problem.c, candidate.status, candidate.primal,
+                candidate.value, candidate.dual, candidate.ray,
+            )
+            assert got == want, (problem, candidate)
+            if candidate is sol:
+                assert got, (problem, sol)
+            else:
+                accepted += got
+                rejected += not got
+        if sol.status == "optimal":
+            verdict = unique_optimum(problem, sol)
+            unique += verdict
+            not_unique += not verdict
+    assert (solved, accepted, rejected) == (246, 96, 499)
+    assert (unique, not_unique) == (94, 9)
     # a certificate must be exact: a float or a bool numerator, or a float
     # value, fails the check
     problem = LpProblem.make([[1, 1]], [2], [1, 1])
@@ -366,9 +366,11 @@ def test_span_basis_of_a_rank_deficient_set():
         if vectors and rng.random() < 0.5:  # a dependent vector
             u, v = rng.choice(vectors), rng.choice(vectors)
             vectors.append([x - F(1, 3) * y for x, y in zip(u, v)])
+        # each rational vector scaled to ints, which leaves the greedy choice
+        rank = oracle_rank(vectors)
+        vectors = [_integral(v) for v in vectors]
         basis = exactlp.span_basis(vectors, dim)
-        rank = len(basis.indices)
-        assert rank == oracle_rank(vectors) and basis.den > 0, vectors
+        assert len(basis.indices) == rank and basis.den > 0, vectors
         deficient += rank < dim
         rows = [vectors[i] for i in basis.indices]
         p = [[F(basis.inverse[j][k], basis.den) for j in range(dim)] for k in range(rank)]
@@ -396,7 +398,7 @@ def test_positive_dependence_past_a_basis():
         (e2, [[1, -2]], False),
         (e2, [[1, -2], [-2, 1]], True),
         (e2, [[-1, 0], [0, -1]], True),
-        (e2, [[F(-1), 0], [0, F(-1, 2)]], True),
+        (e2, [[-1, 0], [0, -2]], True),
         (e3, [[1, -1, -1], [-2, 1, 1]], True),
         (e3, [[-1, 0, 0], [0, -1, 0]], False),
         ([[2, 1], [1, 1], [3, 2]], [[-1, 0], [0, -1]], True),
@@ -427,6 +429,10 @@ def test_positive_dependence_rejects_a_basis_that_does_not_fit():
         positive_dependence([[1, 0], [0, 1]], plane)
     with pytest.raises(ValueError, match="2 entries"):
         positive_dependence([[1, 0], [0, 1], [1, 1], [-1, 0, 0]], plane)
+    # past the basis, a -e_j of floats would skip the LP's gate as a unit row
+    for decide in (positive_dependence, exactlp.separator):
+        with pytest.raises(ValueError, match=re.escape("not -1.0")):
+            decide([[1, 0], [0, 1], [1, 1], [-1.0, 0.0]], plane)
 
 
 def test_completeness_lps_start_feasible(solves):
@@ -446,6 +452,9 @@ def test_make_rejects_inexact_entries():
     # 0.1 would enter as 3602879701896397/36028797018963968, True as 1; the
     # dataclass itself checks, so building it directly is no way round
     for a, b, c in (
+        ([[F(1, 2)]], [1], [1]),
+        ([[1]], [F(2)], [1]),
+        ([[1]], [1], [F(1, 10)]),
         ([[0.1]], [1], [1]),
         ([[1]], [1.0], [1]),
         ([[1]], [0.3], [1]),
@@ -461,7 +470,7 @@ def test_make_rejects_inexact_entries():
     # in a longer row, after valid ints and before a second bad entry: the
     # error names the first bad one, wherever the row sits
     for bad in BAD_ENTRIES:
-        row = [1, -2, F(3, 2), bad, "second"]
+        row = [1, -2, 3, bad, "second"]
         for a, b, c in (
             ([row], [1], [1] * 5),
             ([[1]] * 5, row, [1]),
@@ -472,34 +481,12 @@ def test_make_rejects_inexact_entries():
                     build(a, b, c)
     with pytest.raises(ValueError):
         LpProblem(a=((1, 2),), b=(1,), c=(1,))
-    assert solve_max(LpProblem.make([[F(1, 10)]], [1], [1])).value == 10
+    with pytest.raises(ValueError, match=re.escape("not Fraction(1, 2)")):
+        LpProblem.make([[F(1, 2)]], [1], [1])
 
 
 def _direct(a, b, c):
     return LpProblem(a=tuple(map(tuple, a)), b=tuple(b), c=tuple(c))
-
-
-def test_each_row_passes_the_gate_once(monkeypatch):
-    # one pass reads every entry's type: an all-int LP never reaches the gate,
-    # and an LP with a Fraction gates each row of [a | b] and then c once; the
-    # tableau starts from that output, so a solve, and a second solve, gate
-    # nothing
-    seen = []
-    gate = exactlp._integer_row
-    monkeypatch.setattr(exactlp, "_integer_row", lambda v: seen.append(tuple(v)) or gate(v))
-    for a, b, c, gates in (
-        ([[1, 2], [F(1, 2), 1], [3, F(2, 3)]], [4, F(5, 2), 6], [1, F(1, 3)], True),
-        ([[1, 1], [-1, -1]], [2, F(-1)], [1, 0], True),  # phase 1
-        ([[1, 1], [-1, -1]], [2, -1], [1, 0], False),  # phase 1, all int
-        ([[1, 2], [3, 4]], [5, 6], [1, 1], False),
-    ):
-        gated = [(*row, bi) for row, bi in zip(a, b)] + [tuple(c)] if gates else []
-        seen.clear()
-        problem = LpProblem.make(a, b, c)
-        assert seen == gated
-        first, again = solve_max(problem), solve_max(problem)
-        assert seen == gated
-        assert first == again and first.status == "optimal"
 
 
 def test_degenerate_shapes():
@@ -532,31 +519,22 @@ def test_optimal_start_record_is_the_tableaus():
     rng = random.Random(1960)
     shapes = [([], [], []), ([[]], [1], []), ([[0]], [0], [0]), ([], [], [0, -1])]
     problems = [LpProblem.make(*args) for args in shapes]
-    for k in range(120):
+    for _ in range(120):
         m, n = rng.randint(0, 5), rng.randint(0, 6)
-        dens = (1, 2, 3, 6) if k % 2 else (1,)  # odd k: Fraction entries
-
-        def entry(lo, hi):
-            v = F(rng.randint(lo, hi), rng.choice(dens))
-            return v if v.denominator > 1 else v.numerator
-
-        a = [[entry(-4, 4) for _ in range(n)] for _ in range(m)]
-        problems.append(LpProblem.make(a, [entry(0, 5) for _ in range(m)],
-                                       [entry(-4, 0) for _ in range(n)]))
-    scaled = 0
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        problems.append(LpProblem.make(a, [rng.randint(0, 5) for _ in range(m)],
+                                       [rng.randint(-4, 0) for _ in range(n)]))
     for problem in problems:
         simplex = exactlp._Simplex(problem)
         assert simplex.run() is None
         simplex.read_obj()
         obj, d = simplex.obj, simplex.d
         want = LpSolution("optimal", simplex.pivots, obj[-1], simplex.primal_point(), None, d,
-                          obj[:-1], d * simplex.cost_scale)
+                          obj[:-1], d)
         sol = solve_max(problem)
         assert sol == want and _types(sol) == _types(want), problem
         assert verify_certificates(problem, sol)
         assert unique_optimum(problem, sol) == unique_optimum(problem, want)
-        scaled += sol.dy != 1
-    assert scaled >= 20  # Fraction costs whose scale L_c is not 1
 
 
 def _ints(v):
@@ -566,13 +544,12 @@ def _ints(v):
 def _raw_records(monkeypatch, run):
     """The count of solve_max's records while ``run()`` runs, their pivot
     total and a digest of every field as it is kept (the numerators over d
-    and dy, not their Fractions).  Every LP must be all int."""
+    and dy, not their Fractions)."""
     records, pivots = [], 0
     real = exactlp.solve_max
 
     def solve(problem):
         nonlocal pivots
-        assert problem.scaled is None  # all int: the tableau reads a, b and c
         try:
             sol = real(problem)
         except LpInfeasibleError:
@@ -618,13 +595,13 @@ def test_row_scaling_invariance():
         c = [rng.randint(-3, 3) for _ in range(n)]
         base = solve_max(LpProblem.make(a, b, c))
         k = rng.randint(0, m - 1)
-        scale = F(rng.randint(1, 5), rng.randint(1, 5))
+        scale = rng.randint(2, 5)
         a2 = [list(row) for row in a]
         a2[k] = [scale * x for x in a2[k]]
         b2 = list(b)
         b2[k] = scale * b2[k]
         scaled = solve_max(LpProblem.make(a2, b2, c))
-        # the same Bland path: scaling a row only scales its slack
+        # the same Bland path: scaling a row by an int only scales its slack
         assert scaled.status == base.status
         assert scaled.primal == base.primal and scaled.ray == base.ray
         assert scaled.pivots == base.pivots
@@ -632,38 +609,6 @@ def test_row_scaling_invariance():
             assert scaled.value == base.value
             want = [y / scale if i == k else y for i, y in enumerate(base.dual)]
             assert list(scaled.dual) == want
-
-
-def test_int_lps_solve_as_their_fraction_twins():
-    # make keeps ints as given: an integral LP takes the same path as its twin
-    # with every entry a Fraction, and both give their results as Fractions
-    rng = random.Random(1968)
-    statuses = set()
-    for _ in range(300):
-        n, m = rng.randint(1, 5), rng.randint(1, 5)
-        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        b = [rng.randint(-6, 6) for _ in range(m)]
-        c = [rng.randint(-6, 6) for _ in range(n)]
-        given = LpProblem.make(a, b, c)
-        assert {type(x) for x in (*given.b, *given.c, *given.a[0])} == {int}
-        twin = LpProblem.make(
-            [[F(x) for x in row] for row in a], [F(x) for x in b], [F(x) for x in c]
-        )
-        outcomes = []
-        for problem in (given, twin):
-            try:
-                sol = solve_max(problem)
-            except LpInfeasibleError:
-                outcomes.append(("infeasible",))
-                continue
-            results = [*sol.primal, *(sol.dual or ()), *(sol.ray or ())]
-            if sol.value is not None:
-                results.append(sol.value)
-            assert {type(x) for x in results} == {F}
-            outcomes.append((sol.status, sol.value, sol.primal, sol.dual, sol.ray, sol.pivots))
-        assert outcomes[0] == outcomes[1]
-        statuses.add(outcomes[0][0])
-    assert statuses == {"infeasible", "optimal", "unbounded"}
 
 
 def test_deterministic_pivoting():
@@ -750,14 +695,19 @@ def _outcome(problem):
 
 
 def test_pivot_path_pinned():
-    # every field of 1000 solves, fractional rows included, pinned to the
-    # digest of the Fraction tableau this solver replaced
-    outcomes = [_outcome(LpProblem.make(a, b, c)) for a, b, c in _pivot_path_lps(1967, 1000)]
+    # every field of 1000 solves of rational LPs, each row of [A | b] and c
+    # scaled to ints by the lcm of its denominators, pinned
+    outcomes = []
+    for a, b, c in _pivot_path_lps(1967, 1000):
+        rows = [_integral([*row, bi]) for row, bi in zip(a, b)]
+        problem = LpProblem.make([row[:-1] for row in rows], [row[-1] for row in rows],
+                                 _integral(c))
+        outcomes.append(_outcome(problem))
     statuses = [o.partition("|")[0] for o in outcomes]
     counts = {s: statuses.count(s) for s in ("infeasible", "optimal", "unbounded")}
     assert counts == {"infeasible": 396, "optimal": 298, "unbounded": 306}
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "961f462949f8f1d3f8136c49140bb3dc9e3bb36fb505a96bb3672fd6ef0db757"
+    assert digest == "b20cc0d031918e0de997f402e87d9015b83e597a38879fed806dd8aeb816ba4c"
 
 
 def _dense_lps(seed, count):
@@ -791,15 +741,17 @@ def test_matrix_rank(branches):
     assert matrix_rank([[], []]) == 0
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([[1, 0, 1], [0, 1, 1], [1, 1, 2]]) == 2
-    assert matrix_rank([[F(1, 2), 0], [0, F(3)]]) == 2
-    assert matrix_rank([[0, 0, 1], [0, 2, 0], [0, 1, F(1, 2)]]) == 2
+    assert matrix_rank([[1, 0], [0, 3]]) == 2
+    assert matrix_rank([[0, 0, 1], [0, 2, 0], [0, 2, 1]]) == 2
     # 0.1 is not 1/10 (the exact rank of the first is 1), a ragged row is no
     # matrix, and True is not 1
     for rows in ([[0.1, 0.2], [1, 2]], [[0, 1], [1]], [[True, 0], [0, 1]]):
         with pytest.raises(ValueError):
             matrix_rank(rows)
+    with pytest.raises(ValueError, match=re.escape("not Fraction(1, 1)")):
+        matrix_rank([[F(1)]])
     for bad in BAD_ENTRIES:
-        rows = [[1, 2, 3, 4, 5], [1, -2, F(3, 2), bad, "second"]]
+        rows = [[1, 2, 3, 4, 5], [1, -2, 3, bad, "second"]]
         with pytest.raises(ValueError, match=re.escape(f"not {bad!r}")):
             matrix_rank(rows)
     rng = random.Random(1968)
@@ -814,7 +766,8 @@ def test_matrix_rank(branches):
         if rows:  # a dependent row: a rational combination of two rows
             u, v = rng.choice(rows), rng.choice(rows)
             rows.insert(rng.randrange(len(rows)), [x - F(2, 3) * y for x, y in zip(u, v)])
-        ranks.append(matrix_rank(rows))
+        # each rational row scaled to ints: the rank over Q is the same
+        ranks.append(matrix_rank([_integral(row) for row in rows]))
         assert ranks[-1] == oracle_rank(rows), rows
     assert len(set(ranks)) == 7
     assert branches[True] and branches[False]

@@ -91,8 +91,8 @@ def test_is_complete_needs_spanning_functionals():
     # line of the plane, so their cone is not the whole space
     rs = rootsys.build_root_system([("A", 1), ("A", 1)])
     colors = (
-        Color(name="D1", rho=(F(1), F(1)), moved_by=(0,)),
-        Color(name="D2", rho=(F(-1), F(-1)), moved_by=(1,)),
+        Color(name="D1", rho=(1, 1), moved_by=(0,)),
+        Color(name="D2", rho=(-1, -1), moved_by=(1,)),
     )
     skel = SphericalSkeleton(SphericalSystem(rs, frozenset(), ((1, 0), (0, 1)), colors), ())
     assert exactlp.positive_dependence([c.rho for c in colors]) == ((F(1), F(1)), None)
@@ -409,7 +409,7 @@ def test_duplicate_boundary():
 def test_invariant_violations():
     rs = rootsys.build_root_system([("A", 2)])
     sigma = ((1, 0), (0, 1))
-    color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,))
+    color = Color(name="D1", rho=(2, -1), moved_by=(0,))
     system = SphericalSystem(rs, frozenset(), sigma, (color,))
     with pytest.raises(SkeletonInvariantError) as err:
         SphericalSkeleton(system, (BoundaryDivisor("E", (1, 0)),))
@@ -422,7 +422,7 @@ def test_invariant_violations():
     assert err.value.invariant == "sigma-independent"
     with pytest.raises(SkeletonInvariantError) as err:
         SphericalSystem(
-            rs, frozenset(), sigma, (Color(name="D", rho=(F(1), F(0)), moved_by=()),)
+            rs, frozenset(), sigma, (Color(name="D", rho=(1, 0), moved_by=()),)
         )
     assert err.value.invariant == "color-moved-by"
     with pytest.raises(SkeletonInvariantError) as err:
@@ -432,11 +432,12 @@ def test_invariant_violations():
     with pytest.raises(SkeletonInvariantError) as err:
         SphericalSkeleton(system, (BoundaryDivisor("E", (-0.5, 0)),))
     assert err.value.invariant == "boundary-rho-integer"
-    # equal to the valid color's rho, so only a type check sees it
-    float_color = replace(color, rho=tuple(float(v) for v in color.rho))
-    with pytest.raises(SkeletonInvariantError) as err:
-        SphericalSystem(rs, frozenset(), sigma, (float_color,))
-    assert err.value.invariant == "color-rho-rational"
+    # a float or a Fraction equal to the valid color's rho, so only a type
+    # check sees it, and a bool, which would read as 1
+    for rho in ((2.0, -1.0), (F(2), -1), (2, F(-1)), (True, -1)):
+        with pytest.raises(SkeletonInvariantError) as err:
+            SphericalSystem(rs, frozenset(), sigma, (replace(color, rho=rho),))
+        assert err.value.invariant == "color-rho-integer"
     # True == 1 and 1.0 == 1 as well: D1 read as moved by alpha_2, a float
     # Sigma evaluated to Equal
     system = case(31, p=2).system
@@ -456,7 +457,7 @@ def test_boundary_checks_name_the_first_broken_invariant():
     # the checks run in a fixed order, so a divisor that breaks two names
     # the first
     rs = rootsys.build_root_system([("A", 2)])
-    color = Color(name="D1", rho=(F(2), F(-1)), moved_by=(0,))
+    color = Color(name="D1", rho=(2, -1), moved_by=(0,))
     system = SphericalSystem(rs, frozenset(), ((1, 0), (0, 1)), (color,))
     for rho, invariant in (
         ((F(-1),), "boundary-rho-length"),  # the wrong length and not an int
@@ -540,23 +541,23 @@ GOOD_A2 = dict(
     root_system=RS_A2,
     sp=frozenset(),
     sigma=SIGMA_A2,
-    colors=(Color(name="D", rho=(F(1),), moved_by=(0,)),),
+    colors=(Color(name="D", rho=(1,), moved_by=(0,)),),
 )
 GAMMA_A2 = (BoundaryDivisor("E", (-1,)),)
-# A_3 with Sigma = {2 alpha_1, alpha_1 + alpha_2}: the colors alpha_1, alpha_2
-# and alpha_3 force, the first half of alpha_1^vee.  An odd pairing of a type
-# 2a coroot breaks Luna's axiom Sigma1, which no check here reads; it is the
-# only way a forced value is half-integral
-HALF_A3 = dict(
-    root_system=rootsys.build_root_system([("A", 3)]),
+# 31/p=2 built in Python: D1, D2 and D3 are its colors' basis B, and
+# D4 = D1 - D2/2 + D3/2 puts their coordinates over the denominator 2
+CASE_31_P2 = dict(
+    root_system=rootsys.build_root_system([("A", 4)]),
     sp=frozenset(),
-    sigma=((2, 0, 0), (1, 1, 0)),
+    sigma=((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)),
     colors=(
-        Color(name="D", rho=(F(2), F(1, 2)), moved_by=(0,)),
-        Color(name="D'", rho=(F(-2), F(1)), moved_by=(1,)),
-        Color(name="D''", rho=(F(0), F(-1)), moved_by=(2,)),
+        Color(name="D1", rho=(1, -1, 0), moved_by=(0,)),
+        Color(name="D2", rho=(1, 1, -1), moved_by=(1,)),
+        Color(name="D3", rho=(-1, 1, 1), moved_by=(2,)),
+        Color(name="D4", rho=(0, -1, 1), moved_by=(3,)),
     ),
 )
+GAMMA_31 = (BoundaryDivisor("E", (-1, 0, 0)),)
 
 
 def _a2_with_color(**changes):
@@ -568,8 +569,7 @@ def _a2_with_color(**changes):
 # one failing construction each for invariants no other test reaches
 UNREACHED = {
     "sigma-length": lambda: SphericalSystem(**{**GOOD_A2, "sigma": ((1, 1, 0),)}),
-    "color-rho-length": lambda: _a2_with_color(rho=(F(1), F(0))),
-    "color-rho-denominator": lambda: _a2_with_color(rho=(F(1, 3),)),
+    "color-rho-length": lambda: _a2_with_color(rho=(1, 0)),
     "moved-by-range": lambda: _a2_with_color(moved_by=(5,)),
     "boundary-rho-length": lambda: SphericalSkeleton(
         SphericalSystem(**GOOD_A2), (BoundaryDivisor("E", (-1, 0)),)
@@ -593,25 +593,21 @@ def test_unreached_invariants(invariant):
 
 
 def test_system_stores_integral_values_as_int():
-    # one representation of rho: an integral value becomes an int, so the LPs
-    # built on the system hold ints; a half-integral one stays a Fraction
-    system = SphericalSystem(**HALF_A3)
-    assert system.colors == HALF_A3["colors"]
-    whole, half = system.colors[0].rho
-    assert (whole, type(whole)) == (2, int)
-    assert (half, type(half)) == (F(1, 2), F)
-    assert system.multiplicities == (1, 2, 2)
-    assert [type(m) for m in system.multiplicities] == [int, int, int]
-    assert system.budget == 6
-    skel = SphericalSkeleton(system, (BoundaryDivisor("E", (-1, 0)),))
-    loaded = sk.from_dict(sk.to_dict(skel)).system
-    types = [[type(v) for v in color.rho] for color in loaded.colors]
-    assert types == [[int, F], [int, int], [int, int]]
-    # the first two colors are the basis B; B^-1 = (1/3)[[1, -1/2], [2, 2]]
-    # and the third color's coordinates -2/3, -2/3 share the denominator 6
+    # one representation of rho, in the system and in its file: ints, so the
+    # LPs built on the system hold ints; its basis's coordinates are ints over den
+    system = SphericalSystem(**CASE_31_P2)
+    assert system == catalog.instantiate(31, p=2).system
+    assert system.multiplicities == (2, 2, 2, 2) and system.budget == 10
+    loaded = sk.from_dict(sk.to_dict(SphericalSkeleton(system, GAMMA_31))).system
+    for built in (system, loaded):
+        values = [v for color in built.colors for v in color.rho]
+        assert {type(v) for v in [*values, *built.multiplicities, built.budget]} == {int}
+    # B^-1 = (1/2)[[2, 0, 2], [1, 1, 0], [1, 1, 2]], and D4's coordinates are
+    # (1, -1/2, 1/2)
     basis = system.basis
     assert basis == exactlp.SpanBasis(
-        indices=(0, 1), inverse=((2, -1), (4, 4)), coords=((-4, -4),), den=6
+        indices=(0, 1, 2), inverse=((2, 1, 1), (0, 1, 1), (2, 0, 2)), coords=((2, -1, 1),),
+        den=2,
     )
     values = [*basis.indices, *(x for row in basis.inverse + basis.coords for x in row)]
     assert {type(x) for x in values} == {int} and type(basis.den) is int and basis.den > 0
@@ -624,9 +620,9 @@ def _save_load(skel, path):
 
 
 def test_api_built_systems_survive_a_file_round_trip(tmp_path):
-    # integral rho values given as a Fraction, a half one
-    skel = SphericalSkeleton(SphericalSystem(**HALF_A3), (BoundaryDivisor("E", (-1, 0)),))
-    assert _save_load(skel, tmp_path / "a3.json") == skel
+    skel = SphericalSkeleton(SphericalSystem(**CASE_31_P2), GAMMA_31)
+    loaded = _save_load(skel, tmp_path / "a4.json")
+    assert loaded == skel and loaded.system.basis == skel.system.basis
     # the catalog builds its systems through the same API
     for inst in catalog.sweep_instances(profile=cli.load_sweep_profile("smoke")):
         skel = SphericalSkeleton(inst.system, ())
@@ -691,17 +687,29 @@ def test_parse_errors(tmp_path):
 # each replaces part of GOOD_A2 and breaks one Gamma-independent invariant
 BAD_A2_SYSTEMS = {
     "sigma-independent": {"sigma": ((1, 1), (2, 2)), "colors": ()},
-    # 2rho_S - 2rho_{S^p} = (2, 0) pairs to -2 with alpha_2^vee
-    "multiplicity-positive": {
+    # alpha_2 in S^p moves no color (else m_D = 2 - <alpha_2^vee, alpha_2> = 0)
+    "spherical-system-movers": {
         "sp": frozenset({1}),
-        "colors": (Color(name="D", rho=(F(1),), moved_by=(1,)),),
+        "colors": (Color(name="D", rho=(1,), moved_by=(1,)),),
     },
     # alpha_1^vee is 1 on alpha_1 + alpha_2, yet D1 stores 3: compute would
     # read P = 5 over the budget 3 as a Violation
     "color-forced": {
         "colors": (
-            Color(name="D1", rho=(F(3),), moved_by=(0,)),
-            Color(name="D2", rho=(F(1),), moved_by=(1,)),
+            Color(name="D1", rho=(3,), moved_by=(0,)),
+            Color(name="D2", rho=(1,), moved_by=(1,)),
+        ),
+    },
+    # A_3 with Sigma = {2 alpha_1, alpha_1 + alpha_2}: alpha_1^vee is 1 on
+    # alpha_1 + alpha_2, so D, which the type-2a alpha_1 moves, would store
+    # half of it, (2, 1/2); Luna's axiom Sigma1 forbids that Sigma
+    "color-rho-integer": {
+        "root_system": rootsys.build_root_system([("A", 3)]),
+        "sigma": ((2, 0, 0), (1, 1, 0)),
+        "colors": (
+            Color(name="D", rho=(2, F(1, 2)), moved_by=(0,)),
+            Color(name="D'", rho=(-2, 1), moved_by=(1,)),
+            Color(name="D''", rho=(0, -1), moved_by=(2,)),
         ),
     },
     "sp-range": {"sp": frozenset({5})},
@@ -722,8 +730,8 @@ FORCED_COLORS = {
     # a type-a color takes 1 on its root, half of alpha^vee: A2 binds the
     # pair of them, not this rule
     "type-a-free": (_rank("A", 1), (), ((1,),), (1,), (0,), None),
-    # alpha_2 in S^p forces nothing; 2rho_{S^p} = alpha_2 gives m_D = 0
-    "mover-in-sp-free": (_rank("A", 2), (1,), ((1, 1),), (5,), (1,), "multiplicity-positive"),
+    # alpha_2 in S^p moves no color, whatever its rho
+    "mover-in-sp-free": (_rank("A", 2), (1,), ((1, 1),), (5,), (1,), "spherical-system-movers"),
     # a shared color answers to both movers: alpha_1^vee is (2, 0) and
     # alpha_3^vee is (2, -1) on Sigma, so no rho passes
     "shared-sigma2-broken": (
@@ -770,7 +778,7 @@ def test_every_invariant_is_documented():
     for path in (root / "src" / "sphskel").glob("*.py"):
         names |= set(re.findall(r'SkeletonInvariantError\(\s*"([^"]+)"', path.read_text()))
     readme = (root / "README.md").read_text()
-    assert len(names) == 23
+    assert len(names) == 22
     assert sorted(name for name in names if f"`{name}`" not in readme) == []
 
 
