@@ -16,10 +16,10 @@ variable's label, and one exchange step swaps the entering column for the
 leaving one.  Each entry is the full tableau's, int for int.  A pivot p
 with |p| = d (nearly every pivot of the skeleton LPs) turns the step
 ``(x * p - f * q) // d`` into ``x - f * q // d``: only the pivot row's
-non-zero columns change, so only those are updated.  A solve's result is a frozen record of its final
-tableau's integer numerators (x = X/d, a ray R/d, y = Y/d); it builds
-their Fractions only when a caller reads them, and the certificate checks
-run on the numerators.  Only a caller's own LPs and the face LP of
+non-zero columns change, so only those are updated.  A solve's result is
+a frozen record of its final tableau's integer numerators (x = X/d, a ray
+R/d, y = Y/d); it builds their Fractions only when a caller reads them,
+and the certificate checks run on the numerators.  Only a caller's own LPs and the face LP of
 ``unique_optimum`` can reach phase 1: the skeleton LP and
 ``positive_dependence``'s one LP over a basis of the span both have b >= 0,
 and they start at the slack basis with the cost row alone.  At c <= 0 as

@@ -150,7 +150,8 @@ def test_verify_rejects_tampering():
     # where every product reads 0; the optimum of this LP is 8, not 999
     corner = LpProblem.make([[1, 1], [1, 0]], [4, 3], [2, 2])
     assert solve_max(corner).value == 8
-    assert not verify_certificates(corner, LpSolution("optimal", 0, 999, [0, 0], None, 0, (0, 0), 0))
+    zero = LpSolution("optimal", 0, 999, [0, 0], None, 0, (0, 0), 0)
+    assert not verify_certificates(corner, zero)
     for tampered in (
         replace(unb, r=None),
         _moved(unb, "ray", (F(1), F(2), F(-1))),
