@@ -30,7 +30,7 @@ loop of the same step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -89,6 +89,8 @@ class LpProblem:
 
 
 def _fractions(ints: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    if den == 1:  # Fraction(v) skips the gcd of Fraction(v, den)
+        return tuple([Fraction(v) if v else _ZERO for v in ints])
     return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
@@ -338,31 +340,41 @@ def verify_certificates(problem: LpProblem, sol: LpSolution) -> bool:
     that is not an int > 0, or a value that is not an int or a Fraction
     fails the check.
     """
+    return _certified_products(problem, sol) is not None
+
+
+def _certified_products(problem: LpProblem, sol: LpSolution) -> tuple[list, list | None] | None:
+    """The checks of ``verify_certificates``: None when one fails, else the
+    products they read, A X and (for an optimum; None for a ray) A^T Y."""
     a, b, c = problem.a, problem.b, problem.c
     m, n = len(b), len(c)
     x, dx = sol.x, sol.d
     if not _exact(x, dx) or len(x) != n or any(xj < 0 for xj in x):
-        return False
-    if any(_dot(row, x) > bi * dx for row, bi in zip(a, b)):
-        return False
+        return None
+    ax = [_dot(row, x) for row in a]
+    if any(s > bi * dx for s, bi in zip(ax, b)):
+        return None
     if sol.status == "optimal":
         y, dy, value = sol.y, sol.dy, sol.value
         if not _exact(y, dy) or type(value) not in (int, Fraction):
-            return False
+            return None
         if len(y) != m or any(yi < 0 for yi in y):
-            return False
-        if any(s < cj * dy for s, cj in zip(_transpose_dot(a, y, n), c)):
-            return False
+            return None
+        aty = _transpose_dot(a, y, n)
+        if any(s < cj * dy for s, cj in zip(aty, c)):
+            return None
         vn, vd = value.numerator, value.denominator
-        return _dot(c, x) * vd == vn * dx and _dot(b, y) * vd == vn * dy
+        if _dot(c, x) * vd == vn * dx and _dot(b, y) * vd == vn * dy:
+            return ax, aty
+        return None
     if sol.status == "unbounded":
         r = sol.r
         if not _exact(r, dx) or len(r) != n or any(rj < 0 for rj in r):
-            return False
+            return None
         if any(_dot(row, r) > 0 for row in a):
-            return False
-        return _dot(c, r) > 0
-    return False
+            return None
+        return (ax, None) if _dot(c, r) > 0 else None
+    return None
 
 
 def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
@@ -374,21 +386,23 @@ def unique_optimum(problem: LpProblem, sol: LpSolution) -> bool:
     so the optimum is unique iff the set Z of variables that are 0 at the
     vertex with zero reduced cost stays 0: Z empty needs no LP, otherwise one
     LP maximizes the sum over Z on the face.  Tight rows and zero reduced
-    costs are read on the numerators x = X/dx and y = Y/dy.
+    costs are read on the numerators x = X/dx and y = Y/dy, from the
+    products A X and A^T Y that the certificate check has just formed.
     """
-    if sol.status != "optimal" or not verify_certificates(problem, sol):
+    products = _certified_products(problem, sol) if sol.status == "optimal" else None
+    if products is None:
         raise ValueError("uniqueness needs an optimal solution with a valid dual")
+    ax, aty = products
     a, b, c = problem.a, problem.b, problem.c
     n = len(c)
     x, dx, y, dy = sol.x, sol.d, sol.y, sol.dy
-    tight = [_dot(row, x) == bi * dx for row, bi in zip(a, b)]
+    tight = [s == bi * dx for s, bi in zip(ax, b)]
     # with the unit rows of x's zeros, rank n iff full rank on x's support
     support = [j for j in range(n) if x[j]]
     on_support = [[row[j] for j in support] for row, t in zip(a, tight) if t]
     if matrix_rank(on_support) != len(support):
         raise ValueError("uniqueness is decided at a vertex only")
     # reduced costs: (A^T y)_j - c_j for x_j, y_i for s_i
-    aty = _transpose_dot(a, y, n)
     z_x = {j for j in range(n) if x[j] == 0 and aty[j] == c[j] * dy}
     z_s = [row for row, t, yi in zip(a, tight, y) if t and yi == 0]
     if not z_x and not z_s:
@@ -441,20 +455,29 @@ def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class SpanBasis:
-    """A basis B of the span of some vectors, taken greedily in their order,
+    """A basis B of the span of ``vectors``, taken greedily in their order,
     as ints over one denominator ``den > 0``.
 
-    ``indices`` names the vectors of B's rows.  ``inverse`` has one row per
+    ``vectors`` holds the vectors the basis was built from, as tuples, and
+    ``indices`` names those of B's rows.  ``inverse`` has one row per
     coordinate: for v in the span, sum_j v_j inverse[j] / den is v's
     coordinates in the basis, and with P the matrix whose column j is
     inverse[j] / den, y = P^T u gives B y = u.  ``coords`` holds the
-    coordinates of every other vector, in order, over the same den.
+    coordinates W of every other vector, in order, over the same den, and
+    ``neg_coords`` their negations -W, the rows that every dependence LP
+    over the basis starts with, built once here.
     """
 
+    vectors: tuple[tuple[int, ...], ...]
     indices: tuple[int, ...]
     inverse: tuple[tuple[int, ...], ...]
     coords: tuple[tuple[int, ...], ...]
     den: int
+    neg_coords: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        neg = tuple([tuple([-x for x in w]) for w in self.coords])
+        object.__setattr__(self, "neg_coords", neg)
 
 
 def span_basis(vectors: Sequence[Sequence[int]], dim: int) -> SpanBasis:
@@ -466,6 +489,7 @@ def span_basis(vectors: Sequence[Sequence[int]], dim: int) -> SpanBasis:
     is pivot row k's entry in the column of e_j (0 for a row never pivoted).
     den is the least that makes them all ints.  ValueError as ``matrix_rank``.
     """
+    vectors = tuple(map(tuple, vectors))
     count = len(vectors)
     if any(len(v) != dim for v in vectors):
         raise ValueError(f"vectors must have {dim} entries")
@@ -481,7 +505,7 @@ def span_basis(vectors: Sequence[Sequence[int]], dim: int) -> SpanBasis:
     g = gcd(d, *[x for row in p for x in row], *[row[c] for row in ordered for c in others])
     inverse = tuple([tuple([row[j] // g for row in p]) for j in range(dim)])
     coords = tuple([tuple([row[c] // g for row in ordered]) for c in others])
-    return SpanBasis(tuple(basis), inverse, coords, d // g)
+    return SpanBasis(vectors, tuple(basis), inverse, coords, d // g)
 
 
 def positive_dependence(
@@ -500,8 +524,9 @@ def positive_dependence(
     s.u <= 1.  Its rows are the numerators over den, and b >= 0 needs no
     phase 1.  At 1 its primal gives y = den P^T u; at 0 its dual mu gives
     lam_W = mu_W + 1 off the basis, and on it lam = -sum_W lam_W W >= 1.
-    ValueError when the prefix is longer than ``vectors``, when vectors pass
-    a basis that does not span Q^dim, or as ``matrix_rank`` for an entry past
+    ValueError when the prefix is longer than ``vectors`` or is not, compared
+    as tuples, the vectors the basis was built from, when vectors pass a
+    basis that does not span Q^dim, or as ``matrix_rank`` for an entry past
     the prefix.
     """
     sol, a, basis = _dependence_lp(vectors, basis)
@@ -513,42 +538,50 @@ def positive_dependence(
     on = [Fraction(sum(map(mul, col, off)), scale * basis.den) for col in zip(*a)]
     picked = dict(zip(basis.indices, on))
     rest = iter([Fraction(x, scale) for x in off])
-    prefix = len(basis.indices) + len(basis.coords)
-    lam = [picked[k] if k in picked else next(rest) for k in range(prefix)]
+    lam = [picked[k] if k in picked else next(rest) for k in range(len(basis.vectors))]
     lam.extend(rest)
     return tuple(lam), None
 
 
 def _dependence_lp(
     vectors: Sequence[Sequence[int]], basis: SpanBasis | None
-) -> tuple[LpSolution, list[Sequence[int]], SpanBasis]:
+) -> tuple[LpSolution, Sequence[Sequence[int]], SpanBasis]:
     """The solved LP of ``positive_dependence``, its rows -W and the basis."""
     if basis is None:
         basis = span_basis(vectors, len(vectors[0]) if vectors else 0)
+    else:
+        prefix = len(basis.vectors)
+        if len(vectors) < prefix:
+            raise ValueError(f"the basis covers {prefix} vectors, not {len(vectors)}")
+        # tuples compare item by item, each item first by identity
+        if tuple(map(tuple, vectors[:prefix])) != basis.vectors:
+            raise ValueError("the basis was built from other vectors than the prefix")
     inverse, den, rank = basis.inverse, basis.den, len(basis.indices)
-    dim, prefix = len(inverse), rank + len(basis.coords)
-    if len(vectors) < prefix:
-        raise ValueError(f"the basis covers {prefix} vectors, not {len(vectors)}")
-    extra = vectors[prefix:]
-    if extra and rank < dim:
-        raise ValueError(f"a basis of rank {rank} < {dim} gives no coordinates past it")
-    _check_ints([x for v in extra for x in v])  # a -e_j below skips the LP's own gate
-    # one row -W (over den) per vector off the basis; past the prefix W = sum_j v_j inverse[j]
-    a = [[-x for x in w] for w in basis.coords]
-    for v in extra:
-        if len(v) != dim:
-            raise ValueError(f"vectors must have {dim} entries")
-        if v.count(0) == dim - 1 and -1 in v:  # -e_j: its row is inverse[j] as it stands
-            a.append(inverse[v.index(-1)])
-            continue
-        row = [0] * rank
-        for j, x in enumerate(v):
-            if x:
-                row = [t - x * e for t, e in zip(row, inverse[j])]
-        a.append(row)
+    dim = len(inverse)
+    extra = vectors[len(basis.vectors):]
+    if not extra:
+        a = basis.neg_coords
+    else:
+        if rank < dim:
+            raise ValueError(f"a basis of rank {rank} < {dim} gives no coordinates past it")
+        _check_ints([x for v in extra for x in v])  # a -e_j below skips the LP's own gate
+        # one row -W (over den) per vector off the basis, the basis's own first;
+        # past the prefix W = sum_j v_j inverse[j]
+        a = [*basis.neg_coords]
+        for v in extra:
+            if len(v) != dim:
+                raise ValueError(f"vectors must have {dim} entries")
+            if v.count(0) == dim - 1 and -1 in v:  # -e_j: its row is inverse[j] as it stands
+                a.append(inverse[v.index(-1)])
+                continue
+            row = [0] * rank
+            for j, x in enumerate(v):
+                if x:
+                    row = [t - x * e for t, e in zip(row, inverse[j])]
+            a.append(tuple(row))
     # s is den (the basis vectors' u_k) plus the sum of the W
-    s = [den - t for t in map(sum, zip(*a))] if a else [den] * rank
-    return solve_max(LpProblem.make([*a, s], [0] * len(a) + [1], s)), a, basis
+    s = tuple([den - t for t in map(sum, zip(*a))]) if a else (den,) * rank
+    return solve_max(LpProblem((*a, s), (0,) * len(a) + (1,), s)), a, basis
 
 
 def _separator_numerators(sol: LpSolution, basis: SpanBasis) -> tuple[list[int], int]:

@@ -3,7 +3,11 @@
 P(R) is the supremum of sum_D (m_D - 1 + <rho(D), theta>) over theta in
 cone(Sigma) with <rho(D), theta> >= -m_D.  In Sigma-coordinates x that is
 the LP  max c.x, Ax <= b, x >= 0  with A[D][gamma] = -<rho(D), gamma>,
-b_D = m_D and c = -(column sums of A), shifted by sum_D (m_D - 1).
+b_D = m_D and c = -(column sums of A), shifted by sum_D (m_D - 1).  The
+colors' rows, their sums and m_D are the system's (``SphericalSystem``);
+a skeleton adds one row per boundary divisor.  ``_verdict`` goes from the
+system and the boundary rows to the verdict, for ``check_conjecture`` and,
+with no skeleton built, for each support the search finds.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from sphskel import exactlp, skeleton as sk_mod
 from sphskel.exactlp import LpProblem
@@ -32,12 +37,20 @@ class MukaiVerdict:
     pivots: int  # simplex pivots of the main LP
 
 
-def skeleton_lp(sk: SphericalSkeleton) -> tuple[LpProblem, int]:
-    """The LP of a skeleton plus the additive constant sum_D (m_D - 1)."""
-    a = sk_mod.pairing_matrix(sk)
-    b = sk_mod.multiplicities(sk)
-    c = [-t for t in map(sum, zip(*a))] if a else [0] * len(sk.system.sigma)
-    return LpProblem.make(a, b, c), sum(b) - len(b)
+def skeleton_lp(
+    system: SphericalSystem, boundary_rows: Sequence[tuple[int, ...]]
+) -> tuple[LpProblem, int]:
+    """The LP of the skeleton over ``system`` whose boundary divisors have the
+    rho ``boundary_rows``, plus the additive constant sum_D (m_D - 1).  The
+    colors' block is the system's; each boundary divisor appends its row
+    -rho with b = 1, and adds rho to c."""
+    a, ms = system.pairing_rows, system.multiplicities
+    c = [-t for t in system.pairing_sums]
+    if boundary_rows:
+        a = (*a, *[tuple([-v for v in rho]) for rho in boundary_rows])
+        for rho in boundary_rows:
+            c = [t + v for t, v in zip(c, rho)]
+    return LpProblem(a, ms + (1,) * len(boundary_rows), tuple(c)), sum(ms) - len(ms)
 
 
 def check_conjecture(sk: SphericalSkeleton) -> MukaiVerdict:
@@ -46,14 +59,17 @@ def check_conjecture(sk: SphericalSkeleton) -> MukaiVerdict:
     The uniqueness probe runs exactly when the relation is Equal, where the
     theory asserts a unique maximizer; otherwise ``theta_unique`` is None.
     """
-    return _verdict(sk, sk_mod.is_complete(sk))
+    return _verdict(sk.system, [div.rho for div in sk.boundary], sk_mod.is_complete(sk))
 
 
-def _verdict(sk: SphericalSkeleton, complete: bool) -> MukaiVerdict:
-    """check_conjecture for a skeleton whose completeness is already known."""
-    problem, constant = skeleton_lp(sk)
+def _verdict(
+    system: SphericalSystem, boundary_rows: Sequence[tuple[int, ...]], complete: bool
+) -> MukaiVerdict:
+    """check_conjecture for the skeleton over ``system`` whose boundary
+    divisors have the rho ``boundary_rows``, with its completeness known."""
+    problem, constant = skeleton_lp(system, boundary_rows)
     sol = exactlp.solve_max(problem)
-    bud = sk.system.budget
+    bud = system.budget
     if sol.status != "optimal":
         return MukaiVerdict(complete, None, bud, None, None, None, sol.pivots)
     value = sol.value + constant
@@ -80,8 +96,9 @@ def enumerate_minimal_complete_supports(
     from the sets of ``skeleton.basis_separations``, the columns of the
     colors' basis inverse that separate the colors, and adds the set of each
     failed candidate's y.  ``skeleton.support_separation`` decides each
-    candidate left, in the system's basis alone; only a complete candidate
-    is built as a skeleton, for its verdict.
+    candidate left, in the system's basis alone, and a complete one gets its
+    verdict from its unit rows -e_j on the system's LP block: no candidate
+    is built as a skeleton.
     """
     # max_card stays only because perfbench/workloads.py passes 3 positionally
     if max_card < 1:
@@ -99,8 +116,8 @@ def enumerate_minimal_complete_supports(
             sep = sk_mod.support_separation(system, combo)
             if sep is None:
                 minimal.append(t)
-                candidate = sk_mod.with_boundary_support(system, combo)
-                found.append((combo, _verdict(candidate, True)))
+                units = sk_mod._unit_rows(nsig, combo)
+                found.append((combo, _verdict(system, units, True)))
             else:
                 separated.append(sep)
     return found

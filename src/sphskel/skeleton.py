@@ -64,11 +64,14 @@ class SphericalSystem:
     m_D over the colors as ``multiplicities``: m_D is 1 when some moving
     simple root lies in Sigma or (1/2)Sigma, otherwise
     <alpha^vee, 2rho_S - 2rho_{S^p}> = 2 - <alpha^vee, 2rho_{S^p}> for the
-    moving root alpha (several movers must agree); and the budget |R+| minus
+    moving root alpha (several movers must agree), which is at least 2, as
+    alpha lies outside S^p; and the budget |R+| minus
     |R+_{S^p}|.  2rho_{S^p} and |R+_{S^p}| come from the types of the S^p
     components (``rootsys.positive_in_span``).
     It stores the ``exactlp.SpanBasis`` of the colors' rho as ``basis``, in
-    whose coordinates completeness is decided.
+    whose coordinates completeness is decided, and the colors' block of the
+    main LP that every Gamma shares: the rows -rho(D) as ``pairing_rows``
+    and their column sums as ``pairing_sums`` (``mukai.skeleton_lp``).
     """
 
     root_system: RootSystem
@@ -78,6 +81,8 @@ class SphericalSystem:
     multiplicities: tuple[int, ...] = field(init=False, compare=False, repr=False)
     budget: int = field(init=False, compare=False, repr=False)
     basis: exactlp.SpanBasis = field(init=False, compare=False, repr=False)
+    pairing_rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    pairing_sums: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rs, sigma, colors = self.root_system, self.sigma, self.colors
@@ -152,6 +157,10 @@ class SphericalSystem:
                         f" but its mover {idx} forces ({', '.join(map(str, expect))})",
                     )
         object.__setattr__(self, "basis", exactlp.span_basis([c.rho for c in colors], nsig))
+        rows = tuple([tuple([-v for v in color.rho]) for color in colors])
+        sums = tuple([sum(col) for col in zip(*rows)]) if rows else (0,) * nsig
+        object.__setattr__(self, "pairing_rows", rows)
+        object.__setattr__(self, "pairing_sums", sums)
         inside, count = rootsys.positive_in_span(rs, self.sp)
         object.__setattr__(self, "budget", rs.positive_count - count)
         in_sigma = type_a | type_2a
@@ -166,12 +175,7 @@ class SphericalSystem:
                     "multiplicity-well-defined",
                     f"{color.name}: movers disagree on m_D ({sorted(values)})",
                 )
-            m = values.pop()
-            if m < 1:
-                raise SkeletonInvariantError(
-                    "multiplicity-positive", f"{color.name}: m_D = {m} < 1"
-                )
-            ms.append(m)
+            ms.append(values.pop())
         object.__setattr__(self, "multiplicities", tuple(ms))
 
 
@@ -220,16 +224,6 @@ def coroot_rho(rs: RootSystem, sigma: Sequence[tuple[int, ...]], index: int) -> 
     non-zeros of Cartan row ``index``."""
     row = rootsys.cartan_row(rs, index)
     return tuple([sum([c * g[j] for j, c in row]) for g in sigma])
-
-
-def pairing_matrix(sk: SphericalSkeleton) -> list[list[int]]:
-    """A[D][gamma] = -<rho(D), gamma> over D in ``sk.divisors``."""
-    return [[-v for v in div.rho] for div in sk.divisors]
-
-
-def multiplicities(sk: SphericalSkeleton) -> tuple[int, ...]:
-    """m_D over D in ``sk.divisors`` (boundary divisors get 1)."""
-    return sk.system.multiplicities + (1,) * len(sk.boundary)
 
 
 def _completeness_basis(system: SphericalSystem, rows: list) -> exactlp.SpanBasis | None:

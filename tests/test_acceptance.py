@@ -265,7 +265,7 @@ def test_criterion_4_equality_structure(monkeypatch):
             verdict = mukai.check_conjecture(skel)
             assert verdict.relation == EQUAL
             assert verdict.theta_unique is True, (inst.label, opt.key)
-            problem, _ = mukai.skeleton_lp(skel)
+            problem, _ = mukai.skeleton_lp(skel.system, [d.rho for d in skel.boundary])
             sol = real_solve(problem)
             before = len(solves)
             assert exactlp.unique_optimum(problem, sol) is True
@@ -437,7 +437,7 @@ def test_criterion_8_property_suite(sweep):
     # P >= sum (m_D - 1) >= 0 on every sweep report
     for inst, opt, verdict in sweep:
         skel = inst.support_skeleton(opt)
-        _, constant = mukai.skeleton_lp(skel)
+        _, constant = mukai.skeleton_lp(skel.system, [d.rho for d in skel.boundary])
         assert verdict.p_value >= constant >= 0, (inst.label, opt.key)
 
     # support monotonicity across nested catalog supports

@@ -288,6 +288,34 @@ def test_unique_optimum_rejects_non_vertex_and_bad_dual():
         unique_optimum(unbounded, solve_max(unbounded))
 
 
+def test_record_vectors_read_as_fractions():
+    # at d = 1 each entry is Fraction(v), else Fraction(v, d), reduced
+    one = LpSolution("optimal", 0, F(3), [3, 0], None, 1, (2, 0), 1)
+    two = LpSolution("unbounded", 0, None, [4, 1], [2, 0], 2, None, None)
+    assert one.primal == (F(3), F(0)) and one.dual == (F(2), F(0))
+    assert two.primal == (F(2), F(1, 2)) and two.ray == (F(1), F(0))
+    assert {type(v) for v in (*one.primal, *one.dual, *two.primal, *two.ray)} == {Fraction}
+    assert two.primal[0].denominator == 1
+
+
+def test_unique_optimum_checks_each_record_it_is_given():
+    # the tight rows and reduced costs come from the certificate check's
+    # products, formed anew for each record: after a good call on the same
+    # problem, a tampered dual and a non-vertex optimum are still rejected
+    corner = LpProblem.make([[1, 0], [1, 1]], [1, 1], [1, 0])
+    sol = solve_max(corner)
+    assert unique_optimum(corner, sol)
+    with pytest.raises(ValueError):
+        unique_optimum(corner, _moved(sol, "dual", (F(2), F(0))))
+    segment = LpProblem.make([[1]], [1], [0])
+    assert not unique_optimum(segment, solve_max(segment))
+    midpoint = LpSolution(status="optimal", pivots=0, value=F(0), x=[1], r=None, d=2, y=[0], dy=1)
+    with pytest.raises(ValueError):
+        unique_optimum(segment, midpoint)
+    # and a good record after a rejected one is read as itself
+    assert unique_optimum(corner, sol) and not unique_optimum(segment, solve_max(segment))
+
+
 def test_unique_optimum_matches_oracle():
     rng = random.Random(20240817)
     unique = not_unique = 0
@@ -421,6 +449,17 @@ def test_positive_dependence_past_a_basis():
 def test_positive_dependence_rejects_a_basis_that_does_not_fit():
     line = exactlp.span_basis([[1, 1], [-1, -1]], 2)
     assert positive_dependence([[1, 1], [-1, -1]], line) == ((1, 1), None)
+    # the basis keeps its vectors, and a prefix of others is refused, not
+    # decided as the basis's own: here lam = (1, 1, 1, 1) for vectors never solved
+    e2 = exactlp.span_basis([[1, 0], [0, 1]], 2)
+    assert e2.vectors == ((1, 0), (0, 1)) and e2.neg_coords == ()
+    for decide in (positive_dependence, exactlp.separator):
+        with pytest.raises(ValueError, match="other vectors than the prefix"):
+            decide([["x", "y"], [0, 1], [-1, 0], [0, -1]], e2)
+        with pytest.raises(ValueError, match="other vectors than the prefix"):
+            decide([[0, 1], [1, 0], [-1, 0], [0, -1]], e2)
+    # lists and tuples of the same ints are the same prefix
+    assert positive_dependence(((1, 0), [0, 1], [-1, 0], (0, -1)), e2)[0] == (1, 1, 1, 1)
     # past a basis of a line there are no coordinates to read
     with pytest.raises(ValueError, match="rank 1 < 2"):
         positive_dependence([[1, 1], [-1, -1], [-1, 0]], line)

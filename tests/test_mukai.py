@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -87,7 +88,7 @@ def test_catalog_lps_are_integral(monkeypatch):
     skeletons = [inst.support_skeleton(opt) for inst in instances for opt in inst.options]
     assert len(skeletons) == 577
     for skel in skeletons:
-        problem = mukai.skeleton_lp(skel)[0]
+        problem = mukai.skeleton_lp(skel.system, [d.rho for d in skel.boundary])[0]
         entries = [x for row in problem.a for x in row] + [*problem.b, *problem.c]
         assert {type(x) for x in entries} <= {int}, skel
         assert sk.is_complete(skel)
@@ -104,7 +105,7 @@ def test_catalog_lps_are_integral(monkeypatch):
     face_lps = []
     monkeypatch.setattr(exactlp, "solve_max", lambda p: face_lps.append(p) or solve(p))
     for skel in equal:
-        problem = mukai.skeleton_lp(skel)[0]
+        problem = mukai.skeleton_lp(skel.system, [d.rho for d in skel.boundary])[0]
         assert exactlp.unique_optimum(problem, solve(problem))
         idle = exactlp.LpProblem.make(
             [[*row, 0] for row in problem.a], problem.b, [*problem.c, 0]
@@ -133,7 +134,7 @@ def test_p_value_at_least_constant():
         inst = case(key, **params)
         for opt in inst.options:
             skel = inst.support_skeleton(opt)
-            problem, constant = mukai.skeleton_lp(skel)
+            problem, constant = mukai.skeleton_lp(skel.system, [d.rho for d in skel.boundary])
             assert mukai.check_conjecture(skel).p_value >= constant >= 0
 
 
@@ -305,6 +306,32 @@ def test_search_completeness_lps_pinned(monkeypatch, sweep, lps, found):
     monkeypatch.setattr(sk, "support_separation", lambda s, t: decided.append(t) or decide(s, t))
     supports = sum(len(mukai.enumerate_minimal_complete_supports(s)) for s in systems)
     assert (len(decided), supports) == (lps, found)
+
+
+@pytest.mark.parametrize("sweep", ["default", "deep"])
+def test_search_verdicts_match_the_skeletons(sweep):
+    # each verdict the search builds from the system's LP rows and the unit
+    # rows -e_j is the one check_conjecture gives the skeleton, field by field
+    found = 0
+    for system in _sweep_systems(sweep):
+        for t, verdict in mukai.enumerate_minimal_complete_supports(system):
+            full = mukai.check_conjecture(sk.with_boundary_support(system, t))
+            for field in fields(full):
+                assert getattr(verdict, field.name) == getattr(full, field.name), (t, field)
+            found += 1
+    assert found == {"default": 527, "deep": 1483}[sweep]
+
+
+def test_search_builds_no_skeleton(monkeypatch):
+    # counted as test_system_checks_run_once_per_system counts systems
+    built = []
+    check = SphericalSkeleton.__post_init__
+    monkeypatch.setattr(SphericalSkeleton, "__post_init__", lambda s: built.append(s) or check(s))
+    systems = [inst.system for inst in catalog.sweep_instances()]
+    assert sum(len(mukai.enumerate_minimal_complete_supports(s)) for s in systems) == 527
+    assert built == []
+    mukai.check_conjecture(sk.with_boundary_support(systems[0], (0,)))
+    assert len(built) == 1
 
 
 def test_enumeration_on_colors_that_do_not_span():

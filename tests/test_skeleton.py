@@ -31,35 +31,45 @@ def case(family, sub="", **params):
     return catalog.instantiate(family, sub, **params)
 
 
-def test_pairing_matrix_case_31_row():
+def skeleton_lp(skel):
+    """``mukai.skeleton_lp`` of a skeleton: its system and its boundary rows."""
+    return mukai.skeleton_lp(skel.system, [div.rho for div in skel.boundary])
+
+
+def test_skeleton_lp_case_31_rows():
     inst = case(31, p=2)
     skel = inst.support_skeleton(inst.option("gamma_1"))
-    a = sk.pairing_matrix(skel)
-    assert a[0] == [F(-1), F(1), F(0)]  # D1 row: -<alpha_1^vee, gamma_j>
-    assert a[-1] == [F(1), F(0), F(0)]  # boundary rows are >= 0
+    problem, constant = skeleton_lp(skel)
+    a = problem.a
+    assert a[0] == (-1, 1, 0)  # D1 row: -<alpha_1^vee, gamma_j>
+    assert a[-1] == (1, 0, 0)  # boundary rows are >= 0
     assert all(v >= 0 for v in a[-1])
+    assert problem.b == (2, 2, 2, 2, 1) and constant == 4
+    assert problem.c == tuple([-sum(col) for col in zip(*a)])
 
 
-def test_pairing_matrix_empty_sigma():
+def test_skeleton_lp_empty_sigma():
     rs = rootsys.build_root_system([("A", 1)])
     color = Color(name="D", rho=(), moved_by=(0,))
     skel = SphericalSkeleton(SphericalSystem(rs, frozenset(), (), (color,)), ())
-    assert sk.pairing_matrix(skel) == [[]]
+    problem, constant = skeleton_lp(skel)
+    assert (problem.a, problem.b, problem.c, constant) == (((),), (2,), (), 1)
 
 
-def test_pairing_matrix_case_39_explicit_row():
+def test_skeleton_lp_case_39_explicit_row():
     inst = case(39)
-    a = sk.pairing_matrix(SphericalSkeleton(inst.system, ()))
-    assert a[0] == [F(-1), F(1), F(0), F(0)]  # D1+ has rho = (1,-1,0,0)
+    problem, _ = mukai.skeleton_lp(inst.system, [])
+    assert problem.a[0] == (-1, 1, 0, 0)  # D1+ has rho = (1,-1,0,0)
 
 
 def test_color_multiplicities_case_34():
     inst = case(34)
     assert inst.system.multiplicities == (4, 6)
     skel = inst.support_skeleton(inst.option("gamma_1"))
-    b = sk.multiplicities(skel)
+    problem, constant = skeleton_lp(skel)
+    b = problem.b
     assert b[-1] == 1  # boundary divisors always get 1
-    assert sum(b) - len(b) == 8
+    assert sum(b) - len(b) == constant == 8
 
 
 def test_color_multiplicity_one_for_sigma_movers():
@@ -101,7 +111,8 @@ def test_is_complete_needs_spanning_functionals():
     assert mukai.check_conjecture(skel).complete is False
     # the colors' basis has 1 < 2 vectors, so completeness takes a basis of
     # all rho(D), and -e_1, -e_2 complete the line to the plane
-    assert skel.system.basis == exactlp.SpanBasis((0,), ((1,), (0,)), ((-1,),), 1)
+    assert skel.system.basis == exactlp.SpanBasis(((1, 1), (-1, -1)), (0,), ((1,), (0,)),
+                                                  ((-1,),), 1)
     whole = sk.with_boundary_support(skel.system, [0, 1])
     assert len(exactlp.span_basis([div.rho for div in whole.divisors], 2).indices) == 2
     lam, y = sk.completeness_witness(whole)
@@ -122,7 +133,7 @@ def test_empty_sigma_file_is_complete(tmp_path, capsys):
         "boundary": [],
     }))
     skel = sk.load(str(path))
-    assert skel.system.basis == exactlp.SpanBasis((), (), ((),), 1)
+    assert skel.system.basis == exactlp.SpanBasis(((),), (), (), ((),), 1)
     assert sk.completeness_witness(skel) == ((1,), None)
     assert cli.main(["compute", str(path)]) == 0
     assert capsys.readouterr().out == "complete: true, P=1, budget=1, Equal, theta=()\n"
@@ -287,7 +298,7 @@ def test_product_structure():
     prod = lemmas.product(s35, s41)
     assert prod.system.root_system.components == (("B", 3), ("G", 2))
     assert prod.system.budget == 6 + 5 == 11
-    a = sk.pairing_matrix(prod)
+    a = skeleton_lp(prod)[0].a
     # block-diagonal pairing: first-factor rows vanish on second-factor roots
     assert a[0][1] == 0 and a[1][0] == 0
     assert len(prod.system.colors) == 2 and len(prod.boundary) == 2
@@ -606,7 +617,7 @@ def test_system_stores_integral_values_as_int():
     # (1, -1/2, 1/2)
     basis = system.basis
     assert basis == exactlp.SpanBasis(
-        indices=(0, 1, 2), inverse=((2, 1, 1), (0, 1, 1), (2, 0, 2)), coords=((2, -1, 1),),
+        vectors=tuple([color.rho for color in system.colors]), indices=(0, 1, 2), inverse=((2, 1, 1), (0, 1, 1), (2, 0, 2)), coords=((2, -1, 1),),
         den=2,
     )
     values = [*basis.indices, *(x for row in basis.inverse + basis.coords for x in row)]
@@ -756,7 +767,7 @@ def test_color_forced_by_each_mover(name):
 def test_system_checks_run_on_every_construction(tmp_path, invariant):
     # a valid system and its derived Gammas on the same root system first
     good = SphericalSystem(**GOOD_A2)
-    assert sk.multiplicities(sk.with_boundary_support(good, (0,))) == (2, 1)
+    assert skeleton_lp(sk.with_boundary_support(good, (0,)))[0].b == (2, 1)
     bad = {**GOOD_A2, **BAD_A2_SYSTEMS[invariant]}
     boundary = () if invariant == "sigma-independent" else GAMMA_A2
     path = tmp_path / "bad.json"
@@ -778,7 +789,7 @@ def test_every_invariant_is_documented():
     for path in (root / "src" / "sphskel").glob("*.py"):
         names |= set(re.findall(r'SkeletonInvariantError\(\s*"([^"]+)"', path.read_text()))
     readme = (root / "README.md").read_text()
-    assert len(names) == 22
+    assert len(names) == 21
     assert sorted(name for name in names if f"`{name}`" not in readme) == []
 
 
