@@ -545,7 +545,7 @@ def positive_dependence(
 
 def _dependence_lp(
     vectors: Sequence[Sequence[int]], basis: SpanBasis | None
-) -> tuple[LpSolution, Sequence[Sequence[int]], SpanBasis]:
+) -> tuple[LpSolution, list[Sequence[int]], SpanBasis]:
     """The solved LP of ``positive_dependence``, its rows -W and the basis."""
     if basis is None:
         basis = span_basis(vectors, len(vectors[0]) if vectors else 0)
@@ -559,26 +559,23 @@ def _dependence_lp(
     inverse, den, rank = basis.inverse, basis.den, len(basis.indices)
     dim = len(inverse)
     extra = vectors[len(basis.vectors):]
-    if not extra:
-        a = basis.neg_coords
-    else:
-        if rank < dim:
-            raise ValueError(f"a basis of rank {rank} < {dim} gives no coordinates past it")
-        _check_ints([x for v in extra for x in v])  # a -e_j below skips the LP's own gate
-        # one row -W (over den) per vector off the basis, the basis's own first;
-        # past the prefix W = sum_j v_j inverse[j]
-        a = [*basis.neg_coords]
-        for v in extra:
-            if len(v) != dim:
-                raise ValueError(f"vectors must have {dim} entries")
-            if v.count(0) == dim - 1 and -1 in v:  # -e_j: its row is inverse[j] as it stands
-                a.append(inverse[v.index(-1)])
-                continue
-            row = [0] * rank
-            for j, x in enumerate(v):
-                if x:
-                    row = [t - x * e for t, e in zip(row, inverse[j])]
-            a.append(tuple(row))
+    if extra and rank < dim:
+        raise ValueError(f"a basis of rank {rank} < {dim} gives no coordinates past it")
+    _check_ints([x for v in extra for x in v])  # a -e_j below skips the LP's own gate
+    # one row -W (over den) per vector off the basis, the basis's own built once;
+    # past the prefix W = sum_j v_j inverse[j]
+    a = [*basis.neg_coords]
+    for v in extra:
+        if len(v) != dim:
+            raise ValueError(f"vectors must have {dim} entries")
+        if v.count(0) == dim - 1 and -1 in v:  # -e_j: its row is inverse[j] as it stands
+            a.append(inverse[v.index(-1)])
+            continue
+        row = [0] * rank
+        for j, x in enumerate(v):
+            if x:
+                row = [t - x * e for t, e in zip(row, inverse[j])]
+        a.append(tuple(row))
     # s is den (the basis vectors' u_k) plus the sum of the W
     s = tuple([den - t for t in map(sum, zip(*a))]) if a else (den,) * rank
     return solve_max(LpProblem((*a, s), (0,) * len(a) + (1,), s)), a, basis

@@ -617,7 +617,8 @@ def test_system_stores_integral_values_as_int():
     # (1, -1/2, 1/2)
     basis = system.basis
     assert basis == exactlp.SpanBasis(
-        vectors=tuple([color.rho for color in system.colors]), indices=(0, 1, 2), inverse=((2, 1, 1), (0, 1, 1), (2, 0, 2)), coords=((2, -1, 1),),
+        vectors=tuple([color.rho for color in system.colors]), indices=(0, 1, 2),
+        inverse=((2, 1, 1), (0, 1, 1), (2, 0, 2)), coords=((2, -1, 1),),
         den=2,
     )
     values = [*basis.indices, *(x for row in basis.inverse + basis.coords for x in row)]
